@@ -23,8 +23,10 @@ from repro.ecc import (
     detection_table,
     words_to_bits,
 )
+from repro.ecc.detection import _reference_rate_burst, _reference_rate_random
 from repro.ecc.differential import replay_roundtrip
 from repro.faultsim import MonteCarloConfig, XedScheme, simulate
+from repro.faultsim.differential import reference_simulate
 
 rng = random.Random(2016)
 
@@ -107,7 +109,7 @@ def test_batched_decode_throughput(benchmark, code_cls):
 
 
 def test_differential_roundtrip_throughput(benchmark):
-    """The verification harness itself: both backends plus comparison.
+    """The verification harness itself: kernels, codecs and comparison.
 
     This is the configuration the bit-identity guarantee is established
     under, so its cost is worth tracking alongside the raw kernels.
@@ -122,21 +124,19 @@ def test_differential_roundtrip_throughput(benchmark):
 def test_detection_table_backend_speedup(benchmark):
     """The Table II sweep, batched, with the >=10x speedup floor.
 
-    Benchmarks the batched sweep and then times one scalar run of the
-    identical workload: the acceptance criterion for the batched
-    kernels is >= 10x more codewords/sec on this sweep, asserted here
-    (benchmarks are outside the tier-1 suite, so a perf regression
-    fails the benchmark job, not the unit gate).
+    Benchmarks the batched sweep and then times the scalar reference
+    over the identical pattern spaces: the acceptance criterion for the
+    batched kernels is >= 10x more codewords/sec on this sweep,
+    asserted here (benchmarks are outside the tier-1 suite, so a perf
+    regression fails the benchmark job, not the unit gate).
     """
     codes = {"Hamming": HammingSECDED(), "CRC8-ATM": CRC8ATMCode()}
     samples = 20_000
     # Warm the matrix caches so the benchmark times the sweep, not setup.
-    detection_table(codes, random_samples=1000, backend="batched")
+    detection_table(codes, random_samples=1000)
 
     benchmark.pedantic(
-        lambda: detection_table(
-            codes, random_samples=samples, backend="batched"
-        ),
+        lambda: detection_table(codes, random_samples=samples),
         rounds=3,
         iterations=1,
     )
@@ -145,7 +145,12 @@ def test_detection_table_backend_speedup(benchmark):
     batched_s = benchmark.stats.stats.min
 
     start = time.perf_counter()
-    detection_table(codes, random_samples=samples, backend="scalar")
+    for code in codes.values():
+        for errors in range(1, 9):
+            _reference_rate_random(
+                code, errors, samples=samples, seed=2016 + errors
+            )
+            _reference_rate_burst(code, errors)
     scalar_s = time.perf_counter() - start
 
     speedup = scalar_s / batched_s
@@ -160,9 +165,9 @@ def test_detection_table_backend_speedup(benchmark):
 def test_faultsim_backend_speedup(benchmark):
     """Vectorized Monte-Carlo adjudication with the >=5x speedup floor.
 
-    Runs the default 200K-system XED reliability experiment on the
-    vectorized backend, then times one scalar run of the identical
-    (seed, population) workload.  The acceptance criterion for the
+    Runs the default 200K-system XED reliability experiment, then
+    times the ``scheme.evaluate`` reference over the identical (seed,
+    population) workload.  The acceptance criterion for the
     struct-of-arrays kernels is an end-to-end speedup of >= 5x at this
     scale *with bit-identical results* -- identity is asserted here via
     the checkpoint payloads, and exhaustively in
@@ -170,19 +175,16 @@ def test_faultsim_backend_speedup(benchmark):
     """
     scheme = XedScheme()
     cfg = MonteCarloConfig(num_systems=200_000, seed=2016)
-    vec_cfg = dataclasses.replace(cfg, faultsim_backend="vectorized")
 
     vec_result = benchmark.pedantic(
-        lambda: simulate(scheme, vec_cfg), rounds=3, iterations=1
+        lambda: simulate(scheme, cfg), rounds=3, iterations=1
     )
     if not benchmark.stats:  # --benchmark-disable: nothing to compare
         pytest.skip("benchmark timing disabled")
     vectorized_s = benchmark.stats.stats.min
 
     start = time.perf_counter()
-    scalar_result = simulate(
-        scheme, dataclasses.replace(cfg, faultsim_backend="scalar")
-    )
+    scalar_result = reference_simulate(scheme, cfg)
     scalar_s = time.perf_counter() - start
 
     assert scalar_result.to_payload() == vec_result.to_payload()
@@ -221,10 +223,9 @@ def test_analytical_sweep_speedup(benchmark):
         pytest.skip("benchmark timing disabled")
     analytical_s = benchmark.stats.stats.min
 
-    vec_cfg = dataclasses.replace(cfg, faultsim_backend="vectorized")
     start = time.perf_counter()
     for s in schemes:
-        simulate(s, vec_cfg)
+        simulate(s, cfg)
     vectorized_s = time.perf_counter() - start
 
     speedup = vectorized_s / analytical_s

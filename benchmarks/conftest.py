@@ -8,10 +8,7 @@ reproduction bands.
 
 Scale control: set ``REPRO_BENCH_SCALE=quick`` for a fast smoke pass;
 the default ``full`` scale uses the populations documented in
-DESIGN.md/EXPERIMENTS.md.  ``REPRO_FAULTSIM_BACKEND`` selects the
-Monte-Carlo adjudication backend for the figure benchmarks
-(``vectorized`` by default -- bit-identical to ``scalar``, so only
-wall-clock moves).
+DESIGN.md/EXPERIMENTS.md.
 """
 
 import os
@@ -21,7 +18,6 @@ import pytest
 from repro.analysis import run_experiment
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "full")
-FAULTSIM_BACKEND = os.environ.get("REPRO_FAULTSIM_BACKEND", "vectorized")
 
 
 @pytest.fixture(scope="session")
@@ -35,7 +31,7 @@ def run_and_print(benchmark, experiment_id: str, scale: str = None):
     report = benchmark.pedantic(
         run_experiment,
         args=(experiment_id,),
-        kwargs={"scale": scale, "faultsim_backend": FAULTSIM_BACKEND},
+        kwargs={"scale": scale},
         rounds=1,
         iterations=1,
     )

@@ -116,22 +116,18 @@ def _run_table1(scale: str = "quick", seed: int = 2016) -> ExperimentReport:
     )
 
 
-def _run_table2(
-    scale: str = "quick", seed: int = 2016, ecc_backend: str = "scalar"
-) -> ExperimentReport:
+def _run_table2(scale: str = "quick", seed: int = 2016) -> ExperimentReport:
     samples = 20_000 if scale == "quick" else 200_000
     report = detection_table(
         {"Hamming": HammingSECDED(), "CRC8-ATM": CRC8ATMCode()},
         random_samples=samples,
         seed=seed,
-        backend=ecc_backend,
     )
     contiguous = detection_table(
         {"Hamming": HammingSECDED(), "CRC8-ATM": CRC8ATMCode()},
         random_samples=samples // 10,
         burst_mode="contiguous",
         seed=seed,
-        backend=ecc_backend,
     )
     lines = [report.format_table(), "",
              "(contiguous-run burst interpretation:)",
@@ -175,7 +171,6 @@ def _reliability_config(
     seed: int,
     scaling_rate: float = 0.0,
     triple: bool = False,
-    ecc_backend: str = "scalar",
     faultsim_backend: str = "vectorized",
 ) -> MonteCarloConfig:
     if triple:
@@ -186,7 +181,6 @@ def _reliability_config(
         num_systems=n,
         seed=seed,
         scaling_rate=scaling_rate,
-        ecc_backend=ecc_backend,
         faultsim_backend=faultsim_backend,
     )
 
@@ -194,12 +188,10 @@ def _reliability_config(
 def _run_fig1(
     scale: str = "quick",
     seed: int = 2016,
-    ecc_backend: str = "scalar",
     faultsim_backend: str = "vectorized",
 ) -> ExperimentReport:
     cfg = _reliability_config(
-        scale, seed, ecc_backend=ecc_backend,
-        faultsim_backend=faultsim_backend,
+        scale, seed, faultsim_backend=faultsim_backend
     )
     schemes = [NonEccScheme(), EccDimmScheme(), ChipkillScheme()]
     results = [simulate(s, cfg) for s in schemes]
@@ -262,12 +254,10 @@ def _run_fig7(
     scale: str = "quick",
     seed: int = 2016,
     scaling_rate: float = 0.0,
-    ecc_backend: str = "scalar",
     faultsim_backend: str = "vectorized",
 ) -> ExperimentReport:
     cfg = _reliability_config(
-        scale, seed, scaling_rate, ecc_backend=ecc_backend,
-        faultsim_backend=faultsim_backend,
+        scale, seed, scaling_rate, faultsim_backend=faultsim_backend
     )
     schemes = [EccDimmScheme(), XedScheme(), ChipkillScheme()]
     results = [simulate(s, cfg) for s in schemes]
@@ -297,12 +287,10 @@ def _run_fig7(
 def _run_fig8(
     scale: str = "quick",
     seed: int = 2016,
-    ecc_backend: str = "scalar",
     faultsim_backend: str = "vectorized",
 ) -> ExperimentReport:
     return _run_fig7(
-        scale, seed, scaling_rate=1e-4, ecc_backend=ecc_backend,
-        faultsim_backend=faultsim_backend,
+        scale, seed, scaling_rate=1e-4, faultsim_backend=faultsim_backend
     )
 
 
@@ -310,11 +298,10 @@ def _run_fig9(
     scale: str = "quick",
     seed: int = 2016,
     scaling_rate: float = 0.0,
-    ecc_backend: str = "scalar",
     faultsim_backend: str = "vectorized",
 ) -> ExperimentReport:
     cfg = _reliability_config(
-        scale, seed, scaling_rate, triple=True, ecc_backend=ecc_backend,
+        scale, seed, scaling_rate, triple=True,
         faultsim_backend=faultsim_backend,
     )
     schemes = [ChipkillScheme(), DoubleChipkillScheme(), XedChipkillScheme()]
@@ -346,12 +333,10 @@ def _run_fig9(
 def _run_fig10(
     scale: str = "quick",
     seed: int = 2016,
-    ecc_backend: str = "scalar",
     faultsim_backend: str = "vectorized",
 ) -> ExperimentReport:
     return _run_fig9(
-        scale, seed, scaling_rate=1e-4, ecc_backend=ecc_backend,
-        faultsim_backend=faultsim_backend,
+        scale, seed, scaling_rate=1e-4, faultsim_backend=faultsim_backend
     )
 
 
@@ -361,15 +346,10 @@ def _run_fig10(
 
 #: Memo for performance grids: fig11 and fig12 share the same runs, as
 #: do fig13's time and power views.  Keyed by (scale, seed, schemes).
-#: The perfsim backend is *not* part of the key -- both backends are
-#: certified bit-identical (repro.perfsim.differential), so a grid
-#: computed under one serves the other.
 _GRID_CACHE: Dict[tuple, Dict] = {}
 
 
-def _perf_grid(
-    scale: str, seed: int, scheme_keys, perfsim_backend: str = "scalar"
-) -> Dict:
+def _perf_grid(scale: str, seed: int, scheme_keys) -> Dict:
     key = (scale, seed, tuple(scheme_keys))
     if key in _GRID_CACHE:
         return _GRID_CACHE[key]
@@ -382,7 +362,6 @@ def _perf_grid(
         workloads=workloads,
         instructions_per_core=instructions,
         seed=seed,
-        backend=perfsim_backend,
     )
     _GRID_CACHE[key] = grid
     return grid
@@ -391,10 +370,8 @@ def _perf_grid(
 _FIG11_SCHEMES = ("ecc_dimm", "xed", "chipkill", "xed_chipkill", "double_chipkill")
 
 
-def _run_fig11(
-    scale: str = "quick", seed: int = 2016, perfsim_backend: str = "scalar"
-) -> ExperimentReport:
-    grid = _perf_grid(scale, seed, _FIG11_SCHEMES, perfsim_backend)
+def _run_fig11(scale: str = "quick", seed: int = 2016) -> ExperimentReport:
+    grid = _perf_grid(scale, seed, _FIG11_SCHEMES)
     keys = [k for k in _FIG11_SCHEMES if k != "ecc_dimm"]
     table = format_figure_table(
         grid, keys, metric="time", title="Normalized Execution Time (Figure 11)"
@@ -407,10 +384,8 @@ def _run_fig11(
     return _report("fig11", lines=lines, data={"grid": grid, "gmeans": gmeans})
 
 
-def _run_fig12(
-    scale: str = "quick", seed: int = 2016, perfsim_backend: str = "scalar"
-) -> ExperimentReport:
-    grid = _perf_grid(scale, seed, _FIG11_SCHEMES, perfsim_backend)
+def _run_fig12(scale: str = "quick", seed: int = 2016) -> ExperimentReport:
+    grid = _perf_grid(scale, seed, _FIG11_SCHEMES)
     keys = [k for k in _FIG11_SCHEMES if k != "ecc_dimm"]
     table = format_figure_table(
         grid, keys, metric="power", title="Normalized Memory Power (Figure 12)"
@@ -437,10 +412,8 @@ _FIG13_SCHEMES = (
 )
 
 
-def _run_fig13(
-    scale: str = "quick", seed: int = 2016, perfsim_backend: str = "scalar"
-) -> ExperimentReport:
-    grid = _perf_grid(scale, seed, _FIG13_SCHEMES, perfsim_backend)
+def _run_fig13(scale: str = "quick", seed: int = 2016) -> ExperimentReport:
+    grid = _perf_grid(scale, seed, _FIG13_SCHEMES)
     keys = [k for k in _FIG13_SCHEMES if k != "ecc_dimm"]
     time_g = {
         k: geometric_mean(normalized_metric(grid, k).values()) for k in keys
@@ -461,10 +434,8 @@ def _run_fig13(
     )
 
 
-def _run_fig14(
-    scale: str = "quick", seed: int = 2016, perfsim_backend: str = "scalar"
-) -> ExperimentReport:
-    grid = _perf_grid(scale, seed, ("ecc_dimm", "xed", "lotecc"), perfsim_backend)
+def _run_fig14(scale: str = "quick", seed: int = 2016) -> ExperimentReport:
+    grid = _perf_grid(scale, seed, ("ecc_dimm", "xed", "lotecc"))
     lot = normalized_metric(grid, "lotecc")
     xed = normalized_metric(grid, "xed")
     lines = [
@@ -546,24 +517,14 @@ def run_experiment(
     experiment_id: str,
     scale: str = "quick",
     seed: int = 2016,
-    ecc_backend: str = "scalar",
     faultsim_backend: str = "vectorized",
-    perfsim_backend: str = "scalar",
 ) -> ExperimentReport:
     """Regenerate one of the paper's tables/figures by id.
 
-    ``ecc_backend`` selects the codec backend for experiments that
-    evaluate ECC codes (Table II's detection sweep, and the reliability
-    figures whose ECC-DIMM DUE/SDC split is measured from the decoder);
-    ``faultsim_backend`` selects the Monte-Carlo adjudication backend
-    for the reliability figures (both backends are bit-identical, so
-    this only changes the runtime; vectorized is the default and is
-    what makes the full-scale populations affordable);
-    ``perfsim_backend`` selects the performance-simulator engine for
-    Figures 11-14 (``scalar`` golden walk or the bit-identical
-    event-driven ``pipeline``, certified by
-    :mod:`repro.perfsim.differential`).  Experiments with no such
-    involvement ignore the respective knob.
+    ``faultsim_backend`` selects how the reliability figures compute
+    failure probabilities: ``vectorized`` Monte-Carlo (the default) or
+    the closed-form ``analytical`` solver.  Experiments without a
+    reliability simulation ignore it.
     """
     if experiment_id not in EXPERIMENTS:
         raise KeyError(
@@ -572,22 +533,13 @@ def run_experiment(
         )
     if scale not in ("quick", "full"):
         raise ValueError("scale must be 'quick' or 'full'")
-    from repro.ecc.batched import validate_backend
     from repro.faultsim.vectorized import validate_faultsim_backend
-    from repro.perfsim.engine import validate_perfsim_backend
 
-    validate_backend(ecc_backend)
     validate_faultsim_backend(faultsim_backend)
-    validate_perfsim_backend(perfsim_backend)
     runner = EXPERIMENTS[experiment_id].runner
     kwargs = {"scale": scale, "seed": seed}
-    parameters = inspect.signature(runner).parameters
-    if "ecc_backend" in parameters:
-        kwargs["ecc_backend"] = ecc_backend
-    if "faultsim_backend" in parameters:
+    if "faultsim_backend" in inspect.signature(runner).parameters:
         kwargs["faultsim_backend"] = faultsim_backend
-    if "perfsim_backend" in parameters:
-        kwargs["perfsim_backend"] = perfsim_backend
     return runner(**kwargs)
 
 
@@ -595,9 +547,7 @@ def reproduce_all(
     scale: str = "quick",
     seed: int = 2016,
     experiment_ids: Optional[List[str]] = None,
-    ecc_backend: str = "scalar",
     faultsim_backend: str = "vectorized",
-    perfsim_backend: str = "scalar",
 ) -> Dict[str, ExperimentReport]:
     """Regenerate every table and figure (or a chosen subset), in the
     paper's order.  The whole-evaluation equivalent of the benchmark
@@ -610,9 +560,7 @@ def reproduce_all(
     ids = experiment_ids if experiment_ids is not None else order
     return {
         exp_id: run_experiment(
-            exp_id, scale, seed,
-            ecc_backend=ecc_backend, faultsim_backend=faultsim_backend,
-            perfsim_backend=perfsim_backend,
+            exp_id, scale, seed, faultsim_backend=faultsim_backend
         )
         for exp_id in ids
     }

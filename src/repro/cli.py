@@ -106,65 +106,24 @@ def _positive_int(value: str) -> int:
     return size
 
 
-def _add_ecc_backend_flag(parser: argparse.ArgumentParser) -> None:
-    """Attach ``--ecc-backend`` to sub-commands that evaluate ECC codes.
-
-    ``batched`` routes codec work through the numpy bit-matrix kernels
-    of :mod:`repro.ecc.batched` (>= 10x faster on the Table II sweep);
-    ``scalar`` is the per-word golden model.  The two are verified
-    bit-identical by :mod:`repro.ecc.differential`.
-    """
-    parser.add_argument(
-        "--ecc-backend", choices=("scalar", "batched"), default="scalar",
-        help="ECC codec backend: per-word golden model (scalar, default) "
-             "or numpy bit-matrix kernels (batched)",
-    )
-
-
-def _add_faultsim_backend_flag(
-    parser: argparse.ArgumentParser, default: str = "vectorized"
-) -> None:
+def _add_faultsim_backend_flag(parser: argparse.ArgumentParser) -> None:
     """Attach ``--faultsim-backend`` to Monte-Carlo sub-commands.
 
-    ``vectorized`` adjudicates whole shards with the batch kernels of
-    :mod:`repro.faultsim.vectorized` (>= 5x faster end to end);
-    ``scalar`` walks per-system ChipFault lists (the golden model).
-    The two are verified bit-identical by
-    :mod:`repro.faultsim.differential`, and checkpoints written under
-    one backend resume under the other.  ``analytical`` solves the
+    ``vectorized`` samples the population and adjudicates whole shards
+    with the batch kernels of :mod:`repro.faultsim.vectorized`,
+    bit-identical to the ``scheme.evaluate`` reference (enforced by
+    :mod:`repro.faultsim.differential`).  ``analytical`` solves the
     closed-form Markov chain (:mod:`repro.faultsim.markov`) instead of
     sampling: milliseconds per scheme, no sampling noise, validated
     against Monte-Carlo within Wilson intervals (docs/theory.md).
     """
     parser.add_argument(
         "--faultsim-backend",
-        choices=("scalar", "vectorized", "analytical"),
-        default=default,
+        choices=("vectorized", "analytical"),
+        default="vectorized",
         help="fault-sim backend: batch numpy Monte-Carlo (vectorized, "
-             "default), per-system ChipFault walk (scalar golden "
-             "model; bit-identical to vectorized), or the closed-form "
-             "Markov solver (analytical; noise-free, Wilson-validated)",
-    )
-
-
-def _add_perfsim_backend_flag(parser: argparse.ArgumentParser) -> None:
-    """Attach ``--perfsim-backend`` to sub-commands that run the
-    performance simulator.
-
-    ``pipeline`` is the event-driven multi-channel engine of
-    :mod:`repro.perfsim.pipeline` (several times faster on figure
-    grids); ``scalar`` is the original engine walk and stays the golden
-    reference.  The two are certified bit-identical -- cycle counts,
-    JEDEC command logs and power accounting -- for every Figure 11-13
-    cell by :mod:`repro.perfsim.differential`, so the default is the
-    fast one.
-    """
-    parser.add_argument(
-        "--perfsim-backend", choices=("scalar", "pipeline"),
-        default="pipeline",
-        help="performance-sim backend: event-driven multi-channel engine "
-             "(pipeline, default) or the original scalar walk (golden "
-             "model; bit-identical, certified by repro.perfsim.differential)",
+             "default) or the closed-form Markov solver (analytical; "
+             "noise-free, Wilson-validated)",
     )
 
 
@@ -396,9 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("experiment_id", help="e.g. fig7, table2")
     exp.add_argument("--scale", choices=("quick", "full"), default="quick")
     exp.add_argument("--seed", type=int, default=2016)
-    _add_ecc_backend_flag(exp)
     _add_faultsim_backend_flag(exp)
-    _add_perfsim_backend_flag(exp)
     _add_runtime_flags(exp)
 
     rel = add_parser("reliability", help="Monte-Carlo scheme comparison")
@@ -411,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     rel.add_argument("--scaling-rate", type=float, default=0.0)
     rel.add_argument("--scrub-hours", type=float, default=None)
     rel.add_argument("--seed", type=int, default=2016)
-    _add_ecc_backend_flag(rel)
     _add_faultsim_backend_flag(rel)
     _add_parallel_flags(rel)
     _add_runtime_flags(rel)
@@ -427,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument(
         "--metric", choices=("time", "power", "both"), default="both"
     )
-    _add_perfsim_backend_flag(perf)
     perf.add_argument(
         "--workers", type=_worker_count, default=1, metavar="N",
         help="worker processes for the (workload x scheme) grid "
@@ -450,9 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also export text+CSV into this directory")
     all_cmd.add_argument("--svg", action="store_true",
                          help="also render SVG charts where applicable")
-    _add_ecc_backend_flag(all_cmd)
     _add_faultsim_backend_flag(all_cmd)
-    _add_perfsim_backend_flag(all_cmd)
     _add_runtime_flags(all_cmd)
 
     exp_out = add_parser(
@@ -464,9 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_out.add_argument("--out", default="results")
     exp_out.add_argument("--svg", action="store_true",
                          help="also render an SVG chart where applicable")
-    _add_ecc_backend_flag(exp_out)
     _add_faultsim_backend_flag(exp_out)
-    _add_perfsim_backend_flag(exp_out)
     _add_runtime_flags(exp_out)
 
     swp = add_parser(
@@ -491,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mechanisms", action="store_true",
         help="also print the per-cell failure-mechanism decomposition",
     )
-    _add_ecc_backend_flag(swp)
 
     camp = add_parser("campaign", help="behavioural fault campaign")
     camp.add_argument("--kind", choices=("xed", "chipkill"), default="xed")
@@ -524,8 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
              "chosen; must match the single-machine run you want to "
              "reproduce bit-identically)",
     )
-    _add_ecc_backend_flag(coord)
-    _add_faultsim_backend_flag(coord)
     group = coord.add_argument_group("coordination")
     group.add_argument(
         "--bind", type=_host_port, default=("127.0.0.1", 7653),
@@ -627,9 +575,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
     try:
         report = run_experiment(args.experiment_id, scale=args.scale,
-                                seed=args.seed, ecc_backend=args.ecc_backend,
-                                faultsim_backend=args.faultsim_backend,
-                                perfsim_backend=args.perfsim_backend)
+                                seed=args.seed,
+                                faultsim_backend=args.faultsim_backend)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -647,7 +594,6 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
         seed=args.seed,
         scaling_rate=args.scaling_rate,
         scrub_hours=args.scrub_hours,
-        ecc_backend=args.ecc_backend,
         faultsim_backend=args.faultsim_backend,
     )
     results = []
@@ -679,7 +625,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = faultsim.MonteCarloConfig(
         years=args.years,
         scaling_rate=args.scaling_rate,
-        ecc_backend=args.ecc_backend,
         faultsim_backend="analytical",
     )
     schemes = [
@@ -731,7 +676,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     grid = run_suite(
         schemes, workloads,
         instructions_per_core=args.instructions, seed=args.seed,
-        backend=args.perfsim_backend, workers=args.workers,
+        workers=args.workers,
     )
     keys = [k for k in schemes if k != "ecc_dimm"]
     if args.metric in ("time", "both"):
@@ -762,9 +707,9 @@ def _provenance(args: argparse.Namespace) -> dict:
     """Provenance block written next to exported artifacts.
 
     Records how the numbers were produced -- code version, seed, scale,
-    backend -- plus, when a fault-tolerance policy is active, the
-    outcome of every underlying run (completeness, retries, resumed and
-    quarantined shards), so partial ``--keep-going`` artifacts are
+    fault-sim backend -- plus, when a fault-tolerance policy is active,
+    the outcome of every underlying run (completeness, retries, resumed
+    and quarantined shards), so partial ``--keep-going`` artifacts are
     self-describing.
     """
     from repro.runtime import current_policy
@@ -774,9 +719,7 @@ def _provenance(args: argparse.Namespace) -> dict:
         "code_version": __version__,
         "seed": getattr(args, "seed", None),
         "scale": getattr(args, "scale", None),
-        "ecc_backend": getattr(args, "ecc_backend", None),
         "faultsim_backend": getattr(args, "faultsim_backend", None),
-        "perfsim_backend": getattr(args, "perfsim_backend", None),
         "complete": True,
         "runs": [],
     }
@@ -791,9 +734,8 @@ def _cmd_all(args: argparse.Namespace) -> int:
     from repro.analysis.export import export_report
 
     reports = reproduce_all(
-        scale=args.scale, seed=args.seed, ecc_backend=args.ecc_backend,
+        scale=args.scale, seed=args.seed,
         faultsim_backend=args.faultsim_backend,
-        perfsim_backend=args.perfsim_backend,
     )
     # reproduce_all has finished every run by now, so one provenance
     # block describes them all.
@@ -815,9 +757,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
     try:
         report = run_experiment(args.experiment_id, scale=args.scale,
-                                seed=args.seed, ecc_backend=args.ecc_backend,
-                                faultsim_backend=args.faultsim_backend,
-                                perfsim_backend=args.perfsim_backend)
+                                seed=args.seed,
+                                faultsim_backend=args.faultsim_backend)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return EXIT_USAGE
@@ -860,14 +801,6 @@ def _cmd_coordinate(args: argparse.Namespace) -> int:
         JobSpec,
     )
 
-    if args.faultsim_backend == "analytical":
-        print(
-            "repro: coordinate distributes Monte-Carlo sampling; "
-            "the analytical backend has no shards to lease "
-            "(use repro sweep instead)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     spec = JobSpec(
         scheme=args.schemes[0],
         num_systems=args.systems,
@@ -878,8 +811,6 @@ def _cmd_coordinate(args: argparse.Namespace) -> int:
         years=args.years,
         scaling_rate=args.scaling_rate,
         scrub_hours=args.scrub_hours,
-        ecc_backend=args.ecc_backend,
-        faultsim_backend=args.faultsim_backend,
     )
     host, port = args.bind
     coordinator = Coordinator(

@@ -17,7 +17,7 @@ This package implements, from scratch, every code the paper relies on:
   whole codeword batches, derived from (never parallel to) the scalar
   codecs above.
 * :mod:`repro.ecc.differential` -- the replay harness that proves the
-  scalar and batched backends bit-identical.
+  batched kernels bit-identical to the scalar codecs.
 """
 
 from repro.ecc.secded import DecodeOutcome, DecodeResult, SECDEDCode
@@ -34,7 +34,6 @@ from repro.ecc.detection import (
     detection_table,
 )
 from repro.ecc.batched import (
-    BACKENDS,
     BatchDecodeResult,
     BatchOutcome,
     BatchedCode,
@@ -42,7 +41,6 @@ from repro.ecc.batched import (
     CodeMatrices,
     bits_to_words,
     build_matrices,
-    validate_backend,
     words_to_bits,
 )
 from repro.ecc.differential import (
@@ -70,7 +68,6 @@ __all__ = [
     "detection_rate_burst",
     "detection_rate_random",
     "detection_table",
-    "BACKENDS",
     "BatchDecodeResult",
     "BatchOutcome",
     "BatchedCode",
@@ -78,7 +75,6 @@ __all__ = [
     "CodeMatrices",
     "bits_to_words",
     "build_matrices",
-    "validate_backend",
     "words_to_bits",
     "DifferentialMismatch",
     "DifferentialReport",

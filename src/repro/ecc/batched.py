@@ -18,7 +18,8 @@ where ``G`` rows are scalar ``encode()`` outputs of unit data vectors,
 correction LUT is populated -- and cross-checked -- against scalar
 ``decode()`` of every single-bit error pattern.  The differential
 harness in :mod:`repro.ecc.differential` replays arbitrary batches
-through both backends and asserts bit-identical outcomes.
+through the kernels and the scalar codecs and asserts bit-identical
+outcomes.
 
 Bit convention: a batch is a ``(N, n)`` uint8 array whose column ``i``
 holds codeword bit ``i`` -- the array twin of "bit ``i`` of the integer
@@ -77,20 +78,6 @@ OUTCOME_CODE = {
     DecodeOutcome.CORRECTED: BatchOutcome.CORRECTED,
     DecodeOutcome.DETECTED_UNCORRECTABLE: BatchOutcome.DETECTED_UNCORRECTABLE,
 }
-
-#: Recognised values of every ``backend=`` switch wired through the
-#: detection/miscorrection/fault-sim layers.
-BACKENDS = ("scalar", "batched")
-
-
-def validate_backend(backend: str) -> str:
-    """Validate a ``backend=`` switch value, returning it unchanged."""
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown ECC backend {backend!r}; expected one of {BACKENDS}"
-        )
-    return backend
-
 
 # ---------------------------------------------------------------------------
 # Integer <-> bit-array conversions

@@ -18,30 +18,30 @@ The qualitative result is insensitive to the choice: CRC8-ATM detects
 100% of all bursts of length <= 8 (a degree-8 CRC property), while
 Hamming misses a large fraction of even-length bursts.
 
-Backends
---------
-Every rate function takes ``backend="scalar"|"batched"``.  The scalar
-backend walks patterns through the per-word ``is_codeword`` check; the
-batched backend evaluates whole position batches through the bit-matrix
-kernels of :mod:`repro.ecc.batched` (>= 10x the codewords/sec -- see
-docs/performance.md).  Exhaustive pattern spaces produce identical
-rates under either backend; Monte-Carlo sampled spaces draw from a
-backend-specific (but seed-deterministic) stream, so sampled estimates
-agree in distribution rather than digit-for-digit.  Backend codec
-*outcomes* on identical patterns are always bit-identical -- that is
-enforced by :mod:`repro.ecc.differential`.
+Evaluation
+----------
+Every rate runs through the bit-matrix kernels of
+:mod:`repro.ecc.batched`: a pattern goes undetected exactly when its
+syndrome is zero, so each rate is one batched syndrome computation over
+a ``(patterns, errors)`` array of flipped-bit positions.  Exhaustive
+pattern spaces enumerate every position set; sampled spaces draw them
+from a seeded numpy stream.  The private ``_reference_rate_*``
+functions walk the same spaces one pattern at a time through the
+scalar ``is_codeword`` check and are what the tests compare against:
+exhaustive spaces give identical rates, sampled spaces (the reference
+draws from ``random.Random``) agree in distribution.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Sequence
 
 import numpy as np
 
-from repro.ecc.batched import validate_backend
 from repro.ecc.secded import SECDEDCode
 
 
@@ -87,8 +87,8 @@ def _random_position_batch(
 
     Rejection-resamples rows containing duplicates, which conditions the
     iid uniform draws on distinctness -- each accepted row is a uniform
-    random ``errors``-subset, the same distribution the scalar sampler's
-    ``random.sample`` produces.
+    random ``errors``-subset, the same distribution the reference
+    sampler's ``random.sample`` produces.
     """
     positions = rng.integers(0, n, size=(samples, errors), dtype=np.int64)
     # Only the freshly drawn rows need re-checking each round.
@@ -104,7 +104,7 @@ def _random_position_batch(
     return positions
 
 
-def _detection_fraction(code: SECDEDCode, patterns: Iterable[int]) -> tuple[int, int]:
+def _detection_fraction(code: SECDEDCode, patterns: Iterable[int]) -> float:
     detected = 0
     total = 0
     for pattern in patterns:
@@ -113,7 +113,13 @@ def _detection_fraction(code: SECDEDCode, patterns: Iterable[int]) -> tuple[int,
             detected += 1
     if total == 0:
         raise ValueError("no error patterns supplied")
-    return detected, total
+    return detected / total
+
+
+def _syndrome_detection_rate(code: SECDEDCode, positions: np.ndarray) -> float:
+    """Share of position rows whose error pattern has a nonzero syndrome."""
+    syndromes = code.batched().syndromes_of_error_positions(positions)
+    return float((syndromes != 0).sum()) / len(positions)
 
 
 def detection_rate_random(
@@ -122,46 +128,52 @@ def detection_rate_random(
     samples: int = 20000,
     seed: int = 2016,
     exhaustive_limit: int = 300000,
-    backend: str = "scalar",
 ) -> float:
     """Detection rate for ``errors`` random bit flips.
 
     Uses exhaustive enumeration when the pattern space is small enough
     (e.g. all C(72,2) = 2556 double errors), otherwise Monte-Carlo
-    sampling with a fixed seed.  ``backend="batched"`` evaluates whole
-    position batches through the bit-matrix kernels; exhaustive spaces
-    give identical rates to the scalar backend, sampled spaces use a
-    numpy draw stream (still deterministic for a given seed).
+    sampling of ``samples`` position sets from
+    ``numpy.random.default_rng(seed)``.
     """
-    validate_backend(backend)
     n = code.n
-    space = 1
-    for i in range(errors):
-        space = space * (n - i) // (i + 1)
-    exhaustive = space <= exhaustive_limit
-    if backend == "batched":
-        if exhaustive:
-            positions = np.fromiter(
-                itertools.chain.from_iterable(
-                    itertools.combinations(range(n), errors)
-                ),
-                dtype=np.int64,
-                count=space * errors,
-            ).reshape(space, errors)
-        else:
-            positions = _random_position_batch(
-                n, errors, samples, np.random.default_rng(seed)
-            )
-        syndromes = code.batched().syndromes_of_error_positions(positions)
-        return float((syndromes != 0).sum()) / len(positions)
-    if exhaustive:
+    space = math.comb(n, errors)
+    if space <= exhaustive_limit:
+        positions = np.fromiter(
+            itertools.chain.from_iterable(
+                itertools.combinations(range(n), errors)
+            ),
+            dtype=np.int64,
+            count=space * errors,
+        ).reshape(space, errors)
+    else:
+        positions = _random_position_batch(
+            n, errors, samples, np.random.default_rng(seed)
+        )
+    return _syndrome_detection_rate(code, positions)
+
+
+def _reference_rate_random(
+    code: SECDEDCode,
+    errors: int,
+    samples: int = 20000,
+    seed: int = 2016,
+    exhaustive_limit: int = 300000,
+) -> float:
+    """Scalar reference for :func:`detection_rate_random` (tests only).
+
+    Walks the same exhaustive space pattern by pattern; sampled spaces
+    draw from ``random.Random(seed)`` instead of numpy, so they agree
+    with the batched rate in distribution, not digit for digit.
+    """
+    n = code.n
+    if math.comb(n, errors) <= exhaustive_limit:
         patterns: Iterable[int] = (
             _combo_to_pattern(c) for c in itertools.combinations(range(n), errors)
         )
     else:
         patterns = _random_patterns(n, errors, samples, random.Random(seed))
-    detected, total = _detection_fraction(code, patterns)
-    return detected / total
+    return _detection_fraction(code, patterns)
 
 
 def _combo_to_pattern(combo: Sequence[int]) -> int:
@@ -172,47 +184,45 @@ def _combo_to_pattern(combo: Sequence[int]) -> int:
 
 
 def detection_rate_burst(
-    code: SECDEDCode, errors: int, mode: str = "aligned", backend: str = "scalar"
+    code: SECDEDCode, errors: int, mode: str = "aligned"
 ) -> float:
-    """Exhaustive detection rate for burst errors of ``errors`` flips.
-
-    Burst spaces are always enumerated exhaustively, so the two backends
-    return identical rates.
-    """
-    validate_backend(backend)
-    if backend == "batched":
-        n = code.n
-        if mode == "aligned":
-            if errors < 1 or errors > 8:
-                raise ValueError("more errors than lane bits")
-            if n % 8:
-                raise ValueError(
-                    "codeword length must be a multiple of the lane width"
-                )
-            combos = np.array(
-                list(itertools.combinations(range(8), errors)), dtype=np.int64
+    """Exhaustive detection rate for burst errors of ``errors`` flips."""
+    n = code.n
+    if mode == "aligned":
+        if errors < 1 or errors > 8:
+            raise ValueError("more errors than lane bits")
+        if n % 8:
+            raise ValueError(
+                "codeword length must be a multiple of the lane width"
             )
-            bases = np.arange(0, n, 8, dtype=np.int64)
-            positions = (
-                bases[:, None, None] + combos[None, :, :]
-            ).reshape(-1, errors)
-        elif mode == "contiguous":
-            if errors < 1 or errors > n:
-                raise ValueError("burst length out of range")
-            starts = np.arange(n - errors + 1, dtype=np.int64)
-            positions = starts[:, None] + np.arange(errors, dtype=np.int64)
-        else:
-            raise ValueError(f"unknown burst mode {mode!r}")
-        syndromes = code.batched().syndromes_of_error_positions(positions)
-        return float((syndromes != 0).sum()) / len(positions)
+        combos = np.array(
+            list(itertools.combinations(range(8), errors)), dtype=np.int64
+        )
+        bases = np.arange(0, n, 8, dtype=np.int64)
+        positions = (
+            bases[:, None, None] + combos[None, :, :]
+        ).reshape(-1, errors)
+    elif mode == "contiguous":
+        if errors < 1 or errors > n:
+            raise ValueError("burst length out of range")
+        starts = np.arange(n - errors + 1, dtype=np.int64)
+        positions = starts[:, None] + np.arange(errors, dtype=np.int64)
+    else:
+        raise ValueError(f"unknown burst mode {mode!r}")
+    return _syndrome_detection_rate(code, positions)
+
+
+def _reference_rate_burst(
+    code: SECDEDCode, errors: int, mode: str = "aligned"
+) -> float:
+    """Scalar reference for :func:`detection_rate_burst` (tests only)."""
     if mode == "aligned":
         patterns: Iterable[int] = aligned_burst_patterns(code.n, errors)
     elif mode == "contiguous":
         patterns = contiguous_burst_patterns(code.n, errors)
     else:
         raise ValueError(f"unknown burst mode {mode!r}")
-    detected, total = _detection_fraction(code, patterns)
-    return detected / total
+    return _detection_fraction(code, patterns)
 
 
 @dataclass
@@ -257,24 +267,18 @@ def detection_table(
     random_samples: int = 20000,
     burst_mode: str = "aligned",
     seed: int = 2016,
-    backend: str = "scalar",
 ) -> DetectionReport:
-    """Compute the full Table-II style report for the given codes.
-
-    ``backend="batched"`` routes every rate through the bit-matrix
-    kernels (the CLI exposes this as ``--ecc-backend``).
-    """
-    validate_backend(backend)
+    """Compute the full Table-II style report for the given codes."""
     report = DetectionReport(error_counts=list(error_counts))
     for name, code in codes.items():
         random_rates = [
             detection_rate_random(
-                code, e, samples=random_samples, seed=seed + e, backend=backend
+                code, e, samples=random_samples, seed=seed + e
             )
             for e in error_counts
         ]
         burst_rates = [
-            detection_rate_burst(code, e, mode=burst_mode, backend=backend)
+            detection_rate_burst(code, e, mode=burst_mode)
             for e in error_counts
         ]
         report.rates[name] = {"random": random_rates, "burst": burst_rates}

@@ -19,9 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.ecc.batched import BatchOutcome, validate_backend
+from repro.ecc.batched import BatchOutcome
 from repro.ecc.hamming import HammingSECDED
-from repro.ecc.secded import DecodeOutcome, SECDEDCode
+from repro.ecc.secded import SECDEDCode
 
 
 @dataclass(frozen=True)
@@ -49,56 +49,29 @@ def measure_lane_error_profile(
     lane_bits: int = 8,
     samples: int = 20000,
     seed: int = 2016,
-    backend: str = "scalar",
 ) -> MiscorrectionProfile:
     """Empirical decode outcomes for random multi-bit errors in one lane.
 
     The error model is the one a failed chip produces at the DIMM-level
     code: 2..8 corrupted bits confined to the chip's 8-bit share of the
-    72-bit beat codeword.  Both backends draw the identical sample set
-    from the same ``random.Random(seed)`` stream, so the measured
-    profile is bit-identical under ``backend="scalar"`` and
-    ``backend="batched"`` -- the latter simply classifies the whole
-    batch of error-position rows through one call of the bit-matrix
-    kernel.
+    72-bit beat codeword.  The sample set is drawn from
+    ``random.Random(seed)`` and classified in one call of the batched
+    bit-matrix kernel, whose outcomes :mod:`repro.ecc.differential`
+    proves bit-identical to the scalar decoder's.
     """
-    validate_backend(backend)
     rng = random.Random(seed)
-    data = rng.getrandbits(code.k)
+    rng.getrandbits(code.k)  # the data word; keeps the draw stream fixed
     base = lane * lane_bits
-    drawn = []
-    for _ in range(samples):
+    # Ragged rows padded with the no-op position index ``n``.
+    positions = np.full((samples, lane_bits), code.n, dtype=np.int64)
+    for i in range(samples):
         weight = rng.randint(2, lane_bits)
-        drawn.append(rng.sample(range(lane_bits), weight))
-    if backend == "batched":
-        batched = code.batched()
-        # Ragged rows padded with the no-op position index ``n``.
-        positions = np.full((samples, lane_bits), code.n, dtype=np.int64)
-        for i, bits in enumerate(drawn):
-            for j, bit in enumerate(bits):
-                positions[i, j] = base + bit
-        outcomes = batched.outcomes_of_error_positions(positions)
-        detected = int((outcomes == BatchOutcome.DETECTED_UNCORRECTABLE).sum())
-        miscorrected = int((outcomes == BatchOutcome.CORRECTED).sum())
-        silent = samples - detected - miscorrected
-    else:
-        clean = code.encode(data)
-        detected = miscorrected = silent = 0
-        for bits in drawn:
-            pattern = 0
-            for bit in bits:
-                pattern |= 1 << (base + bit)
-            result = code.decode(clean ^ pattern)
-            if result.outcome is DecodeOutcome.DETECTED_UNCORRECTABLE:
-                detected += 1
-            elif result.outcome is DecodeOutcome.CORRECTED:
-                miscorrected += 1
-            elif result.data == data:
-                # A valid codeword that *happens* to decode to the original
-                # data would need a zero pattern; count defensively.
-                silent += 1  # pragma: no cover
-            else:
-                silent += 1
+        for j, bit in enumerate(rng.sample(range(lane_bits), weight)):
+            positions[i, j] = base + bit
+    outcomes = code.batched().outcomes_of_error_positions(positions)
+    detected = int((outcomes == BatchOutcome.DETECTED_UNCORRECTABLE).sum())
+    miscorrected = int((outcomes == BatchOutcome.CORRECTED).sum())
+    silent = samples - detected - miscorrected
     total = float(samples)
     return MiscorrectionProfile(
         detected / total, miscorrected / total, silent / total
@@ -106,18 +79,13 @@ def measure_lane_error_profile(
 
 
 @lru_cache(maxsize=None)
-def hamming_chip_error_sdc_fraction(
-    samples: int = 20000, backend: str = "scalar"
-) -> float:
+def hamming_chip_error_sdc_fraction(samples: int = 20000) -> float:
     """SDC share of chip-lane errors through the (72,64) Hamming code.
 
     This feeds :class:`repro.faultsim.schemes.EccDimmScheme`'s DUE/SDC
     split, closing the loop between the Table-II code analysis and the
-    Figure-1 reliability population.  Both backends measure the same
-    sample set, so the cached value is backend-invariant; the parameter
-    only selects which codec evaluates it.
+    Figure-1 reliability population.
     """
-    profile = measure_lane_error_profile(
-        HammingSECDED(), samples=samples, backend=backend
-    )
-    return profile.sdc_fraction
+    return measure_lane_error_profile(
+        HammingSECDED(), samples=samples
+    ).sdc_fraction

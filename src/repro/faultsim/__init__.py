@@ -17,8 +17,8 @@ methodology:
 * :mod:`repro.faultsim.simulator` -- the vectorised Monte-Carlo driver.
 * :mod:`repro.faultsim.vectorized` -- struct-of-arrays shards and batch
   adjudication kernels (``faultsim_backend="vectorized"``).
-* :mod:`repro.faultsim.differential` -- scalar-vs-vectorized replay
-  harness proving the backends bit-identical.
+* :mod:`repro.faultsim.differential` -- replay harness proving the
+  kernels bit-identical to the ``scheme.evaluate`` reference.
 * :mod:`repro.faultsim.parallel` -- deterministic sharding and the
   multiprocessing pool behind ``simulate(..., workers=N)``.
 * :mod:`repro.faultsim.analytical` -- closed-form models behind Figure 6

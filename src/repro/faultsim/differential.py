@@ -1,14 +1,16 @@
-"""Differential verification of the Monte-Carlo adjudication backends.
+"""Differential verification of the Monte-Carlo engine.
 
-The scalar path (``ChipFault`` lists walked through
-``ProtectionScheme.evaluate``) is the golden model; the vectorized
-kernels of :mod:`repro.faultsim.vectorized` are an optimisation that
-must never change a result.  This module replays identical sampled
-shards -- or whole sharded simulations -- through both backends and
-raises :class:`DifferentialMismatch` on any divergence in failure
-counts, kinds or times, down to exact float equality of the checkpoint
-payload JSON.  It mirrors :mod:`repro.ecc.differential`, the same
-harness pattern for the ECC codec backends.
+Walking each sample system's ``ChipFault`` list through
+``ProtectionScheme.evaluate`` (:func:`repro.faultsim.simulator.evaluate_shard`)
+is the golden model; the batch kernels of
+:mod:`repro.faultsim.vectorized` are an optimisation that must never
+change a result.  This module replays identical sampled shards -- or
+whole sharded simulations -- through the reference and through
+``simulate()``, and raises :class:`DifferentialMismatch` on any
+divergence in failure counts, kinds or times, down to exact float
+equality of the checkpoint payload JSON.  It mirrors
+:mod:`repro.ecc.differential`, the same harness pattern for the
+batched ECC kernels.
 
 The closed-form ``analytical`` backend (:mod:`repro.faultsim.markov`)
 gets a *statistical* contract instead of a bit-identical one: it
@@ -19,15 +21,16 @@ probability and for the DUE/SDC components separately — and
 :func:`cross_validate_grid` sweeps that check over scheme × FIT-scale
 cells.  The contract's derivation lives in docs/theory.md.
 
-Used four ways:
+Used three ways:
 
 * ``tests/unit/test_faultsim_differential.py`` sweeps all six schemes
   (and both worker counts) through :func:`replay_simulation`, and all
   six through :func:`cross_validate_analytical`;
-* the golden-corpus test replays recorded (seed, config) digests
-  through both backends;
+* the golden corpus (``tools/gen_faultsim_golden.py``) is recorded from
+  :func:`reference_simulate`, and its test replays every entry through
+  both the reference and ``simulate()``;
 * ad-hoc verification of a configuration before a long run (see the
-  cookbook's cross-backend recipe).
+  cookbook's engine-versus-reference recipe).
 """
 
 from __future__ import annotations
@@ -45,14 +48,18 @@ from repro.faultsim.schemes import ProtectionScheme
 from repro.faultsim.simulator import (
     MonteCarloConfig,
     ReliabilityResult,
+    _merge_shards,
+    _sample_shard,
+    _shard_plan,
     _simulate_shard,
+    evaluate_shard,
     simulate,
 )
 from repro.obs import OBS
 
 
 class DifferentialMismatch(AssertionError):
-    """The two adjudication backends disagreed on a replayed result."""
+    """The engine and the reference disagreed on a replayed result."""
 
 
 class AnalyticalMismatch(DifferentialMismatch):
@@ -61,7 +68,7 @@ class AnalyticalMismatch(DifferentialMismatch):
 
 @dataclass(frozen=True)
 class DifferentialReport:
-    """Summary of one successful scalar-vs-vectorized replay."""
+    """Summary of one successful engine-versus-reference replay."""
 
     scheme_name: str
     num_systems: int
@@ -74,7 +81,7 @@ class DifferentialReport:
         return (
             f"{self.scheme_name}: {self.num_systems} systems, "
             f"{self.failures} failures (DUE {self.due}, SDC {self.sdc}) "
-            f"bit-identical across backends ({self.workers} worker(s))"
+            f"bit-identical to the reference ({self.workers} worker(s))"
         )
 
 
@@ -138,11 +145,41 @@ def assert_identical(
         )
 
 
-def _with_backend(
-    config: MonteCarloConfig, backend: str
-) -> MonteCarloConfig:
-    """Copy of ``config`` pinned to one adjudication backend."""
-    return dataclasses.replace(config, faultsim_backend=backend)
+def reference_shard(
+    scheme: ProtectionScheme,
+    config: MonteCarloConfig,
+    start_index: int,
+    num_systems: int,
+    seed_seq: np.random.SeedSequence,
+) -> ReliabilityResult:
+    """One shard sampled as ``simulate()`` samples it, then adjudicated
+    system by system through ``scheme.evaluate``."""
+    sampler, shard = _sample_shard(
+        scheme, config, start_index, num_systems, seed_seq
+    )
+    adjudication = evaluate_shard(scheme, sampler, shard, config.seed)
+    return ReliabilityResult(
+        scheme_name=scheme.name,
+        num_systems=num_systems,
+        years=config.years,
+        failure_times_hours=adjudication.failure_times,
+        kinds=adjudication.kinds,
+    )
+
+
+def reference_simulate(
+    scheme: ProtectionScheme,
+    config: Optional[MonteCarloConfig] = None,
+    shard_size: Optional[int] = None,
+) -> ReliabilityResult:
+    """The golden model of ``simulate()``: the same shard plan and
+    seeds, every shard through :func:`reference_shard`, merged in plan
+    order.  Runs in-process."""
+    config = config or MonteCarloConfig()
+    _, shard_args = _shard_plan(scheme, config, shard_size)
+    return _merge_shards(
+        scheme, config, [reference_shard(*args) for args in shard_args]
+    )
 
 
 def replay_shard(
@@ -151,28 +188,26 @@ def replay_shard(
     start_index: int = 0,
     num_systems: Optional[int] = None,
 ) -> DifferentialReport:
-    """Replay one sampled shard through both backends and compare.
+    """Replay one sampled shard through the reference and the engine.
 
     Samples the shard twice from the same ``SeedSequence`` (the
-    sequence is stateless, so both backends see the identical draw
-    stream) and adjudicates it scalar-then-vectorized.  Raises
-    :class:`DifferentialMismatch` on any divergence.
+    sequence is stateless, so both sides see the identical draw
+    stream) and adjudicates it with :func:`reference_shard` and with
+    the engine's shard function.  Raises :class:`DifferentialMismatch`
+    on any divergence.
     """
     config = config or MonteCarloConfig()
-    scheme.bind_ecc_backend(config.ecc_backend)
     if num_systems is None:
         num_systems = config.num_systems
     seed_seq = np.random.SeedSequence(config.seed)
-    scalar = _simulate_shard(
-        scheme, _with_backend(config, "scalar"),
-        start_index, num_systems, seed_seq,
+    reference = reference_shard(
+        scheme, config, start_index, num_systems, seed_seq
     )
-    vectorized = _simulate_shard(
-        scheme, _with_backend(config, "vectorized"),
-        start_index, num_systems, seed_seq,
+    engine = _simulate_shard(
+        scheme, config, start_index, num_systems, seed_seq
     )
     context = f"shard[{start_index}:{start_index + num_systems}] {scheme.name}"
-    assert_identical(scalar, vectorized, context)
+    assert_identical(reference, engine, context)
     if OBS.enabled:
         OBS.registry.counter("faultsim.differential.shards").inc()
         OBS.registry.counter(
@@ -181,9 +216,9 @@ def replay_shard(
     return DifferentialReport(
         scheme_name=scheme.name,
         num_systems=num_systems,
-        failures=scalar.failures,
-        due=scalar.due_count,
-        sdc=scalar.sdc_count,
+        failures=reference.failures,
+        due=reference.due_count,
+        sdc=reference.sdc_count,
     )
 
 
@@ -193,33 +228,30 @@ def replay_simulation(
     workers: int = 1,
     shard_size: Optional[int] = None,
 ) -> DifferentialReport:
-    """Run a full sharded ``simulate()`` under both backends and compare.
+    """Run a full sharded ``simulate()`` and compare it with the reference.
 
     Exercises the complete pipeline -- shard planning, seeding, the
-    worker pool and result merging -- and additionally asserts that the
-    merged payload survives a JSON round-trip exactly (the property
-    checkpoint resume rests on).  Raises :class:`DifferentialMismatch`
-    on any divergence.
+    worker pool and result merging -- against
+    :func:`reference_simulate` over the same plan, and additionally
+    asserts that the merged payload survives a JSON round-trip exactly
+    (the property checkpoint resume rests on).  Raises
+    :class:`DifferentialMismatch` on any divergence.
     """
     config = config or MonteCarloConfig()
-    scalar = simulate(
-        scheme, _with_backend(config, "scalar"),
-        workers=workers, shard_size=shard_size,
-    )
-    vectorized = simulate(
-        scheme, _with_backend(config, "vectorized"),
-        workers=workers, shard_size=shard_size,
+    reference = reference_simulate(scheme, config, shard_size=shard_size)
+    engine = simulate(
+        scheme, config, workers=workers, shard_size=shard_size,
     )
     context = f"simulate({scheme.name}, workers={workers})"
-    assert_identical(scalar, vectorized, context)
+    assert_identical(reference, engine, context)
     # Checkpoint-resume property: the merged payload must survive a
     # JSON round-trip bit for bit (floats re-parse to the identical
     # values, and the rebuilt result re-serialises to the identical
     # canonical JSON the checkpoint digests are computed over).
     round_tripped = ReliabilityResult.from_payload(
-        json.loads(json.dumps(vectorized.to_payload()))
+        json.loads(json.dumps(engine.to_payload()))
     )
-    assert_identical(scalar, round_tripped, context + " [json round-trip]")
+    assert_identical(reference, round_tripped, context + " [json round-trip]")
     if OBS.enabled:
         OBS.registry.counter("faultsim.differential.simulations").inc()
         OBS.registry.counter(
@@ -228,9 +260,9 @@ def replay_simulation(
     return DifferentialReport(
         scheme_name=scheme.name,
         num_systems=config.num_systems,
-        failures=scalar.failures,
-        due=scalar.due_count,
-        sdc=scalar.sdc_count,
+        failures=reference.failures,
+        due=reference.due_count,
+        sdc=reference.sdc_count,
         workers=workers,
     )
 
@@ -312,7 +344,7 @@ def cross_validate_analytical(
     """
     config = config or MonteCarloConfig()
     mc = simulate(
-        scheme, _with_backend(config, "vectorized"),
+        scheme, dataclasses.replace(config, faultsim_backend="vectorized"),
         workers=workers, shard_size=shard_size,
     )
     an = solve(scheme, config)

@@ -53,10 +53,6 @@ class FaultSampler:
         accumulate-over-lifetime assumption.
     device_width:
         x8 or x4; sets the lane width a column failure breaks.
-    ecc_backend:
-        "scalar" or "batched"; which codec backend evaluates any
-        measured ECC behaviour this sampler is asked for (see
-        :meth:`secded_lane_profile`).
     """
 
     def __init__(
@@ -68,16 +64,11 @@ class FaultSampler:
         scrub_hours: Optional[float] = None,
         device_width: int = 8,
         chip_geometry: Optional[ChipGeometry] = None,
-        ecc_backend: str = "scalar",
     ) -> None:
-        from repro.ecc.batched import validate_backend
-
-        validate_backend(ecc_backend)
         self.scheme = scheme
         self.fit = fit
         self.hours = hours
         self.scrub_hours = scrub_hours
-        self.ecc_backend = ecc_backend
         geometry = chip_geometry or ChipGeometry(device_width=device_width)
         self.space = FaultSpace.for_chip(geometry)
         self.geometry = geometry
@@ -110,11 +101,7 @@ class FaultSampler:
         """Decode-outcome profile of chip-lane errors at the DIMM code.
 
         Measures how multi-bit errors confined to this sampler's device
-        lane width fare through the (72,64) Hamming SECDED decoder,
-        using whichever codec backend the sampler was constructed with.
-        The profile is backend-invariant (both backends classify the
-        identical sample set) -- the backend only changes how fast it is
-        measured.
+        lane width fare through the (72,64) Hamming SECDED decoder.
         """
         from repro.ecc.hamming import HammingSECDED
         from repro.ecc.miscorrection import measure_lane_error_profile
@@ -124,7 +111,6 @@ class FaultSampler:
             lane_bits=self.geometry.device_width,
             samples=samples,
             seed=seed,
-            backend=self.ecc_backend,
         )
 
     @property
@@ -166,9 +152,10 @@ class FaultSampler:
         offset, so downstream per-system seeding (which hashes the
         global index) is shard-layout independent.  The returned
         :class:`~repro.faultsim.vectorized.FaultShard` holds the raw
-        draw columns grouped by system; both backends consume it --
-        the scalar path via :meth:`materialise_shard`, the vectorized
-        kernels directly -- so the RNG stream is shared verbatim.
+        draw columns grouped by system; the vectorized kernels consume
+        it directly and ``scheme.evaluate`` (the reference, and the
+        fallback for schemes without a kernel) through
+        :meth:`materialise_shard`, so the RNG stream is shared verbatim.
         """
         rates = self.row_rates
         num_rows = len(rates)
@@ -242,24 +229,6 @@ class FaultSampler:
             promotion_p=self.promotion_p,
             scrub_hours=self.scrub_hours,
             word_mask=self.space.word_mask,
-        )
-
-    def sample_shard(
-        self,
-        start_index: int,
-        num_systems: int,
-        rng: np.random.Generator,
-        min_faults: int = 1,
-    ) -> Iterator[SampledSystem]:
-        """Sample one shard and materialise ChipFault sample systems.
-
-        Draws via :meth:`sample_shard_arrays` (so the stream is
-        identical under both adjudication backends) and builds the
-        per-system :class:`~repro.faultsim.fault.ChipFault` lists the
-        scalar evaluators walk.
-        """
-        yield from self.materialise_shard(
-            self.sample_shard_arrays(start_index, num_systems, rng, min_faults)
         )
 
     def materialise_shard(self, shard: FaultShard) -> Iterator[SampledSystem]:

@@ -383,8 +383,8 @@ def _chain_spec(
         )
     raise UnsupportedSchemeError(
         f"no analytical chain for scheme type "
-        f"{type(scheme).__name__!r}; use faultsim_backend='scalar' "
-        f"(the golden model) for custom schemes"
+        f"{type(scheme).__name__!r}; use faultsim_backend='vectorized' "
+        f"(Monte-Carlo through scheme.evaluate) for custom schemes"
     )
 
 
@@ -784,7 +784,6 @@ def solve(
 
     if config is None:
         config = MonteCarloConfig()
-    scheme.bind_ecc_backend(config.ecc_backend)
     space = FaultSpace.for_chip(ChipGeometry(device_width=config.device_width))
     promotion_p = (
         ScalingFaultModel(

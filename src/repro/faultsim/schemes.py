@@ -109,20 +109,6 @@ class ProtectionScheme:
         """Return the earliest failure, or None if the system survives."""
         raise NotImplementedError
 
-    def bind_ecc_backend(self, backend: str) -> None:
-        """Select the ECC codec backend for any measured code parameters.
-
-        Most schemes use closed-form failure rules and ignore this; the
-        Monte-Carlo driver calls it on every scheme so backend selection
-        (``--ecc-backend``) reaches the ones -- like
-        :class:`EccDimmScheme` -- whose DUE/SDC split is *measured* from
-        the actual decoders.  The base implementation only validates the
-        name.
-        """
-        from repro.ecc.batched import validate_backend
-
-        validate_backend(backend)
-
     # -- shared helpers -----------------------------------------------------
 
     @staticmethod
@@ -192,32 +178,14 @@ class EccDimmScheme(ProtectionScheme):
     check_chips = 1
     min_faults = 1
 
-    def __init__(
-        self,
-        sdc_fraction: Optional[float] = None,
-        ecc_backend: str = "scalar",
-    ) -> None:
-        self._explicit_fraction = sdc_fraction is not None
+    def __init__(self, sdc_fraction: Optional[float] = None) -> None:
         if sdc_fraction is None:
-            sdc_fraction = self._measure_sdc_fraction(ecc_backend)
+            from repro.ecc.miscorrection import (
+                hamming_chip_error_sdc_fraction,
+            )
+
+            sdc_fraction = hamming_chip_error_sdc_fraction()
         self.sdc_fraction = sdc_fraction
-
-    @staticmethod
-    def _measure_sdc_fraction(backend: str) -> float:
-        from repro.ecc.miscorrection import hamming_chip_error_sdc_fraction
-
-        return hamming_chip_error_sdc_fraction(backend=backend)
-
-    def bind_ecc_backend(self, backend: str) -> None:
-        """Re-measure the DUE/SDC split through the selected backend.
-
-        An explicitly supplied ``sdc_fraction`` is an override and is
-        left untouched (both backends measure the identical sample set
-        anyway, so this only changes *which codec* does the measuring).
-        """
-        super().bind_ecc_backend(backend)
-        if not self._explicit_fraction:
-            self.sdc_fraction = self._measure_sdc_fraction(backend)
 
     def evaluate(self, faults, rng):
         """SECDED corrects 1-bit damage; wider damage is DUE/SDC."""

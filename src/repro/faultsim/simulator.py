@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,10 @@ from repro.faultsim.parallel import (
 )
 from repro.faultsim.schemes import FailureKind, ProtectionScheme
 from repro.faultsim.vectorized import (
+    FaultShard,
+    ShardAdjudication,
     adjudicate_shard,
+    has_kernel,
     system_rng,
     validate_faultsim_backend,
 )
@@ -71,18 +74,14 @@ class MonteCarloConfig:
     scaling_rate: float = 0.0
     scrub_hours: Optional[float] = None
     device_width: int = 8
-    #: Which ECC codec backend evaluates measured code parameters
-    #: (e.g. the ECC-DIMM DUE/SDC split): "scalar" or "batched".
-    ecc_backend: str = "scalar"
-    #: Which lifetime-adjudication backend classifies sample systems:
-    #: "scalar" walks ChipFault lists through ``scheme.evaluate`` (the
-    #: golden model), "vectorized" runs the batch kernels of
-    #: :mod:`repro.faultsim.vectorized` — those two are bit-identical
-    #: (the differential harness enforces it).  "analytical" skips
-    #: sampling entirely and solves the closed-form Markov chain of
-    #: :mod:`repro.faultsim.markov`; it is noise-free and agrees with
-    #: Monte-Carlo within Wilson score intervals, not bit-for-bit.
-    faultsim_backend: str = "scalar"
+    #: "vectorized" samples the population and classifies it with the
+    #: batch kernels of :mod:`repro.faultsim.vectorized`, bit-identical
+    #: to walking ``scheme.evaluate`` (:mod:`repro.faultsim.differential`
+    #: enforces it).  "analytical" skips sampling entirely and solves
+    #: the closed-form Markov chain of :mod:`repro.faultsim.markov`; it
+    #: is noise-free and agrees with Monte-Carlo within Wilson score
+    #: intervals, not bit-for-bit.
+    faultsim_backend: str = "vectorized"
 
     @property
     def hours(self) -> float:
@@ -114,8 +113,8 @@ class ReliabilityResult:
         coerces to float; without this, a checkpoint-resumed result
         would serialise ``"years": 7.0`` where a fresh run writes
         ``"years": 7`` -- same value, different payload bytes, breaking
-        the byte-compatibility that cross-backend ``--resume`` and the
-        golden-digest corpus rely on.
+        the byte-compatibility that ``--resume`` and the golden-digest
+        corpus rely on.
         """
         self.years = float(self.years)
 
@@ -301,6 +300,57 @@ class ReliabilityResult:
         )
 
 
+def _sample_shard(
+    scheme: ProtectionScheme,
+    config: MonteCarloConfig,
+    start_index: int,
+    num_systems: int,
+    seed_seq: np.random.SeedSequence,
+) -> Tuple[FaultSampler, FaultShard]:
+    """Draw one shard of the population from its ``SeedSequence`` child."""
+    sampler = FaultSampler(
+        scheme,
+        config.fit,
+        config.hours,
+        scaling_rate=config.scaling_rate,
+        scrub_hours=config.scrub_hours,
+        device_width=config.device_width,
+    )
+    shard = sampler.sample_shard_arrays(
+        start_index, num_systems, np.random.default_rng(seed_seq),
+        min_faults=scheme.min_faults,
+    )
+    return sampler, shard
+
+
+def evaluate_shard(
+    scheme: ProtectionScheme,
+    sampler: FaultSampler,
+    shard: FaultShard,
+    experiment_seed: int,
+) -> ShardAdjudication:
+    """Classify ``shard`` by walking ``scheme.evaluate`` system by system.
+
+    This is the golden model the batch kernels are proven against
+    (:mod:`repro.faultsim.differential`), and the path
+    :func:`_simulate_shard` takes for a scheme type without a kernel,
+    such as a user-defined subclass.  Systems are materialised from the
+    sampled shard itself, so the draw stream is shared verbatim.
+    """
+    indices: List[int] = []
+    times: List[float] = []
+    kinds: List[FailureKind] = []
+    for system in sampler.materialise_shard(shard):
+        outcome = scheme.evaluate(
+            system.faults, system_rng(experiment_seed, system.index)
+        )
+        if outcome is not None:
+            indices.append(system.index)
+            times.append(outcome.time_hours)
+            kinds.append(outcome.kind)
+    return ShardAdjudication(indices, times, kinds)
+
+
 def _simulate_shard(
     scheme: ProtectionScheme,
     config: MonteCarloConfig,
@@ -314,75 +364,76 @@ def _simulate_shard(
     ``seed_seq`` (a ``SeedSequence.spawn`` child); the per-system
     evaluation RNG hashes the *global* system index together with the
     experiment seed, so a system's outcome is independent of which
-    shard -- or which worker -- it landed in.  Both adjudication
-    backends consume the identical sampled shard, and the vectorized
-    kernels are bit-identical to ``scheme.evaluate``, so
-    ``config.faultsim_backend`` never changes the result -- including
-    the per-failure telemetry events, emitted in the same order.
+    shard -- or which worker -- it landed in.
     """
-    sampler = FaultSampler(
-        scheme,
-        config.fit,
-        config.hours,
-        scaling_rate=config.scaling_rate,
-        scrub_hours=config.scrub_hours,
-        device_width=config.device_width,
-        ecc_backend=config.ecc_backend,
+    sampler, shard = _sample_shard(
+        scheme, config, start_index, num_systems, seed_seq
     )
-    rng = np.random.default_rng(seed_seq)
-    failure_times: List[float] = []
-    kinds: List[FailureKind] = []
-    if config.faultsim_backend == "vectorized":
-        shard = sampler.sample_shard_arrays(
-            start_index, num_systems, rng, min_faults=scheme.min_faults
-        )
+    if has_kernel(scheme):
         adjudication = adjudicate_shard(scheme, shard, config.seed)
-        failure_times = adjudication.failure_times
-        kinds = adjudication.kinds
-        if OBS.enabled:
-            for index, time_hours, kind in zip(
-                adjudication.system_indices, failure_times, kinds
-            ):
-                OBS.registry.counter("faultsim.failures").inc()
-                OBS.registry.counter(
-                    f"faultsim.failure.{kind.value}"
-                ).inc()
-                OBS.trace.record(
-                    events.TrialCompleted(
-                        int(index),
-                        f"monte_carlo.{scheme.name}",
-                        kind.value,
-                        {"time_hours": int(time_hours)},
-                    )
-                )
     else:
-        for system in sampler.sample_shard(
-            start_index, num_systems, rng, min_faults=scheme.min_faults
+        adjudication = evaluate_shard(scheme, sampler, shard, config.seed)
+    if OBS.enabled:
+        for index, time_hours, kind in zip(
+            adjudication.system_indices,
+            adjudication.failure_times,
+            adjudication.kinds,
         ):
-            sys_rng = system_rng(config.seed, system.index)
-            outcome = scheme.evaluate(system.faults, sys_rng)
-            if outcome is not None:
-                failure_times.append(outcome.time_hours)
-                kinds.append(outcome.kind)
-                if OBS.enabled:
-                    OBS.registry.counter("faultsim.failures").inc()
-                    OBS.registry.counter(
-                        f"faultsim.failure.{outcome.kind.value}"
-                    ).inc()
-                    OBS.trace.record(
-                        events.TrialCompleted(
-                            int(system.index),
-                            f"monte_carlo.{scheme.name}",
-                            outcome.kind.value,
-                            {"time_hours": int(outcome.time_hours)},
-                        )
-                    )
+            OBS.registry.counter("faultsim.failures").inc()
+            OBS.registry.counter(f"faultsim.failure.{kind.value}").inc()
+            OBS.trace.record(
+                events.TrialCompleted(
+                    int(index),
+                    f"monte_carlo.{scheme.name}",
+                    kind.value,
+                    {"time_hours": int(time_hours)},
+                )
+            )
     return ReliabilityResult(
         scheme_name=scheme.name,
         num_systems=num_systems,
         years=config.years,
-        failure_times_hours=failure_times,
-        kinds=kinds,
+        failure_times_hours=adjudication.failure_times,
+        kinds=adjudication.kinds,
+    )
+
+
+def _shard_plan(
+    scheme: ProtectionScheme,
+    config: MonteCarloConfig,
+    shard_size: Optional[int] = None,
+) -> Tuple[int, List[tuple]]:
+    """The resolved shard size and the deterministic per-shard arguments.
+
+    Each entry is the ``(scheme, config, start, count, seed_seq)``
+    argument tuple of one shard; the seeds are the
+    ``SeedSequence(config.seed).spawn`` children in plan order.
+    """
+    shard_size = resolve_shard_size(
+        config.num_systems, shard_size, DEFAULT_SHARD_SIZE
+    )
+    shards = plan_shards(config.num_systems, shard_size)
+    seeds = np.random.SeedSequence(config.seed).spawn(max(1, len(shards)))
+    return shard_size, [
+        (scheme, config, start, count, seeds[i])
+        for i, (start, count) in enumerate(shards)
+    ]
+
+
+def _merge_shards(
+    scheme: ProtectionScheme,
+    config: MonteCarloConfig,
+    shard_results: Sequence[ReliabilityResult],
+) -> ReliabilityResult:
+    """Merge plan-ordered shard results (an empty plan gives no systems)."""
+    if shard_results:
+        return ReliabilityResult.merge(shard_results)
+    return ReliabilityResult(
+        scheme_name=scheme.name,
+        num_systems=0,
+        years=config.years,
+        failure_times_hours=[],
+        kinds=[],
     )
 
 
@@ -392,15 +443,9 @@ def reliability_fingerprint(
     """Run-identity fingerprint of one reliability simulation.
 
     Everything that can change a shard's contents goes into the config
-    hash -- the scheme, the FIT table, scaling, scrubbing, device
-    geometry and the codec backend -- so a checkpoint can never be
-    silently resumed into a different experiment.
-
-    ``faultsim_backend`` is deliberately *excluded*: the scalar and
-    vectorized backends produce bit-identical shard payloads (enforced
-    by :mod:`repro.faultsim.differential`), so checkpoint records stay
-    byte-compatible and a run checkpointed under one backend can be
-    resumed under the other.
+    hash -- the scheme, the FIT table, scaling, scrubbing and device
+    geometry -- so a checkpoint can never be silently resumed into a
+    different experiment.
     """
     description = {
         "scheme": scheme.name,
@@ -408,7 +453,6 @@ def reliability_fingerprint(
         "scaling_rate": config.scaling_rate,
         "scrub_hours": config.scrub_hours,
         "device_width": config.device_width,
-        "ecc_backend": config.ecc_backend,
         "fit": [
             [mode.value, rate.transient, rate.permanent]
             for mode, rate in sorted(
@@ -441,8 +485,9 @@ def simulate(
     ``workers`` processes (``workers=1`` runs the same shard plan
     in-process).  Within a shard the Poisson fault-arrival draws are
     batched per FIT-table row; only systems with at least
-    ``scheme.min_faults`` runtime faults are materialised and walked
-    through the scheme evaluator.
+    ``scheme.min_faults`` runtime faults are adjudicated, by the
+    scheme's batch kernel or, for a scheme type without one, by
+    ``scheme.evaluate``.
 
     ``batch_systems`` is the pre-sharding name of ``shard_size`` and is
     honoured as an alias when ``shard_size`` is not given.
@@ -468,19 +513,10 @@ def simulate(
         from repro.faultsim.markov import solve
 
         return solve(scheme, config)
-    # Bind before shard fan-out so workers receive the bound scheme.
-    scheme.bind_ecc_backend(config.ecc_backend)
-    shard_size = resolve_shard_size(
-        config.num_systems,
+    shard_size, shard_args = _shard_plan(
+        scheme, config,
         shard_size if shard_size is not None else batch_systems,
-        DEFAULT_SHARD_SIZE,
     )
-    shards = plan_shards(config.num_systems, shard_size)
-    seeds = np.random.SeedSequence(config.seed).spawn(max(1, len(shards)))
-    shard_args = [
-        (scheme, config, start, count, seeds[i])
-        for i, (start, count) in enumerate(shards)
-    ]
 
     policy = runtime if runtime is not None else current_policy()
     started = perf_counter()
@@ -488,9 +524,10 @@ def simulate(
 
     def _shard_done(i: int) -> None:
         """Progress + live telemetry after each completed shard."""
-        reporter.update(shards[i][1])
+        count = shard_args[i][3]
+        reporter.update(count)
         if OBS.enabled:
-            OBS.registry.counter("faultsim.systems_done").inc(shards[i][1])
+            OBS.registry.counter("faultsim.systems_done").inc(count)
             if OBS.sampler is not None:
                 OBS.sampler.maybe_sample()
 
@@ -525,25 +562,12 @@ def simulate(
     finally:
         reporter.close()
 
-    result = (
-        ReliabilityResult.merge(shard_results)
-        if shard_results
-        else ReliabilityResult(
-            scheme_name=scheme.name,
-            num_systems=0,
-            years=config.years,
-            failure_times_hours=[],
-            kinds=[],
-        )
-    )
+    result = _merge_shards(scheme, config, shard_results)
 
     if OBS.enabled:
         elapsed = perf_counter() - started
         OBS.registry.counter("faultsim.systems").inc(config.num_systems)
-        OBS.registry.counter("faultsim.shards").inc(len(shards))
-        OBS.registry.counter(
-            f"faultsim.ecc_backend.{config.ecc_backend}"
-        ).inc()
+        OBS.registry.counter("faultsim.shards").inc(len(shard_args))
         OBS.registry.counter(
             f"faultsim.backend.{config.faultsim_backend}"
         ).inc()
@@ -560,7 +584,7 @@ def simulate(
             "%s: %d/%d systems failed in %.2fs "
             "(%d shards x %d systems, %d workers)",
             scheme.name, result.failures, config.num_systems, elapsed,
-            len(shards), shard_size, workers,
+            len(shard_args), shard_size, workers,
         )
 
     return result
@@ -595,16 +619,7 @@ def simulate_shard_range(
             "simulate_shard_range requires a sampling backend; the "
             "analytical solver has no shards to lease"
         )
-    scheme.bind_ecc_backend(config.ecc_backend)
-    shard_size = resolve_shard_size(
-        config.num_systems, shard_size, DEFAULT_SHARD_SIZE
-    )
-    shards = plan_shards(config.num_systems, shard_size)
-    seeds = np.random.SeedSequence(config.seed).spawn(max(1, len(shards)))
-    full_args = [
-        (scheme, config, start, count, seeds[i])
-        for i, (start, count) in enumerate(shards)
-    ]
+    shard_size, full_args = _shard_plan(scheme, config, shard_size)
     indices = list(indices)
     selected = select_shard_args(full_args, indices)
     if runtime is not None:

@@ -1,6 +1,6 @@
 """Batch lifetime-adjudication kernels over struct-of-arrays shards.
 
-The scalar Monte-Carlo path materialises a list of
+The reference Monte-Carlo adjudicator materialises a list of
 :class:`~repro.faultsim.fault.ChipFault` objects per sample system and
 walks them through ``ProtectionScheme.evaluate`` one system at a time.
 This module keeps whole shards in numpy arrays instead: fault arrival
@@ -14,9 +14,8 @@ differential harness in :mod:`repro.faultsim.differential` enforces it),
 which dictates the design:
 
 * Sampling draws are shared verbatim: :class:`FaultShard` is produced
-  by ``FaultSampler.sample_shard_arrays`` from the *same* numpy stream,
-  in the same draw order, as the scalar path (which now materialises
-  its ChipFault objects from the same shard).
+  by ``FaultSampler.sample_shard_arrays``, and the reference
+  materialises its ChipFault objects from the same shard.
 * Deterministic failure mechanisms -- pair and triple collisions within
   a rank -- vectorise exactly: the mask/value address-intersection test
   and the interval-overlap test are bitwise/compare expressions, the
@@ -54,12 +53,12 @@ from repro.faultsim.schemes import (
     XedScheme,
 )
 
-#: Recognised fault-simulation backends.  ``scalar`` and
-#: ``vectorized`` are bit-identical Monte-Carlo adjudicators;
-#: ``analytical`` is the closed-form Markov solver
-#: (:mod:`repro.faultsim.markov`), cross-validated against them
-#: within Wilson score intervals rather than bit-identical.
-FAULTSIM_BACKENDS = ("scalar", "vectorized", "analytical")
+#: Recognised fault-simulation backends.  ``vectorized`` is the
+#: Monte-Carlo sampler, bit-identical to the ``scheme.evaluate``
+#: reference; ``analytical`` is the closed-form Markov solver
+#: (:mod:`repro.faultsim.markov`), cross-validated against it within
+#: Wilson score intervals rather than bit-identical.
+FAULTSIM_BACKENDS = ("vectorized", "analytical")
 
 #: Integer code per failure mode, for array comparisons.
 MODE_CODES: Dict[FailureMode, int] = {
@@ -91,11 +90,11 @@ def validate_faultsim_backend(backend: str) -> None:
 
 
 def system_rng(experiment_seed: int, system_index: int) -> random.Random:
-    """The per-system evaluation RNG, shared by both backends.
+    """The per-system evaluation RNG, shared by kernels and reference.
 
     Hashes the *global* system index with the experiment seed so a
-    system's probabilistic draws are independent of shard layout,
-    worker count and backend.
+    system's probabilistic draws are independent of shard layout and
+    worker count.
     """
     return random.Random(
         (experiment_seed << 20) ^ (system_index * SYSTEM_SEED_MULTIPLIER)
@@ -103,11 +102,12 @@ def system_rng(experiment_seed: int, system_index: int) -> random.Random:
 
 
 class UnsupportedSchemeError(ValueError):
-    """The vectorized backend has no kernel for this scheme type.
+    """No batch kernel or closed-form chain exists for this scheme type.
 
     Raised for user-defined or subclassed schemes, whose ``evaluate``
-    overrides the kernels cannot mirror; run those with
-    ``faultsim_backend="scalar"``.
+    overrides neither the kernels nor the analytical solver can mirror.
+    ``simulate()`` with ``faultsim_backend="vectorized"`` still runs
+    them, through ``scheme.evaluate``.
     """
 
 
@@ -116,7 +116,7 @@ class VisibleFaults:
     """The expanded, visible (post-on-die-ECC) fault columns of a shard.
 
     One row per visible fault, ordered by selected system and, within a
-    system, by the scalar path's fault order (multi-rank clones
+    system, by the reference's fault order (multi-rank clones
     expanded in rank order).  ``sys`` holds positions into the shard's
     ``selected`` array; ``indptr`` is the CSR row-pointer over systems,
     so system ``s`` owns rows ``indptr[s]:indptr[s+1]``.
@@ -192,7 +192,7 @@ class FaultShard:
     Holds the raw per-fault draw columns exactly as sampled (one row
     per pre-expansion fault, grouped by system in selection order) plus
     the per-FIT-row metadata and geometry needed to interpret them.
-    The scalar path materialises ``ChipFault`` objects from these same
+    The reference materialises ``ChipFault`` objects from these same
     columns; the vectorized kernels consume them directly via
     :meth:`visible`.
     """
@@ -652,7 +652,7 @@ _Kernel = Callable[
 
 #: Exact-type kernel registry.  Subclasses are deliberately *not*
 #: matched: a subclass may override ``evaluate``, which the kernels
-#: cannot see, so anything unknown must run on the scalar backend.
+#: cannot see, so anything unknown runs through ``scheme.evaluate``.
 _KERNELS: Dict[Type[ProtectionScheme], _Kernel] = {
     NonEccScheme: _kernel_non_ecc,
     EccDimmScheme: _kernel_ecc_dimm,
@@ -663,6 +663,11 @@ _KERNELS: Dict[Type[ProtectionScheme], _Kernel] = {
 }
 
 
+def has_kernel(scheme: ProtectionScheme) -> bool:
+    """Whether :func:`adjudicate_shard` has a batch kernel for ``scheme``."""
+    return type(scheme) in _KERNELS
+
+
 def adjudicate_shard(
     scheme: ProtectionScheme, shard: FaultShard, experiment_seed: int
 ) -> ShardAdjudication:
@@ -670,15 +675,16 @@ def adjudicate_shard(
 
     Returns the failed systems -- global indices, first-failure times
     and DUE/SDC kinds -- in system order, bit-identical to running
-    ``scheme.evaluate`` over the scalar materialisation of the same
-    shard.  Raises :class:`UnsupportedSchemeError` for scheme types
-    without a registered kernel (e.g. user-defined subclasses).
+    ``scheme.evaluate`` over the materialisation of the same shard.
+    Raises :class:`UnsupportedSchemeError` for scheme types without a
+    registered kernel (see :func:`has_kernel`).
     """
     kernel = _KERNELS.get(type(scheme))
     if kernel is None:
         raise UnsupportedSchemeError(
             f"no vectorized kernel for scheme type "
-            f"{type(scheme).__name__}; use faultsim_backend='scalar'"
+            f"{type(scheme).__name__}; simulate() evaluates it through "
+            f"scheme.evaluate"
         )
     vis = shard.visible()
     if OBS.enabled:

@@ -26,8 +26,8 @@ package reimplements that methodology:
   identity over every Figure 11-13 cell.
 
 Both engines sit behind ``simulate_system(..., backend=...)``; the
-scalar walk stays the golden reference while the pipeline backend is
-what the CLI runs by default (``--perfsim-backend``).
+pipeline engine is the default everywhere, and the scalar walk stays
+as the golden reference the differential harness replays against.
 """
 
 from repro.perfsim.timing import DDR3Timing, SystemTiming

@@ -40,7 +40,9 @@ SERIAL_MODE_PENALTY_BUS_CYCLES = 100.0
 
 _CORE, _CHAN, _DONE = 0, 1, 2
 
-#: Engine implementations selectable via ``backend=`` / --perfsim-backend.
+#: Engines behind ``simulate_system(backend=...)``: the pipeline engine
+#: runs by default; the scalar walk is the reference the differential
+#: harness compares it against.
 PERFSIM_BACKENDS = ("scalar", "pipeline")
 
 
@@ -471,7 +473,7 @@ def simulate_system(
     system: Optional[SystemTiming] = None,
     instructions_per_core: int = 200_000,
     seed: int = 2016,
-    backend: str = "scalar",
+    backend: str = "pipeline",
     log_commands: bool = False,
 ) -> SimulationResult:
     """Run a workload under one scheme config.
@@ -481,9 +483,10 @@ def simulate_system(
     ``num_cores`` workloads for a multiprogrammed mix.  Execution time
     is when the slowest core retires its last instruction.
 
-    ``backend`` selects the engine: ``"scalar"`` (this module's golden
-    reference) or ``"pipeline"`` (the flattened transliteration in
-    :mod:`repro.perfsim.pipeline`, bit-identical and faster).  With
+    ``backend`` selects the engine: ``"pipeline"`` (the flattened
+    transliteration in :mod:`repro.perfsim.pipeline`, the default) or
+    ``"scalar"`` (this module's golden reference, which
+    :mod:`repro.perfsim.differential` replays against it).  With
     ``log_commands=True`` the result carries per-channel
     :class:`~repro.perfsim.command_log.CommandLog` objects.
     """

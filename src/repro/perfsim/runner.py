@@ -9,7 +9,7 @@ out on the shard pool (``workers > 1``) and, when a
 :class:`~repro.runtime.executor.RuntimePolicy` is active (the CLI's
 ``--checkpoint``/``--resume``/``--keep-going`` flags), through the
 fault-tolerant executor with per-cell checkpointing.  Cell results are
-deterministic for any worker count and either engine backend, so the
+deterministic for any worker count and either engine, so the
 checkpoint fingerprint excludes both.
 """
 
@@ -93,12 +93,11 @@ def run_benchmark(
     instructions_per_core: int = 200_000,
     seed: int = 2016,
     power_model: Optional[PowerModel] = None,
-    backend: str = "scalar",
+    backend: str = "pipeline",
 ) -> BenchmarkRun:
     """Simulate one (workload, scheme) pair and compute its power.
 
-    ``backend`` picks the engine (``"scalar"`` golden reference or the
-    bit-identical ``"pipeline"``; see :mod:`repro.perfsim.pipeline`).
+    ``backend`` picks the engine (see :func:`simulate_system`).
     """
     if isinstance(workload, str):
         workload = workload_by_name(workload)
@@ -145,10 +144,10 @@ def suite_fingerprint(
 
     Everything that can change a cell's contents goes into the config
     hash -- the scheme list, every workload's behaviour parameters, the
-    instruction budget and the full machine timing.  The engine backend
-    and worker count are deliberately *excluded*: cells are bit-identical
+    instruction budget and the full machine timing.  The engine and
+    worker count are deliberately *excluded*: cells are bit-identical
     across both (enforced by :mod:`repro.perfsim.differential`), so a
-    grid checkpointed under one backend resumes under the other.
+    grid checkpointed under one engine resumes under the other.
     """
     description = {
         "schemes": list(scheme_keys),
@@ -176,7 +175,7 @@ def run_suite(
     instructions_per_core: int = 200_000,
     seed: int = 2016,
     system: Optional[SystemTiming] = None,
-    backend: str = "scalar",
+    backend: str = "pipeline",
     workers: int = 1,
     runtime: Optional[RuntimePolicy] = None,
 ) -> Dict[str, Dict[str, BenchmarkRun]]:
@@ -187,8 +186,8 @@ def run_suite(
     worker count.  ``runtime`` (or the ambient policy installed by
     :func:`repro.runtime.use_policy`) routes cells through the
     fault-tolerant executor: per-cell checkpoints, resume, retry and
-    quarantine.  ``backend`` selects the engine per cell
-    (``scalar``/``pipeline``; results are bit-identical).
+    quarantine.  ``backend`` selects the engine per cell (see
+    :func:`simulate_system`; results are bit-identical).
     """
     validate_perfsim_backend(backend)
     workers = validate_workers(workers)

@@ -43,7 +43,6 @@ from repro.runtime.checkpoint import (
     CheckpointLoad,
     CheckpointMismatch,
     CheckpointStore,
-    IncrementalCheckpointReader,
     LeaseBook,
     RunFingerprint,
     ShardLease,
@@ -88,7 +87,6 @@ __all__ = [
     "CheckpointStore",
     "Coordinator",
     "FrameDecoder",
-    "IncrementalCheckpointReader",
     "JobSpec",
     "LeaseBook",
     "ProtocolError",

@@ -31,13 +31,6 @@ File format (one JSON object per line)::
   line each) rather than rewriting the whole file -- O(1) bytes per
   shard instead of O(shards) -- and a crash mid-append leaves at most
   one torn tail line, which :func:`load_checkpoint` already discards.
-* **Incremental reads.**  :class:`IncrementalCheckpointReader` tails a
-  live checkpoint across polls: it remembers its byte offset (guarded
-  by the last line it consumed, so an ``os.replace`` rewrite is
-  detected and re-read from scratch) and only parses/digest-verifies
-  lines it has not seen, yielding exactly the records a full
-  :func:`load_checkpoint` would -- the service's progress endpoint
-  polls it every few hundred milliseconds without re-hashing the file.
 """
 
 from __future__ import annotations
@@ -61,7 +54,7 @@ __all__ = [
     "ShardLease",
     "LeaseBook",
     "CheckpointStore",
-    "IncrementalCheckpointReader",
+    "backoff_delay",
     "config_digest",
     "load_checkpoint",
 ]
@@ -88,11 +81,25 @@ def _digest(obj: object) -> str:
     return hashlib.sha256(_canonical(obj).encode("utf-8")).hexdigest()
 
 
+def backoff_delay(
+    seed: int, index: int, failure_count: int, base_s: float, cap_s: float
+) -> float:
+    """Retry delay of a shard: exponential backoff with seeded jitter.
+
+    The delay doubles per failure from ``base_s`` up to ``cap_s``, then
+    gains up to 25% jitter drawn from ``(seed, index, failure_count)``,
+    so the same failure history always schedules the same retries.
+    """
+    delay = min(cap_s, base_s * (2.0 ** max(0, failure_count - 1)))
+    rng = random.Random((seed << 24) ^ (index << 8) ^ failure_count)
+    return delay * (1.0 + 0.25 * rng.random())
+
+
 def config_digest(description: Dict[str, object]) -> str:
     """Hash an experiment description dict into a fingerprint field.
 
     Callers put every knob that affects shard *contents* into the
-    description (scheme name, FIT rates, scrub interval, backend ...);
+    description (scheme name, FIT rates, scrub interval ...);
     two runs share a ``config_hash`` iff their shards are interchangeable.
     """
     return _digest(description)
@@ -316,120 +323,16 @@ def load_checkpoint(path: "str | os.PathLike[str]") -> CheckpointLoad:
     return CheckpointLoad(fingerprint, records, discarded, duplicates, conflicts)
 
 
-class IncrementalCheckpointReader:
-    """Offset-tracking tail reader for a live checkpoint file.
-
-    A progress poller (the campaign service's ``GET /v1/jobs/<id>``
-    endpoint) wants to know how many shards a running job has
-    persisted, several times a second.  Re-running
-    :func:`load_checkpoint` per poll re-parses and re-SHA-256s every
-    record every time -- O(total shards) work per poll, O(n^2) over a
-    run.  This reader instead remembers the byte offset of the last
-    complete line it consumed and, on each :meth:`poll`, reads and
-    verifies only the bytes appended since.
-
-    Correctness guard: before seeking past the consumed prefix, the
-    reader re-reads the last line it consumed and compares it
-    byte-for-byte.  :class:`CheckpointStore` only ever *appends* shard
-    records, but resume cleanups (and hostile tests) atomically replace
-    the whole file; a mismatched guard line detects any such rewrite
-    and the reader transparently starts over from byte zero.  The
-    records it reports are therefore always exactly what a full
-    :func:`load_checkpoint` of the same file contents would return
-    (the equivalence a unit test asserts line by line), while a torn
-    final line -- an append caught mid-write -- is simply left
-    unconsumed until a later poll completes it.
-    """
-
-    def __init__(self, path: "str | os.PathLike[str]") -> None:
-        self.path = Path(path)
-        self._reset()
-
-    def _reset(self) -> None:
-        """Forget all progress; the next poll re-reads from byte 0."""
-        self._offset = 0
-        self._guard = b""
-        self._header_seen = False
-        self.fingerprint: Optional[Dict[str, object]] = None
-        self.records: Dict[int, ShardRecord] = {}
-
-    def poll(self) -> Dict[int, ShardRecord]:
-        """Consume newly appended records; returns all records so far.
-
-        Missing files and unreadable/partial headers report as "no
-        records yet" rather than raising -- a poller may legitimately
-        race the writer's very first flush.  A digest-invalid line
-        stops consumption at its offset without advancing (matching
-        :func:`load_checkpoint`'s discard-the-tail semantics); if a
-        resume cleanup later repairs the file in place, the very next
-        poll picks up from the same offset against the clean bytes.
-        """
-        try:
-            with self.path.open("rb") as fh:
-                if self._offset:
-                    fh.seek(self._offset - len(self._guard))
-                    if fh.read(len(self._guard)) != self._guard:
-                        # The consumed prefix changed under us: the
-                        # file was rewritten (resume cleanup).  Start
-                        # over against the new contents.
-                        self._reset()
-                        fh.seek(0)
-                data = fh.read()
-        except OSError:
-            self._reset()
-            return dict(self.records)
-        consumed = self._offset
-        for raw in data.splitlines(keepends=True):
-            if not raw.endswith(b"\n"):
-                break  # torn tail append; wait for the writer
-            line = raw.decode("utf-8", errors="replace").strip()
-            if line and not self._consume_line(line):
-                break  # invalid tail; retry here on the next poll
-            consumed += len(raw)
-            self._guard = raw
-        self._offset = consumed
-        return dict(self.records)
-
-    def _consume_line(self, line: str) -> bool:
-        """Integrate one complete line; ``False`` stops at this spot."""
-        try:
-            parsed = json.loads(line)
-        except ValueError:
-            return False
-        if not isinstance(parsed, dict):
-            return False
-        if not self._header_seen:
-            digest = parsed.get("digest")
-            body = {k: v for k, v in parsed.items() if k != "digest"}
-            if (
-                parsed.get("record") != "header"
-                or digest != _digest(body)
-                or parsed.get("version") != CHECKPOINT_VERSION
-                or not isinstance(parsed.get("fingerprint"), dict)
-            ):
-                return False
-            self._header_seen = True
-            self.fingerprint = parsed["fingerprint"]
-            return True
-        shard = _parse_shard_line(parsed)
-        if shard is None:
-            return False
-        # First valid record per index wins, mirroring load_checkpoint.
-        self.records.setdefault(shard.index, shard)
-        return True
-
-
 class CheckpointStore:
     """Owns one checkpoint file for the duration of a run.
 
     ``add()`` registers a completed shard and durably *appends* its
     line (write + fsync): completion-order appends keep every earlier
     byte of the file stable, which makes per-shard persistence O(1)
-    instead of rewriting the whole file, and lets
-    :class:`IncrementalCheckpointReader` tail the run cheaply.  Full
-    atomic rewrites (temp file + ``os.replace``) still happen where
-    the file's existing content must change: header creation and
-    resume-time cleanup of corrupt/duplicate lines.  Use
+    instead of rewriting the whole file.  Full atomic rewrites (temp
+    file + ``os.replace``) still happen where the file's existing
+    content must change: header creation and resume-time cleanup of
+    corrupt/duplicate lines.  Use
     :meth:`CheckpointStore.create` for a fresh run and
     :meth:`CheckpointStore.resume` to adopt (and keep extending) an
     existing file.
@@ -529,9 +432,8 @@ class CheckpointStore:
             return  # idempotent re-delivery; the file already has it
         rewrite = held is not None or not self._appendable
         if held is not None:
-            # Re-insert at the end of the order so the changed line
-            # lands at (or after) any incremental reader's guard
-            # position instead of mutating the middle of the file.
+            # Re-insert at the end of the order, so file order stays
+            # completion order: the replacement is the newest record.
             del self.records[index]
         self.records[index] = record
         if rewrite:
@@ -560,9 +462,9 @@ class CheckpointStore:
         """Rewrite the full checkpoint via temp file + ``os.replace``.
 
         Records are written in insertion (completion) order, never
-        re-sorted: that keeps the bytes of everything already on disk
-        stable when :meth:`add` later appends, which is what lets
-        :class:`IncrementalCheckpointReader` resume from a byte offset.
+        re-sorted, so the rewritten file is byte-for-byte what appending
+        the same records one by one would have produced: a later
+        :meth:`add` can append after it without reordering anything.
         """
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_name(
@@ -619,8 +521,8 @@ class LeaseBook:
     The book is pure bookkeeping -- no I/O, no clock reads of its own
     (an injectable ``clock`` makes expiry testable) -- and entirely
     deterministic: grants hand out the lowest ready shard indices in
-    order, retry delays reuse :mod:`repro.runtime.executor`'s seeded
-    backoff formula, so two coordinators fed the same failure sequence
+    order, retry delays come from :func:`backoff_delay` (the executor's
+    formula too), so two coordinators fed the same failure sequence
     make identical scheduling decisions.
     """
 
@@ -689,13 +591,6 @@ class LeaseBook:
         return tuple(sorted(self._outstanding.get(lease_id, ())))
 
     # -- lease lifecycle ----------------------------------------------------
-
-    def _backoff_delay(self, index: int, failure_count: int) -> float:
-        """The executor's exponential backoff + deterministic jitter."""
-        base = self.backoff_base_s * (2.0 ** max(0, failure_count - 1))
-        delay = min(self.backoff_cap_s, base)
-        rng = random.Random((self.seed << 24) ^ (index << 8) ^ failure_count)
-        return delay * (1.0 + 0.25 * rng.random())
 
     def grant(self, worker: str) -> Optional[ShardLease]:
         """Lease up to ``lease_shards`` ready indices to ``worker``.
@@ -773,7 +668,9 @@ class LeaseBook:
                     self.quarantined.append(index)
                 return "quarantine"
             return "abort"
-        self.retry_at[index] = self.clock() + self._backoff_delay(index, count)
+        self.retry_at[index] = self.clock() + backoff_delay(
+            self.seed, index, count, self.backoff_base_s, self.backoff_cap_s
+        )
         if index not in self._pending:
             self._pending.append(index)
             self._pending.sort()

@@ -117,7 +117,7 @@ class JobSpec:
     This is everything a worker needs to rebuild the exact scheme,
     config and shard plan the coordinator holds; it travels in the
     ``job`` handshake message.  The spec deliberately speaks the CLI's
-    vocabulary (scheme keys, backend names) rather than pickled
+    vocabulary (scheme keys and flag values) rather than pickled
     objects, so coordinator and workers can run different builds and
     still *detect* divergence via the fingerprint check instead of
     silently diverging.
@@ -131,8 +131,6 @@ class JobSpec:
     scaling_rate: float = 0.0
     scrub_hours: Optional[float] = None
     device_width: int = 8
-    ecc_backend: str = "scalar"
-    faultsim_backend: str = "vectorized"
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready form for the ``job`` message."""
@@ -145,8 +143,6 @@ class JobSpec:
             "scaling_rate": self.scaling_rate,
             "scrub_hours": self.scrub_hours,
             "device_width": self.device_width,
-            "ecc_backend": self.ecc_backend,
-            "faultsim_backend": self.faultsim_backend,
         }
 
     @classmethod
@@ -164,8 +160,6 @@ class JobSpec:
                 else float(data["scrub_hours"])
             ),
             device_width=int(data["device_width"]),
-            ecc_backend=str(data["ecc_backend"]),
-            faultsim_backend=str(data["faultsim_backend"]),
         )
 
     def build(self) -> Tuple[Any, Any]:
@@ -192,8 +186,6 @@ class JobSpec:
             scaling_rate=self.scaling_rate,
             scrub_hours=self.scrub_hours,
             device_width=self.device_width,
-            ecc_backend=self.ecc_backend,
-            faultsim_backend=self.faultsim_backend,
         )
         return scheme, config
 
@@ -441,6 +433,11 @@ class Coordinator:
         finally:
             if conn is not None:
                 self._drop_connection(conn)
+            else:
+                # Refused at the handshake: an error frame ends the
+                # connection, so close it rather than leave the peer
+                # waiting until the whole run finishes.
+                writer.close()
 
     async def _dispatch(
         self, conn: _Connection, message: Dict[str, object]

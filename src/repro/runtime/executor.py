@@ -36,7 +36,6 @@ preserves bit-identical merged results -- the property the chaos suite
 from __future__ import annotations
 
 import math
-import random
 import signal
 import threading
 import time
@@ -52,7 +51,12 @@ from repro.obs.events import EventTrace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import TraceContext, current_context, shard_span
 from repro.runtime.chaos import ChaosCrash, ChaosHang, ChaosPolicy
-from repro.runtime.checkpoint import CheckpointStore, RunFingerprint, ShardRecord
+from repro.runtime.checkpoint import (
+    CheckpointStore,
+    RunFingerprint,
+    ShardRecord,
+    backoff_delay,
+)
 
 __all__ = [
     "RuntimePolicy",
@@ -454,15 +458,6 @@ class _ResilientRun:
         if OBS.enabled:
             OBS.registry.counter("runtime.shard_attempts").inc()
 
-    def _backoff_delay(self, index: int, failure_count: int) -> float:
-        """Exponential backoff with deterministic jitter for a retry."""
-        base = self.policy.backoff_base_s * (2.0 ** max(0, failure_count - 1))
-        delay = min(self.policy.backoff_cap_s, base)
-        rng = random.Random(
-            (self.fingerprint.seed << 24) ^ (index << 8) ^ failure_count
-        )
-        return delay * (1.0 + 0.25 * rng.random())
-
     def _register_failure(self, index: int, reason: str) -> Optional[float]:
         """Account one failed attempt; returns the retry delay.
 
@@ -501,7 +496,10 @@ class _ResilientRun:
                 reason=reason,
                 checkpoint_path=self.outcome.checkpoint_path,
             )
-        delay = self._backoff_delay(index, count)
+        delay = backoff_delay(
+            self.fingerprint.seed, index, count,
+            self.policy.backoff_base_s, self.policy.backoff_cap_s,
+        )
         self.outcome.retries += 1
         if OBS.enabled:
             OBS.registry.counter("runtime.shard_retries").inc()

@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 #: Wire protocol version; ``hello``/``job`` refuse a mismatch.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one frame (64 MiB) -- far above any real shard record,
 #: small enough that a garbage length prefix cannot balloon memory.

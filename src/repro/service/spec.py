@@ -2,7 +2,7 @@
 
 A service request is a JSON document describing one reliability
 comparison -- the same vocabulary as ``repro reliability``'s flags
-(schemes, population, seed, backends).  :class:`ExperimentSpec`
+(schemes, population, seed, lifetime).  :class:`ExperimentSpec`
 validates that document once at submission time, then derives the
 job's **fingerprint**: a SHA-256 over the ordered per-scheme
 :class:`~repro.runtime.checkpoint.RunFingerprint` dicts, i.e. over
@@ -17,10 +17,10 @@ worker count, proven by the parallel suite) and the ``chaos``
 developer spec (recovery is bit-identical, proven by the chaos suite)
 -- are deliberately excluded from the identity.
 
-The ``analytical`` fault-sim backend is rejected here: its results are
-not bit-identical to Monte-Carlo sampling (only Wilson-compatible), so
-it must not share a cache identity with the sampling backends -- and a
-closed-form solve finishes in milliseconds anyway (``repro sweep``).
+The service always samples: there is no fault-sim backend key, because
+the closed-form ``analytical`` solver is not bit-identical to sampling
+(only Wilson-compatible), so it must not share a cache identity with
+Monte-Carlo -- and it finishes in milliseconds anyway (``repro sweep``).
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ _ALLOWED_KEYS = {
     "scrub_hours",
     "seed",
     "shard_size",
-    "ecc_backend",
-    "faultsim_backend",
     "workers",
     "chaos",
 }
@@ -89,8 +87,6 @@ class ExperimentSpec:
     scrub_hours: Optional[float] = None
     seed: int = 2016
     shard_size: int = 25_000
-    ecc_backend: str = "scalar"
-    faultsim_backend: str = "vectorized"
     workers: int = 1
     chaos: Optional[str] = None
 
@@ -146,24 +142,6 @@ class ExperimentSpec:
             raise ServiceSpecError("spec.workers must be >= 1")
         if scrub_hours is not None and scrub_hours <= 0:
             raise ServiceSpecError("spec.scrub_hours must be > 0 or null")
-        ecc_backend = str(data.get("ecc_backend", "scalar"))
-        if ecc_backend not in ("scalar", "batched"):
-            raise ServiceSpecError(
-                f"unknown ecc_backend {ecc_backend!r} "
-                "(expected scalar or batched)"
-            )
-        faultsim_backend = str(data.get("faultsim_backend", "vectorized"))
-        if faultsim_backend == "analytical":
-            raise ServiceSpecError(
-                "the analytical backend solves in milliseconds and is "
-                "not bit-identical to sampling; run `repro sweep` "
-                "directly instead of submitting it as a campaign"
-            )
-        if faultsim_backend not in ("scalar", "vectorized"):
-            raise ServiceSpecError(
-                f"unknown faultsim_backend {faultsim_backend!r} "
-                "(expected scalar or vectorized)"
-            )
         chaos = data.get("chaos")
         if chaos is not None:
             if not isinstance(chaos, str):
@@ -186,8 +164,6 @@ class ExperimentSpec:
             scrub_hours=scrub_hours,
             seed=seed,
             shard_size=resolved,
-            ecc_backend=ecc_backend,
-            faultsim_backend=faultsim_backend,
             workers=workers,
             chaos=chaos,
         )
@@ -202,8 +178,6 @@ class ExperimentSpec:
             "scrub_hours": self.scrub_hours,
             "seed": self.seed,
             "shard_size": self.shard_size,
-            "ecc_backend": self.ecc_backend,
-            "faultsim_backend": self.faultsim_backend,
             "workers": self.workers,
             "chaos": self.chaos,
         }
@@ -227,8 +201,6 @@ class ExperimentSpec:
                 seed=self.seed,
                 scaling_rate=self.scaling_rate,
                 scrub_hours=self.scrub_hours,
-                ecc_backend=self.ecc_backend,
-                faultsim_backend=self.faultsim_backend,
             )
             runs.append((scheme, config))
         return runs

@@ -10,6 +10,7 @@ run of the same spec.  This is the distributed twin of
 """
 
 import multiprocessing
+import socket
 import threading
 import time
 
@@ -26,6 +27,7 @@ from repro.runtime import (
     parse_chaos_spec,
 )
 from repro.runtime.distributed import Coordinator, JobSpec, run_worker
+from repro.runtime.protocol import PROTOCOL_VERSION, recv_message, send_message
 
 SPEC = JobSpec(scheme="xed", num_systems=20_000, shard_size=5_000, seed=7)
 CFG = MonteCarloConfig(
@@ -80,6 +82,40 @@ class TestDistributedRuns:
         assert coordinator.outcome.total_shards == 4
         assert coordinator.outcome.completed_shards == 4
         assert coordinator.outcome.completeness == 1.0
+
+    def test_old_protocol_hello_gets_error_and_no_job(self, reference):
+        # A version-1 worker would die on the version-2 job message, so
+        # the coordinator must refuse it at the hello.  A current worker
+        # then finishes the run, which lets run() return.
+        coordinator = Coordinator(SPEC, port=0, lease_shards=1)
+        frames = []
+
+        def old_worker_then_current():
+            try:
+                with socket.create_connection(
+                    coordinator.address, timeout=10.0
+                ) as sock:
+                    send_message(
+                        sock, {"type": "hello", "protocol": 1, "worker": "v1"}
+                    )
+                    while (message := recv_message(sock)) is not None:
+                        frames.append(message)
+            except OSError as exc:  # e.g. the connection was never closed
+                frames.append({"type": "socket", "reason": str(exc)})
+            finally:
+                run_worker(*coordinator.address, worker_id="v2")
+
+        thread = threading.Thread(target=old_worker_then_current, daemon=True)
+        thread.start()
+        result = coordinator.run()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert frames == [{
+            "type": "error",
+            "reason": f"protocol 1 != {PROTOCOL_VERSION}",
+        }]
+        assert PROTOCOL_VERSION == 2
+        assert_identical(result, reference, "run after a refused worker")
 
     def test_crash_partition_and_drop_recover_bit_identically(
         self, reference, tmp_path

@@ -1,22 +1,15 @@
-"""Incremental checkpoint tailing vs. full re-reads.
+"""The append-only write path of :class:`CheckpointStore`.
 
-PR 10's fix: progress pollers used to call :func:`load_checkpoint` on
-every poll, re-parsing and re-hashing the whole file each time.
-:class:`IncrementalCheckpointReader` only consumes newly appended
-bytes; these tests prove the one property that makes that safe --
-**after every mutation of the file, ``poll()`` reports exactly the
-records a fresh ``load_checkpoint`` of the same bytes would** --
-across appends, torn tails, corrupt lines, resume repairs, and
-whole-file rewrites.  They also pin the append-only write path itself:
-one ``add`` grows the file by one line and never touches earlier
-bytes, which is what bounds per-shard persistence at O(1).
+One ``add`` grows the file by one line and never touches earlier
+bytes, which is what bounds per-shard persistence at O(1); re-adds and
+resumes keep the file equal to what a fresh :func:`load_checkpoint`
+reports.
 """
 
 import json
 
 from repro.runtime import (
     CheckpointStore,
-    IncrementalCheckpointReader,
     RunFingerprint,
     config_digest,
     load_checkpoint,
@@ -30,111 +23,6 @@ def _fingerprint(**overrides) -> RunFingerprint:
     )
     fields.update(overrides)
     return RunFingerprint(**fields)
-
-
-def _lines(records):
-    """Comparable image of a records dict (index -> serialised line)."""
-    return {index: record.to_line() for index, record in records.items()}
-
-
-def _assert_matches_full_read(reader, path):
-    """The equivalence at the heart of the contract."""
-    assert _lines(reader.poll()) == _lines(load_checkpoint(path).records)
-
-
-class TestIncrementalEquivalence:
-    def test_tracks_every_append(self, tmp_path):
-        path = tmp_path / "run.ckpt"
-        store = CheckpointStore.create(path, _fingerprint())
-        reader = IncrementalCheckpointReader(path)
-        _assert_matches_full_read(reader, path)
-        for index in range(4):
-            store.add(index, {"start": index * 10, "sum": index})
-            _assert_matches_full_read(reader, path)
-        assert reader.fingerprint == _fingerprint().to_dict()
-
-    def test_missing_file_reports_empty_then_catches_up(self, tmp_path):
-        path = tmp_path / "late.ckpt"
-        reader = IncrementalCheckpointReader(path)
-        assert reader.poll() == {}
-        store = CheckpointStore.create(path, _fingerprint())
-        store.add(0, {"sum": 1})
-        _assert_matches_full_read(reader, path)
-
-    def test_torn_tail_append_is_deferred_not_lost(self, tmp_path):
-        path = tmp_path / "torn.ckpt"
-        store = CheckpointStore.create(path, _fingerprint())
-        store.add(0, {"sum": 1})
-        reader = IncrementalCheckpointReader(path)
-        reader.poll()
-        # Simulate a crash mid-append: half a record, no newline.
-        from repro.runtime.checkpoint import ShardRecord
-
-        line = ShardRecord(index=1, payload={"sum": 2}).to_line()
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write(line[: len(line) // 2])
-        assert set(reader.poll()) == {0}
-        # The writer completes the line; the next poll consumes it.
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write(line[len(line) // 2 :] + "\n")
-        assert set(reader.poll()) == {0, 1}
-        _assert_matches_full_read(reader, path)
-
-    def test_corrupt_line_stops_without_consuming(self, tmp_path):
-        path = tmp_path / "corrupt.ckpt"
-        store = CheckpointStore.create(path, _fingerprint())
-        store.add(0, {"sum": 1})
-        reader = IncrementalCheckpointReader(path)
-        reader.poll()
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write('{"record": "shard", "index": 9, "digest": "junk"}\n')
-        # Both readers agree: the invalid tail record does not exist.
-        _assert_matches_full_read(reader, path)
-        assert set(reader.records) == {0}
-        # A resume cleanup repairs the file (drops the bad tail); the
-        # reader resumes from its held offset against the clean bytes
-        # and keeps consuming subsequent appends.
-        repaired = CheckpointStore.resume(path, _fingerprint())
-        assert repaired.discarded == 1
-        repaired.add(1, {"sum": 2})
-        assert set(reader.poll()) == {0, 1}
-        _assert_matches_full_read(reader, path)
-
-    def test_whole_file_rewrite_is_detected_and_reread(self, tmp_path):
-        path = tmp_path / "swap.ckpt"
-        store = CheckpointStore.create(path, _fingerprint())
-        for index in range(3):
-            store.add(index, {"sum": index})
-        reader = IncrementalCheckpointReader(path)
-        assert set(reader.poll()) == {0, 1, 2}
-        # Another run's checkpoint atomically replaces the file.
-        other = CheckpointStore.create(
-            path, _fingerprint(seed=99, config_hash=config_digest({"k": 2}))
-        )
-        other.add(7, {"sum": 70})
-        records = reader.poll()
-        assert set(records) == {7}
-        assert reader.fingerprint == _fingerprint(
-            seed=99, config_hash=config_digest({"k": 2})
-        ).to_dict()
-        _assert_matches_full_read(reader, path)
-
-    def test_conflicting_readd_rewrite_does_not_leave_stale_record(
-        self, tmp_path
-    ):
-        path = tmp_path / "conflict.ckpt"
-        store = CheckpointStore.create(path, _fingerprint())
-        store.add(0, {"sum": 1})
-        store.add(1, {"sum": 2})
-        reader = IncrementalCheckpointReader(path)
-        reader.poll()
-        # Re-adding an index with different content forces a rewrite;
-        # the reader must notice and serve the new record, not the one
-        # it already consumed.
-        store.add(0, {"sum": 999})
-        records = reader.poll()
-        assert records[0].payload == {"sum": 999}
-        _assert_matches_full_read(reader, path)
 
 
 class TestAppendOnlyWrites:
@@ -179,3 +67,17 @@ class TestAppendOnlyWrites:
         lines = path.read_text(encoding="utf-8").splitlines()
         indices = [json.loads(line)["index"] for line in lines[1:]]
         assert indices == [2, 0, 1]
+
+    def test_conflicting_readd_replaces_the_record(self, tmp_path):
+        path = tmp_path / "conflict.ckpt"
+        store = CheckpointStore.create(path, _fingerprint())
+        store.add(0, {"sum": 1})
+        store.add(1, {"sum": 2})
+        # Re-adding an index with different content forces a rewrite
+        # that leaves no stale copy and moves the record to the end.
+        store.add(0, {"sum": 999})
+        loaded = load_checkpoint(path)
+        assert loaded.records[0].payload == {"sum": 999}
+        assert loaded.duplicates == 0 and loaded.conflicts == 0
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["index"] for line in lines[1:]] == [1, 0]

@@ -262,35 +262,55 @@ class TestRuntimeFlags:
 
 
 class TestEccBackendFlag:
-    def test_default_is_scalar(self):
-        args = build_parser().parse_args(["experiment", "table2"])
-        assert args.ecc_backend == "scalar"
+    """Table II and the ECC-DIMM split always use the batched kernels."""
 
     def test_choices_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["experiment", "table2", "--ecc-backend", "simd"]
-            )
+        """No value of the removed ``--ecc-backend`` flag parses."""
+        for value in ("scalar", "batched", "simd"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["experiment", "table2", "--ecc-backend", value]
+                )
 
-    def test_flag_present_on_reliability_all_export(self):
-        for argv in (
+    def test_flag_absent_on_every_subcommand(self):
+        removed = [
             ["reliability", "--ecc-backend", "batched"],
             ["all", "--ecc-backend", "batched"],
             ["export", "table2", "--ecc-backend", "batched"],
-        ):
-            assert build_parser().parse_args(argv).ecc_backend == "batched"
+            ["sweep", "--ecc-backend", "batched"],
+            ["coordinate", "--ecc-backend", "batched"],
+            ["coordinate", "--faultsim-backend", "vectorized"],
+            ["reliability", "--faultsim-backend", "scalar"],
+        ]
+        for command in ("experiment table2", "perf", "all", "export fig11"):
+            removed.append(command.split() + ["--perfsim-backend", "pipeline"])
+        for argv in removed:
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+        for backend in ("vectorized", "analytical"):
+            args = build_parser().parse_args(
+                ["reliability", "--faultsim-backend", backend]
+            )
+            assert args.faultsim_backend == backend
 
     def test_experiment_table2_batched_runs(self, capsys):
-        assert main(
-            ["experiment", "table2", "--ecc-backend", "batched"]
-        ) == 0
+        assert main(["experiment", "table2"]) == 0
         out = capsys.readouterr().out
         assert "Detection-rate" in out
 
-    def test_reliability_batched_matches_scalar(self, capsys):
+    def test_reliability_batched_matches_scalar(
+        self, capsys, monkeypatch, scalar_lane_profile
+    ):
+        """The ECC-DIMM split from the scalar decoder gives the same run."""
+        from repro.ecc import HammingSECDED, miscorrection
+
         argv = ["reliability", "--schemes", "ecc_dimm", "--systems", "20000"]
         assert main(argv) == 0
-        scalar_out = capsys.readouterr().out
-        assert main(argv + ["--ecc-backend", "batched"]) == 0
         batched_out = capsys.readouterr().out
-        assert scalar_out == batched_out
+        scalar_fraction = scalar_lane_profile(HammingSECDED()).sdc_fraction
+        monkeypatch.setattr(
+            miscorrection, "hamming_chip_error_sdc_fraction",
+            lambda: scalar_fraction,
+        )
+        assert main(argv) == 0
+        assert capsys.readouterr().out == batched_out

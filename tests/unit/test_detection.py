@@ -1,6 +1,10 @@
 """Unit tests for the Table-II detection-rate analysis harness."""
 
+import math
+
 import pytest
+
+from repro.analysis import run_experiment
 
 from repro.ecc import (
     CRC8ATMCode,
@@ -11,6 +15,7 @@ from repro.ecc import (
     detection_rate_random,
     detection_table,
 )
+from repro.ecc.detection import _reference_rate_burst, _reference_rate_random
 from repro.ecc.secded import popcount
 
 
@@ -107,53 +112,76 @@ class TestDetectionTable:
 
 
 class TestBackendEquality:
-    """Scalar and batched backends on the same pattern spaces."""
+    """Batched rates against the scalar ``is_codeword`` reference walk."""
 
     def test_exhaustive_random_rates_identical(self, secded_code):
         for errors in (1, 2, 3):
-            scalar = detection_rate_random(secded_code, errors)
-            batched = detection_rate_random(
-                secded_code, errors, backend="batched"
-            )
-            assert scalar == batched
+            assert detection_rate_random(
+                secded_code, errors
+            ) == _reference_rate_random(secded_code, errors)
 
     def test_burst_rates_identical(self, secded_code):
         for errors in (1, 2, 4, 8):
             for mode in ("aligned", "contiguous"):
-                scalar = detection_rate_burst(secded_code, errors, mode=mode)
-                batched = detection_rate_burst(
-                    secded_code, errors, mode=mode, backend="batched"
-                )
-                assert scalar == batched
+                assert detection_rate_burst(
+                    secded_code, errors, mode=mode
+                ) == _reference_rate_burst(secded_code, errors, mode=mode)
 
     def test_sampled_rates_agree_in_distribution(self, hamming):
-        scalar = detection_rate_random(hamming, 4, samples=20000, seed=3)
-        batched = detection_rate_random(
-            hamming, 4, samples=20000, seed=3, backend="batched"
-        )
+        scalar = _reference_rate_random(hamming, 4, samples=20000, seed=3)
+        batched = detection_rate_random(hamming, 4, samples=20000, seed=3)
         assert scalar == pytest.approx(batched, abs=0.01)
 
     def test_batched_sampled_deterministic_given_seed(self, hamming):
-        a = detection_rate_random(
-            hamming, 6, samples=2000, seed=7, backend="batched"
-        )
-        b = detection_rate_random(
-            hamming, 6, samples=2000, seed=7, backend="batched"
-        )
+        a = detection_rate_random(hamming, 6, samples=2000, seed=7)
+        b = detection_rate_random(hamming, 6, samples=2000, seed=7)
         assert a == b
 
     def test_table_identical_on_exhaustive_counts(self):
         codes = {"Hamming": HammingSECDED(), "CRC8-ATM": CRC8ATMCode()}
-        scalar = detection_table(codes, error_counts=(1, 2, 3))
-        batched = detection_table(
-            codes, error_counts=(1, 2, 3), backend="batched"
-        )
-        assert scalar.rates == batched.rates
+        table = detection_table(codes, error_counts=(1, 2, 3))
+        for name, code in codes.items():
+            assert table.rates[name] == {
+                "random": [_reference_rate_random(code, e) for e in (1, 2, 3)],
+                "burst": [_reference_rate_burst(code, e) for e in (1, 2, 3)],
+            }
 
     def test_unknown_backend_rejected(self, hamming):
-        with pytest.raises(ValueError):
+        """No backend switch exists, so any value is refused."""
+        with pytest.raises(TypeError):
             detection_rate_random(hamming, 2, backend="simd")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             detection_rate_burst(hamming, 2, backend="simd")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             detection_table({"h": hamming}, backend="simd")
+
+    def test_table2_sampled_cells_pass_two_proportion_z_test(self):
+        """Every sampled cell of the quick Table II against the reference.
+
+        Sampled cells draw from numpy rather than the reference's
+        ``random.Random`` stream, so the two rates are independent
+        estimates of one detection probability: at the same seed and
+        sample count, a pooled two-proportion z statistic beyond 3.29
+        (two-sided p = 0.001) would mean the batched sampler is biased.
+        """
+        report = run_experiment("table2", scale="quick")
+        codes = {"Hamming": HammingSECDED(), "CRC8-ATM": CRC8ATMCode()}
+        checked = 0
+        for table, samples in (
+            (report.data["aligned"], 20_000),
+            (report.data["contiguous"], 2_000),
+        ):
+            for name, code in codes.items():
+                for i, errors in enumerate(table.error_counts):
+                    if math.comb(code.n, errors) <= 300_000:
+                        continue  # exhaustive cell, pinned exactly above
+                    new = table.rates[name]["random"][i]
+                    ref = _reference_rate_random(
+                        code, errors, samples=samples, seed=2016 + errors
+                    )
+                    pooled = (new + ref) / 2
+                    spread = math.sqrt(pooled * (1 - pooled) * 2 / samples)
+                    z = 0.0 if spread == 0 else (new - ref) / spread
+                    assert abs(z) < 3.29, (name, samples, errors, new, ref, z)
+                    checked += 1
+        assert checked == 20  # 2 tables x 2 codes x errors 4..8

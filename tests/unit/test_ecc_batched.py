@@ -12,27 +12,14 @@ import numpy as np
 import pytest
 
 from repro.ecc.batched import (
-    BACKENDS,
     BatchOutcome,
     BatchedCode,
     BatchedRSSyndromes,
     bits_to_words,
     int_to_bits,
-    validate_backend,
     words_to_bits,
 )
 from repro.ecc.secded import DecodeOutcome, SECDEDCode
-
-
-class TestBackendSwitch:
-    def test_known_backends(self):
-        assert BACKENDS == ("scalar", "batched")
-        for name in BACKENDS:
-            assert validate_backend(name) == name
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown ECC backend"):
-            validate_backend("vectorised")
 
 
 class TestBitConversions:

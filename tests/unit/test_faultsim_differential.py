@@ -1,10 +1,11 @@
-"""Differential tests: scalar vs vectorized Monte-Carlo adjudication.
+"""Differential tests: vectorized Monte-Carlo vs the evaluate reference.
 
-The scalar path is the golden model; every test here replays identical
-sampled shards (or whole sharded simulations) through both backends
-and requires bit-identical ``ReliabilityResult`` payloads -- failure
-counts, kinds and exact failure-time floats -- for all six protection
-schemes, at one and at four workers.
+Walking ``scheme.evaluate`` over materialised systems is the golden
+model; every test here replays identical sampled shards (or whole
+sharded simulations) through the reference and the engine and requires
+bit-identical ``ReliabilityResult`` payloads -- failure counts, kinds
+and exact failure-time floats -- for all six protection schemes, at
+one and at four workers.
 
 The closed-form ``analytical`` backend gets the statistical contract
 instead (``TestAnalyticalCrossValidation``): its exact probabilities
@@ -15,6 +16,7 @@ and per quantity (total/DUE/SDC), as derived in docs/theory.md.
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.faultsim import (
@@ -39,13 +41,16 @@ from repro.faultsim.differential import (
     assert_identical,
     cross_validate_analytical,
     cross_validate_grid,
+    reference_simulate,
     replay_shard,
     replay_simulation,
 )
+from repro.faultsim.schemes import SystemFailure
 from repro.faultsim.simulator import ReliabilityResult
 from repro.faultsim.vectorized import (
     UnsupportedSchemeError,
     adjudicate_shard,
+    has_kernel,
     validate_faultsim_backend,
 )
 from repro.faultsim.injector import FaultSampler
@@ -93,7 +98,7 @@ class TestReplayShard:
 
     def test_xed_misdiagnosis_tail_bit_identical(self):
         # Exercises the SDC misdiagnosis branch, whose draws interleave
-        # with the on-die-miss draws in the scalar tail loop.
+        # with the on-die-miss draws in the evaluator's tail loop.
         report = replay_shard(
             XedScheme(misdiagnosis_sdc_probability=5e-3),
             stress_config(seed=11),
@@ -126,44 +131,57 @@ class TestReplaySimulation:
         assert "bit-identical" in str(report)
 
 
+class FirstPermanentFaultScheme(ProtectionScheme):
+    """A user-defined scheme with no batch kernel of its own."""
+
+    name = "first permanent visible fault"
+
+    def evaluate(self, faults, rng):
+        permanent = [f for f in self.visible(faults) if f.permanent]
+        if not permanent:
+            return None
+        first = min(permanent, key=lambda f: f.time_hours)
+        kind = FailureKind.SDC if rng.random() < 0.5 else FailureKind.DUE
+        return SystemFailure(first.time_hours, kind)
+
+
 class TestBackendWiring:
     def test_simulate_backends_agree_via_config(self):
         cfg = stress_config(num_systems=2_000)
-        scalar = simulate(
-            XedScheme(),
-            dataclasses.replace(cfg, faultsim_backend="scalar"),
-        )
-        vectorized = simulate(
-            XedScheme(),
-            dataclasses.replace(cfg, faultsim_backend="vectorized"),
-        )
-        assert json.dumps(scalar.to_payload()) == json.dumps(
-            vectorized.to_payload()
+        engine = simulate(XedScheme(), cfg)
+        reference = reference_simulate(XedScheme(), cfg)
+        assert json.dumps(engine.to_payload()) == json.dumps(
+            reference.to_payload()
         )
 
-    def test_default_backend_is_scalar(self):
-        assert MonteCarloConfig().faultsim_backend == "scalar"
+    def test_default_backend_is_vectorized(self):
+        assert MonteCarloConfig().faultsim_backend == "vectorized"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="faultsim backend"):
-            simulate(
-                XedScheme(),
-                MonteCarloConfig(num_systems=100, faultsim_backend="turbo"),
-            )
+        for backend in ("turbo", "scalar"):
+            with pytest.raises(ValueError, match="faultsim backend"):
+                simulate(
+                    XedScheme(),
+                    MonteCarloConfig(num_systems=100, faultsim_backend=backend),
+                )
         with pytest.raises(ValueError):
             validate_faultsim_backend("gpu")
 
-    def test_custom_scheme_rejected_by_vectorized(self):
-        class WeirdScheme(XedScheme):
-            """Subclass with (potentially) overridden evaluate."""
+    def test_custom_scheme_matches_reference(self):
+        """A scheme type without a kernel runs through ``evaluate``."""
+        scheme = FirstPermanentFaultScheme()
+        engine = simulate(scheme)
+        reference = reference_simulate(scheme)
+        assert_identical(reference, engine, "custom scheme")
+        assert engine.due_count > 0 and engine.sdc_count > 0
 
-        with pytest.raises(UnsupportedSchemeError, match="scalar"):
-            simulate(
-                WeirdScheme(),
-                MonteCarloConfig(
-                    num_systems=100, faultsim_backend="vectorized"
-                ),
-            )
+    def test_adjudicate_shard_refuses_scheme_without_kernel(self):
+        scheme = FirstPermanentFaultScheme()
+        assert not has_kernel(scheme)
+        sampler = FaultSampler(scheme, FitTable(), 7 * 24 * 365)
+        shard = sampler.sample_shard_arrays(0, 50, np.random.default_rng(0))
+        with pytest.raises(UnsupportedSchemeError, match="scheme.evaluate"):
+            adjudicate_shard(scheme, shard, 2016)
 
     def test_adjudicate_shard_empty_population(self):
         scheme = ChipkillScheme()
@@ -242,7 +260,7 @@ class TestMismatchDetection:
     def test_int_years_normalised_at_construction(self):
         # LIFETIME_YEARS is the int 7; construction must coerce so a
         # fresh result and a checkpoint-rehydrated one serialise the
-        # same payload bytes (cross-backend --resume relies on it).
+        # same payload bytes (--resume relies on it).
         fresh = self.make_result(years=7)
         rehydrated = self.make_result(years=7.0)
         assert json.dumps(fresh.to_payload()) == json.dumps(

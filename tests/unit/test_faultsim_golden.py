@@ -1,11 +1,12 @@
 """Golden-corpus regression test for the Monte-Carlo simulator.
 
 ``tests/data/faultsim_golden.json`` records SHA-256 digests of the
-scalar backend's exact ``simulate()`` payloads for a fixed set of
+``scheme.evaluate`` reference's exact payloads for a fixed set of
 (scheme, seed, config) tuples.  This test replays every entry through
-**both** adjudication backends and requires each to reproduce the
-recorded digest, pinning simulator output across refactors of either
-path.  Regenerate intentionally with ``tools/gen_faultsim_golden.py``.
+**both** the reference and ``simulate()`` and requires each to
+reproduce the recorded digest, pinning simulator output across
+refactors of either path.  Regenerate intentionally with
+``tools/gen_faultsim_golden.py``.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ gen_faultsim_golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gen_faultsim_golden)
 
 from repro.faultsim import simulate  # noqa: E402
-from repro.faultsim.differential import _with_backend  # noqa: E402
+from repro.faultsim.differential import reference_simulate  # noqa: E402
 
 CORPUS = json.loads(CORPUS_PATH.read_text())["entries"]
 CASE_IDS = [
@@ -36,15 +37,15 @@ CASE_IDS = [
 ]
 
 
+#: The two adjudication paths every corpus entry must reproduce.
+RUNNERS = {"reference": reference_simulate, "simulate": simulate}
+
+
 def run_entry(entry, backend):
-    """Simulate one corpus entry on the requested backend."""
+    """Run one corpus entry through the named path."""
     _, config = gen_faultsim_golden.config_for(entry)
     scheme = gen_faultsim_golden.SCHEMES[entry["scheme"]]()
-    return simulate(
-        scheme,
-        _with_backend(config, backend),
-        shard_size=entry["shard_size"],
-    )
+    return RUNNERS[backend](scheme, config, shard_size=entry["shard_size"])
 
 
 class TestGoldenCorpus:
@@ -54,7 +55,7 @@ class TestGoldenCorpus:
             "double_chipkill", "xed_chipkill",
         }
 
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("backend", sorted(RUNNERS))
     @pytest.mark.parametrize("entry", CORPUS, ids=CASE_IDS)
     def test_backend_reproduces_recorded_digest(self, entry, backend):
         result = run_entry(entry, backend)
@@ -62,13 +63,13 @@ class TestGoldenCorpus:
         assert result.due_count == entry["due"]
         assert result.sdc_count == entry["sdc"]
         assert gen_faultsim_golden.digest_of(result) == entry["digest"], (
-            f"{backend} backend diverged from the recorded golden digest "
+            f"{backend} diverged from the recorded golden digest "
             f"for {entry['scheme']} (seed {entry['seed']}); if the change "
             "is intentional, regenerate with tools/gen_faultsim_golden.py"
         )
 
     def test_digest_is_canonical_sha256(self):
-        result = run_entry(CORPUS[0], "scalar")
+        result = run_entry(CORPUS[0], "reference")
         canonical = json.dumps(result.to_payload(), sort_keys=True)
         assert (
             gen_faultsim_golden.digest_of(result)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.ecc import HammingSECDED
+from repro.faultsim.differential import reference_simulate
 from repro.faultsim.fault_models import FailureMode, FitTable, ModeRate
 from repro.faultsim.injector import FaultSampler
 from repro.faultsim.schemes import EccDimmScheme, XedScheme
@@ -226,35 +228,38 @@ class TestKindCountCaching:
 
 
 class TestEccBackendConfig:
+    """One engine per layer: batched ECC, vectorized Monte-Carlo."""
+
     def test_config_default_backend(self):
-        assert MonteCarloConfig().ecc_backend == "scalar"
+        config = MonteCarloConfig()
+        assert config.faultsim_backend == "vectorized"
+        assert not hasattr(config, "ecc_backend")
 
     def test_sampler_validates_backend(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             FaultSampler(
                 XedScheme(), FitTable(), HOURS, ecc_backend="turbo"
             )
 
-    def test_sampler_lane_profile_backend_invariant(self):
-        scalar = make_sampler(EccDimmScheme()).secded_lane_profile(
+    def test_sampler_lane_profile_backend_invariant(
+        self, scalar_lane_profile
+    ):
+        batched = make_sampler(EccDimmScheme()).secded_lane_profile(
             samples=2000
         )
-        batched = FaultSampler(
-            EccDimmScheme(), FitTable(), HOURS, ecc_backend="batched"
-        ).secded_lane_profile(samples=2000)
-        assert scalar == batched
+        assert batched == scalar_lane_profile(HammingSECDED(), samples=2000)
 
     def test_simulate_results_backend_invariant(self):
-        cfg_s = MonteCarloConfig(num_systems=30000, ecc_backend="scalar")
-        cfg_b = MonteCarloConfig(num_systems=30000, ecc_backend="batched")
-        rs = simulate(EccDimmScheme(), cfg_s)
-        rb = simulate(EccDimmScheme(), cfg_b)
-        assert rs.failure_times_hours == rb.failure_times_hours
-        assert rs.kinds == rb.kinds
+        config = MonteCarloConfig(num_systems=30000)
+        engine = simulate(EccDimmScheme(), config)
+        reference = reference_simulate(EccDimmScheme(), config)
+        assert engine.failure_times_hours == reference.failure_times_hours
+        assert engine.kinds == reference.kinds
 
     def test_simulate_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            simulate(
-                EccDimmScheme(),
-                MonteCarloConfig(num_systems=100, ecc_backend="simd"),
-            )
+        for backend in ("scalar", "simd"):
+            with pytest.raises(ValueError, match="faultsim backend"):
+                simulate(
+                    EccDimmScheme(),
+                    MonteCarloConfig(num_systems=100, faultsim_backend=backend),
+                )

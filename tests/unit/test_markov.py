@@ -58,7 +58,6 @@ ALL_SCHEMES = [
 def _spec_for(scheme, config=None):
     """Build the scheme's chain spec the way ``solve`` does."""
     config = config or MonteCarloConfig()
-    scheme.bind_ecc_backend(config.ecc_backend)
     space = FaultSpace.for_chip(
         ChipGeometry(device_width=config.device_width)
     )

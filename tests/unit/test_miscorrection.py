@@ -58,43 +58,33 @@ class TestSchemeIntegration:
 
 
 class TestBackendEquality:
-    def test_profiles_bit_identical_across_backends(self):
-        """Both backends classify the identical drawn sample set."""
-        for code in (HammingSECDED(), CRC8ATMCode()):
-            scalar = measure_lane_error_profile(code, samples=4000)
-            batched = measure_lane_error_profile(
-                code, samples=4000, backend="batched"
-            )
-            assert scalar == batched
+    """The batched measurement against the scalar-decoder reference."""
 
-    def test_lane_and_width_respected_by_batched(self):
-        scalar = measure_lane_error_profile(
+    def test_profiles_bit_identical_across_backends(
+        self, scalar_lane_profile
+    ):
+        """Kernel and scalar decoder classify the identical sample set."""
+        for code in (HammingSECDED(), CRC8ATMCode()):
+            assert measure_lane_error_profile(
+                code, samples=4000
+            ) == scalar_lane_profile(code, samples=4000)
+
+    def test_lane_and_width_respected_by_batched(self, scalar_lane_profile):
+        batched = measure_lane_error_profile(
             HammingSECDED(), lane=3, lane_bits=4, samples=3000
         )
-        batched = measure_lane_error_profile(
-            HammingSECDED(), lane=3, lane_bits=4, samples=3000,
-            backend="batched",
+        assert batched == scalar_lane_profile(
+            HammingSECDED(), lane=3, lane_bits=4, samples=3000
         )
-        assert scalar == batched
 
-    def test_sdc_fraction_backend_invariant(self):
-        assert hamming_chip_error_sdc_fraction(
-            8000
-        ) == hamming_chip_error_sdc_fraction(8000, backend="batched")
+    def test_sdc_fraction_backend_invariant(self, scalar_lane_profile):
+        assert hamming_chip_error_sdc_fraction(8000) == scalar_lane_profile(
+            HammingSECDED(), samples=8000
+        ).sdc_fraction
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
+        """No backend switch exists, so any value is refused."""
+        with pytest.raises(TypeError):
             measure_lane_error_profile(
                 HammingSECDED(), samples=100, backend="turbo"
             )
-
-    def test_scheme_bind_backend_keeps_measured_fraction(self):
-        scheme = EccDimmScheme()
-        before = scheme.sdc_fraction
-        scheme.bind_ecc_backend("batched")
-        assert scheme.sdc_fraction == before
-
-    def test_scheme_bind_backend_keeps_override(self):
-        scheme = EccDimmScheme(sdc_fraction=0.25)
-        scheme.bind_ecc_backend("batched")
-        assert scheme.sdc_fraction == 0.25

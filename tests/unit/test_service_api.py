@@ -165,15 +165,22 @@ class TestEndpoints:
 
 class TestSpecValidation:
     def test_unknown_key_rejected(self):
-        with pytest.raises(ServiceSpecError, match="scrub_hourss"):
-            ExperimentSpec.from_dict({**SPEC, "scrub_hourss": 6})
+        for key, value in (
+            ("scrub_hourss", 6),
+            ("ecc_backend", "batched"),
+            ("faultsim_backend", "vectorized"),
+        ):
+            with pytest.raises(
+                ServiceSpecError, match=f"unknown spec key\\(s\\): {key}"
+            ):
+                ExperimentSpec.from_dict({**SPEC, key: value})
 
     def test_empty_schemes_rejected(self):
         with pytest.raises(ServiceSpecError, match="non-empty"):
             ExperimentSpec.from_dict({"schemes": []})
 
     def test_analytical_backend_rejected(self):
-        with pytest.raises(ServiceSpecError, match="analytical"):
+        with pytest.raises(ServiceSpecError, match="faultsim_backend"):
             ExperimentSpec.from_dict(
                 {**SPEC, "faultsim_backend": "analytical"}
             )

@@ -108,18 +108,17 @@ def _bench_ecc(num_words: int = 4096) -> Dict[str, Dict[str, object]]:
 
 
 def _bench_faultsim(num_systems: int = 50_000) -> Dict[str, Dict[str, object]]:
-    """Time scalar vs vectorized Monte-Carlo adjudication."""
+    """Time the ``scheme.evaluate`` reference vs vectorized Monte-Carlo."""
     from repro.faultsim import MonteCarloConfig, XedScheme, simulate
+    from repro.faultsim.differential import reference_simulate
 
-    def run(backend: str) -> None:
-        config = MonteCarloConfig(
-            num_systems=num_systems, years=2.0, seed=2016,
-            scaling_rate=2.0, faultsim_backend=backend,
-        )
-        simulate(XedScheme(), config)
-
-    scalar_s = _time_call(lambda: run("scalar"), repeats=2)
-    vector_s = _time_call(lambda: run("vectorized"), repeats=2)
+    config = MonteCarloConfig(
+        num_systems=num_systems, years=2.0, seed=2016, scaling_rate=2.0,
+    )
+    scalar_s = _time_call(
+        lambda: reference_simulate(XedScheme(), config), repeats=2
+    )
+    vector_s = _time_call(lambda: simulate(XedScheme(), config), repeats=2)
     return {
         "faultsim.scalar_s": {
             "value": scalar_s, "cls": "wall", "better": "lower",

@@ -1,12 +1,14 @@
 """Regenerate the fault-simulation golden corpus.
 
-Runs the **scalar** adjudication backend (the golden model) over a
-fixed set of (scheme, seed, config) tuples and records a SHA-256
-digest of each canonical ``ReliabilityResult.to_payload()`` JSON,
-plus headline counts for human eyes.  The tier-1 test
+Runs the ``scheme.evaluate`` reference
+(:func:`repro.faultsim.differential.reference_simulate`, the golden
+model) over a fixed set of (scheme, seed, config) tuples and records a
+SHA-256 digest of each canonical ``ReliabilityResult.to_payload()``
+JSON, plus headline counts for human eyes.  The tier-1 test
 ``tests/unit/test_faultsim_golden.py`` replays every entry through
-*both* backends and requires the digests to match, pinning the
-simulator's exact output across refactors of either path.
+both the reference and ``simulate()`` and requires the digests to
+match, pinning the simulator's exact output across refactors of
+either path.
 
 Usage::
 
@@ -26,7 +28,7 @@ sys.path.insert(
     0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
 )
 
-from repro.faultsim import FitTable, MonteCarloConfig, simulate  # noqa: E402
+from repro.faultsim import FitTable, MonteCarloConfig  # noqa: E402
 from repro.faultsim import (  # noqa: E402
     ChipkillScheme,
     DoubleChipkillScheme,
@@ -35,6 +37,7 @@ from repro.faultsim import (  # noqa: E402
     XedChipkillScheme,
     XedScheme,
 )
+from repro.faultsim.differential import reference_simulate  # noqa: E402
 
 OUTPUT = (
     pathlib.Path(__file__).resolve().parent.parent
@@ -91,7 +94,6 @@ def config_for(case):
         fit=FitTable().scaled(merged["fit_scale"]),
         scaling_rate=merged["scaling_rate"],
         scrub_hours=merged["scrub_hours"],
-        faultsim_backend="scalar",
     )
 
 
@@ -102,11 +104,11 @@ def digest_of(result):
 
 
 def main():
-    """Run every corpus case on the scalar backend and write the file."""
+    """Run every corpus case through the reference and write the file."""
     entries = []
     for case in CASES:
         merged, config = config_for(case)
-        result = simulate(
+        result = reference_simulate(
             SCHEMES[case["scheme"]](),
             config,
             shard_size=merged["shard_size"],
