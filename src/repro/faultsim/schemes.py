@@ -106,7 +106,12 @@ class ProtectionScheme:
     def evaluate(
         self, faults: Sequence[ChipFault], rng: random.Random
     ) -> Optional[SystemFailure]:
-        """Return the earliest failure, or None if the system survives."""
+        """Return the earliest failure, or None if the system survives.
+
+        ``rng`` is the system's draw stream
+        (:func:`repro.faultsim.vectorized.system_rng`); evaluators draw
+        from it only through ``rng.random()``.
+        """
         raise NotImplementedError
 
     # -- shared helpers -----------------------------------------------------

@@ -35,6 +35,7 @@ from repro.faultsim.parallel import (
 )
 from repro.faultsim.schemes import FailureKind, ProtectionScheme
 from repro.faultsim.vectorized import (
+    SYSTEM_STREAM,
     FaultShard,
     ShardAdjudication,
     adjudicate_shard,
@@ -361,9 +362,9 @@ def _simulate_shard(
     """Simulate one shard of the population (pool worker entry point).
 
     The shard's fault-arrival randomness comes exclusively from
-    ``seed_seq`` (a ``SeedSequence.spawn`` child); the per-system
-    evaluation RNG hashes the *global* system index together with the
-    experiment seed, so a system's outcome is independent of which
+    ``seed_seq`` (a ``SeedSequence.spawn`` child); the per-system draw
+    stream is keyed by the *global* system index and the experiment
+    seed, so a system's outcome is independent of which
     shard -- or which worker -- it landed in.
     """
     sampler, shard = _sample_shard(
@@ -443,11 +444,12 @@ def reliability_fingerprint(
     """Run-identity fingerprint of one reliability simulation.
 
     Everything that can change a shard's contents goes into the config
-    hash -- the scheme, the FIT table, scaling, scrubbing and device
-    geometry -- so a checkpoint can never be silently resumed into a
-    different experiment.
+    hash -- the scheme, the FIT table, scaling, scrubbing, device
+    geometry and the per-system draw stream -- so a checkpoint can
+    never be silently resumed into a different experiment.
     """
     description = {
+        "stream": SYSTEM_STREAM,
         "scheme": scheme.name,
         "years": config.years,
         "scaling_rate": config.scaling_rate,

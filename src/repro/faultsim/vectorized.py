@@ -21,19 +21,19 @@ which dictates the design:
   and the interval-overlap test are bitwise/compare expressions, the
   failure time is a max over arrival times, and the earliest failure is
   a minimum per system.
-* Probabilistic tails consume the per-system ``random.Random`` stream
-  (Mersenne Twister, seeded from the global system index), which numpy
-  cannot reproduce.  The kernels therefore identify the (rare) systems
-  whose outcome can depend on such draws and replay exactly those
-  systems through a scalar-equivalent loop over the array slices,
-  preserving the draw order and tie-break semantics of the scheme
-  evaluators.  Everything else never constructs a ``random.Random`` at
-  all -- which is where most of the speedup comes from.
+* Probabilistic tails draw from a counter-based stream: a system's
+  k-th draw is a pure function of ``(experiment seed, global system
+  index, k)`` (Philox4x64-10, see :func:`system_rng`), so the kernels
+  evaluate the draws of a whole shard as one array call
+  (:func:`system_uniforms`) while the reference walks the same numbers
+  one ``rng.random()`` at a time.  Only XED+Chipkill, whose draws
+  decide whether the next one happens, still replays its (rare) risky
+  systems through a scalar-equivalent loop over the stream.
 """
 
 from __future__ import annotations
 
-import random
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Tuple, Type
@@ -75,9 +75,23 @@ _KIND_DUE = 1
 _KIND_SDC = 2
 _KIND_OF_CODE = {_KIND_DUE: FailureKind.DUE, _KIND_SDC: FailureKind.SDC}
 
-#: Multiplier mixing the global system index into the per-system seed
-#: (a 32-bit golden-ratio constant; see :func:`system_rng`).
-SYSTEM_SEED_MULTIPLIER = 0x9E3779B1
+#: Tag of the per-system draw stream.  ``reliability_fingerprint``
+#: hashes it, so checkpoints and cached results drawn from another
+#: stream are never mixed with this one's.
+SYSTEM_STREAM = "philox4x64-10"
+
+_MASK64 = (1 << 64) - 1
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+#: Philox4x64 round multipliers and key increments (Salmon et al.,
+#: SC'11), the constants of numpy's ``Philox`` bit generator.
+_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
+_PHILOX_M1 = np.uint64(0xCA5A826395121157)
+_PHILOX_W0 = 0x9E3779B97F4A7C15
+_PHILOX_W1 = 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
+#: Scale of a 53-bit integer onto [0, 1), as ``random.random()`` does.
+_UNIT = 2.0 ** -53
 
 
 def validate_faultsim_backend(backend: str) -> None:
@@ -89,16 +103,105 @@ def validate_faultsim_backend(backend: str) -> None:
         )
 
 
-def system_rng(experiment_seed: int, system_index: int) -> random.Random:
-    """The per-system evaluation RNG, shared by kernels and reference.
+@functools.lru_cache(maxsize=64)
+def _stream_key(experiment_seed: int) -> Tuple[int, int]:
+    """The two 64-bit Philox key words of one experiment seed."""
+    words = np.random.SeedSequence(experiment_seed).generate_state(
+        2, np.uint64
+    )
+    return int(words[0]), int(words[1])
 
-    Hashes the *global* system index with the experiment seed so a
+
+class SystemStream:
+    """One system's probabilistic draws, in order.
+
+    The k-th :meth:`random` call returns word ``k % 4`` of the
+    Philox4x64-10 block at counter ``(k // 4 + 1, index, 0, 0)`` under
+    the seed's key, as a 53-bit uniform -- exactly
+    :func:`system_uniforms` at ``k``.  numpy's own ``Philox`` bit
+    generator produces the words; it is built on the first draw, so a
+    system that never draws costs nothing.
+    """
+
+    __slots__ = ("_key", "_index", "_bitgen")
+
+    def __init__(self, key: Tuple[int, int], system_index: int) -> None:
+        self._key = key
+        self._index = system_index
+        self._bitgen: Optional[np.random.Philox] = None
+
+    def random(self) -> float:
+        """The next draw, uniform on [0, 1)."""
+        if self._bitgen is None:
+            # Philox increments the counter before each block, so block
+            # 0 is drawn at counter word 0 == 1.
+            self._bitgen = np.random.Philox(
+                key=np.array(self._key, dtype=np.uint64),
+                counter=np.array([0, self._index, 0, 0], dtype=np.uint64),
+            )
+        return (int(self._bitgen.random_raw()) >> 11) * _UNIT
+
+
+def system_rng(experiment_seed: int, system_index: int) -> SystemStream:
+    """The per-system evaluation stream, shared by kernels and reference.
+
+    Keyed by the experiment seed and the *global* system index, so a
     system's probabilistic draws are independent of shard layout and
     worker count.
     """
-    return random.Random(
-        (experiment_seed << 20) ^ (system_index * SYSTEM_SEED_MULTIPLIER)
+    return SystemStream(_stream_key(experiment_seed), system_index)
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit halves of the 128-bit products ``m * x``."""
+    m_lo, m_hi = m & _LO32, m >> _SHIFT32
+    x_lo, x_hi = x & _LO32, x >> _SHIFT32
+    lo_lo = m_lo * x_lo
+    hi_lo = m_hi * x_lo
+    # At most 2 * (2^32 - 1) + (2^32 - 1)^2 = 2^64 - 1: no carry is lost.
+    mid = (lo_lo >> _SHIFT32) + (hi_lo & _LO32) + m_lo * x_hi
+    hi = m_hi * x_hi + (hi_lo >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, m * x
+
+
+def philox4x64(
+    counter: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    key: Tuple[int, int],
+) -> np.ndarray:
+    """Philox4x64-10 of every counter: four words in, ``(4, n)`` out.
+
+    ``counter`` holds the four 64-bit counter words as equal-length
+    ``uint64`` arrays; ``key`` is the two key words.  Bit-identical to
+    ``np.random.Philox(key=key, counter=c).random_raw(4)`` for counter
+    ``c + 1`` (numpy increments before it generates).
+    """
+    c0, c1, c2, c3 = (np.asarray(w, dtype=np.uint64) for w in counter)
+    for r in range(_PHILOX_ROUNDS):
+        k0 = np.uint64((key[0] + r * _PHILOX_W0) & _MASK64)
+        k1 = np.uint64((key[1] + r * _PHILOX_W1) & _MASK64)
+        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3])
+
+
+def system_uniforms(
+    experiment_seed: int, system_indices: np.ndarray, draws: np.ndarray
+) -> np.ndarray:
+    """Draw ``draws[i]`` of system ``system_indices[i]``, for every ``i``.
+
+    The array form of :class:`SystemStream`: element ``i`` equals the
+    ``draws[i] + 1``-th ``system_rng(seed, system_indices[i]).random()``.
+    """
+    index = np.asarray(system_indices, dtype=np.uint64)
+    k = np.asarray(draws, dtype=np.uint64)
+    zero = np.zeros(index.shape, dtype=np.uint64)
+    block = philox4x64(
+        (k // np.uint64(4) + np.uint64(1), index, zero, zero),
+        _stream_key(experiment_seed),
     )
+    words = block[(k % np.uint64(4)).astype(np.intp), np.arange(k.size)]
+    return (words >> np.uint64(11)).astype(np.float64) * _UNIT
 
 
 class UnsupportedSchemeError(ValueError):
@@ -408,82 +511,46 @@ def _kernel_non_ecc(
     return kinds, times
 
 
+def _earliest_rows(
+    num_selected: int, sys: np.ndarray, times: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per system, the earliest time and the first row that has it.
+
+    ``sys`` must be in system order.  Returns the per-system minimum
+    (inf for a system without rows) and, for each system with rows, in
+    system order, the position of its first row at that minimum: the
+    candidate the scalar evaluators' fold keeps on time ties.
+    """
+    best = np.full(num_selected, np.inf)
+    np.minimum.at(best, sys, times)
+    at_min = np.nonzero(times == best[sys])[0]
+    first = np.ones(at_min.size, dtype=bool)
+    first[1:] = sys[at_min[1:]] != sys[at_min[:-1]]
+    return best, at_min[first]
+
+
 def _kernel_ecc_dimm(
     scheme: EccDimmScheme,
     shard: FaultShard,
     vis: VisibleFaults,
     seed: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """ECC-DIMM: earliest visible fault fails; one draw splits DUE/SDC.
+    """ECC-DIMM: earliest visible fault fails; its own draw splits DUE/SDC.
 
-    The failure time is a pure array minimum.  The *kind*, however, is
-    the Bernoulli draw taken at the winning fault's position in the
-    scalar evaluator's visible-fault loop -- so for each failed system
-    the per-system RNG is advanced past the draws of the earlier
-    visible faults and the winner's own draw decides.
+    The reference draws once per visible fault, in order, and keeps the
+    earliest fault (the first on time ties).  A draw depends only on
+    its ordinal, so each failed system draws once: the winner's.
     """
-    num_sel = vis.num_selected
-    times = np.full(num_sel, np.inf)
-    kinds = np.zeros(num_sel, dtype=np.int8)
-    if vis.sys.size == 0:
-        return kinds, times
-    np.minimum.at(times, vis.sys, vis.time)
-    failed = np.nonzero(np.isfinite(times))[0]
-    if failed.size == 0:
-        return kinds, times
-    # Ordinal of each visible fault within its system, and per system
-    # the ordinal of the first fault achieving the minimum time (the
-    # scalar fold keeps the earlier candidate on ties).
-    ordinal = np.arange(vis.sys.size, dtype=np.int64) - vis.indptr[vis.sys]
-    winners = np.full(num_sel, np.iinfo(np.int64).max, dtype=np.int64)
-    at_min = vis.time == times[vis.sys]
-    np.minimum.at(winners, vis.sys[at_min], ordinal[at_min])
-    fraction = scheme.sdc_fraction
-    selected = shard.selected
-    for s in failed.tolist():
-        rng = system_rng(seed, shard.start_index + int(selected[s]))
-        for _ in range(int(winners[s])):
-            rng.random()
-        kinds[s] = _KIND_SDC if rng.random() < fraction else _KIND_DUE
+    times, winners = _earliest_rows(vis.num_selected, vis.sys, vis.time)
+    kinds = np.zeros(vis.num_selected, dtype=np.int8)
+    failed = vis.sys[winners]
+    u = system_uniforms(
+        seed,
+        shard.start_index + shard.selected[failed],
+        winners - vis.indptr[failed],
+    )
+    kinds[failed] = np.where(u < scheme.sdc_fraction, _KIND_SDC, _KIND_DUE)
     return kinds, times
-
-
-def _replay_xed_tail(
-    scheme: XedScheme,
-    vis: VisibleFaults,
-    s: int,
-    best_time: float,
-    best_kind: int,
-    rng: random.Random,
-) -> Tuple[float, int]:
-    """Replay the scalar XED tail loop for one system's visible faults.
-
-    Starts from the (already vectorized) pair-collision result, because
-    the scalar evaluator folds pair failures before the tail candidates
-    and keeps the incumbent on time ties.  Draw order and branch
-    structure mirror ``XedScheme.evaluate`` line for line.
-    """
-    if OBS.enabled:
-        OBS.registry.counter("faultsim.vectorized.replayed_systems").inc()
-    i0 = int(vis.indptr[s])
-    i1 = int(vis.indptr[s + 1])
-    modes = vis.mode[i0:i1].tolist()
-    perms = vis.permanent[i0:i1].tolist()
-    times = vis.time[i0:i1].tolist()
-    p_miss = scheme.on_die_miss_probability
-    p_misdiag = scheme.misdiagnosis_sdc_probability
-    for m, perm, t in zip(modes, perms, times):
-        if m == _WORD and not perm:
-            if rng.random() < p_miss and t < best_time:
-                best_time, best_kind = t, _KIND_DUE
-        elif (
-            p_misdiag > 0.0
-            and m in (_ROW, _COLUMN, _BANK)
-            and rng.random() < p_misdiag
-        ):
-            if t < best_time:
-                best_time, best_kind = t, _KIND_SDC
-    return best_time, best_kind
 
 
 def _kernel_xed(
@@ -492,36 +559,47 @@ def _kernel_xed(
     vis: VisibleFaults,
     seed: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """XED: vectorized pair collisions plus a replayed probabilistic tail.
+    """XED: vectorized pair collisions, then the probabilistic tail.
 
-    Pair collisions (the dominant mechanism) are deterministic and
-    fully vectorized.  Only systems whose outcome can involve a
-    per-system draw -- a visible transient word fault (on-die miss
-    tail) or, with misdiagnosis enabled, a row/column/bank fault --
-    are replayed through the scalar-equivalent tail loop.
+    Pair collisions (the dominant mechanism) are deterministic.  The
+    tail follows ``XedScheme.evaluate``'s per-fault loop: a visible
+    transient word fault draws once (an on-die miss is a DUE) and,
+    with misdiagnosis enabled, a row/column/bank fault draws once (a
+    false conviction is an SDC).  A segmented count gives each drawing
+    fault its ordinal within its system, so all draws are one array
+    call; a system's earliest hit replaces its pair result only when
+    strictly earlier, the reference's tie rule.
     """
     times = _pair_failure_times(vis)
     kinds = _due_where_finite(times)
-    if vis.sys.size:
-        need = np.zeros(vis.num_selected, dtype=bool)
-        if scheme.on_die_miss_probability > 0.0:
-            word_transient = (vis.mode == _WORD) & ~vis.permanent
-            need[vis.sys[word_transient]] = True
-        if scheme.misdiagnosis_sdc_probability > 0.0:
-            diagnosed = (
-                (vis.mode == _ROW)
-                | (vis.mode == _COLUMN)
-                | (vis.mode == _BANK)
-            )
-            need[vis.sys[diagnosed]] = True
-        selected = shard.selected
-        for s in np.nonzero(need)[0].tolist():
-            rng = system_rng(seed, shard.start_index + int(selected[s]))
-            t, k = _replay_xed_tail(
-                scheme, vis, s, float(times[s]), int(kinds[s]), rng
-            )
-            times[s] = t
-            kinds[s] = k
+    word = (vis.mode == _WORD) & ~vis.permanent
+    drawing = word
+    if scheme.misdiagnosis_sdc_probability > 0.0:
+        drawing = word | np.isin(vis.mode, (_ROW, _COLUMN, _BANK))
+    before = np.cumsum(drawing) - drawing
+    rows = np.nonzero(drawing)[0]
+    sys = vis.sys[rows]
+    u = system_uniforms(
+        seed,
+        shard.start_index + shard.selected[sys],
+        before[rows] - before[vis.indptr[sys]],
+    )
+    hit = rows[
+        np.where(
+            word[rows],
+            u < scheme.on_die_miss_probability,
+            u < scheme.misdiagnosis_sdc_probability,
+        )
+    ]
+    tail_times, winners = _earliest_rows(
+        vis.num_selected, vis.sys[hit], vis.time[hit]
+    )
+    winners = hit[winners]
+    won = vis.sys[winners]
+    earlier = tail_times[won] < times[won]
+    won = won[earlier]
+    times[won] = tail_times[won]
+    kinds[won] = np.where(word[winners[earlier]], _KIND_DUE, _KIND_SDC)
     return kinds, times
 
 
@@ -551,7 +629,7 @@ def _replay_xed_chipkill(
     scheme: XedChipkillScheme,
     vis: VisibleFaults,
     s: int,
-    rng: random.Random,
+    rng: SystemStream,
 ) -> Tuple[float, int]:
     """Replay ``XedChipkillScheme.evaluate`` for one system.
 
@@ -702,12 +780,11 @@ def adjudicate_shard(
         systems=int(vis.num_selected),
     ):
         kinds, times = kernel(scheme, shard, vis, experiment_seed)
-    failed = np.nonzero(kinds != _KIND_NONE)[0].tolist()
-    selected = shard.selected
+    failed = np.nonzero(kinds != _KIND_NONE)[0]
     return ShardAdjudication(
         system_indices=[
-            shard.start_index + int(selected[s]) for s in failed
+            shard.start_index + s for s in shard.selected[failed].tolist()
         ],
-        failure_times=[float(times[s]) for s in failed],
-        kinds=[_KIND_OF_CODE[int(kinds[s])] for s in failed],
+        failure_times=times[failed].tolist(),
+        kinds=[_KIND_OF_CODE[k] for k in kinds[failed].tolist()],
     )

@@ -367,6 +367,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = f"repro-service/{__version__}"
     protocol_version = "HTTP/1.1"
+    #: A reply goes out as two writes (headers, then body).  With Nagle
+    #: on, a keep-alive client's delayed ACK of the first holds the
+    #: second back by ~40 ms on every response.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> CampaignService:

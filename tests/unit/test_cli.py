@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
@@ -181,6 +182,62 @@ class TestExitCodes:
         ])
         assert code == EXIT_USAGE
         assert "different run" in capsys.readouterr().err
+
+    def test_checkpoint_of_the_former_stream_is_refused(
+        self, tmp_path, capsys
+    ):
+        """Shards drawn from the former per-system stream never mix in.
+
+        Before the Philox stream, ``reliability_fingerprint`` hashed the
+        same description without its ``stream`` tag.  Under its own
+        name such a checkpoint is never opened (the hash is in the file
+        name); at the name this run resumes from, it is refused.
+        """
+        from repro.faultsim import MonteCarloConfig, XedScheme
+        from repro.faultsim.simulator import reliability_fingerprint
+        from repro.faultsim.vectorized import SYSTEM_STREAM
+        from repro.runtime.checkpoint import (
+            CheckpointStore, config_digest, load_checkpoint,
+        )
+
+        assert main(
+            RELIABILITY_ARGS + ["--checkpoint", str(tmp_path)]
+        ) == EXIT_OK
+        capsys.readouterr()
+        config = MonteCarloConfig(num_systems=20_000, years=7.0, seed=2016)
+        current = reliability_fingerprint(XedScheme(), config, 5_000)
+        path = tmp_path / f"{current.slug()}.ckpt"
+        written = load_checkpoint(path)
+        assert written.fingerprint == current.to_dict()
+
+        former_description = {
+            "scheme": "XED (9 chips)",
+            "years": config.years,
+            "scaling_rate": config.scaling_rate,
+            "scrub_hours": config.scrub_hours,
+            "device_width": config.device_width,
+            "fit": [
+                [mode.value, rate.transient, rate.permanent]
+                for mode, rate in sorted(
+                    config.fit.rates.items(), key=lambda kv: kv[0].value
+                )
+            ],
+        }
+        assert config_digest(
+            {**former_description, "stream": SYSTEM_STREAM}
+        ) == current.config_hash
+        former = dataclasses.replace(
+            current, config_hash=config_digest(former_description)
+        )
+        assert former.slug() != current.slug()
+        store = CheckpointStore.create(path, former)
+        for index, record in sorted(written.records.items()):
+            store.add(index, record.payload)
+
+        code = main(RELIABILITY_ARGS + ["--resume", str(tmp_path)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "different run" in err and "config_hash" in err
 
     def test_shard_failure_is_4_and_prints_resume_command(
         self, tmp_path, capsys

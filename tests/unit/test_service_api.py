@@ -8,7 +8,9 @@ results, 503 draining readiness), plus spec validation rules that
 guard the cache identity.
 """
 
+import http.client
 import json
+import statistics
 import threading
 import time
 import urllib.error
@@ -161,6 +163,28 @@ class TestEndpoints:
         ):
             assert isinstance(stats[key], int)
         assert stats["jobs.executed"] >= 1
+
+    def test_keep_alive_responses_are_not_held_back(self, server):
+        """Requests on one kept-alive connection answer in milliseconds.
+
+        A reply is two writes (headers, body); with Nagle's algorithm
+        on, the body waits for the client's delayed ACK of the
+        headers, about 40 ms on every response after the first.
+        """
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=10.0
+        )
+        try:
+            latencies = []
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200 and resp.read()
+                latencies.append(time.perf_counter() - start)
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.020, latencies
 
 
 class TestSpecValidation:
