@@ -5,7 +5,7 @@ events are telemetry worth surfacing; this module is the reproduction's
 own version of that principle.  Every interesting episode in the
 behavioural stack -- a catch-word recognised, a chip rebuilt from
 parity, a serial-mode retry, a diagnosis pass, a scrub sweep, a
-Monte-Carlo or campaign trial, a campaign read classified -- is a typed
+campaign trial, a campaign read classified -- is a typed
 dataclass recorded into a ring buffer and exportable as JSON lines
 (``--trace-out``), one event per line:
 
@@ -167,11 +167,13 @@ class ScrubPass(TraceEvent):
 
 @dataclass
 class TrialCompleted(TraceEvent):
-    """One trial of a fault campaign or Monte-Carlo lifetime finished.
+    """One trial of a fault-injection campaign finished.
 
-    For campaigns ``outcome`` is the worst classification among the
-    trial's reads; for Monte-Carlo systems (only failing systems are
-    materialised, so only those emit events) it is the failure kind.
+    ``outcome`` is the worst classification among the trial's reads.
+    Campaign trials only: a Monte-Carlo run emits no per-system
+    events; its failure totals are the ``faultsim.failures`` and
+    ``faultsim.failure.<kind>`` counters, and each failure's time and
+    kind live in the :class:`~repro.faultsim.ReliabilityResult`.
     """
 
     kind = "trial_completed"

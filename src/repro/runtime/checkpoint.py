@@ -81,6 +81,19 @@ def _digest(obj: object) -> str:
     return hashlib.sha256(_canonical(obj).encode("utf-8")).hexdigest()
 
 
+def _digested_line(body: Dict[str, object]) -> str:
+    """``body`` with its ``"digest"`` added, as one canonical line.
+
+    ``"digest"`` sorts before every key of a header or shard record, so
+    the canonical text of the digest-carrying record is the body's own
+    canonical text with the digest spliced in first: one encoding
+    serves both the hash and the line.
+    """
+    text = _canonical(body)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return '{"digest":"' + digest + '",' + text[1:]
+
+
 def backoff_delay(
     seed: int, index: int, failure_count: int, base_s: float, cap_s: float
 ) -> float:
@@ -169,17 +182,13 @@ class ShardRecord:
 
     def to_line(self) -> str:
         """Serialise to one digest-carrying checkpoint line."""
-        body = {
+        return _digested_line({
             "record": "shard",
             "index": self.index,
             "payload": self.payload,
             "metrics": self.metrics,
             "trace": self.trace,
-        }
-        body["digest"] = _digest(
-            {k: v for k, v in body.items() if k != "digest"}
-        )
-        return _canonical(body)
+        })
 
 
 def _parse_shard_line(record: Dict[str, object]) -> Optional[ShardRecord]:
@@ -450,13 +459,11 @@ class CheckpointStore:
             self.flush()
 
     def _header_line(self) -> str:
-        body = {
+        return _digested_line({
             "record": "header",
             "version": CHECKPOINT_VERSION,
             "fingerprint": self.fingerprint.to_dict(),
-        }
-        body["digest"] = _digest(body)
-        return _canonical(body)
+        })
 
     def flush(self) -> None:
         """Rewrite the full checkpoint via temp file + ``os.replace``.

@@ -6,23 +6,27 @@ in-process (``workers=1``) resilient executor: retry with backoff,
 quarantine under ``keep_going``, SIGINT draining, and the central
 claim -- a crashed/interrupted run resumed from its checkpoint merges
 to a bit-identical result with equal telemetry.  The pool-based
-(``workers=4``) recovery paths live in ``test_chaos.py``.
+(``workers=4``) recovery paths live in ``test_chaos.py``.  Monte-Carlo
+failures reach telemetry as per-shard counter totals, at 1 and 4
+workers, so checkpoint records and the trace stay small however many
+systems fail.
 """
 
+import hashlib
 import json
 import os
 import signal
 
 import pytest
 
-from repro.faultsim.schemes import XedScheme
+from repro.faultsim.schemes import EccDimmScheme, XedScheme
 from repro.faultsim.simulator import (
     MonteCarloConfig,
     ReliabilityResult,
     reliability_fingerprint,
     simulate,
 )
-from repro.obs import OBS
+from repro.obs import OBS, TelemetryScope
 from repro.runtime import (
     ChaosPolicy,
     ChaosSpecError,
@@ -42,6 +46,7 @@ from repro.runtime import (
     run_resilient,
     use_policy,
 )
+from repro.runtime.checkpoint import CHECKPOINT_VERSION, ShardRecord
 
 CFG = MonteCarloConfig(num_systems=30_000, seed=11)
 SHARD_SIZE = 10_000
@@ -84,6 +89,17 @@ def _engine_events(trace):
         k: v for k, v in trace.counts_by_kind().items()
         if k not in RUNTIME_KINDS
     }
+
+
+def _canonical(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _two_pass_line(body):
+    """A checkpoint line built the long way: digest the canonical body,
+    then encode the body again with its digest added."""
+    digest = hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()
+    return _canonical(dict(body, digest=digest))
 
 
 @pytest.fixture
@@ -182,8 +198,6 @@ class TestCheckpointFile:
             load_checkpoint(path)
 
     def test_duplicate_index_keeps_first(self, tmp_path):
-        from repro.runtime.checkpoint import ShardRecord
-
         path = tmp_path / "run.ckpt"
         store = CheckpointStore.create(path, _fingerprint())
         store.add(0, {"sum": 1})
@@ -191,6 +205,45 @@ class TestCheckpointFile:
             fh.write(ShardRecord(0, {"sum": 999}).to_line() + "\n")
         _, records, _ = load_checkpoint(path)
         assert records[0].payload == {"sum": 1}
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            ShardRecord(0, {"sum": 1}),
+            ShardRecord(
+                3,
+                {"kinds": ["due", "sdc"], "failure_times_hours": [1.5, 2.0]},
+                metrics={"counters": {"faultsim.failures": 2}},
+                trace=[{"event": "span", "name": "shard", "ts": 0.25}],
+            ),
+            ShardRecord(
+                7,
+                {"scheme_name": "XED (9 chips) \u00b5s"},
+                trace=[{"event": "note", "text": "r\u00e9sum\u00e9 \u2013 ok"}],
+            ),
+        ],
+        ids=["bare", "metrics-and-trace", "non-ascii"],
+    )
+    def test_shard_line_equals_two_pass_encoding(self, record):
+        body = {
+            "record": "shard", "index": record.index,
+            "payload": record.payload, "metrics": record.metrics,
+            "trace": record.trace,
+        }
+        assert record.to_line() == _two_pass_line(body)
+
+    def test_header_line_equals_two_pass_encoding(self, tmp_path):
+        fp = _fingerprint(kind="reliability.XED (9 chips)")
+        path = tmp_path / "run.ckpt"
+        CheckpointStore.create(path, fp)
+        header = path.read_text(encoding="utf-8").splitlines()[0]
+        assert header == _two_pass_line(
+            {
+                "record": "header",
+                "version": CHECKPOINT_VERSION,
+                "fingerprint": fp.to_dict(),
+            }
+        )
 
     def test_config_digest_is_order_insensitive(self):
         assert config_digest({"a": 1, "b": 2}) == config_digest(
@@ -415,3 +468,54 @@ class TestResilientSimulate:
         assert counters["runtime.shard_retries"] == 1
         assert counters["runtime.shard_attempts"] == 4
         assert OBS.trace.counts_by_kind().get("shard_retried") == 1
+
+    def test_retry_event_survives_more_failures_than_trace_slots(
+        self, tmp_path
+    ):
+        """The fold must not evict the run's own events.
+
+        ECC-DIMM fails far more systems than the trace holds; a retried
+        shard's ``shard_retried`` event still has to reach the export,
+        and nothing may be dropped.
+        """
+        capacity = 256
+        policy = RuntimePolicy(
+            checkpoint_dir=str(tmp_path),
+            chaos=ChaosPolicy(crash_shards=(0,)), backoff_base_s=0.01,
+        )
+        with TelemetryScope(trace_capacity=capacity) as scope:
+            result = simulate(
+                EccDimmScheme(), CFG, shard_size=SHARD_SIZE, runtime=policy
+            )
+        assert result.failures > capacity
+        assert policy.outcomes[0].crashes == 1
+        assert scope.trace.counts_by_kind().get("shard_retried") == 1
+        assert scope.trace.dropped == 0
+
+
+class TestFailureTelemetry:
+    """Monte-Carlo failures are counted per shard, not traced one by one."""
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("scheme_cls", [EccDimmScheme, XedScheme])
+    def test_counters_match_result_and_records_stay_small(
+        self, tmp_path, scheme_cls, workers
+    ):
+        policy = RuntimePolicy(checkpoint_dir=str(tmp_path))
+        with TelemetryScope() as scope:
+            result = simulate(
+                scheme_cls(), CFG, workers=workers, shard_size=SHARD_SIZE,
+                runtime=policy,
+            )
+        counters = scope.snapshot()["counters"]
+        assert counters.get("faultsim.failures", 0) == result.failures
+        assert counters.get("faultsim.failure.due", 0) == result.due_count
+        assert counters.get("faultsim.failure.sdc", 0) == result.sdc_count
+        assert "trial_completed" not in scope.trace.counts_by_kind()
+
+        _, records, _ = load_checkpoint(policy.outcomes[0].checkpoint_path)
+        assert sorted(records) == [0, 1, 2]
+        for record in records.values():
+            assert len(record.trace) < 10
+            if scheme_cls is EccDimmScheme:
+                assert len(record.payload["kinds"]) >= 100

@@ -6,19 +6,22 @@ The ledger keeps the reproduction's performance honest across PRs.
 batched ECC decode, scalar and vectorized Monte-Carlo adjudication,
 the analytical Markov solver vs vectorized Monte-Carlo on the full
 Fig-7 sweep, the scalar vs event-driven pipeline perfsim engines
-on a Fig-11 cell, and the distributed coordinator's merge throughput
-over loopback workers) and writes a ``BENCH_<stamp>.json`` snapshot into
-``benchmarks/snapshots/``; one snapshot per landed optimisation is
-committed alongside the code.  ``compare`` re-times the same paths and
-diffs them against the latest committed snapshot (or an explicit
-baseline), failing when a metric regresses beyond the tolerance band.
+on a Fig-11 cell, the distributed coordinator's merge throughput
+over loopback workers, and a checkpointed, telemetry-scoped
+Monte-Carlo run against a plain one) and writes a
+``BENCH_<stamp>.json`` snapshot into ``benchmarks/snapshots/``; one
+snapshot per landed optimisation is committed alongside the code.
+``compare`` re-times the same paths and diffs them against the latest
+committed snapshot (or an explicit baseline), failing when a metric
+regresses beyond the tolerance band.
 
 Metrics come in two classes:
 
 ``ratio``
     Machine-independent speedups (batched over scalar ECC, vectorized
-    over scalar faultsim).  These are compared by default: a committed
-    baseline from one host is a meaningful bound on another.
+    over scalar faultsim) and overheads (a checkpointed run over a
+    plain one).  These are compared by default: a committed baseline
+    from one host is a meaningful bound on another.
 
 ``wall``
     Raw wall-clock seconds.  Recorded for the ledger's history but
@@ -39,6 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import sys
 import time
 from datetime import datetime, timezone
@@ -262,6 +266,52 @@ def _bench_distributed(
     }
 
 
+def _bench_checkpoint(
+    num_systems: int = 100_000, pairs: int = 9
+) -> Dict[str, Dict[str, object]]:
+    """Time a checkpointed, telemetry-scoped run vs a plain ``simulate``.
+
+    ECC-DIMM fails about one system in seven, so this is the run whose
+    per-shard telemetry and checkpoint lines grow with the failure
+    count if anything records failures one by one.  The checkpointed
+    leg runs as a service job does: under a :class:`TelemetryScope`
+    with a :class:`RuntimePolicy` writing a fresh checkpoint in a
+    temporary directory.  The ratio is the ledger's guard against
+    per-failure telemetry coming back.
+    """
+    import tempfile
+
+    from repro.faultsim import EccDimmScheme, MonteCarloConfig, simulate
+    from repro.obs import TelemetryScope
+    from repro.runtime import RuntimePolicy
+
+    config = MonteCarloConfig(num_systems=num_systems)
+
+    def checkpointed() -> None:
+        with tempfile.TemporaryDirectory() as tmp, TelemetryScope():
+            simulate(EccDimmScheme(), config,
+                     runtime=RuntimePolicy(checkpoint_dir=tmp))
+
+    def plain() -> None:
+        simulate(EccDimmScheme(), config)
+
+    # Both legs take about 0.1 s, where host jitter and one slow fsync
+    # move a single timing by half; the median of interleaved pairs
+    # cancels drift that a best-of-N per leg would not.
+    plain()
+    ratios = [
+        _time_call(checkpointed, repeats=1)
+        / max(_time_call(plain, repeats=1), 1e-12)
+        for _ in range(pairs)
+    ]
+    return {
+        "runtime.checkpoint_overhead": {
+            "value": statistics.median(ratios),
+            "cls": "ratio", "better": "lower",
+        },
+    }
+
+
 def collect_metrics() -> Dict[str, Dict[str, object]]:
     """Run every ledger benchmark and return the metric mapping."""
     metrics: Dict[str, Dict[str, object]] = {}
@@ -270,6 +320,7 @@ def collect_metrics() -> Dict[str, Dict[str, object]]:
     metrics.update(_bench_markov())
     metrics.update(_bench_perfsim())
     metrics.update(_bench_distributed())
+    metrics.update(_bench_checkpoint())
     return metrics
 
 
