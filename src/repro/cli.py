@@ -253,8 +253,9 @@ def _build_runtime_policy(args: argparse.Namespace):
     """Translate parsed runtime flags into a RuntimePolicy (or None).
 
     Returns ``None`` when no fault-tolerance flag was used (or the
-    sub-command has none), which keeps the engines on their legacy fast
-    path -- the hardened executor is strictly opt-in.
+    sub-command has none): no ambient policy is installed, so the
+    engines run under ``RuntimePolicy()`` defaults and the provenance
+    export records no runs.
     """
     checkpoint = getattr(args, "checkpoint", None)
     resume = getattr(args, "resume", None)
@@ -1019,6 +1020,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = EXIT_INTERRUPTED
     except ShardFailure as exc:
         print(f"repro: {exc}", file=sys.stderr)
+        cause = exc.__cause__
+        if cause is not None:
+            print(f"repro: cause: {type(cause).__name__}: {cause}",
+                  file=sys.stderr)
         if policy is not None and policy.storage_dir:
             print(
                 "repro: completed shards are checkpointed; after fixing "

@@ -19,8 +19,8 @@ methodology:
   adjudication kernels (``faultsim_backend="vectorized"``).
 * :mod:`repro.faultsim.differential` -- replay harness proving the
   kernels bit-identical to the ``scheme.evaluate`` reference.
-* :mod:`repro.faultsim.parallel` -- deterministic sharding and the
-  multiprocessing pool behind ``simulate(..., workers=N)``.
+* :mod:`repro.faultsim.parallel` -- deterministic shard plans, run by
+  :func:`repro.runtime.run_resilient` behind ``simulate(..., workers=N)``.
 * :mod:`repro.faultsim.analytical` -- closed-form models behind Figure 6
   (collisions), Table III (multi catch-words) and Table IV (SDC/DUE).
 * :mod:`repro.faultsim.markov` -- closed-form Markov lifetime solver

@@ -22,11 +22,11 @@ from repro.core.controller import XedController
 from repro.core.erasure_controller import XedChipkillController
 from repro.dram.chip import FaultGranularity
 from repro.dram.dimm import ChipkillRank, XedDimm
-from repro.faultsim.parallel import plan_shards, resolve_shard_size, run_sharded
+from repro.faultsim.parallel import plan_shards, resolve_shard_size
 from repro.obs import OBS, events, get_logger, span
 from repro.obs.progress import progress
 from repro.runtime.checkpoint import RunFingerprint, config_digest
-from repro.runtime.executor import RuntimePolicy, current_policy, run_resilient
+from repro.runtime.executor import RuntimePolicy, run_resilient
 from repro.version import __version__
 
 log = get_logger("faultsim.campaign")
@@ -314,15 +314,12 @@ def _run_campaign_shards(
     fingerprint: RunFingerprint,
     runtime: Optional[RuntimePolicy],
 ) -> List[CampaignResult]:
-    """Dispatch campaign shards via the plain or resilient executor.
+    """Dispatch campaign shards through :func:`repro.runtime.run_resilient`.
 
-    Shared tail of both campaign runners: with a runtime policy
-    (explicit or ambient) shards go through
-    :func:`repro.runtime.run_resilient` and gain checkpoint/resume,
-    retry and signal handling; otherwise the legacy
-    :func:`run_sharded` path runs unchanged.
+    Shared tail of both campaign runners.  ``runtime`` (else the
+    ambient policy, else ``RuntimePolicy()``) sets checkpoint/resume,
+    retry and timeout behaviour.
     """
-    policy = runtime if runtime is not None else current_policy()
     reporter = progress(trials, f"campaign {kind}")
 
     def _shard_done(i: int) -> None:
@@ -334,24 +331,17 @@ def _run_campaign_shards(
                 OBS.sampler.maybe_sample()
 
     try:
-        if policy is not None:
-            results, _outcome = run_resilient(
-                shard_fn,
-                shard_args,
-                workers=workers,
-                fingerprint=fingerprint,
-                policy=policy,
-                encode=lambda r: r.to_payload(),
-                decode=CampaignResult.from_payload,
-                on_shard_done=_shard_done,
-            )
-            return results
-        return run_sharded(
+        results, _outcome = run_resilient(
             shard_fn,
             shard_args,
             workers=workers,
+            fingerprint=fingerprint,
+            policy=runtime,
+            encode=lambda r: r.to_payload(),
+            decode=CampaignResult.from_payload,
             on_shard_done=_shard_done,
         )
+        return results
     finally:
         reporter.close()
 

@@ -1,9 +1,11 @@
-"""Sharded parallel execution for the Monte-Carlo and campaign engines.
+"""Deterministic shard plans for the Monte-Carlo and campaign engines.
 
 The paper's figure of merit comes from simulating 1e9 independent
 system lifetimes; a single pure-Python process cannot get there.  This
-module splits a population into deterministic *shards* and runs them on
-a ``multiprocessing`` pool:
+module splits a population into deterministic *shards*; every engine
+hands its plan to :func:`repro.runtime.run_resilient`, which runs it
+in-process (``workers=1``) or on a process pool built from
+:func:`pool_context`:
 
 * **Determinism.**  Shard boundaries depend only on ``(num_systems,
   shard_size)`` and every shard draws from its own
@@ -12,14 +14,11 @@ a ``multiprocessing`` pool:
   given ``(seed, num_systems, shard_size)`` no matter how many workers
   run the shards -- including ``workers=1``, which executes the same
   shard plan in-process.
-* **Observability.**  Worker processes run with their own
-  :data:`repro.obs.OBS` instance; each shard ships its metrics state
-  and trace records back with its result, and the parent folds them
-  into the session registry/trace so ``--metrics-out``/``--trace-out``
+* **Observability.**  Each shard runs against its own
+  :data:`repro.obs.OBS` registry and trace and ships that delta back
+  with its result; the executor folds the deltas into the session
+  registry/trace in plan order, so ``--metrics-out``/``--trace-out``
   stay truthful under parallelism.
-* **Chunked dispatch.**  Shards are submitted to ``Pool.imap`` in plan
-  order and merged in plan order; workers may finish out of order
-  without affecting the merged result.
 
 The pool pays one process spawn per worker plus one pickle round-trip
 per shard, so shards should be thousands of systems each (see
@@ -30,10 +29,7 @@ default sizes the overhead is well under a percent of shard runtime.
 from __future__ import annotations
 
 import multiprocessing
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
-
-from repro.obs import OBS
-from repro.obs.tracing import TraceContext, current_context, shard_span
+from typing import Any, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Shard",
@@ -42,7 +38,6 @@ __all__ = [
     "resolve_shard_size",
     "select_shard_args",
     "validate_workers",
-    "run_sharded",
 ]
 
 
@@ -67,12 +62,6 @@ def pool_context() -> multiprocessing.context.BaseContext:
 
 #: A shard is a half-open range of global indices: (start, count).
 Shard = Tuple[int, int]
-
-#: Payload handed to a pool worker:
-#: (shard_fn, args, obs_enabled, trace_ctx, shard_index).
-_WorkerPayload = Tuple[
-    Callable[..., Any], Tuple[Any, ...], bool, Optional[TraceContext], int
-]
 
 
 def plan_shards(total: int, shard_size: int) -> List[Shard]:
@@ -132,89 +121,3 @@ def validate_workers(workers: int) -> int:
     if workers < 1:
         raise ValueError("workers must be >= 1")
     return workers
-
-
-def _run_worker_payload(payload: _WorkerPayload):
-    """Pool entry point: run one shard in a worker process.
-
-    The worker's observability mirrors the parent's ``enabled`` flag at
-    dispatch time, but starts from a zeroed registry/trace so whatever
-    it returns is exactly this shard's delta.  Progress is parent-owned
-    and therefore disabled here.  Execution is wrapped in a
-    :func:`~repro.obs.tracing.shard_span` parented to the dispatcher's
-    shipped context, so the worker's trace records graft back into the
-    parent's tree when the delta is folded.
-    """
-    shard_fn, args, obs_enabled, ctx, index = payload
-    OBS.reset()
-    OBS.enabled = obs_enabled
-    OBS.progress_enabled = False
-    with shard_span(ctx, index):
-        result = shard_fn(*args)
-    if obs_enabled:
-        return result, OBS.registry.state(), OBS.trace.to_records()
-    return result, None, None
-
-
-def run_sharded(
-    shard_fn: Callable[..., Any],
-    shard_args: Sequence[Tuple[Any, ...]],
-    workers: int = 1,
-    on_shard_done: Optional[Callable[[int], None]] = None,
-) -> List[Any]:
-    """Run ``shard_fn(*args)`` for every entry of ``shard_args``.
-
-    With ``workers=1`` the shards execute sequentially in-process (and
-    instrument the live :data:`OBS` directly); with more workers they
-    are dispatched to a ``multiprocessing`` pool one shard per task.
-    Results are returned **in plan order** either way, so callers can
-    merge them deterministically.  ``on_shard_done(shard_index)`` fires
-    after each shard completes (progress reporting).
-
-    Each shard runs inside a :func:`~repro.obs.tracing.shard_span`
-    parented to the caller's current span (``<parent>.s<i>``).  The
-    span IDs derive from the shard plan, so the assembled trace tree is
-    identical for any worker count.
-    """
-    workers = validate_workers(workers)
-    ctx = current_context()
-    results: List[Any] = []
-    if workers == 1 or len(shard_args) <= 1:
-        for i, args in enumerate(shard_args):
-            with shard_span(ctx, i):
-                results.append(shard_fn(*args))
-            if on_shard_done is not None:
-                on_shard_done(i)
-        return results
-
-    payloads: List[_WorkerPayload] = [
-        (shard_fn, tuple(args), OBS.enabled, ctx, i)
-        for i, args in enumerate(shard_args)
-    ]
-    processes = min(workers, len(payloads))
-    metric_states: List[Dict] = []
-    trace_records: List[List[Dict]] = []
-    try:
-        with pool_context().Pool(processes=processes) as pool:
-            for i, (result, metrics, records) in enumerate(
-                pool.imap(_run_worker_payload, payloads)
-            ):
-                results.append(result)
-                if metrics is not None:
-                    metric_states.append(metrics)
-                if records:
-                    trace_records.append(records)
-                if on_shard_done is not None:
-                    on_shard_done(i)
-    finally:
-        # Fold worker telemetry in a ``finally`` so a shard that raises
-        # mid-run does not throw away the metrics/trace of every shard
-        # that already completed -- a failed campaign still reports what
-        # it did.  Only whole-shard deltas are ever folded, so a partial
-        # fold cannot contain half a shard's metrics.
-        if OBS.enabled:
-            for state in metric_states:
-                OBS.registry.merge_state(state)
-            for records in trace_records:
-                OBS.trace.merge_records(records)
-    return results

@@ -10,10 +10,11 @@ figures plot can be regenerated.
 The population is executed as deterministic *shards* (see
 :mod:`repro.faultsim.parallel`): ``num_systems`` is split into
 ``shard_size`` ranges, each simulated under its own
-``numpy.random.SeedSequence`` child, and the per-shard results are
+``numpy.random.SeedSequence`` child by
+:func:`repro.runtime.run_resilient`, and the per-shard results are
 merged in shard order.  The merged result is therefore bit-identical
 for a given ``(seed, num_systems, shard_size)`` whether the shards run
-in-process (``workers=1``) or on a multiprocessing pool.
+in-process (``workers=1``) or on a process pool.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.faultsim.injector import FaultSampler
 from repro.faultsim.parallel import (
     plan_shards,
     resolve_shard_size,
-    run_sharded,
     select_shard_args,
 )
 from repro.faultsim.schemes import FailureKind, ProtectionScheme
@@ -46,7 +46,7 @@ from repro.faultsim.vectorized import (
 from repro.obs import OBS, get_logger, span
 from repro.obs.progress import progress
 from repro.runtime.checkpoint import RunFingerprint, config_digest
-from repro.runtime.executor import RuntimePolicy, current_policy, run_resilient
+from repro.runtime.executor import RuntimePolicy, run_resilient
 from repro.version import __version__
 
 log = get_logger("faultsim.simulator")
@@ -473,7 +473,6 @@ def simulate(
     config: Optional[MonteCarloConfig] = None,
     workers: int = 1,
     shard_size: Optional[int] = None,
-    batch_systems: Optional[int] = None,
     runtime: Optional[RuntimePolicy] = None,
 ) -> ReliabilityResult:
     """Monte-Carlo simulate ``scheme`` under ``config``.
@@ -487,15 +486,13 @@ def simulate(
     scheme's batch kernel or, for a scheme type without one, by
     ``scheme.evaluate``.
 
-    ``batch_systems`` is the pre-sharding name of ``shard_size`` and is
-    honoured as an alias when ``shard_size`` is not given.
-
-    ``runtime`` (or the ambient policy installed by
-    :func:`repro.runtime.use_policy`, e.g. by the CLI's
-    ``--checkpoint``/``--resume``/``--shard-timeout`` flags) routes
-    execution through the fault-tolerant executor: checkpointing,
-    resume, retry with backoff, timeouts and signal draining.  With no
-    policy the legacy fast path runs unchanged.
+    The shards run on :func:`repro.runtime.run_resilient` under
+    ``runtime``, else the ambient policy installed by
+    :func:`repro.runtime.use_policy` (e.g. by the CLI's
+    ``--checkpoint``/``--resume``/``--shard-timeout`` flags), else
+    ``RuntimePolicy()``: a failing shard is retried with backoff, a
+    dead pool worker is charged a crash and its shards re-run, and the
+    first SIGINT/SIGTERM drains the in-flight shards.
 
     With ``config.faultsim_backend == "analytical"`` no sampling
     happens at all: the call returns the closed-form
@@ -511,12 +508,8 @@ def simulate(
         from repro.faultsim.markov import solve
 
         return solve(scheme, config)
-    shard_size, shard_args = _shard_plan(
-        scheme, config,
-        shard_size if shard_size is not None else batch_systems,
-    )
+    shard_size, shard_args = _shard_plan(scheme, config, shard_size)
 
-    policy = runtime if runtime is not None else current_policy()
     started = perf_counter()
     reporter = progress(config.num_systems, f"reliability {scheme.name}")
 
@@ -537,26 +530,18 @@ def simulate(
             systems=config.num_systems,
             workers=workers,
         ):
-            if policy is not None:
-                shard_results, _outcome = run_resilient(
-                    _simulate_shard,
-                    shard_args,
-                    workers=workers,
-                    fingerprint=reliability_fingerprint(
-                        scheme, config, shard_size
-                    ),
-                    policy=policy,
-                    encode=lambda r: r.to_payload(),
-                    decode=ReliabilityResult.from_payload,
-                    on_shard_done=_shard_done,
-                )
-            else:
-                shard_results = run_sharded(
-                    _simulate_shard,
-                    shard_args,
-                    workers=workers,
-                    on_shard_done=_shard_done,
-                )
+            shard_results, _outcome = run_resilient(
+                _simulate_shard,
+                shard_args,
+                workers=workers,
+                fingerprint=reliability_fingerprint(
+                    scheme, config, shard_size
+                ),
+                policy=runtime,
+                encode=lambda r: r.to_payload(),
+                decode=ReliabilityResult.from_payload,
+                on_shard_done=_shard_done,
+            )
     finally:
         reporter.close()
 
@@ -606,9 +591,10 @@ def simulate_shard_range(
     the single-machine run.
 
     Returns ``{global_shard_index: ReliabilityResult}`` for the indices
-    that completed.  With a ``runtime`` policy, failed shards follow its
-    retry/quarantine contract (quarantined indices are simply absent
-    from the returned dict -- the coordinator decides their fate).
+    that completed.  Failed shards follow the retry/quarantine contract
+    of the policy :func:`repro.runtime.run_resilient` resolves from
+    ``runtime`` (quarantined indices are simply absent from the
+    returned dict -- the coordinator decides their fate).
     """
     config = config or MonteCarloConfig()
     validate_faultsim_backend(config.faultsim_backend)
@@ -620,23 +606,20 @@ def simulate_shard_range(
     shard_size, full_args = _shard_plan(scheme, config, shard_size)
     indices = list(indices)
     selected = select_shard_args(full_args, indices)
-    if runtime is not None:
-        results, outcome = run_resilient(
-            _simulate_shard,
-            selected,
-            workers=workers,
-            fingerprint=reliability_fingerprint(scheme, config, shard_size),
-            policy=runtime,
-            encode=lambda r: r.to_payload(),
-            decode=ReliabilityResult.from_payload,
-        )
-        # The executor omits quarantined shards from its plan-ordered
-        # list, so realign by the local indices that survived.
-        quarantined = set(outcome.quarantined_shards)
-        kept = [i for i in range(len(selected)) if i not in quarantined]
-        return {indices[local]: result for local, result in zip(kept, results)}
-    results = run_sharded(_simulate_shard, selected, workers=workers)
-    return dict(zip(indices, results))
+    results, outcome = run_resilient(
+        _simulate_shard,
+        selected,
+        workers=workers,
+        fingerprint=reliability_fingerprint(scheme, config, shard_size),
+        policy=runtime,
+        encode=lambda r: r.to_payload(),
+        decode=ReliabilityResult.from_payload,
+    )
+    # The executor omits quarantined shards from its plan-ordered list,
+    # so realign by the local indices that survived.
+    quarantined = set(outcome.quarantined_shards)
+    kept = [i for i in range(len(selected)) if i not in quarantined]
+    return {indices[local]: result for local, result in zip(kept, results)}
 
 
 def simulate_many(

@@ -4,11 +4,11 @@ Runs (workload, scheme) grids, normalises against the ECC-DIMM
 baseline, and formats the per-benchmark / geometric-mean tables the
 paper's figures plot.
 
-Grid cells are independent simulations, so :func:`run_suite` fans them
-out on the shard pool (``workers > 1``) and, when a
-:class:`~repro.runtime.executor.RuntimePolicy` is active (the CLI's
-``--checkpoint``/``--resume``/``--keep-going`` flags), through the
-fault-tolerant executor with per-cell checkpointing.  Cell results are
+Grid cells are independent simulations, so :func:`run_suite` runs them
+as shards of :func:`repro.runtime.run_resilient`: in-process or on a
+process pool (``workers > 1``), with per-cell checkpointing when a
+:class:`~repro.runtime.executor.RuntimePolicy` asks for it (the CLI's
+``--checkpoint``/``--resume``/``--keep-going`` flags).  Cell results are
 deterministic for any worker count and either engine, so the
 checkpoint fingerprint excludes both.
 """
@@ -30,9 +30,8 @@ from repro.perfsim.engine import (
 from repro.perfsim.power import PowerBreakdown, PowerModel
 from repro.perfsim.timing import SystemTiming
 from repro.perfsim.workloads import WORKLOADS, Workload, workload_by_name
-from repro.faultsim.parallel import run_sharded, validate_workers
 from repro.runtime.checkpoint import RunFingerprint, config_digest
-from repro.runtime.executor import RuntimePolicy, current_policy, run_resilient
+from repro.runtime.executor import RuntimePolicy, run_resilient
 from repro.version import __version__
 
 
@@ -181,16 +180,15 @@ def run_suite(
 ) -> Dict[str, Dict[str, BenchmarkRun]]:
     """Run a grid: {workload: {scheme_key: BenchmarkRun}}.
 
-    Cells fan out one per shard on the PR-2 pool (``workers``), with
-    results assembled in plan order so the grid is identical for any
-    worker count.  ``runtime`` (or the ambient policy installed by
-    :func:`repro.runtime.use_policy`) routes cells through the
-    fault-tolerant executor: per-cell checkpoints, resume, retry and
+    Cells run one per shard of :func:`repro.runtime.run_resilient` on
+    ``workers`` processes, with results assembled in plan order so the
+    grid is identical for any worker count.  ``runtime`` (else the
+    ambient policy installed by :func:`repro.runtime.use_policy`, else
+    ``RuntimePolicy()``) sets per-cell checkpoints, resume, retry and
     quarantine.  ``backend`` selects the engine per cell (see
     :func:`simulate_system`; results are bit-identical).
     """
     validate_perfsim_backend(backend)
-    workers = validate_workers(workers)
     workloads = list(workloads) if workloads is not None else list(WORKLOADS)
     system = system or SystemTiming()
     cells: List[Tuple[Workload, str]] = [
@@ -200,7 +198,6 @@ def run_suite(
         (workload, key, system, instructions_per_core, seed, backend)
         for workload, key in cells
     ]
-    policy = runtime if runtime is not None else current_policy()
     reporter = progress(len(cells), "perf grid")
 
     def _cell_done(_i: int) -> None:
@@ -213,27 +210,19 @@ def run_suite(
             workers=workers,
             cells=len(cells),
         ):
-            if policy is not None:
-                runs, _outcome = run_resilient(
-                    _suite_cell,
-                    shard_args,
-                    workers=workers,
-                    fingerprint=suite_fingerprint(
-                        scheme_keys, workloads, instructions_per_core,
-                        seed, system,
-                    ),
-                    policy=policy,
-                    encode=lambda r: r.to_payload(),
-                    decode=BenchmarkRun.from_payload,
-                    on_shard_done=_cell_done,
-                )
-            else:
-                runs = run_sharded(
-                    _suite_cell,
-                    shard_args,
-                    workers=workers,
-                    on_shard_done=_cell_done,
-                )
+            runs, _outcome = run_resilient(
+                _suite_cell,
+                shard_args,
+                workers=workers,
+                fingerprint=suite_fingerprint(
+                    scheme_keys, workloads, instructions_per_core,
+                    seed, system,
+                ),
+                policy=runtime,
+                encode=lambda r: r.to_payload(),
+                decode=BenchmarkRun.from_payload,
+                on_shard_done=_cell_done,
+            )
     finally:
         reporter.close()
 

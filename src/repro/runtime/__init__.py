@@ -1,16 +1,18 @@
 """Fault-tolerant campaign runtime: checkpoint/resume, retry, chaos.
 
-The sharded engines in :mod:`repro.faultsim` are deterministic but
-fragile: one worker crash, hang, or ``kill`` loses hours of Monte-Carlo
-progress.  This package wraps them in a hardened execution layer --
+The sharded engines in :mod:`repro.faultsim` and :mod:`repro.perfsim`
+are deterministic, but one worker crash, hang, or ``kill`` would lose
+hours of Monte-Carlo progress.  Every engine therefore runs its shards
+through this package's execution layer --
 
 * :mod:`repro.runtime.checkpoint` -- durable, digest-verified,
   atomically-replaced checkpoint files keyed by a run-identity
   fingerprint, so an interrupted campaign resumes from exactly the
   shards it finished.
 * :mod:`repro.runtime.executor` -- :func:`run_resilient`, the retrying,
-  timeout-enforcing, signal-draining executor, plus the ambient
-  :class:`RuntimePolicy` the CLI installs via :func:`use_policy`.
+  timeout-enforcing, signal-draining executor of every shard plan,
+  plus the ambient :class:`RuntimePolicy` the CLI installs via
+  :func:`use_policy`.
 * :mod:`repro.runtime.chaos` -- deterministic failure injection
   (worker crashes, hangs, checkpoint corruption, and protocol-layer
   network verbs for distributed runs) used by the test suite and the

@@ -65,6 +65,7 @@ from repro.runtime.executor import (
     RunOutcome,
     RuntimePolicy,
     ShardFailure,
+    _open_checkpoint,
     _SignalGuard,
 )
 from repro.runtime.protocol import (
@@ -295,28 +296,14 @@ class Coordinator:
 
     def _open_book(self) -> None:
         """Create/resume the checkpoint and seed the lease ledger."""
-        path = self.policy.checkpoint_path_for(self.fingerprint)
-        completed: List[int] = []
-        if path is not None:
-            if self.policy.resume_dir is not None and path.exists():
-                self._store = CheckpointStore.resume(path, self.fingerprint)
-                self.outcome.discarded_records = self._store.discarded
-                total = self.outcome.total_shards
-                for index, record in self._store.completed.items():
-                    if 0 <= index < total:
-                        self._records[index] = record
-                        completed.append(index)
-                self.outcome.resumed_shards = len(completed)
-                # Mirror run_resilient: resumed shards count as
-                # completed, so completeness reflects the whole plan.
-                self.outcome.completed_shards = len(completed)
-                if OBS.enabled and completed:
-                    OBS.registry.counter("runtime.shards_resumed").inc(
-                        len(completed)
-                    )
-            else:
-                self._store = CheckpointStore.create(path, self.fingerprint)
-            self.outcome.checkpoint_path = str(path)
+        self._store, self._records = _open_checkpoint(
+            self.policy, self.fingerprint, self.outcome
+        )
+        completed = list(self._records)
+        self.outcome.resumed_shards = len(completed)
+        # Mirror run_resilient: resumed shards count as completed, so
+        # completeness reflects the whole plan.
+        self.outcome.completed_shards = len(completed)
         self._book = LeaseBook(
             self.outcome.total_shards,
             seed=self.fingerprint.seed,

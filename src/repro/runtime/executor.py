@@ -1,9 +1,12 @@
-"""The fault-tolerant shard executor (retry, timeout, resume, drain).
+"""The shard executor (retry, timeout, resume, drain).
 
-:func:`run_resilient` is the hardened sibling of
-:func:`repro.faultsim.parallel.run_sharded`: it executes the same
-deterministic shard plan, but survives the failure modes that kill a
-multi-hour campaign in practice --
+:func:`run_resilient` is the one executor every engine runs its
+deterministic shard plan through -- Monte-Carlo reliability,
+behavioural campaigns, the perfsim grid, distributed worker leases and
+service jobs -- in-process at ``workers=1`` or on a process pool.  Runs
+without an explicit or ambient :class:`RuntimePolicy` get the defaults
+(no checkpoint, no timeout, 3 retries), so every run survives the
+failure modes that kill a multi-hour campaign in practice --
 
 * **Worker crashes** (OOM kill, segfault, ``os._exit``) surface as
   ``BrokenProcessPool``; the pool is rebuilt and the affected shards
@@ -222,18 +225,19 @@ class RuntimePolicy:
         return min(o.completeness for o in self.outcomes)
 
 
-#: Ambient policy installed by :func:`use_policy` (None = legacy path).
+#: Ambient policy installed by :func:`use_policy` (None = no ambient
+#: policy: :func:`run_resilient` then runs under ``RuntimePolicy()``).
 _AMBIENT: List[Optional[RuntimePolicy]] = [None]
 
 
 class use_policy:
     """Context manager installing an ambient :class:`RuntimePolicy`.
 
-    Engines resolve their runtime policy as ``explicit argument or
-    ambient or None``; the CLI wraps a whole command in ``use_policy``
-    so nested experiment runners (which call :func:`simulate` many
-    levels down) inherit the checkpoint/retry flags without threading a
-    parameter through every signature.
+    :func:`run_resilient` resolves its policy as ``explicit argument or
+    ambient or RuntimePolicy()``; the CLI wraps a whole command in
+    ``use_policy`` so nested experiment runners (which call
+    :func:`simulate` many levels down) inherit the checkpoint/retry
+    flags without threading a parameter through every signature.
     """
 
     def __init__(self, policy: Optional[RuntimePolicy]) -> None:
@@ -265,16 +269,16 @@ def _run_shard_captured(
     index: int = 0,
     attempt: int = 1,
 ) -> Tuple[Any, Optional[Dict], Optional[List[Dict]]]:
-    """Run one shard in-process, capturing its obs delta in isolation.
+    """Run one shard, capturing its obs delta in isolation.
 
-    Mirrors what a pool worker does: the shard runs against a fresh
+    Both execution paths run every attempt through here (pool workers
+    via :func:`_resilient_worker`): the shard runs against a fresh
     registry/trace and returns its delta, so (a) checkpoints carry
     exactly this shard's telemetry and (b) a failed attempt's partial
     metrics are discarded rather than double-counted on retry -- the
     same all-or-nothing semantics as a crashed worker process.  The
     shard's :func:`~repro.obs.tracing.shard_span` opens inside the
-    captured delta so only successful attempts contribute spans --
-    exactly like a pool worker, whose delta dies with it on failure.
+    captured delta so only successful attempts contribute spans.
     """
     if not OBS.enabled:
         return shard_fn(*args), None, None
@@ -289,26 +293,59 @@ def _run_shard_captured(
         OBS.registry, OBS.trace = saved_registry, saved_trace
 
 
-def _resilient_worker(payload: Tuple) -> Tuple[int, Any, Optional[Dict], Optional[List[Dict]]]:
+def _resilient_worker(
+    payload: Tuple,
+) -> Tuple[Any, Optional[Dict], Optional[List[Dict]]]:
     """Pool entry point: run one shard (after any chaos injection).
 
-    Mirrors ``parallel._run_worker_payload`` but additionally knows the
-    shard's plan index and attempt number so a :class:`ChaosPolicy` can
-    target "shard 3, first attempt" deterministically, and the attempt
-    number is encoded into the shard span's ID (``s<i>a<n>``) so
-    retried executions are distinguishable in the trace tree.
+    The worker's observability mirrors the parent's ``enabled`` flag at
+    dispatch time; progress is parent-owned and therefore disabled
+    here.  The shard's plan index and attempt number let a
+    :class:`ChaosPolicy` target "shard 3, first attempt"
+    deterministically, and the capture is the in-process one, so both
+    paths return the same ``(result, metrics, trace)`` delta.
     """
     index, attempt, shard_fn, args, obs_enabled, chaos, ctx = payload
-    if chaos is not None:
-        chaos.apply_in_worker(index, attempt)
     OBS.reset()
     OBS.enabled = obs_enabled
     OBS.progress_enabled = False
-    with shard_span(ctx, index, attempt=attempt):
-        result = shard_fn(*args)
-    if obs_enabled:
-        return index, result, OBS.registry.state(), OBS.trace.to_records()
-    return index, result, None, None
+    if chaos is not None:
+        chaos.apply_in_worker(index, attempt)
+    return _run_shard_captured(shard_fn, args, ctx, index, attempt)
+
+
+def _open_checkpoint(
+    policy: RuntimePolicy, fingerprint: RunFingerprint, outcome: RunOutcome
+) -> Tuple[Optional[CheckpointStore], Dict[int, ShardRecord]]:
+    """Create or resume a run's checkpoint under ``policy``.
+
+    Returns the store (``None`` when not persisting) and the resumed
+    records whose index lies inside the plan of
+    ``outcome.total_shards``, in index order.  Sets the outcome's
+    ``checkpoint_path`` and ``discarded_records`` and counts
+    ``runtime.shards_resumed``/``runtime.checkpoint_discarded``; the
+    executor and the distributed coordinator both open through here.
+    """
+    path = policy.checkpoint_path_for(fingerprint)
+    if path is None:
+        return None, {}
+    outcome.checkpoint_path = str(path)
+    if policy.resume_dir is None or not path.exists():
+        return CheckpointStore.create(path, fingerprint), {}
+    store = CheckpointStore.resume(path, fingerprint)
+    outcome.discarded_records = store.discarded
+    records = {
+        index: store.completed[index]
+        for index in sorted(store.completed)
+        if 0 <= index < outcome.total_shards
+    }
+    if OBS.enabled:
+        OBS.registry.counter("runtime.shards_resumed").inc(len(records))
+        if store.discarded:
+            OBS.registry.counter("runtime.checkpoint_discarded").inc(
+                store.discarded
+            )
+    return store, records
 
 
 def _terminate_executor(executor: ProcessPoolExecutor) -> None:
@@ -389,9 +426,12 @@ class _ResilientRun:
         decode: Callable[[Dict], Any],
         on_shard_done: Optional[Callable[[int], None]],
     ) -> None:
+        # Imported here: repro.faultsim imports this module.
+        from repro.faultsim.parallel import validate_workers
+
         self.shard_fn = shard_fn
         self.shard_args = [tuple(args) for args in shard_args]
-        self.workers = max(1, int(workers))
+        self.workers = validate_workers(workers)
         self.fingerprint = fingerprint
         self.policy = policy
         self.encode = encode
@@ -415,32 +455,13 @@ class _ResilientRun:
 
     def _open_store(self) -> List[int]:
         """Create/resume the checkpoint; returns replayed shard indices."""
-        path = self.policy.checkpoint_path_for(self.fingerprint)
-        if path is None:
-            return []
-        replayed: List[int] = []
-        if self.policy.resume_dir is not None and path.exists():
-            self.store = CheckpointStore.resume(path, self.fingerprint)
-            self.outcome.discarded_records = self.store.discarded
-            for index in sorted(self.store.completed):
-                if not 0 <= index < len(self.shard_args):
-                    continue
-                record: ShardRecord = self.store.completed[index]
-                self.results[index] = self.decode(record.payload)
-                self.telemetry[index] = (record.metrics, record.trace)
-                replayed.append(index)
-            if OBS.enabled:
-                OBS.registry.counter("runtime.shards_resumed").inc(
-                    len(replayed)
-                )
-                if self.store.discarded:
-                    OBS.registry.counter(
-                        "runtime.checkpoint_discarded"
-                    ).inc(self.store.discarded)
-        else:
-            self.store = CheckpointStore.create(path, self.fingerprint)
-        self.outcome.checkpoint_path = str(path)
-        return replayed
+        self.store, records = _open_checkpoint(
+            self.policy, self.fingerprint, self.outcome
+        )
+        for index, record in records.items():
+            self.results[index] = self.decode(record.payload)
+            self.telemetry[index] = (record.metrics, record.trace)
+        return list(records)
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -458,12 +479,15 @@ class _ResilientRun:
         if OBS.enabled:
             OBS.registry.counter("runtime.shard_attempts").inc()
 
-    def _register_failure(self, index: int, reason: str) -> Optional[float]:
+    def _register_failure(
+        self, index: int, reason: str, cause: Optional[BaseException] = None
+    ) -> Optional[float]:
         """Account one failed attempt; returns the retry delay.
 
         Returns ``None`` when the shard was quarantined instead
-        (``keep_going``); raises :class:`ShardFailure` when the budget
-        is exhausted without ``keep_going``.
+        (``keep_going``); raises :class:`ShardFailure` chained to
+        ``cause`` (the attempt's own error, if it raised one) when the
+        budget is exhausted without ``keep_going``.
         """
         self.failures[index] = self.failures.get(index, 0) + 1
         count = self.failures[index]
@@ -495,7 +519,7 @@ class _ResilientRun:
                 shard_index=index,
                 reason=reason,
                 checkpoint_path=self.outcome.checkpoint_path,
-            )
+            ) from cause
         delay = backoff_delay(
             self.fingerprint.seed, index, count,
             self.policy.backoff_base_s, self.policy.backoff_cap_s,
@@ -549,12 +573,12 @@ class _ResilientRun:
                         index=index,
                         attempt=attempt,
                     )
-                except ChaosHang:
-                    delay = self._register_failure(index, "timeout")
-                except ChaosCrash:
-                    delay = self._register_failure(index, "crash")
-                except Exception:
-                    delay = self._register_failure(index, "fault")
+                except ChaosHang as exc:
+                    delay = self._register_failure(index, "timeout", exc)
+                except ChaosCrash as exc:
+                    delay = self._register_failure(index, "crash", exc)
+                except Exception as exc:
+                    delay = self._register_failure(index, "fault", exc)
                 else:
                     self._complete(index, result, metrics, trace)
                     break
@@ -614,15 +638,19 @@ class _ResilientRun:
                     index = queue.popleft()
                     try:
                         future, deadline = self._submit(executor, index)
-                    except BrokenProcessPool:
+                    except BrokenProcessPool as exc:
                         # A worker died between wait() rounds and the
                         # pool noticed before we resubmitted.  Charge a
                         # crash to this shard and everything in flight
                         # (their futures are doomed with the pool),
                         # then rebuild on the next pass.
-                        self._retry_or_quarantine(index, "crash", retry_at)
+                        self._retry_or_quarantine(
+                            index, "crash", retry_at, exc
+                        )
                         for _f, (i, _d) in list(inflight.items()):
-                            self._retry_or_quarantine(i, "crash", retry_at)
+                            self._retry_or_quarantine(
+                                i, "crash", retry_at, exc
+                            )
                         inflight.clear()
                         _terminate_executor(executor)
                         executor = None
@@ -643,24 +671,30 @@ class _ResilientRun:
                 done, _ = wait(
                     set(inflight), timeout=wait_s, return_when=FIRST_COMPLETED
                 )
-                pool_broken = False
+                broken: Optional[BrokenProcessPool] = None
                 for future in done:
                     index, _deadline = inflight.pop(future)
                     try:
-                        _idx, result, metrics, trace = future.result()
-                    except BrokenProcessPool:
-                        pool_broken = True
-                        self._retry_or_quarantine(index, "crash", retry_at)
-                    except Exception:
-                        self._retry_or_quarantine(index, "fault", retry_at)
+                        result, metrics, trace = future.result()
+                    except BrokenProcessPool as exc:
+                        broken = exc
+                        self._retry_or_quarantine(
+                            index, "crash", retry_at, exc
+                        )
+                    except Exception as exc:
+                        self._retry_or_quarantine(
+                            index, "fault", retry_at, exc
+                        )
                     else:
                         self._complete(index, result, metrics, trace)
-                if pool_broken:
+                if broken is not None:
                     # Every other in-flight future is doomed with the
                     # pool; they also count a crash failure (we cannot
                     # know which worker died) and get rescheduled.
                     for future, (index, _deadline) in list(inflight.items()):
-                        self._retry_or_quarantine(index, "crash", retry_at)
+                        self._retry_or_quarantine(
+                            index, "crash", retry_at, broken
+                        )
                     inflight.clear()
                     if executor is not None:
                         _terminate_executor(executor)
@@ -690,9 +724,13 @@ class _ResilientRun:
                 _terminate_executor(executor)
 
     def _retry_or_quarantine(
-        self, index: int, reason: str, retry_at: Dict[int, float]
+        self,
+        index: int,
+        reason: str,
+        retry_at: Dict[int, float],
+        cause: Optional[BaseException] = None,
     ) -> None:
-        delay = self._register_failure(index, reason)
+        delay = self._register_failure(index, reason, cause)
         if delay is not None and not self._stopping:
             retry_at[index] = time.monotonic() + delay
 
@@ -774,21 +812,27 @@ def run_resilient(
     *,
     workers: int,
     fingerprint: RunFingerprint,
-    policy: RuntimePolicy,
+    policy: Optional[RuntimePolicy] = None,
     encode: Callable[[Any], Dict],
     decode: Callable[[Dict], Any],
     on_shard_done: Optional[Callable[[int], None]] = None,
 ) -> Tuple[List[Any], RunOutcome]:
-    """Run a shard plan under a fault-tolerance policy.
+    """Run ``shard_fn(*args)`` for every entry of ``shard_args``.
 
-    Drop-in upgrade of :func:`repro.faultsim.parallel.run_sharded`:
-    same plan-order result list (minus any quarantined shards -- check
-    the returned :class:`RunOutcome`), plus checkpoint/resume, retry
-    with backoff, per-shard timeouts, quarantine and signal draining as
-    configured on ``policy``.  ``encode``/``decode`` convert a shard
-    result to/from its JSON checkpoint payload and must round-trip
+    Returns the results in plan order (minus any quarantined shards --
+    check the returned :class:`RunOutcome`) whatever order the workers
+    finish in; ``on_shard_done(shard_index)`` fires in the calling
+    process after each completed or replayed shard.  ``workers=1``
+    runs the plan in-process, more workers on a process pool.
+    Checkpoint/resume, retry with backoff, per-shard timeouts,
+    quarantine and signal draining follow ``policy``; without one the
+    ambient policy (:func:`use_policy`) applies, else
+    ``RuntimePolicy()``.  ``encode``/``decode`` convert a shard result
+    to/from its JSON checkpoint payload and must round-trip
     bit-identically (that property is what makes resume exact).
     """
+    if policy is None:
+        policy = current_policy() or RuntimePolicy()
     return _ResilientRun(
         shard_fn,
         shard_args,

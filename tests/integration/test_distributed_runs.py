@@ -19,11 +19,13 @@ import pytest
 from repro.faultsim.differential import assert_identical
 from repro.faultsim.schemes import XedScheme
 from repro.faultsim.simulator import MonteCarloConfig, simulate
+from repro.obs import TelemetryScope
 from repro.runtime import (
     CRASH_EXIT_CODE,
     ChaosPolicy,
     RunInterrupted,
     RuntimePolicy,
+    corrupt_checkpoint_tail,
     parse_chaos_spec,
 )
 from repro.runtime.distributed import Coordinator, JobSpec, run_worker
@@ -193,3 +195,34 @@ class TestDistributedRuns:
         assert_identical(result, reference, "distributed resumed run")
         assert resumed.outcome.resumed_shards == 3
         assert resumed.outcome.completeness == 1.0
+
+    def test_resume_counts_discarded_checkpoint_records(
+        self, reference, tmp_path
+    ):
+        # A torn last record is dropped on resume and counted the way
+        # the local executor counts it; the worker re-runs that shard.
+        scheme, config = SPEC.build()
+        simulate(
+            scheme, config, shard_size=SPEC.shard_size,
+            runtime=RuntimePolicy(checkpoint_dir=str(tmp_path)),
+        )
+        (path,) = tmp_path.glob("*.ckpt")
+        corrupt_checkpoint_tail(path)
+        coordinator = Coordinator(
+            SPEC, port=0, lease_shards=1,
+            policy=RuntimePolicy(resume_dir=str(tmp_path)),
+        )
+        # A worker in a thread would reset this process's OBS.
+        proc = multiprocessing.get_context("spawn").Process(
+            target=_worker_process_main, args=(*coordinator.address, None)
+        )
+        proc.start()
+        with TelemetryScope() as scope:
+            result = coordinator.run()
+        proc.join(timeout=60.0)
+        assert proc.exitcode == 0
+        assert_identical(result, reference, "resume past a torn record")
+        outcome = coordinator.outcome
+        assert outcome.resumed_shards == 3 and outcome.discarded_records == 1
+        counters = scope.snapshot()["counters"]
+        assert counters.get("runtime.checkpoint_discarded") == 1

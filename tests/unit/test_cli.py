@@ -251,6 +251,15 @@ class TestExitCodes:
         assert "--resume" in err and str(tmp_path) in err
         assert "--keep-going" in err
 
+    def test_shard_failure_prints_its_cause(self, capsys):
+        code = main([
+            "reliability", "--schemes", "xed", "--systems", "50000",
+            "--shard-size", "12500", "--chaos", "fault=1;attempts=9",
+            "--max-retries", "1",
+        ])
+        assert code == EXIT_SHARD_FAILURE
+        assert "repro: cause: ChaosFault: " in capsys.readouterr().err
+
     def test_keep_going_partial_is_3_with_completeness(self, capsys):
         code = main(RELIABILITY_ARGS + [
             "--chaos", "fault=1;attempts=99", "--max-retries", "1",
@@ -275,7 +284,7 @@ class TestRuntimeFlags:
         ):
             assert build_parser().parse_args(argv).checkpoint == "ck"
 
-    def test_runtime_flags_default_to_legacy_path(self):
+    def test_runtime_flags_default_to_no_policy(self):
         from repro.cli import _build_runtime_policy
 
         args = build_parser().parse_args(["reliability"])

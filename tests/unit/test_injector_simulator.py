@@ -126,7 +126,7 @@ class TestSimulate:
         # but must agree statistically (overlapping Wilson intervals).
         cfg = MonteCarloConfig(num_systems=30_000, seed=9)
         whole = simulate(EccDimmScheme(), cfg)
-        batched = simulate(EccDimmScheme(), cfg, batch_systems=7_000)
+        batched = simulate(EccDimmScheme(), cfg, shard_size=7_000)
         lo_w, hi_w = whole.confidence_interval()
         lo_b, hi_b = batched.confidence_interval()
         assert lo_w <= hi_b and lo_b <= hi_w

@@ -181,11 +181,6 @@ class TestDeterminism:
         wide = simulate(XedScheme(), self.CFG, workers=8, shard_size=30_000)
         assert wide.failure_times_hours == base.failure_times_hours
 
-    def test_batch_systems_alias_still_accepted(self):
-        via_alias = simulate(XedScheme(), self.CFG, batch_systems=10_000)
-        via_kwarg = simulate(XedScheme(), self.CFG, shard_size=10_000)
-        assert via_alias.failure_times_hours == via_kwarg.failure_times_hours
-
     def test_xed_campaign_identical_across_worker_counts(self):
         base = run_xed_campaign(trials=8, seed=5, workers=1, shard_size=3)
         par = run_xed_campaign(trials=8, seed=5, workers=2, shard_size=3)

@@ -91,6 +91,34 @@ def _engine_events(trace):
     }
 
 
+class _FaultyXed(XedScheme):
+    """XED whose ``evaluate`` always raises: a bug inside the shard."""
+
+    def evaluate(self, faults, rng):
+        raise ValueError("evaluate is broken")
+
+
+class _ExitOnceXed(XedScheme):
+    """XED whose first ``evaluate`` in any process kills that process.
+
+    The first caller claims ``marker`` (``O_CREAT | O_EXCL``) and exits
+    the way an OOM kill does; every later call finds the marker taken
+    and evaluates normally.
+    """
+
+    def __init__(self, marker):
+        super().__init__()
+        self.marker = str(marker)
+
+    def evaluate(self, faults, rng):
+        try:
+            fd = os.open(self.marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            return super().evaluate(faults, rng)
+        os.close(fd)
+        os._exit(9)
+
+
 def _canonical(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -388,6 +416,31 @@ class TestResilientExecutor:
         results, outcome = self._run(resumed)
         assert results == reference
         assert outcome.resumed_shards == len(records)
+
+
+class TestRunsWithoutPolicy:
+    """The defaults every run gets when no policy is set anywhere."""
+
+    @pytest.mark.timeout(120)
+    def test_killed_worker_is_retried(self, tmp_path):
+        marker = tmp_path / "killed"
+        config = MonteCarloConfig(num_systems=4_000, seed=11)
+        result = simulate(
+            _ExitOnceXed(marker), config, workers=2, shard_size=1_000
+        )
+        reference = simulate(XedScheme(), config, workers=1, shard_size=1_000)
+        assert marker.exists()
+        assert result.failure_times_hours == reference.failure_times_hours
+        assert result.kinds == reference.kinds
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shard_failure_is_chained_to_the_shard_error(self, workers):
+        with pytest.raises(ShardFailure) as exc:
+            simulate(
+                _FaultyXed(), CFG, workers=workers, shard_size=SHARD_SIZE,
+                runtime=RuntimePolicy(max_retries=0),
+            )
+        assert isinstance(exc.value.__cause__, ValueError)
 
 
 class TestResilientSimulate:
