@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.formatting import format_reliability_table, format_series
 from repro.core.catch_word import CollisionModel
@@ -344,27 +344,43 @@ def _run_fig10(
 # Performance / power figures
 # ---------------------------------------------------------------------------
 
-#: Memo for performance grids: fig11 and fig12 share the same runs, as
-#: do fig13's time and power views.  Keyed by (scale, seed, schemes).
-_GRID_CACHE: Dict[tuple, Dict] = {}
+#: Performance-grid cells per (scale, seed), shared by every figure:
+#: fig12 is fig11's grid, and fig13 and fig14 reuse its ECC-DIMM, XED
+#: and XED+Chipkill columns.  Each entry holds the scheme keys already
+#: simulated and the cells as {workload: {scheme_key: BenchmarkRun}}.
+_GRID_CELLS: Dict[tuple, Tuple[set, Dict]] = {}
 
 
 def _perf_grid(scale: str, seed: int, scheme_keys) -> Dict:
-    key = (scale, seed, tuple(scheme_keys))
-    if key in _GRID_CACHE:
-        return _GRID_CACHE[key]
+    """The (workload x ``scheme_keys``) grid, rows in ``scheme_keys`` order.
+
+    Simulates only the keys no earlier figure of this scale and seed
+    has; a cell quarantined under ``--keep-going`` stays a hole.
+    """
+    simulated, cells = _GRID_CELLS.setdefault((scale, seed), (set(), {}))
     workloads = QUICK_WORKLOADS if scale == "quick" else WORKLOADS
     instructions = (
         QUICK_INSTRUCTIONS if scale == "quick" else FULL_INSTRUCTIONS
     )
-    grid = run_suite(
-        scheme_keys,
-        workloads=workloads,
-        instructions_per_core=instructions,
-        seed=seed,
-    )
-    _GRID_CACHE[key] = grid
-    return grid
+    missing = [key for key in scheme_keys if key not in simulated]
+    if missing:
+        grid = run_suite(
+            missing,
+            workloads=workloads,
+            instructions_per_core=instructions,
+            seed=seed,
+        )
+        for name, row in grid.items():
+            cells.setdefault(name, {}).update(row)
+        simulated.update(missing)
+    return {
+        w.name: {
+            key: cells[w.name][key]
+            for key in scheme_keys
+            if key in cells.get(w.name, {})
+        }
+        for w in workloads
+    }
 
 
 _FIG11_SCHEMES = ("ecc_dimm", "xed", "chipkill", "xed_chipkill", "double_chipkill")
@@ -442,17 +458,19 @@ def _run_fig14(scale: str = "quick", seed: int = 2016) -> ExperimentReport:
         "LOT-ECC vs XED, normalized execution time (Figure 14):",
         f"{'suite':>12} | {'XED':>6} | {'LOT-ECC':>8}",
     ]
+    # Names present in both columns: a --keep-going hole drops a row.
+    both = [name for name in xed if name in lot]
     suite_ratios = {}
     for suite in SUITES:
-        names = [w.name for w in suite_workloads(suite) if w.name in lot]
+        names = [w.name for w in suite_workloads(suite) if w.name in both]
         if not names:
             continue
         xs = geometric_mean([xed[n] for n in names])
         ls = geometric_mean([lot[n] for n in names])
         suite_ratios[suite] = (xs, ls)
         lines.append(f"{suite:>12} | {xs:6.3f} | {ls:8.3f}")
-    gx = geometric_mean(xed.values())
-    gl = geometric_mean(lot.values())
+    gx = geometric_mean([xed[n] for n in both])
+    gl = geometric_mean([lot[n] for n in both])
     lines.append(f"{'GMEAN':>12} | {gx:6.3f} | {gl:8.3f}")
     lines.append(
         f"LOT-ECC slowdown over XED: {(gl / gx - 1) * 100:.1f}% "

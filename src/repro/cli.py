@@ -387,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument(
         "--workers", type=_worker_count, default=1, metavar="N",
         help="worker processes for the (workload x scheme) grid "
-             "(default 1; one cell per shard, results identical for "
-             "any worker count)",
+             "(default 1; one shard per workload and distinct machine, "
+             "results identical for any worker count)",
     )
     _add_runtime_flags(perf)
 
@@ -571,18 +571,31 @@ def _cmd_list() -> int:
     return 0
 
 
+def _known_experiment(experiment_id: str) -> bool:
+    """False, after a usage message on stderr, for an unregistered id.
+
+    Checked before running, so a ``KeyError`` raised inside a run is a
+    bug that propagates rather than an "unknown experiment".
+    """
+    from repro.analysis import EXPERIMENTS
+
+    if experiment_id in EXPERIMENTS:
+        return True
+    print(f"unknown experiment {experiment_id!r}; "
+          f"known: {sorted(EXPERIMENTS)}", file=sys.stderr)
+    return False
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.analysis import run_experiment
 
-    try:
-        report = run_experiment(args.experiment_id, scale=args.scale,
-                                seed=args.seed,
-                                faultsim_backend=args.faultsim_backend)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    if not _known_experiment(args.experiment_id):
+        return EXIT_USAGE
+    report = run_experiment(args.experiment_id, scale=args.scale,
+                            seed=args.seed,
+                            faultsim_backend=args.faultsim_backend)
     print(report.text)
-    return 0
+    return EXIT_OK
 
 
 def _cmd_reliability(args: argparse.Namespace) -> int:
@@ -756,13 +769,11 @@ def _cmd_export(args: argparse.Namespace) -> int:
     from repro.analysis import run_experiment
     from repro.analysis.export import export_report
 
-    try:
-        report = run_experiment(args.experiment_id, scale=args.scale,
-                                seed=args.seed,
-                                faultsim_backend=args.faultsim_backend)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
+    if not _known_experiment(args.experiment_id):
         return EXIT_USAGE
+    report = run_experiment(args.experiment_id, scale=args.scale,
+                            seed=args.seed,
+                            faultsim_backend=args.faultsim_backend)
     for path in export_report(report, args.out, svg=args.svg,
                               provenance=_provenance(args)):
         print(path)

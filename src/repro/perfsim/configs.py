@@ -26,12 +26,29 @@ overheads to:
 * ``dynamic_energy_scale`` -- per-access DRAM dynamic energy relative
   to the 9-chip x8 baseline.  Chipkill-class schemes use 18 x4-width
   devices (~0.55x current each), Double-Chipkill 36.
+
+Some fields change a scheme's power or its labels but not its traffic.
+:attr:`SchemeConfig.traffic_key` leaves exactly those out, so schemes
+that move data identically -- XED and ECC-DIMM, XED+Chipkill and
+Chipkill -- share one event-loop run in a performance grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict
+from dataclasses import dataclass, fields, replace
+from typing import Dict, Tuple
+
+#: Fields neither perfsim engine reads: labels, power-model inputs and
+#: the controller's correction latency.  Every other field, including
+#: any added later, is part of :attr:`SchemeConfig.traffic_key`.
+_TRAFFIC_EXCLUDED: Tuple[str, ...] = (
+    "key",
+    "name",
+    "chips_per_access",
+    "dynamic_energy_scale",
+    "on_die_ecc",
+    "correction_core_cycles",
+)
 
 
 @dataclass(frozen=True)
@@ -51,6 +68,21 @@ class SchemeConfig:
     dynamic_energy_scale: float = 1.0
     on_die_ecc: bool = True
     correction_core_cycles: int = 4
+
+    @property
+    def traffic_key(self) -> tuple:
+        """All fields but the six no engine reads; equal keys run alike.
+
+        Two configs with the same key give the same
+        :class:`~repro.perfsim.engine.SimulationResult` apart from its
+        ``scheme_key`` label, so a grid simulates each key once per
+        workload (:func:`repro.perfsim.runner.run_suite`).
+        """
+        return tuple(
+            getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in _TRAFFIC_EXCLUDED
+        )
 
     @property
     def bus_cycles_per_access(self) -> int:

@@ -4,9 +4,14 @@ Runs (workload, scheme) grids, normalises against the ECC-DIMM
 baseline, and formats the per-benchmark / geometric-mean tables the
 paper's figures plot.
 
-Grid cells are independent simulations, so :func:`run_suite` runs them
-as shards of :func:`repro.runtime.run_resilient`: in-process or on a
-process pool (``workers > 1``), with per-cell checkpointing when a
+A grid simulates each distinct machine once.  Schemes whose configs
+share a :attr:`~repro.perfsim.configs.SchemeConfig.traffic_key` (XED and
+ECC-DIMM, XED+Chipkill and Chipkill) move data identically, so
+:func:`run_suite` runs one simulation per (workload, traffic key) and
+labels a copy of it for every scheme of the group, each with power from
+its own config.  Those simulations are the shards of
+:func:`repro.runtime.run_resilient`: in-process or on a process pool
+(``workers > 1``), with per-shard checkpointing when a
 :class:`~repro.runtime.executor.RuntimePolicy` asks for it (the CLI's
 ``--checkpoint``/``--resume``/``--keep-going`` flags).  Cell results are
 deterministic for any worker count and either engine, so the
@@ -19,7 +24,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs import span
+from repro.obs import OBS, span
 from repro.obs.progress import progress
 from repro.perfsim.configs import SCHEME_CONFIGS, SchemeConfig
 from repro.perfsim.engine import (
@@ -113,23 +118,47 @@ def run_benchmark(
     return BenchmarkRun(workload.name, config.key, result, power)
 
 
-def _suite_cell(
+def _scheme_groups(scheme_keys: Sequence[str]) -> List[Tuple[str, ...]]:
+    """Scheme keys grouped by traffic key, in order of first appearance."""
+    groups: Dict[tuple, List[str]] = {}
+    for key in scheme_keys:
+        groups.setdefault(SCHEME_CONFIGS[key].traffic_key, []).append(key)
+    return [tuple(keys) for keys in groups.values()]
+
+
+def _suite_shard(
     workload: Workload,
-    scheme_key: str,
+    scheme_keys: Tuple[str, ...],
     system: SystemTiming,
     instructions_per_core: int,
     seed: int,
     backend: str,
-) -> BenchmarkRun:
-    """Simulate one grid cell (module-level so the spawn pool can pickle)."""
-    return run_benchmark(
+) -> List[BenchmarkRun]:
+    """Simulate one machine once and return a run per scheme sharing it.
+
+    Module-level so the spawn pool can pickle it.  The first scheme's
+    config drives the engine; every other scheme in ``scheme_keys``
+    has the same traffic key, so it gets a relabelled copy of that
+    result, with power computed from its own config.
+    """
+    first = run_benchmark(
         workload,
-        SCHEME_CONFIGS[scheme_key],
+        SCHEME_CONFIGS[scheme_keys[0]],
         system=system,
         instructions_per_core=instructions_per_core,
         seed=seed,
         backend=backend,
     )
+    runs = [first]
+    payload = first.result.to_payload()
+    model = PowerModel(timing=system.ddr)
+    for key in scheme_keys[1:]:
+        result = SimulationResult.from_payload({**payload, "scheme_key": key})
+        power = model.compute(result, SCHEME_CONFIGS[key])
+        runs.append(BenchmarkRun(workload.name, key, result, power))
+    if OBS.enabled and len(runs) > 1:
+        OBS.registry.counter("perfsim.cells_shared").inc(len(runs) - 1)
+    return runs
 
 
 def suite_fingerprint(
@@ -143,13 +172,18 @@ def suite_fingerprint(
 
     Everything that can change a cell's contents goes into the config
     hash -- the scheme list, every workload's behaviour parameters, the
-    instruction budget and the full machine timing.  The engine and
+    instruction budget and the full machine timing -- and so does the
+    shard plan: the schemes grouped by traffic key, one shard per
+    (workload, group).  A checkpoint written under another plan, such
+    as one cell per record, therefore never matches.  The engine and
     worker count are deliberately *excluded*: cells are bit-identical
     across both (enforced by :mod:`repro.perfsim.differential`), so a
     grid checkpointed under one engine resumes under the other.
     """
+    groups = _scheme_groups(scheme_keys)
     description = {
         "schemes": list(scheme_keys),
+        "groups": [list(group) for group in groups],
         "workloads": [
             [w.name, w.mpki, w.row_buffer_hit_rate, w.write_fraction,
              w.bank_locality, w.footprint_lines]
@@ -161,7 +195,7 @@ def suite_fingerprint(
     return RunFingerprint(
         kind="perfsim.grid",
         seed=seed,
-        total=len(scheme_keys) * len(workloads),
+        total=len(groups) * len(workloads),
         shard_size=1,
         config_hash=config_digest(description),
         code_version=__version__,
@@ -180,38 +214,44 @@ def run_suite(
 ) -> Dict[str, Dict[str, BenchmarkRun]]:
     """Run a grid: {workload: {scheme_key: BenchmarkRun}}.
 
-    Cells run one per shard of :func:`repro.runtime.run_resilient` on
-    ``workers`` processes, with results assembled in plan order so the
-    grid is identical for any worker count.  ``runtime`` (else the
-    ambient policy installed by :func:`repro.runtime.use_policy`, else
-    ``RuntimePolicy()``) sets per-cell checkpoints, resume, retry and
-    quarantine.  ``backend`` selects the engine per cell (see
-    :func:`simulate_system`; results are bit-identical).
+    Each row lists its schemes in ``scheme_keys`` order.  The plan has
+    one shard of :func:`repro.runtime.run_resilient` per workload and
+    traffic key (see :func:`_suite_shard`), run on ``workers``
+    processes and assembled in plan order, so the grid is identical
+    for any worker count.  ``runtime`` (else the ambient policy
+    installed by :func:`repro.runtime.use_policy`, else
+    ``RuntimePolicy()``) sets per-shard checkpoints, resume, retry and
+    quarantine; a quarantined shard leaves its cells out of their row.
+    ``backend`` selects the engine (see :func:`simulate_system`;
+    results are bit-identical).
     """
     validate_perfsim_backend(backend)
     workloads = list(workloads) if workloads is not None else list(WORKLOADS)
     system = system or SystemTiming()
-    cells: List[Tuple[Workload, str]] = [
-        (workload, key) for workload in workloads for key in scheme_keys
+    groups = _scheme_groups(scheme_keys)
+    plan: List[Tuple[Workload, Tuple[str, ...]]] = [
+        (workload, group) for workload in workloads for group in groups
     ]
     shard_args = [
-        (workload, key, system, instructions_per_core, seed, backend)
-        for workload, key in cells
+        (workload, group, system, instructions_per_core, seed, backend)
+        for workload, group in plan
     ]
-    reporter = progress(len(cells), "perf grid")
+    cells = len(workloads) * len(scheme_keys)
+    reporter = progress(cells, "perf grid")
 
-    def _cell_done(_i: int) -> None:
-        reporter.update()
+    def _shard_done(index: int) -> None:
+        reporter.update(len(plan[index][1]))
 
     try:
         with span(
             "perfsim.suite",
             backend=backend,
             workers=workers,
-            cells=len(cells),
+            cells=cells,
+            simulations=len(plan),
         ):
-            runs, _outcome = run_resilient(
-                _suite_cell,
+            shards, _outcome = run_resilient(
+                _suite_shard,
                 shard_args,
                 workers=workers,
                 fingerprint=suite_fingerprint(
@@ -219,21 +259,32 @@ def run_suite(
                     seed, system,
                 ),
                 policy=runtime,
-                encode=lambda r: r.to_payload(),
-                decode=BenchmarkRun.from_payload,
-                on_shard_done=_cell_done,
+                encode=lambda runs: {
+                    "cells": [run.to_payload() for run in runs]
+                },
+                decode=lambda payload: [
+                    BenchmarkRun.from_payload(cell)
+                    for cell in payload["cells"]
+                ],
+                on_shard_done=_shard_done,
             )
     finally:
         reporter.close()
 
-    # Assemble from each run's own labels (not plan-order zip): under
-    # --keep-going, quarantined cells leave holes in the result list.
+    # Place each run by its own labels: under --keep-going, quarantined
+    # shards leave holes, and a shard's cells are not adjacent in a row.
+    found = {
+        (run.workload, run.scheme_key): run
+        for runs in shards
+        for run in runs
+    }
     grid: Dict[str, Dict[str, BenchmarkRun]] = {}
-    for workload, _key in cells:
-        grid.setdefault(workload.name, {})
-    for run in runs:
-        if run is not None:
-            grid[run.workload][run.scheme_key] = run
+    for workload in workloads:
+        row = grid.setdefault(workload.name, {})
+        for key in scheme_keys:
+            run = found.get((workload.name, key))
+            if run is not None:
+                row[key] = run
     return grid
 
 
@@ -246,18 +297,21 @@ def normalized_metric(
     """Per-workload metric normalised to the baseline scheme.
 
     ``metric`` is ``"time"`` (Figure 11/13/14) or ``"power"``
-    (Figure 12/13).
+    (Figure 12/13).  A workload whose row lacks the scheme's cell or
+    the baseline's (a hole left by ``--keep-going``) is left out.
     """
+    if metric not in ("time", "power"):
+        raise ValueError(f"unknown metric {metric!r}")
     out: Dict[str, float] = {}
     for name, row in grid.items():
-        base = row[baseline_key]
-        run = row[scheme_key]
+        base = row.get(baseline_key)
+        run = row.get(scheme_key)
+        if base is None or run is None:
+            continue
         if metric == "time":
             out[name] = run.exec_bus_cycles / base.exec_bus_cycles
-        elif metric == "power":
-            out[name] = run.power.total / base.power.total
         else:
-            raise ValueError(f"unknown metric {metric!r}")
+            out[name] = run.power.total / base.power.total
     return out
 
 
@@ -276,7 +330,11 @@ def format_figure_table(
     baseline_key: str = "ecc_dimm",
     title: str = "Normalized Execution Time",
 ) -> str:
-    """Render a Figure-11/12-style table: workloads x schemes + Gmean."""
+    """Render a Figure-11/12-style table: workloads x schemes + Gmean.
+
+    A cell missing from a partial grid prints ``n/a``, and each Gmean
+    is taken over the cells present in its column.
+    """
     per_scheme: Dict[str, Dict[str, float]] = {
         key: normalized_metric(grid, key, baseline_key, metric)
         for key in scheme_keys
@@ -287,11 +345,15 @@ def format_figure_table(
     lines = [header, f"{'benchmark':>12} | {col_heads}"]
     for name in names:
         cells = " | ".join(
-            f"{per_scheme[key][name]:26.3f}" for key in scheme_keys
+            f"{per_scheme[key][name]:26.3f}" if name in per_scheme[key]
+            else f"{'n/a':>26}"
+            for key in scheme_keys
         )
         lines.append(f"{name:>12} | {cells}")
     gmeans = " | ".join(
-        f"{geometric_mean(per_scheme[key].values()):26.3f}" for key in scheme_keys
+        f"{geometric_mean(per_scheme[key].values()):26.3f}" if per_scheme[key]
+        else f"{'n/a':>26}"
+        for key in scheme_keys
     )
     lines.append(f"{'Gmean':>12} | {gmeans}")
     return "\n".join(lines)

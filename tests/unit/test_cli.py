@@ -274,6 +274,55 @@ class TestExitCodes:
         assert code == EXIT_OK
 
 
+class TestPartialGrids:
+    """A grid hole left by --keep-going prints n/a instead of crashing."""
+
+    CHAOS = ["--keep-going", "--chaos", "fault=1;attempts=9",
+             "--max-retries", "0"]
+
+    def test_perf_hole_prints_na_and_exits_partial(self, capsys):
+        # Shard 0 is mcf's ECC-DIMM/XED simulation, shard 1 its Chipkill.
+        code = main([
+            "perf", "--workloads", "mcf", "gcc", "--schemes", "xed",
+            "chipkill", "--instructions", "3000",
+        ] + self.CHAOS)
+        assert code == EXIT_PARTIAL
+        captured = capsys.readouterr()
+        mcf_rows = [line.split() for line in captured.out.splitlines()
+                    if line.split()[:1] == ["mcf"]]
+        assert mcf_rows == [["mcf", "|", "1.000", "|", "n/a"]] * 2
+        assert "completeness" in captured.err
+
+    def test_experiment_hole_prints_na_and_exits_partial(
+        self, capsys, monkeypatch
+    ):
+        import repro.analysis.experiments as experiments
+
+        monkeypatch.setattr(experiments, "_GRID_CELLS", {})
+        # Shard 1 is libquantum's Chipkill/XED+Chipkill simulation.
+        code = main(["experiment", "fig11", "--scale", "quick"] + self.CHAOS)
+        assert code == EXIT_PARTIAL
+        captured = capsys.readouterr()
+        (row,) = [line for line in captured.out.splitlines()
+                  if line.strip().startswith("libquantum")]
+        assert row.split().count("n/a") == 2
+        assert "Gmean slowdowns" in captured.out
+        assert "completeness" in captured.err
+
+    @pytest.mark.parametrize("command", [["experiment"], ["export", "--out",
+                                                          "unused"]])
+    def test_key_error_inside_a_run_propagates(self, monkeypatch, command):
+        import repro.analysis
+
+        def broken(*args, **kwargs):
+            raise KeyError("xed")
+
+        monkeypatch.setattr(repro.analysis, "run_experiment", broken)
+        argv = [command[0], "table3", *command[1:]]
+        with pytest.raises(KeyError):
+            main(argv)
+
+
 class TestRuntimeFlags:
     def test_runtime_flags_on_long_running_commands(self):
         for argv in (
