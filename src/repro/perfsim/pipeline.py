@@ -20,9 +20,12 @@ float operation order -- but with every per-object indirection removed:
   path runs on local-variable access with no per-event function calls.
 * **Bulk traces.**  Per-core instruction streams come from
   :func:`~repro.perfsim.trace.build_trace_arrays`, which replays the
-  Mersenne-Twister word stream through numpy and is LRU-cached on the
-  generation identity -- a scheme grid touches each (workload, core,
-  logical geometry) trace once instead of once per scheme.
+  Mersenne-Twister word stream through numpy.  The replay (a parse) is
+  LRU-cached per (workload, core) and draw class, and each call derives
+  a fresh trace for the cell's logical geometry from it, so a scheme
+  grid parses each (workload, core) stream once for all its lockstep
+  shapes.  Derived traces share the parse's ``positions`` and
+  ``writes`` lists, which stay read-only.
 
 The backend is certified bit-identical to the scalar engine by
 :mod:`repro.perfsim.differential` (cycle counts, per-channel command

@@ -5,7 +5,9 @@ operations separated by counts of non-memory instructions.  The
 generator turns a :class:`repro.perfsim.workloads.Workload` behaviour
 model into a concrete per-core stream:
 
-* gaps between misses are geometric with mean ``1000 / mpki``;
+* gaps between misses are geometric with mean ``1000 / mpki``; a
+  workload with ``mpki == 0`` (or so small that the mean gap overflows
+  to infinity) never misses, so its trace is empty;
 * with probability ``row_buffer_hit_rate`` the next access continues
   sequentially within the currently open row (a row hit under an
   open-page policy); otherwise it jumps to a fresh row;
@@ -16,6 +18,14 @@ model into a concrete per-core stream:
 Traces are deterministic in (workload, core, seed), so every scheme
 config replays *exactly* the same instruction stream -- the comparisons
 in Figures 11-14 are paired.
+
+:class:`SyntheticTrace` is the reference generator the scalar engine
+iterates.  :func:`build_trace_arrays` gives the pipeline engine the same
+trace in bulk.  It caches one *parse* of the Mersenne-Twister word
+stream per (workload, instructions, columns, core, seed, draw classes)
+and derives a fresh trace for the requested geometry from it on every
+call, so all lockstep geometries of a scheme grid share one parse per
+(workload, core).
 """
 
 from __future__ import annotations
@@ -25,10 +35,13 @@ import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from math import log
-from typing import Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from repro.perfsim.requests import RequestType
 from repro.perfsim.workloads import Workload
+
+if TYPE_CHECKING:  # pragma: no cover - numpy loads lazily; typing only
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -47,6 +60,22 @@ class TraceOp:
     bank: int
     row: int
     column: int
+
+
+def _mean_gap(mpki: float, instructions: int) -> float:
+    """Mean instructions between misses; ``inf`` if there are none.
+
+    A finite gap is capped at ``max(instructions, 1) * 2**54``.  The
+    smallest nonzero exponential draw is ``-log(1 - 2**-53)``, about
+    ``2**-53``, so with the cap any nonzero draw already jumps past the
+    end of the stream, as it would with the uncapped gap.  The cap only
+    stops the product from overflowing to infinity when ``mpki`` is
+    tiny.
+    """
+    gap = 1000.0 / mpki if mpki > 0 else float("inf")
+    if gap == float("inf"):
+        return gap
+    return min(gap, max(instructions, 1) * 2.0**54)
 
 
 class SyntheticTrace:
@@ -94,8 +123,9 @@ class SyntheticTrace:
         # processes regardless of PYTHONHASHSEED.
         name_salt = zlib.crc32(w.name.encode()) & 0xFFFF
         rng = random.Random((self.seed << 16) ^ (self.core * 7919) ^ name_salt)
-        mean_gap = 1000.0 / w.mpki if w.mpki > 0 else float("inf")
-        p_op = 1.0 / (1.0 + mean_gap)
+        mean_gap = _mean_gap(w.mpki, self.instructions)
+        if mean_gap == float("inf"):
+            return  # no misses ever: an empty trace
 
         position = 0
         channel = rng.randrange(self.channels)
@@ -153,9 +183,12 @@ class TraceArrays:
     global_bank, rank, bank, row)`` with the flattened indices the
     event loop consumes precomputed (``global_rank = channel * ranks +
     rank``; ``global_bank = global_rank * banks + bank``), so issuing
-    one request costs a single list index instead of six.  Instances
-    are shared through an LRU cache keyed on the full generation
-    identity, so callers must treat the lists as read-only.
+    one request costs a single list index instead of six.
+
+    :func:`build_trace_arrays` derives a new instance on every call,
+    but ``positions`` and ``writes`` are the cached parse's own lists,
+    shared by every geometry derived from that parse: callers must
+    treat them as read-only.
     """
 
     positions: List[int]
@@ -185,8 +218,8 @@ def _mt_raw_stream(rng: random.Random):
     the cursor) into numpy yields a generator whose ``random_raw``
     output is exactly the 32-bit word stream ``rng.getrandbits(32)``
     would produce -- the property the pipeline backend's bulk trace
-    replay is built on (verified by ``tests/unit/test_perfsim_golden``
-    and the differential suite).
+    replay is built on (verified by ``tests/unit/test_perfsim_trace``
+    and the golden corpus).
     """
     import numpy as np
 
@@ -202,7 +235,156 @@ def _mt_raw_stream(rng: random.Random):
     return mt
 
 
+def _draw_bound(n: int) -> int:
+    """The draw class of ``randrange(n)``: it accepts words below this.
+
+    CPython's ``randrange(n)`` takes ``getrandbits(n.bit_length())``,
+    the top bits of one 32-bit word, until the value is below ``n``,
+    that is until the word itself is below ``n << (32 -
+    n.bit_length())``.  Moduli with one bound accept the same words in
+    the same order and differ only in how many top bits they keep.
+    Every power of two has the bound ``2**31`` (the word's top bit is
+    clear); another modulus shares its bound only with its power-of-two
+    multiples, such as 3 and 6.
+    """
+    return n << (32 - n.bit_length())
+
+
+@dataclass(frozen=True, eq=False)
+class _Parse:
+    """One walk of a (workload, core) word stream, before any geometry.
+
+    ``positions`` and ``writes`` are a trace's first two columns.  Row
+    ``i`` of ``words`` (``uint32``, shape ``(ops, 4)``) holds the
+    accepted words behind op ``i``'s channel, rank, bank and row.
+    """
+
+    positions: List[int]
+    writes: List[int]
+    words: "np.ndarray"
+
+
 @lru_cache(maxsize=512)
+def _parse(
+    workload: Workload,
+    instructions: int,
+    columns: int,
+    core: int,
+    seed: int,
+    bounds: Tuple[int, int, int, int],
+) -> _Parse:
+    """Walk the word stream under the channel/rank/bank/row ``bounds``.
+
+    Control flow reads only the random floats, the column and
+    ``columns``, so the walk is the same for every geometry whose
+    moduli share ``bounds`` (see :func:`_draw_bound`).
+    """
+    import numpy as np
+
+    w = workload
+    mean_gap = _mean_gap(w.mpki, instructions)
+    if mean_gap == float("inf"):
+        return _Parse([], [], np.empty((0, 4), dtype=np.uint32))
+    name_salt = zlib.crc32(w.name.encode()) & 0xFFFF
+    mt = _mt_raw_stream(random.Random((seed << 16) ^ (core * 7919) ^ name_salt))
+    est_words = int(instructions / (1.0 + mean_gap)) * 16 + 256
+    words: List[int] = mt.random_raw(max(_WORD_MARGIN * 2, est_words)).tolist()
+    limit = len(words) - _WORD_MARGIN
+    idx = 0
+    # random.random() reconstructed from two raw words (CPython's
+    # genrand_res53); the multiply by an exact power of two equals
+    # CPython's division by 2**53 bit for bit.
+    inv53 = 1.0 / 9007199254740992.0
+    b_ch, b_rk, b_bk, b_row = bounds
+    b_col = _draw_bound(columns)
+    sh_col = 32 - columns.bit_length()
+
+    def draw(bound: int) -> int:
+        nonlocal idx
+        word = words[idx]
+        idx += 1
+        while word >= bound:
+            word = words[idx]
+            idx += 1
+        return word
+
+    position = 0
+    ch = draw(b_ch)
+    rk = draw(b_rk)
+    bk = draw(b_bk)
+    loc = (ch, rk, bk, draw(b_row))
+    column = draw(b_col) >> sh_col
+
+    rbhr = w.row_buffer_hit_rate
+    locality = w.bank_locality
+    wf = w.write_fraction
+    out_pos: List[int] = []
+    out_wr: List[int] = []
+    out_loc: List[Tuple[int, int, int, int]] = []
+    pos_append = out_pos.append
+    wr_append = out_wr.append
+    loc_append = out_loc.append
+
+    # The hot loop replays the draws inline (no helper calls): each
+    # random() is two raw words, each randrange one word per attempt
+    # -- the exact CPython consumption order.
+    while True:
+        if idx > limit:
+            words.extend(mt.random_raw(16384).tolist())
+            limit = len(words) - _WORD_MARGIN
+        u = ((words[idx] >> 5) * 67108864.0 + (words[idx + 1] >> 6)) * inv53
+        idx += 2
+        position += int(-log(1.0 - u) * mean_gap) + 1
+        if position >= instructions:
+            break
+        u = ((words[idx] >> 5) * 67108864.0 + (words[idx + 1] >> 6)) * inv53
+        idx += 2
+        if u < rbhr and column + 1 < columns:
+            column += 1
+        else:
+            u = ((words[idx] >> 5) * 67108864.0
+                 + (words[idx + 1] >> 6)) * inv53
+            idx += 2
+            if u >= locality:
+                ch = words[idx]
+                idx += 1
+                while ch >= b_ch:
+                    ch = words[idx]
+                    idx += 1
+                rk = words[idx]
+                idx += 1
+                while rk >= b_rk:
+                    rk = words[idx]
+                    idx += 1
+                bk = words[idx]
+                idx += 1
+                while bk >= b_bk:
+                    bk = words[idx]
+                    idx += 1
+            r = words[idx]
+            idx += 1
+            while r >= b_row:
+                r = words[idx]
+                idx += 1
+            loc = (ch, rk, bk, r)
+            r = words[idx]
+            idx += 1
+            while r >= b_col:
+                r = words[idx]
+                idx += 1
+            column = r >> sh_col
+        u = ((words[idx] >> 5) * 67108864.0 + (words[idx + 1] >> 6)) * inv53
+        idx += 2
+        pos_append(position)
+        wr_append(1 if u < wf else 0)
+        loc_append(loc)
+
+    return _Parse(
+        out_pos, out_wr,
+        np.array(out_loc, dtype=np.uint32).reshape(-1, 4),
+    )
+
+
 def build_trace_arrays(
     workload: Workload,
     instructions: int,
@@ -220,145 +402,50 @@ def build_trace_arrays(
     parameters: the Mersenne-Twister word stream is pulled in bulk
     through numpy (:func:`_mt_raw_stream`) and the CPython consumption
     pattern -- ``expovariate``'s two words, ``random``'s two words and
-    ``randrange``'s shift-and-reject loop -- is replayed exactly, so
-    every scheme config (and both engine backends) sees the same
-    instruction stream.  Results are LRU-cached on the full generation
-    identity; a grid run touches each (workload, core, logical
-    geometry) trace once instead of once per scheme.
+    ``randrange``'s reject loop -- is replayed exactly, so every scheme
+    config (and both engine backends) sees the same instruction stream.
+
+    The replay is a *parse*, LRU-cached on (workload, instructions,
+    columns, core, seed) and the draw class of each of channels, ranks,
+    banks and rows.  It keeps positions, write flags and the raw
+    accepted word behind every channel/rank/bank/row draw.  Each call
+    derives its geometry from a parse by keeping each word's top
+    ``n.bit_length()`` bits, as ``randrange(n)`` does, and returns a
+    new :class:`TraceArrays`.  All power-of-two moduli share one
+    class, so the lockstep geometries of a scheme grid (4x2, 4x1 and
+    2x1 channels x ranks) share one parse per (workload, core).
+    ``build_trace_arrays.cache_info()`` and ``cache_clear()`` describe
+    and empty that parse cache: its misses count parses.
     """
-    w = workload
-    name_salt = zlib.crc32(w.name.encode()) & 0xFFFF
-    rng = random.Random((seed << 16) ^ (core * 7919) ^ name_salt)
-    mt = _mt_raw_stream(rng)
-    mean_gap = 1000.0 / w.mpki if w.mpki > 0 else float("inf")
-    p_op = 0.0 if mean_gap == float("inf") else 1.0 / (1.0 + mean_gap)
-    est_words = int(instructions * p_op) * 16 + 256
-    words: List[int] = mt.random_raw(max(_WORD_MARGIN * 2, est_words)).tolist()
-    limit = len(words) - _WORD_MARGIN
-    idx = 0
-    # random.random() reconstructed from two raw words (CPython's
-    # genrand_res53); the multiply by an exact power of two equals
-    # CPython's division by 2**53 bit for bit.
-    inv53 = 1.0 / 9007199254740992.0
+    import numpy as np
 
-    def rand01() -> float:
-        nonlocal idx
-        a = words[idx] >> 5
-        b = words[idx + 1] >> 6
-        idx += 2
-        return (a * 67108864.0 + b) * inv53
-
-    def randn(n: int, shift: int) -> int:
-        # _randbelow_with_getrandbits: one word >> (32 - k) per
-        # getrandbits(k), rejected while >= n.
-        nonlocal idx
-        r = words[idx] >> shift
-        idx += 1
-        while r >= n:
-            r = words[idx] >> shift
-            idx += 1
-        return r
-
-    sh_ch = 32 - channels.bit_length()
-    sh_rk = 32 - ranks.bit_length()
-    sh_bk = 32 - banks.bit_length()
-    sh_row = 32 - rows.bit_length()
-    sh_col = 32 - columns.bit_length()
-
-    position = 0
-    channel = randn(channels, sh_ch)
-    rank = randn(ranks, sh_rk)
-    bank = randn(banks, sh_bk)
-    row = randn(rows, sh_row)
-    column = randn(columns, sh_col)
-
-    rbhr = w.row_buffer_hit_rate
-    locality = w.bank_locality
-    wf = w.write_fraction
-    out_pos: List[int] = []
-    out_wr: List[int] = []
-    out_ch: List[int] = []
-    out_rk: List[int] = []
-    out_bk: List[int] = []
-    out_row: List[int] = []
-
-    pos_append = out_pos.append
-    wr_append = out_wr.append
-    ch_append = out_ch.append
-    rk_append = out_rk.append
-    bk_append = out_bk.append
-    row_append = out_row.append
-
-    # The hot loop replays the draws inline (no helper calls): each
-    # random() is two raw words, each randrange one word per
-    # shift-and-reject attempt -- the exact CPython consumption order.
-    while True:
-        if idx > limit:
-            words.extend(mt.random_raw(16384).tolist())
-            limit = len(words) - _WORD_MARGIN
-        u = ((words[idx] >> 5) * 67108864.0 + (words[idx + 1] >> 6)) * inv53
-        idx += 2
-        gap = int(-log(1.0 - u) * mean_gap) if mean_gap > 0 else 0
-        position += gap + 1
-        if position >= instructions:
-            break
-        u = ((words[idx] >> 5) * 67108864.0 + (words[idx + 1] >> 6)) * inv53
-        idx += 2
-        if u < rbhr and column + 1 < columns:
-            column += 1
-        else:
-            u = ((words[idx] >> 5) * 67108864.0
-                 + (words[idx + 1] >> 6)) * inv53
-            idx += 2
-            if u >= locality:
-                r = words[idx] >> sh_ch
-                idx += 1
-                while r >= channels:
-                    r = words[idx] >> sh_ch
-                    idx += 1
-                channel = r
-                r = words[idx] >> sh_rk
-                idx += 1
-                while r >= ranks:
-                    r = words[idx] >> sh_rk
-                    idx += 1
-                rank = r
-                r = words[idx] >> sh_bk
-                idx += 1
-                while r >= banks:
-                    r = words[idx] >> sh_bk
-                    idx += 1
-                bank = r
-            r = words[idx] >> sh_row
-            idx += 1
-            while r >= rows:
-                r = words[idx] >> sh_row
-                idx += 1
-            row = r
-            r = words[idx] >> sh_col
-            idx += 1
-            while r >= columns:
-                r = words[idx] >> sh_col
-                idx += 1
-            column = r
-        u = ((words[idx] >> 5) * 67108864.0 + (words[idx + 1] >> 6)) * inv53
-        idx += 2
-        pos_append(position)
-        wr_append(1 if u < wf else 0)
-        ch_append(channel)
-        rk_append(rank)
-        bk_append(bank)
-        row_append(row)
-
-    out_r = [c * ranks + k for c, k in zip(out_ch, out_rk)]
-    out_gb = [r * banks + b for r, b in zip(out_r, out_bk)]
+    if channels * ranks * banks > 2**63:
+        raise ValueError(
+            f"{channels * ranks * banks} banks overflow int64 bank indices"
+        )
+    moduli = (channels, ranks, banks, rows)
+    parse = _parse(workload, instructions, columns, core, seed,
+                   tuple(_draw_bound(n) for n in moduli))
+    shifts = np.array([32 - n.bit_length() for n in moduli], dtype=np.uint32)
+    ch, rk, bk, row = (parse.words >> shifts).T
+    global_rank = ch.astype(np.int64) * ranks + rk
+    global_bank = global_rank * banks + bk
+    out_ch = ch.tolist()
+    out_rk = rk.tolist()
+    out_bk = bk.tolist()
+    out_row = row.tolist()
     return TraceArrays(
-        positions=out_pos,
-        writes=out_wr,
+        positions=parse.positions,
+        writes=parse.writes,
         channels=out_ch,
         ranks=out_rk,
         banks=out_bk,
         rows=out_row,
-        ops=list(zip(out_pos, out_wr, out_ch, out_r, out_gb, out_rk,
-                     out_bk, out_row)),
+        ops=list(zip(parse.positions, parse.writes, out_ch,
+                     global_rank.tolist(), global_bank.tolist(),
+                     out_rk, out_bk, out_row)),
     )
+
+
+build_trace_arrays.cache_info = _parse.cache_info  # type: ignore[attr-defined]
+build_trace_arrays.cache_clear = _parse.cache_clear  # type: ignore[attr-defined]

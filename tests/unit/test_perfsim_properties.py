@@ -30,9 +30,11 @@ from repro.perfsim.timing import SystemTiming
 from repro.perfsim.trace import build_trace_arrays
 from repro.perfsim.workloads import Workload
 
-# mpki stays strictly positive: the trace generator models the gap
-# between misses as geometric with mean 1000/mpki, so mpki == 0 means
-# "no memory traffic ever" (an infinite gap the engine rejects).
+# mpki stays strictly positive so every example has traffic to check:
+# the trace generator models the gap between misses as geometric with
+# mean 1000/mpki, so mpki == 0 means "no memory traffic ever" (an
+# infinite gap, hence an empty trace; tests/unit/test_perfsim_trace.py
+# runs that case on both engines).
 WORKLOADS = st.builds(
     Workload,
     name=st.just("hyp"),
