@@ -36,6 +36,7 @@ File format (one JSON object per line)::
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import os
 import random
@@ -486,14 +487,13 @@ class CheckpointStore:
 
 @dataclass(frozen=True)
 class ShardLease:
-    """A bounded grant of shard indices to one distributed worker.
+    """A bounded grant of shard indices to the executor or a worker.
 
     ``attempts`` carries the per-shard attempt number (1-based,
-    parallel to ``shards``) so workers key deterministic chaos
-    injection on ``(global shard index, attempt)`` exactly like the
-    in-process executor.  ``deadline`` is a coordinator-clock instant;
-    a lease not fully accounted for by then is expired and its
-    unfinished shards requeued.
+    parallel to ``shards``) so chaos injection keys on ``(global shard
+    index, attempt)`` wherever the shard runs.  ``deadline`` is a
+    scheduler-clock instant; a lease not fully accounted for by then is
+    expired and its unfinished shards requeued.
     """
 
     lease_id: int
@@ -513,24 +513,27 @@ class ShardLease:
 
 
 class LeaseBook:
-    """Deterministic shard-lease ledger for the distributed coordinator.
+    """Deterministic shard-lease ledger: the one shard scheduler.
 
     Tracks every shard index of a run through the lease lifecycle::
 
         pending -> leased -> completed
                       |          ^
-                      v          |   (retry with the executor's
-                   failed --------    exponential backoff + jitter)
+                      v          |   (retry after exponential
+                   failed --------    backoff + seeded jitter)
                       |
                       v
                 quarantined (``keep_going``) / abort
 
+    :func:`~repro.runtime.executor.run_resilient` (one shard per
+    lease) and the distributed coordinator both schedule through it.
     The book is pure bookkeeping -- no I/O, no clock reads of its own
     (an injectable ``clock`` makes expiry testable) -- and entirely
     deterministic: grants hand out the lowest ready shard indices in
-    order, retry delays come from :func:`backoff_delay` (the executor's
-    formula too), so two coordinators fed the same failure sequence
-    make identical scheduling decisions.
+    order, retry delays come from :func:`backoff_delay`, so two
+    schedulers fed the same failure sequence make identical decisions.
+    A grant costs O(log n): a min-heap of ready indices plus a heap of
+    backing-off ones keyed on the instant their window opens.
     """
 
     def __init__(
@@ -564,9 +567,11 @@ class LeaseBook:
         self.quarantined: List[int] = []
         self.failures: Dict[int, int] = {}
         self.retry_at: Dict[int, float] = {}
-        self._pending: List[int] = [
-            i for i in range(total_shards) if i not in self.completed
-        ]
+        #: Shards waiting for a lease.  A heap entry whose shard left
+        #: this set or was failed again is stale, dropped on sight.
+        self._pending = set(range(total_shards)) - self.completed
+        self._ready: List[int] = sorted(self._pending)
+        self._backoff: List[Tuple[float, int]] = []
         self._active: Dict[int, ShardLease] = {}
         self._outstanding: Dict[int, set] = {}
         self._lease_of: Dict[int, int] = {}
@@ -597,6 +602,19 @@ class LeaseBook:
         """Shard indices of a lease not yet completed/failed."""
         return tuple(sorted(self._outstanding.get(lease_id, ())))
 
+    def _ready_top(self, now: float) -> Optional[int]:
+        """Lowest pending index whose backoff window has opened."""
+        while self._backoff and self._backoff[0][0] <= now:
+            ready_at, index = heapq.heappop(self._backoff)
+            if index in self._pending and self.retry_at.get(index) == ready_at:
+                heapq.heappush(self._ready, index)
+        while self._ready:
+            index = self._ready[0]
+            if index in self._pending and self.retry_at.get(index, 0.0) <= now:
+                return index
+            heapq.heappop(self._ready)
+        return None
+
     # -- lease lifecycle ----------------------------------------------------
 
     def grant(self, worker: str) -> Optional[ShardLease]:
@@ -608,13 +626,16 @@ class LeaseBook:
         should wait for a backoff window or for active leases).
         """
         now = self.clock()
-        ready = [
-            i for i in self._pending if self.retry_at.get(i, 0.0) <= now
-        ][: self.lease_shards]
+        ready: List[int] = []
+        while len(ready) < self.lease_shards:
+            index = self._ready_top(now)
+            if index is None:
+                break
+            heapq.heappop(self._ready)
+            self._pending.discard(index)
+            ready.append(index)
         if not ready:
             return None
-        for i in ready:
-            self._pending.remove(i)
         lease = ShardLease(
             lease_id=self._next_lease_id,
             shards=tuple(ready),
@@ -647,8 +668,7 @@ class LeaseBook:
         self.completed.add(index)
         self.retry_at.pop(index, None)
         self._detach(index)
-        if index in self._pending:  # completed while queued for retry
-            self._pending.remove(index)
+        self._pending.discard(index)  # completed while queued for retry
         return True
 
     def fail(self, index: int, reason: str) -> str:
@@ -667,20 +687,19 @@ class LeaseBook:
         count = self.failures.get(index, 0) + 1
         self.failures[index] = count
         if count > self.max_retries:
-            if index in self._pending:
-                self._pending.remove(index)
+            self._pending.discard(index)
             self.retry_at.pop(index, None)
             if self.keep_going:
                 if index not in self.quarantined:
                     self.quarantined.append(index)
                 return "quarantine"
             return "abort"
-        self.retry_at[index] = self.clock() + backoff_delay(
+        ready_at = self.clock() + backoff_delay(
             self.seed, index, count, self.backoff_base_s, self.backoff_cap_s
         )
-        if index not in self._pending:
-            self._pending.append(index)
-            self._pending.sort()
+        self.retry_at[index] = ready_at
+        self._pending.add(index)
+        heapq.heappush(self._backoff, (ready_at, index))
         return "retry"
 
     def expire(self, now: Optional[float] = None) -> List[Tuple[ShardLease, Tuple[int, ...]]]:
@@ -706,12 +725,25 @@ class LeaseBook:
         """Drop a lease (worker gone); returns its unfinished indices.
 
         The indices are *not* requeued automatically -- the caller
-        routes each through :meth:`fail` with a reason.
+        routes each through :meth:`fail` with a reason (or uses
+        :meth:`requeue`).
         """
         self._active.pop(lease_id, None)
         indices = tuple(sorted(self._outstanding.pop(lease_id, ())))
         for i in indices:
             self._lease_of.pop(i, None)
+        return indices
+
+    def requeue(self, lease_id: int) -> Tuple[int, ...]:
+        """Drop a lease; its unfinished indices are ready again, uncharged.
+
+        For shards that lost their worker with a torn-down pool: each
+        reruns with the same attempt number.
+        """
+        indices = self.release(lease_id)
+        for index in indices:
+            self._pending.add(index)
+            heapq.heappush(self._ready, index)
         return indices
 
     def next_ready_in(self, now: Optional[float] = None) -> Optional[float]:
@@ -723,7 +755,11 @@ class LeaseBook:
         if not self._pending:
             return None
         now = self.clock() if now is None else now
-        return max(
-            0.0,
-            min(self.retry_at.get(i, 0.0) for i in self._pending) - now,
-        )
+        if self._ready_top(now) is not None:
+            return 0.0
+        while self._backoff:
+            ready_at, index = self._backoff[0]
+            if index in self._pending and self.retry_at.get(index) == ready_at:
+                return max(0.0, ready_at - now)
+            heapq.heappop(self._backoff)
+        return None

@@ -23,12 +23,15 @@ proves:
   format's per-record SHA-256 digest and is re-verified on receipt
   (:func:`repro.runtime.checkpoint._parse_shard_line`); a corrupted
   transfer is rejected and the shard simply re-runs.
-* **Fault tolerance.**  Leases expire on a deadline; expired or failed
-  shards requeue with the executor's exponential-backoff retry policy,
-  poison shards quarantine under ``keep_going``, worker disconnects
-  requeue their outstanding shards, and SIGINT/SIGTERM drains to a
-  resumable checkpoint exactly like the in-process executor
-  (``repro coordinate --resume`` continues where it stopped).
+* **Fault tolerance.**  The executor's own scheduler
+  (:class:`~repro.runtime.checkpoint.LeaseBook`) and failure path
+  charge expired, failed and orphaned shards, so retries, quarantine
+  and counters match a local run.  Worker disconnects requeue their
+  outstanding shards, a failure reported after its lease expired is
+  not charged twice, the run ends only once every granted lease is
+  closed (so the last ``lease_done``'s telemetry is folded), and
+  SIGINT/SIGTERM drains to a resumable checkpoint exactly like the
+  in-process executor (``repro coordinate --resume``).
 * **Identity.**  The job handshake ships the coordinator's
   :class:`~repro.runtime.checkpoint.RunFingerprint`; each worker
   recomputes the fingerprint from the spec locally and refuses on any
@@ -65,7 +68,8 @@ from repro.runtime.executor import (
     RunOutcome,
     RuntimePolicy,
     ShardFailure,
-    _open_checkpoint,
+    _charge_failure,
+    _open_run,
     _SignalGuard,
 )
 from repro.runtime.protocol import (
@@ -223,11 +227,11 @@ class _Connection:
 class Coordinator:
     """Serve one experiment's shard plan to remote workers as leases.
 
-    The coordinator is the distributed twin of the resilient executor:
-    :class:`~repro.runtime.checkpoint.LeaseBook` replaces the local
-    retry queue, worker connections replace the process pool, and the
-    same checkpoint file / :class:`RunOutcome` / exit-code contract
-    applies, so ``repro coordinate`` composes with ``--resume``,
+    The coordinator is the distributed twin of the resilient executor
+    and shares its :class:`~repro.runtime.checkpoint.LeaseBook`;
+    worker connections replace the process pool, and the same
+    checkpoint file / :class:`RunOutcome` / exit-code contract applies,
+    so ``repro coordinate`` composes with ``--resume``,
     ``--keep-going`` and the provenance export unchanged.
 
     The listening socket binds in the constructor, so :attr:`address`
@@ -258,8 +262,8 @@ class Coordinator:
         self._book: Optional[LeaseBook] = None
         self._store: Optional[CheckpointStore] = None
         self._records: Dict[int, ShardRecord] = {}
-        self._lease_started: Dict[int, Tuple[float, float]] = {}
-        self._lease_sizes: Dict[int, int] = {}
+        #: Granted leases not yet closed, with wall/perf start times.
+        self._open: Dict[int, Tuple[ShardLease, float, float]] = {}
         self._connections: List[_Connection] = []
         self._finished: Optional[asyncio.Event] = None
         self._stop_signal: Optional[str] = None
@@ -296,25 +300,13 @@ class Coordinator:
 
     def _open_book(self) -> None:
         """Create/resume the checkpoint and seed the lease ledger."""
-        self._store, self._records = _open_checkpoint(
-            self.policy, self.fingerprint, self.outcome
+        self._store, self._records, self._book = _open_run(
+            self.policy, self.fingerprint, self.outcome,
+            self.lease_shards, self.lease_timeout_s,
         )
-        completed = list(self._records)
-        self.outcome.resumed_shards = len(completed)
         # Mirror run_resilient: resumed shards count as completed, so
         # completeness reflects the whole plan.
-        self.outcome.completed_shards = len(completed)
-        self._book = LeaseBook(
-            self.outcome.total_shards,
-            seed=self.fingerprint.seed,
-            lease_shards=self.lease_shards,
-            lease_timeout_s=self.lease_timeout_s,
-            max_retries=self.policy.max_retries,
-            keep_going=self.policy.keep_going,
-            backoff_base_s=self.policy.backoff_base_s,
-            backoff_cap_s=self.policy.backoff_cap_s,
-            completed=completed,
-        )
+        self.outcome.completed_shards = len(self._records)
 
     def _on_signal(self, name: str) -> None:
         """First SIGINT/SIGTERM: stop granting and drain to checkpoint."""
@@ -345,16 +337,22 @@ class Coordinator:
                 pass
 
     async def _watchdog(self) -> None:
-        """Expire leases, honour signals, and detect completion."""
+        """Expire leases, honour signals, and detect completion.
+
+        A done book or a drain ends the run once every granted lease is
+        closed (each wait bounded by that lease's deadline).
+        """
         assert self._book is not None
         while True:
-            for lease, indices in self._book.expire():
-                self._expire_lease(lease, indices, "timeout")
+            now = time.monotonic()
+            for lease, _, _ in list(self._open.values()):
+                if lease.deadline <= now:
+                    self._expire_lease(lease, "timeout")
             if self._stop_signal is not None and not self._draining:
                 self._draining = True
-            if self._abort is not None or self._book.done:
+            if self._abort is not None:
                 break
-            if self._draining and not self._book.active_leases:
+            if (self._book.done or self._draining) and not self._open:
                 break
             await asyncio.sleep(_TICK_S)
         assert self._finished is not None
@@ -437,11 +435,12 @@ class Coordinator:
             self._receive_result(conn, message)
             return True
         if mtype == "shard_failed":
-            index = message.get("index")
-            reason = str(message.get("reason", "fault"))
-            if isinstance(index, int):
-                self.outcome.faults += 1
-                self._fail_shard(index, reason)
+            # An expired lease's shards were charged at expiry.
+            lease_id, index = message.get("lease_id"), message.get("index")
+            if isinstance(lease_id, int) and index in self._book.outstanding(
+                lease_id
+            ):
+                self._charge(index, str(message.get("reason", "fault")))
             return True
         if mtype == "lease_done":
             self._lease_done(conn, message)
@@ -461,19 +460,13 @@ class Coordinator:
         lease = self._book.grant(conn.name)
         if lease is None:
             delay = self._book.next_ready_in()
-            if delay is None and not self._book.active_leases:
-                # Nothing pending, nothing active, yet not done: every
-                # remaining shard is quarantined; tell workers to go.
-                await write_message(conn.writer, {"type": "drain"})
-                return True
             await write_message(
                 conn.writer,
                 {"type": "wait", "delay_s": max(_TICK_S, delay or _TICK_S)},
             )
             return True
         conn.leases.add(lease.lease_id)
-        self._lease_started[lease.lease_id] = (wall_time(), perf_counter())
-        self._lease_sizes[lease.lease_id] = len(lease.shards)
+        self._open[lease.lease_id] = (lease, wall_time(), perf_counter())
         if OBS.enabled:
             OBS.registry.counter("runtime.leases_granted").inc()
             OBS.trace.record(
@@ -562,23 +555,21 @@ class Coordinator:
         for index in outstanding:
             # The worker closed the lease without accounting for these
             # (e.g. its result frame was rejected): treat as faults.
-            self.outcome.faults += 1
-            self._fail_shard(index, "fault")
-        if OBS.enabled:
+            self._charge(index, "fault")
+        opened = self._open.get(lease_id)
+        if opened is not None and OBS.enabled:
+            lease = opened[0]
             OBS.trace.record(
-                events.LeaseCompleted(
-                    lease_id, conn.name, self._lease_sizes.get(lease_id, 0)
-                )
+                events.LeaseCompleted(lease_id, conn.name, len(lease.shards))
             )
-        self._lease_sizes.pop(lease_id, None)
-        self._close_lease_span(lease_id, "done" if not outstanding else "partial")
+        self._close_lease(lease_id, "done" if not outstanding else "partial")
 
-    def _close_lease_span(self, lease_id: int, status: str) -> None:
-        """Record the per-lease span (manual: the lease isn't a frame)."""
-        started = self._lease_started.pop(lease_id, None)
-        if started is None or self._ctx is None or not OBS.enabled:
+    def _close_lease(self, lease_id: int, status: str) -> None:
+        """Close an open lease; record its span (the lease isn't a frame)."""
+        opened = self._open.pop(lease_id, None)
+        if opened is None or self._ctx is None or not OBS.enabled:
             return
-        start_wall, start_perf = started
+        _, start_wall, start_perf = opened
         OBS.trace.record(
             SpanClosed(
                 name="runtime.lease",
@@ -594,40 +585,16 @@ class Coordinator:
 
     # -- failure routing ----------------------------------------------------
 
-    def _fail_shard(self, index: int, reason: str) -> None:
-        """Route one shard failure through the book's retry contract."""
-        assert self._book is not None
-        action = self._book.fail(index, reason)
-        if action == "retry":
-            self.outcome.retries += 1
-            count = self._book.failures.get(index, 0)
-            if OBS.enabled:
-                OBS.registry.counter("runtime.lease_requeues").inc()
-                OBS.trace.record(
-                    events.ShardRetried(index, count, reason, 0.0)
-                )
-        elif action == "quarantine":
-            self.outcome.quarantined_shards = tuple(self._book.quarantined)
-            if OBS.enabled:
-                OBS.registry.counter("runtime.shards_quarantined").inc()
-                OBS.trace.record(
-                    events.ShardQuarantined(
-                        index, self._book.failures.get(index, 0), reason
-                    )
-                )
-        elif action == "abort" and self._abort is None:
-            self._abort = ShardFailure(
-                f"shard {index} failed permanently ({reason}) after "
-                f"{self._book.failures.get(index, 0)} attempts",
-                shard_index=index,
-                reason=reason,
-                checkpoint_path=self.outcome.checkpoint_path,
-            )
+    def _charge(self, index: int, reason: str) -> None:
+        """Charge a failed shard; the first exhausted budget aborts the run."""
+        error = _charge_failure(
+            self._book, self.outcome, self.policy, index, reason
+        )
+        self._abort = self._abort or error
 
-    def _expire_lease(
-        self, lease: ShardLease, indices: Tuple[int, ...], reason: str
-    ) -> None:
-        """Requeue an expired/lost lease's outstanding shards."""
+    def _expire_lease(self, lease: ShardLease, reason: str) -> None:
+        """Close an expired/lost lease and charge its outstanding shards."""
+        indices = self._book.release(lease.lease_id)
         if OBS.enabled:
             OBS.registry.counter("runtime.leases_expired").inc()
             OBS.trace.record(
@@ -636,35 +603,19 @@ class Coordinator:
                 )
             )
         for index in indices:
-            if reason == "timeout":
-                self.outcome.timeouts += 1
-                if OBS.enabled:
-                    OBS.registry.counter("runtime.shard_timeouts").inc()
-            else:
-                self.outcome.crashes += 1
-                if OBS.enabled:
-                    OBS.registry.counter("runtime.worker_crashes").inc()
-            self._fail_shard(index, reason)
-        self._close_lease_span(lease.lease_id, reason)
+            self._charge(index, reason)
+        self._close_lease(lease.lease_id, reason)
 
     def _drop_connection(self, conn: _Connection) -> None:
-        """A worker vanished: requeue every lease it still held."""
-        assert self._book is not None
+        """A worker vanished: close every lease it still held."""
         if conn in self._connections:
             self._connections.remove(conn)
         if OBS.enabled:
             OBS.registry.counter("runtime.workers_disconnected").inc()
-        for lease_id in list(conn.leases):
-            lease = next(
-                (
-                    item for item in self._book.active_leases
-                    if item.lease_id == lease_id
-                ),
-                None,
-            )
-            indices = self._book.release(lease_id)
-            if lease is not None and indices:
-                self._expire_lease(lease, indices, "crash")
+        for lease_id in sorted(conn.leases):
+            opened = self._open.get(lease_id)
+            if opened is not None:
+                self._expire_lease(opened[0], "crash")
         conn.leases.clear()
         self._close_connection(conn)
 

@@ -3,7 +3,9 @@
 :func:`run_resilient` is the one executor every engine runs its
 deterministic shard plan through -- Monte-Carlo reliability,
 behavioural campaigns, the perfsim grid, distributed worker leases and
-service jobs -- in-process at ``workers=1`` or on a process pool.  Runs
+service jobs -- in-process at ``workers=1`` or on a process pool,
+taking single-shard leases from the distributed coordinator's
+scheduler, :class:`~repro.runtime.checkpoint.LeaseBook`.  Runs
 without an explicit or ambient :class:`RuntimePolicy` get the defaults
 (no checkpoint, no timeout, 3 retries), so every run survives the
 failure modes that kill a multi-hour campaign in practice --
@@ -11,7 +13,7 @@ failure modes that kill a multi-hour campaign in practice --
 * **Worker crashes** (OOM kill, segfault, ``os._exit``) surface as
   ``BrokenProcessPool``; the pool is rebuilt and the affected shards
   retried with exponential backoff plus deterministic jitter, up to a
-  per-shard retry budget.
+  per-shard retry budget; the other shards run meanwhile.
 * **Hangs** are bounded by a per-shard timeout; a deadline miss
   terminates the pool (the only way to reclaim a truly wedged worker),
   re-queues the innocent in-flight shards without penalty, and charges
@@ -42,12 +44,16 @@ import math
 import signal
 import threading
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.obs import OBS, events
 from repro.obs.events import EventTrace
@@ -56,7 +62,9 @@ from repro.obs.tracing import TraceContext, current_context, shard_span
 from repro.runtime.chaos import ChaosCrash, ChaosHang, ChaosPolicy
 from repro.runtime.checkpoint import (
     CheckpointStore,
+    LeaseBook,
     RunFingerprint,
+    ShardLease,
     ShardRecord,
     backoff_delay,
 )
@@ -314,38 +322,113 @@ def _resilient_worker(
     return _run_shard_captured(shard_fn, args, ctx, index, attempt)
 
 
-def _open_checkpoint(
-    policy: RuntimePolicy, fingerprint: RunFingerprint, outcome: RunOutcome
-) -> Tuple[Optional[CheckpointStore], Dict[int, ShardRecord]]:
-    """Create or resume a run's checkpoint under ``policy``.
+def _open_run(
+    policy: RuntimePolicy,
+    fingerprint: RunFingerprint,
+    outcome: RunOutcome,
+    lease_shards: int,
+    lease_timeout_s: float,
+) -> Tuple[Optional[CheckpointStore], Dict[int, ShardRecord], LeaseBook]:
+    """Create or resume a run's checkpoint and seed its lease book.
 
-    Returns the store (``None`` when not persisting) and the resumed
-    records whose index lies inside the plan of
-    ``outcome.total_shards``, in index order.  Sets the outcome's
-    ``checkpoint_path`` and ``discarded_records`` and counts
-    ``runtime.shards_resumed``/``runtime.checkpoint_discarded``; the
-    executor and the distributed coordinator both open through here.
+    Returns the store (``None`` when not persisting), the resumed
+    records inside the plan of ``outcome.total_shards`` in index order,
+    and the :class:`LeaseBook` scheduling the rest under ``policy``.
+    Sets the outcome's ``checkpoint_path``, ``discarded_records`` and
+    ``resumed_shards`` and counts ``runtime.shards_resumed``/
+    ``runtime.checkpoint_discarded``; the executor and the distributed
+    coordinator both open through here.
     """
     path = policy.checkpoint_path_for(fingerprint)
-    if path is None:
-        return None, {}
-    outcome.checkpoint_path = str(path)
-    if policy.resume_dir is None or not path.exists():
-        return CheckpointStore.create(path, fingerprint), {}
-    store = CheckpointStore.resume(path, fingerprint)
-    outcome.discarded_records = store.discarded
-    records = {
-        index: store.completed[index]
-        for index in sorted(store.completed)
-        if 0 <= index < outcome.total_shards
-    }
+    store: Optional[CheckpointStore] = None
+    records: Dict[int, ShardRecord] = {}
+    if path is not None:
+        outcome.checkpoint_path = str(path)
+        if policy.resume_dir is None or not path.exists():
+            store = CheckpointStore.create(path, fingerprint)
+        else:
+            store = CheckpointStore.resume(path, fingerprint)
+            outcome.discarded_records = store.discarded
+            records = {
+                index: store.completed[index]
+                for index in sorted(store.completed)
+                if 0 <= index < outcome.total_shards
+            }
+            if OBS.enabled:
+                resumed = OBS.registry.counter("runtime.shards_resumed")
+                resumed.inc(len(records))
+                if store.discarded:
+                    OBS.registry.counter("runtime.checkpoint_discarded").inc(
+                        store.discarded
+                    )
+    outcome.resumed_shards = len(records)
+    book = LeaseBook(
+        outcome.total_shards,
+        seed=fingerprint.seed,
+        lease_shards=lease_shards,
+        lease_timeout_s=lease_timeout_s,
+        max_retries=policy.max_retries,
+        keep_going=policy.keep_going,
+        backoff_base_s=policy.backoff_base_s,
+        backoff_cap_s=policy.backoff_cap_s,
+        completed=list(records),
+    )
+    return store, records, book
+
+
+def _charge_failure(
+    book: LeaseBook,
+    outcome: RunOutcome,
+    policy: RuntimePolicy,
+    index: int,
+    reason: str,
+) -> Optional[ShardFailure]:
+    """Charge a failed attempt of shard ``index`` and record what follows.
+
+    The one failure path of the executor and the distributed
+    coordinator: counts the ``"timeout"``, ``"crash"`` or fault, lets
+    :meth:`LeaseBook.fail` decide, then records a retry (with the
+    book's backoff delay and ``policy.on_shard_retry``) or a
+    quarantine.  Returns the :class:`ShardFailure` the caller must
+    raise when the budget is exhausted without ``keep_going``.
+    """
+    if reason == "timeout":
+        outcome.timeouts += 1
+        counter = "runtime.shard_timeouts"
+    elif reason == "crash":
+        outcome.crashes += 1
+        counter = "runtime.worker_crashes"
+    else:
+        outcome.faults += 1
+        counter = "runtime.shard_faults"
     if OBS.enabled:
-        OBS.registry.counter("runtime.shards_resumed").inc(len(records))
-        if store.discarded:
-            OBS.registry.counter("runtime.checkpoint_discarded").inc(
-                store.discarded
+        OBS.registry.counter(counter).inc()
+    decision = book.fail(index, reason)
+    count = book.failures.get(index, 0)
+    if decision == "retry":
+        outcome.retries += 1
+        if OBS.enabled:
+            delay = backoff_delay(
+                book.seed, index, count,
+                book.backoff_base_s, book.backoff_cap_s,
             )
-    return store, records
+            OBS.registry.counter("runtime.shard_retries").inc()
+            OBS.trace.record(events.ShardRetried(index, count, reason, delay))
+        if policy.on_shard_retry is not None:
+            policy.on_shard_retry(index, count, reason)
+    elif decision == "quarantine":
+        if OBS.enabled:
+            OBS.registry.counter("runtime.shards_quarantined").inc()
+            OBS.trace.record(events.ShardQuarantined(index, count, reason))
+    else:
+        return ShardFailure(
+            f"shard {index} failed {count} time(s) ({reason}) and "
+            f"--max-retries={book.max_retries} is exhausted",
+            shard_index=index,
+            reason=reason,
+            checkpoint_path=outcome.checkpoint_path,
+        )
+    return None
 
 
 def _terminate_executor(executor: ProcessPoolExecutor) -> None:
@@ -413,7 +496,12 @@ class _SignalGuard:
 # ---------------------------------------------------------------------------
 
 class _ResilientRun:
-    """State machine for one :func:`run_resilient` invocation."""
+    """State machine for one :func:`run_resilient` invocation.
+
+    Its :class:`LeaseBook` owns shard order, attempts, retries and
+    quarantine; the run keeps checkpoint replay, the per-shard capture,
+    pool teardown, the signal guard and the plan-order telemetry fold.
+    """
 
     def __init__(
         self,
@@ -446,22 +534,12 @@ class _ResilientRun:
         self.trace_ctx = current_context()
         self.results: Dict[int, Any] = {}
         self.telemetry: Dict[int, Tuple[Optional[Dict], Optional[List[Dict]]]] = {}
-        self.failures: Dict[int, int] = {}
-        self.quarantined: List[int] = []
         self.store: Optional[CheckpointStore] = None
+        self.book: Optional[LeaseBook] = None
+        self.pool: Optional[ProcessPoolExecutor] = None
+        self.inflight: Dict[Future, ShardLease] = {}
+        self.slots = 1
         self.stop_signal: Optional[str] = None
-
-    # -- checkpoint plumbing ------------------------------------------------
-
-    def _open_store(self) -> List[int]:
-        """Create/resume the checkpoint; returns replayed shard indices."""
-        self.store, records = _open_checkpoint(
-            self.policy, self.fingerprint, self.outcome
-        )
-        for index, record in records.items():
-            self.results[index] = self.decode(record.payload)
-            self.telemetry[index] = (record.metrics, record.trace)
-        return list(records)
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -475,64 +553,21 @@ class _ResilientRun:
     def _stopping(self) -> bool:
         return self.stop_signal is not None
 
-    def _count_attempt(self) -> None:
-        if OBS.enabled:
-            OBS.registry.counter("runtime.shard_attempts").inc()
-
-    def _register_failure(
-        self, index: int, reason: str, cause: Optional[BaseException] = None
-    ) -> Optional[float]:
-        """Account one failed attempt; returns the retry delay.
-
-        Returns ``None`` when the shard was quarantined instead
-        (``keep_going``); raises :class:`ShardFailure` chained to
-        ``cause`` (the attempt's own error, if it raised one) when the
-        budget is exhausted without ``keep_going``.
-        """
-        self.failures[index] = self.failures.get(index, 0) + 1
-        count = self.failures[index]
-        if OBS.enabled:
-            if reason == "timeout":
-                OBS.registry.counter("runtime.shard_timeouts").inc()
-            elif reason == "crash":
-                OBS.registry.counter("runtime.worker_crashes").inc()
-            else:
-                OBS.registry.counter("runtime.shard_faults").inc()
-        if reason == "timeout":
-            self.outcome.timeouts += 1
-        elif reason == "crash":
-            self.outcome.crashes += 1
-        else:
-            self.outcome.faults += 1
-        if count > self.policy.max_retries:
-            if self.policy.keep_going:
-                self.quarantined.append(index)
-                if OBS.enabled:
-                    OBS.registry.counter("runtime.shards_quarantined").inc()
-                    OBS.trace.record(
-                        events.ShardQuarantined(index, count, reason)
-                    )
-                return None
-            raise ShardFailure(
-                f"shard {index} failed {count} time(s) ({reason}) and "
-                f"--max-retries={self.policy.max_retries} is exhausted",
-                shard_index=index,
-                reason=reason,
-                checkpoint_path=self.outcome.checkpoint_path,
-            ) from cause
-        delay = backoff_delay(
-            self.fingerprint.seed, index, count,
-            self.policy.backoff_base_s, self.policy.backoff_cap_s,
+    def _fail(
+        self,
+        lease: ShardLease,
+        reason: str,
+        cause: Optional[BaseException] = None,
+    ) -> None:
+        """Charge a failed attempt; raise when the run must abort."""
+        error = _charge_failure(
+            self.book, self.outcome, self.policy, lease.shards[0], reason
         )
-        self.outcome.retries += 1
-        if OBS.enabled:
-            OBS.registry.counter("runtime.shard_retries").inc()
-            OBS.trace.record(events.ShardRetried(index, count, reason, delay))
-        if self.policy.on_shard_retry is not None:
-            self.policy.on_shard_retry(index, count, reason)
-        return delay
+        if error is not None:
+            raise error from cause
 
     def _complete(self, index: int, result: Any, metrics, trace) -> None:
+        self.book.complete(index)
         self.results[index] = result
         self.telemetry[index] = (metrics, trace)
         if self.store is not None:
@@ -555,214 +590,157 @@ class _ResilientRun:
                 return
             time.sleep(min(_POLL_S, remaining))
 
-    # -- in-process execution (workers == 1) --------------------------------
+    # -- dispatch -----------------------------------------------------------
 
-    def _run_inproc(self, pending: List[int]) -> None:
-        chaos = self.policy.chaos
-        for index in pending:
-            while not self._stopping:
-                attempt = self.failures.get(index, 0) + 1
-                self._count_attempt()
-                try:
-                    if chaos is not None:
-                        chaos.apply_in_process(index, attempt)
-                    result, metrics, trace = _run_shard_captured(
-                        self.shard_fn,
-                        self.shard_args[index],
-                        ctx=self.trace_ctx,
-                        index=index,
-                        attempt=attempt,
-                    )
-                except ChaosHang as exc:
-                    delay = self._register_failure(index, "timeout", exc)
-                except ChaosCrash as exc:
-                    delay = self._register_failure(index, "crash", exc)
-                except Exception as exc:
-                    delay = self._register_failure(index, "fault", exc)
-                else:
-                    self._complete(index, result, metrics, trace)
-                    break
-                if delay is None:
-                    break  # quarantined
-                self._sleep(delay)
+    def _dispatch(self) -> None:
+        """Run leases until the book is done, a signal drained it, or abort.
 
-    # -- pool execution (workers > 1) ---------------------------------------
+        ``workers=1`` runs each granted shard inline; more workers keep
+        up to that many on the pool.  The loop sleeps only when nothing
+        is ready and nothing is running.
+        """
+        self.slots = min(self.workers, max(1, self.book.pending_count))
+        try:
+            while not self.book.done and (self.inflight or not self._stopping):
+                while not self._stopping and len(self.inflight) < self.slots:
+                    lease = self.book.grant("local")
+                    if lease is None:
+                        break
+                    if OBS.enabled:
+                        OBS.registry.counter("runtime.shard_attempts").inc()
+                    if self.workers == 1:
+                        self._run_inline(lease)
+                    else:
+                        self._submit(lease)
+                if self.inflight:
+                    self._collect()
+                elif not self.book.done and not self._stopping:
+                    self._sleep(self.book.next_ready_in() or 0.0)
+        finally:
+            if self.pool is not None:
+                _terminate_executor(self.pool)
 
-    def _submit(self, executor: ProcessPoolExecutor, index: int):
-        attempt = self.failures.get(index, 0) + 1
-        self._count_attempt()
-        future = executor.submit(
-            _resilient_worker,
-            (
-                index,
-                attempt,
+    def _run_inline(self, lease: ShardLease) -> None:
+        index, attempt = lease.shards[0], lease.attempts[0]
+        try:
+            if self.policy.chaos is not None:
+                self.policy.chaos.apply_in_process(index, attempt)
+            result, metrics, trace = _run_shard_captured(
                 self.shard_fn,
                 self.shard_args[index],
-                OBS.enabled,
-                self.policy.chaos,
-                self.trace_ctx,
-            ),
-        )
-        timeout = self.policy.shard_timeout_s
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else math.inf
-        )
-        return future, deadline
+                ctx=self.trace_ctx,
+                index=index,
+                attempt=attempt,
+            )
+        except ChaosHang as exc:
+            self._fail(lease, "timeout", exc)
+        except ChaosCrash as exc:
+            self._fail(lease, "crash", exc)
+        except Exception as exc:
+            self._fail(lease, "fault", exc)
+        else:
+            self._complete(index, result, metrics, trace)
 
-    def _run_pool(self, pending: List[int]) -> None:
-        from repro.faultsim.parallel import pool_context
+    def _submit(self, lease: ShardLease) -> None:
+        if self.pool is None:
+            from repro.faultsim.parallel import pool_context
 
-        context = pool_context()
-        processes = min(self.workers, max(1, len(pending)))
-        queue = deque(pending)
-        retry_at: Dict[int, float] = {}
-        inflight: Dict[Any, Tuple[int, float]] = {}
-        executor: Optional[ProcessPoolExecutor] = None
+            self.pool = ProcessPoolExecutor(
+                max_workers=self.slots, mp_context=pool_context()
+            )
+        index, attempt = lease.shards[0], lease.attempts[0]
+        payload = (
+            index, attempt, self.shard_fn, self.shard_args[index],
+            OBS.enabled, self.policy.chaos, self.trace_ctx,
+        )
         try:
-            while queue or retry_at or inflight:
-                now = time.monotonic()
-                for index, ready in sorted(retry_at.items()):
-                    if ready <= now:
-                        del retry_at[index]
-                        queue.append(index)
-                if self._stopping:
-                    queue.clear()
-                    retry_at.clear()
-                    if not inflight:
-                        break
-                while queue and len(inflight) < processes:
-                    if executor is None:
-                        executor = ProcessPoolExecutor(
-                            max_workers=processes, mp_context=context
-                        )
-                    index = queue.popleft()
-                    try:
-                        future, deadline = self._submit(executor, index)
-                    except BrokenProcessPool as exc:
-                        # A worker died between wait() rounds and the
-                        # pool noticed before we resubmitted.  Charge a
-                        # crash to this shard and everything in flight
-                        # (their futures are doomed with the pool),
-                        # then rebuild on the next pass.
-                        self._retry_or_quarantine(
-                            index, "crash", retry_at, exc
-                        )
-                        for _f, (i, _d) in list(inflight.items()):
-                            self._retry_or_quarantine(
-                                i, "crash", retry_at, exc
-                            )
-                        inflight.clear()
-                        _terminate_executor(executor)
-                        executor = None
-                        break
-                    inflight[future] = (index, deadline)
-                if not inflight:
-                    if not retry_at:
-                        break
-                    self._sleep(
-                        max(0.0, min(retry_at.values()) - time.monotonic())
-                        or _POLL_S
-                    )
-                    continue
-                next_deadline = min(d for _, d in inflight.values())
-                wait_s = min(
-                    max(0.0, next_deadline - time.monotonic()), _POLL_S * 2
-                )
-                done, _ = wait(
-                    set(inflight), timeout=wait_s, return_when=FIRST_COMPLETED
-                )
-                broken: Optional[BrokenProcessPool] = None
-                for future in done:
-                    index, _deadline = inflight.pop(future)
-                    try:
-                        result, metrics, trace = future.result()
-                    except BrokenProcessPool as exc:
-                        broken = exc
-                        self._retry_or_quarantine(
-                            index, "crash", retry_at, exc
-                        )
-                    except Exception as exc:
-                        self._retry_or_quarantine(
-                            index, "fault", retry_at, exc
-                        )
-                    else:
-                        self._complete(index, result, metrics, trace)
-                if broken is not None:
-                    # Every other in-flight future is doomed with the
-                    # pool; they also count a crash failure (we cannot
-                    # know which worker died) and get rescheduled.
-                    for future, (index, _deadline) in list(inflight.items()):
-                        self._retry_or_quarantine(
-                            index, "crash", retry_at, broken
-                        )
-                    inflight.clear()
-                    if executor is not None:
-                        _terminate_executor(executor)
-                        executor = None
-                    continue
-                now = time.monotonic()
-                timed_out = [
-                    future
-                    for future, (_index, deadline) in inflight.items()
-                    if deadline <= now
-                ]
-                if timed_out:
-                    # Killing the pool is the only way to reclaim a hung
-                    # worker; innocent in-flight shards are re-queued
-                    # with no failure charged.
-                    for future in timed_out:
-                        index, _deadline = inflight.pop(future)
-                        self._retry_or_quarantine(index, "timeout", retry_at)
-                    for future, (index, _deadline) in list(inflight.items()):
-                        queue.appendleft(index)
-                    inflight.clear()
-                    if executor is not None:
-                        _terminate_executor(executor)
-                        executor = None
-        finally:
-            if executor is not None:
-                _terminate_executor(executor)
+            self.inflight[self.pool.submit(_resilient_worker, payload)] = lease
+        except BrokenProcessPool as exc:
+            # A worker died between wait() rounds: this shard and
+            # everything in flight are doomed with the pool.
+            self._fail(lease, "crash", exc)
+            self._reset_pool(crash=exc)
 
-    def _retry_or_quarantine(
+    def _collect(self) -> None:
+        """Settle finished futures, then a crashed pool or missed deadline."""
+        next_deadline = min(lease.deadline for lease in self.inflight.values())
+        wait_s = min(max(0.0, next_deadline - time.monotonic()), _POLL_S * 2)
+        done, _ = wait(
+            set(self.inflight), timeout=wait_s, return_when=FIRST_COMPLETED
+        )
+        broken: Optional[BrokenProcessPool] = None
+        for future in done:
+            lease = self.inflight.pop(future)
+            try:
+                result, metrics, trace = future.result()
+            except BrokenProcessPool as exc:
+                broken = exc
+                self._fail(lease, "crash", exc)
+            except Exception as exc:
+                self._fail(lease, "fault", exc)
+            else:
+                self._complete(lease.shards[0], result, metrics, trace)
+        if broken is not None:
+            self._reset_pool(crash=broken)
+            return
+        expired = {lease.lease_id for lease, _ in self.book.expire()}
+        if expired:
+            self._reset_pool(expired=expired)
+
+    def _reset_pool(
         self,
-        index: int,
-        reason: str,
-        retry_at: Dict[int, float],
-        cause: Optional[BaseException] = None,
+        crash: Optional[BaseException] = None,
+        expired: Set[int] = frozenset(),
     ) -> None:
-        delay = self._register_failure(index, reason, cause)
-        if delay is not None and not self._stopping:
-            retry_at[index] = time.monotonic() + delay
+        """Kill the pool (the only way to reclaim a hung worker).
+
+        After a crash every in-flight shard is charged one (which worker
+        died is unknown); after a missed deadline the expired shards
+        are charged a timeout and the innocent ones requeued uncharged.
+        """
+        leases = list(self.inflight.values())
+        self.inflight.clear()
+        _terminate_executor(self.pool)
+        self.pool = None
+        for lease in leases:
+            if crash is not None:
+                self._fail(lease, "crash", crash)
+            elif lease.lease_id in expired:
+                self._fail(lease, "timeout")
+            else:
+                self.book.requeue(lease.lease_id)
 
     # -- driver -------------------------------------------------------------
 
     def run(self) -> Tuple[List[Any], RunOutcome]:
         """Execute the plan; returns (plan-ordered results, outcome)."""
-        replayed = self._open_store()
-        self.outcome.resumed_shards = len(replayed)
-        for position, index in enumerate(replayed):
+        # In-process shards have no deadline (chaos raises ChaosHang).
+        timeout = self.policy.shard_timeout_s
+        if self.workers == 1 or timeout is None:
+            timeout = math.inf
+        self.store, records, self.book = _open_run(
+            self.policy, self.fingerprint, self.outcome,
+            lease_shards=1, lease_timeout_s=timeout,
+        )
+        for position, (index, record) in enumerate(records.items()):
+            self.results[index] = self.decode(record.payload)
+            self.telemetry[index] = (record.metrics, record.trace)
             if self.on_shard_done is not None:
                 self.on_shard_done(index)
             if self.policy.on_shard_complete is not None:
                 self.policy.on_shard_complete(
                     index, position + 1, self.outcome.total_shards
                 )
-        pending = [
-            i for i in range(len(self.shard_args)) if i not in self.results
-        ]
         error: Optional[ShardFailure] = None
         with _SignalGuard(self._on_signal):
             try:
-                if self.workers == 1:
-                    self._run_inproc(pending)
-                else:
-                    self._run_pool(pending)
+                self._dispatch()
             except ShardFailure as exc:
                 error = exc
             finally:
                 self._fold_telemetry()
         self.outcome.completed_shards = len(self.results)
-        self.outcome.quarantined_shards = tuple(sorted(self.quarantined))
+        self.outcome.quarantined_shards = tuple(sorted(self.book.quarantined))
         self.outcome.interrupted = self._stopping and error is None
         self.outcome.signal_name = self.stop_signal
         if OBS.enabled and self.store is not None:

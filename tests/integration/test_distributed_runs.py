@@ -6,9 +6,13 @@ and drain paths, spawned processes where chaos really kills the worker
 with ``os._exit`` -- and proves the merged result is *bit-identical*
 (via the PR-5 differential harness) to the single-machine vectorized
 run of the same spec.  This is the distributed twin of
-``tests/unit/test_chaos.py``.
+``tests/unit/test_chaos.py``.  Hand-driven protocol clients pin the
+lease accounting: a failure reported after its lease expired is not
+charged again, a retry is traced with its real backoff delay, and the
+run waits for the last ``lease_done`` before it finishes.
 """
 
+import json
 import multiprocessing
 import socket
 import threading
@@ -18,7 +22,11 @@ import pytest
 
 from repro.faultsim.differential import assert_identical
 from repro.faultsim.schemes import XedScheme
-from repro.faultsim.simulator import MonteCarloConfig, simulate
+from repro.faultsim.simulator import (
+    MonteCarloConfig,
+    simulate,
+    simulate_shard_range,
+)
 from repro.obs import TelemetryScope
 from repro.runtime import (
     CRASH_EXIT_CODE,
@@ -28,6 +36,7 @@ from repro.runtime import (
     corrupt_checkpoint_tail,
     parse_chaos_spec,
 )
+from repro.runtime.checkpoint import ShardRecord, backoff_delay
 from repro.runtime.distributed import Coordinator, JobSpec, run_worker
 from repro.runtime.protocol import PROTOCOL_VERSION, recv_message, send_message
 
@@ -67,6 +76,72 @@ def _worker_process_main(host, port, chaos_spec):
         run_worker(host, port, chaos=chaos, connect_timeout_s=30.0)
     except ConnectionError:
         pass
+
+
+@pytest.fixture(scope="module")
+def result_frames():
+    """Every SPEC shard's ``result`` record, as a worker sends it.
+
+    Computed up front in the test process, so hand-driven clients in
+    threads run no engine code (which would reset this process's OBS).
+    """
+    scheme, config = SPEC.build()
+    results = simulate_shard_range(
+        scheme, config, indices=range(SPEC.num_shards()),
+        shard_size=SPEC.shard_size,
+    )
+    return {
+        index: json.loads(
+            ShardRecord(index=index, payload=result.to_payload()).to_line()
+        )
+        for index, result in results.items()
+    }
+
+
+def _hand_client(address, name):
+    """A protocol client past its handshake, driven message by message."""
+    sock = socket.create_connection(address, timeout=10.0)
+    send_message(
+        sock, {"type": "hello", "protocol": PROTOCOL_VERSION, "worker": name}
+    )
+    assert recv_message(sock)["type"] == "job"
+    return sock
+
+
+def _next_lease(sock):
+    """Ask for work until a lease arrives; ``None`` once drained."""
+    while True:
+        send_message(sock, {"type": "ready"})
+        message = recv_message(sock)
+        if message is None or message["type"] == "drain":
+            return None
+        if message["type"] == "lease":
+            return message
+        time.sleep(message["delay_s"])
+
+
+def _serve_leases(sock, frames):
+    """Answer every lease with precomputed results until drained."""
+    try:
+        while (lease := _next_lease(sock)) is not None:
+            for index in lease["shards"]:
+                send_message(
+                    sock,
+                    {"type": "result", "lease_id": lease["lease_id"],
+                     "record": frames[index]},
+                )
+            send_message(
+                sock, {"type": "lease_done", "lease_id": lease["lease_id"]}
+            )
+    except OSError:
+        pass  # the coordinator finished and closed the connection
+
+
+def _wait_for(condition, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.02)
 
 
 @pytest.mark.timeout(300)
@@ -226,3 +301,104 @@ class TestDistributedRuns:
         assert outcome.resumed_shards == 3 and outcome.discarded_records == 1
         counters = scope.snapshot()["counters"]
         assert counters.get("runtime.checkpoint_discarded") == 1
+
+    def test_failure_reported_after_expiry_is_not_charged_again(
+        self, reference, result_frames
+    ):
+        # The client holds shard 0 past its 0.5 s deadline, so the
+        # coordinator charges a timeout and schedules the retry.  The
+        # fault the client then reports belongs to the expired lease:
+        # charging it too would exhaust --max-retries 1 and abort.
+        coordinator = Coordinator(
+            SPEC, port=0, lease_shards=1, lease_timeout_s=0.5,
+            policy=RuntimePolicy(max_retries=1, backoff_base_s=0.01),
+        )
+
+        def late_reporter():
+            with _hand_client(coordinator.address, "late") as sock:
+                lease = _next_lease(sock)
+                assert (lease["shards"], lease["attempts"]) == ([0], [1])
+                _wait_for(lambda: coordinator.outcome.timeouts == 1)
+                send_message(
+                    sock,
+                    {"type": "shard_failed", "lease_id": lease["lease_id"],
+                     "index": 0, "reason": "fault"},
+                )
+                send_message(
+                    sock, {"type": "lease_done", "lease_id": lease["lease_id"]}
+                )
+                _serve_leases(sock, result_frames)
+
+        thread = threading.Thread(target=late_reporter, daemon=True)
+        thread.start()
+        result = coordinator.run()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert_identical(result, reference, "run past a stale failure")
+        outcome = coordinator.outcome
+        assert (outcome.timeouts, outcome.faults, outcome.retries) == (1, 0, 1)
+
+    def test_run_waits_for_the_last_lease_done(self, reference, result_frames):
+        # One lease holds the whole plan.  Its results complete the book
+        # 0.3 s before its lease_done arrives; that message's telemetry
+        # must still be folded, and the lease closed as completed.
+        coordinator = Coordinator(SPEC, port=0, lease_shards=SPEC.num_shards())
+        folded = {"counters": {"test.lease_done_folded": 1}}
+
+        def slow_closer():
+            with _hand_client(coordinator.address, "slow") as sock:
+                lease = _next_lease(sock)
+                for index in lease["shards"]:
+                    send_message(
+                        sock,
+                        {"type": "result", "lease_id": lease["lease_id"],
+                         "record": result_frames[index]},
+                    )
+                time.sleep(0.3)
+                send_message(
+                    sock,
+                    {"type": "lease_done", "lease_id": lease["lease_id"],
+                     "metrics": folded},
+                )
+                _serve_leases(sock, result_frames)
+
+        thread = threading.Thread(target=slow_closer, daemon=True)
+        thread.start()
+        with TelemetryScope() as scope:
+            result = coordinator.run()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert_identical(result, reference, "run with a slow lease_done")
+        assert scope.snapshot()["counters"].get("test.lease_done_folded") == 1
+        kinds = scope.trace.counts_by_kind()
+        assert kinds.get("lease_granted") == kinds.get("lease_completed") == 1
+        assert "lease_expired" not in kinds
+
+    def test_retry_is_traced_with_its_backoff_delay(self, reference):
+        # A worker process reports shard 1 failed on its first attempt;
+        # the coordinator counts and traces it the way run_resilient
+        # does, with the delay the lease book actually waits.
+        coordinator = Coordinator(SPEC, port=0)
+        proc = multiprocessing.get_context("spawn").Process(
+            target=_worker_process_main,
+            args=(*coordinator.address, "fault=1"),
+        )
+        proc.start()
+        with TelemetryScope() as scope:
+            result = coordinator.run()
+        proc.join(timeout=60.0)
+        assert proc.exitcode == 0
+        assert_identical(result, reference, "run with a retried fault")
+        retried = [
+            record for record in scope.trace.to_records()
+            if record["event"] == "shard_retried"
+        ]
+        assert [(r["shard"], r["attempt"], r["reason"]) for r in retried] == [
+            (1, 1, "fault")
+        ]
+        delay = backoff_delay(SPEC.seed, 1, 1, 0.25, 8.0)
+        assert retried[0]["delay_s"] == delay
+        counters = scope.snapshot()["counters"]
+        assert counters.get("runtime.shard_retries") == 1
+        assert counters.get("runtime.shard_faults") == 1
+        assert "runtime.lease_requeues" not in counters

@@ -1,8 +1,9 @@
 """Unit tests for the distributed coordinator's bookkeeping layers.
 
 Covers the :class:`~repro.runtime.checkpoint.LeaseBook` lease ledger
-(deterministic grant ordering, expiry + requeue, retry budgets,
-quarantine/abort), the duplicate/conflict hardening of
+that schedules local and distributed runs alike (deterministic grant
+ordering, expiry + requeue, retry budgets, quarantine/abort, grants
+that stay cheap at 100,000 shards), the duplicate/conflict hardening of
 :func:`~repro.runtime.checkpoint.load_checkpoint`, and the
 :class:`~repro.runtime.distributed.JobSpec` handshake payload.  The
 network paths are exercised end to end in
@@ -10,6 +11,7 @@ network paths are exercised end to end in
 """
 
 import json
+import time
 
 import pytest
 
@@ -137,6 +139,62 @@ class TestRetryAndExpiry:
         book.complete(0)
         assert book.release(lease.lease_id) == (1, 2, 3)
         assert book.active_leases == []
+
+    def test_requeue_returns_unfinished_shards_uncharged(self):
+        book, _ = make_book(total=3, lease_shards=2)
+        lease = book.grant("w")  # (0, 1)
+        book.complete(0)
+        assert book.requeue(lease.lease_id) == (1,)
+        assert book.failures == {}
+        again = book.grant("w")
+        assert again.shards == (1, 2)
+        assert again.attempts == (1, 1)
+
+    def test_second_failure_while_backing_off_moves_the_window(self):
+        book, clock = make_book(total=2, lease_shards=1)
+        book.grant("w")
+        book.fail(0, "fault")
+        first_window = book.retry_at[0]
+        book.fail(0, "fault")  # reported again while still queued
+        assert book.retry_at[0] > first_window
+        clock.now = first_window
+        assert book.grant("w").shards == (1,)
+        assert book.grant("w") is None
+        assert book.next_ready_in() == pytest.approx(
+            book.retry_at[0] - clock.now
+        )
+        clock.now = book.retry_at[0]
+        lease = book.grant("w")
+        assert (lease.shards, lease.attempts) == ((0,), (3,))
+        assert book.pending_count == 0
+
+    def test_result_while_backing_off_leaves_the_queue(self):
+        book, clock = make_book(total=1, lease_shards=1)
+        book.grant("w")
+        book.fail(0, "timeout")
+        assert book.complete(0)  # the late holder's result still counts
+        clock.now += 10.0
+        assert book.grant("w") is None
+        assert book.next_ready_in() is None
+        assert book.done
+
+
+class TestGrantCost:
+    def test_hundred_thousand_single_shard_leases(self):
+        # The executor takes one lease per shard, and a 1e9-lifetime
+        # run at the default shard size is 40,000 shards per scheme:
+        # a grant that scans the pending queue makes that quadratic.
+        book = LeaseBook(100_000, seed=1, lease_shards=1)
+        start = time.perf_counter()
+        expected = 0
+        while (lease := book.grant("w")) is not None:
+            assert lease.shards == (expected,)
+            book.complete(expected)
+            expected += 1
+            if expected % 1_000 == 0:
+                assert time.perf_counter() - start < 20.0, expected
+        assert expected == 100_000
+        assert book.done
 
 
 class TestRetryBudget:

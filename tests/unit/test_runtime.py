@@ -2,7 +2,8 @@
 
 Covers the checkpoint file format (digests, atomicity, tail
 discarding, fingerprint validation), the chaos spec parser, and the
-in-process (``workers=1``) resilient executor: retry with backoff,
+in-process (``workers=1``) resilient executor: retry with backoff
+(other shards run while one backs off; a clean run never sleeps),
 quarantine under ``keep_going``, SIGINT draining, and the central
 claim -- a crashed/interrupted run resumed from its checkpoint merges
 to a bit-identical result with equal telemetry.  The pool-based
@@ -16,6 +17,7 @@ import hashlib
 import json
 import os
 import signal
+import time
 
 import pytest
 
@@ -351,6 +353,31 @@ class TestResilientExecutor:
         results, outcome = self._run(policy)
         assert results == [_sum_shard(s, c) for s, c in _shard_args()]
         assert outcome.crashes == 1 and outcome.retries == 1
+
+    def test_other_shards_run_while_one_backs_off(self):
+        policy = RuntimePolicy(
+            chaos=ChaosPolicy(fault_shards=(0,)), backoff_base_s=0.5
+        )
+        start = time.monotonic()
+        done = []
+        results, outcome = self._run(
+            policy,
+            on_shard_done=lambda i: done.append((i, time.monotonic() - start)),
+        )
+        assert [index for index, _ in done] == [1, 2, 0]
+        # Shards 1 and 2 finish inside shard 0's 0.5 s backoff window.
+        assert all(elapsed < 0.5 for _, elapsed in done[:2])
+        assert done[2][1] >= 0.5
+        assert results == [_sum_shard(s, c) for s, c in _shard_args()]
+        assert outcome.faults == 1 and outcome.retries == 1
+
+    def test_clean_run_never_sleeps(self, monkeypatch):
+        def no_sleep(seconds):
+            raise AssertionError(f"slept {seconds} s between shards")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        results, _ = self._run(RuntimePolicy())
+        assert results == [_sum_shard(s, c) for s, c in _shard_args()]
 
     def test_retry_budget_exhausted_raises_shard_failure(self, tmp_path):
         policy = RuntimePolicy(
