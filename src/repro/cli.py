@@ -499,6 +499,13 @@ def build_parser() -> argparse.ArgumentParser:
         "work",
         help="serve a repro coordinate run: lease shards, simulate, "
              "stream digest-verified results back",
+        description="Serve a repro coordinate run.  Each leased shard "
+                    "runs once; its record (result plus that shard's "
+                    "metrics and trace) streams back as it completes, "
+                    "and a failed shard is reported to the coordinator, "
+                    "whose --max-retries is the only retry budget.  "
+                    "SIGINT/SIGTERM sends the finished shards' records, "
+                    "asks for no further lease and exits 130.",
     )
     work.add_argument(
         "--coordinator", type=_host_port, required=True,
@@ -516,13 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     work.add_argument(
         "--shard-timeout", type=_timeout_seconds, default=None,
         metavar="S",
-        help="kill and retry any local shard still running after S "
-             "seconds",
-    )
-    work.add_argument(
-        "--max-retries", type=_retry_count, default=None, metavar="N",
-        help="local retries per shard before reporting it failed to "
-             "the coordinator (default 3)",
+        help="with --workers > 1, kill a pool process whose shard is "
+             "still running after S seconds and report the shard failed",
     )
     work.add_argument(
         "--connect-timeout", type=_timeout_seconds, default=30.0,
@@ -870,7 +872,6 @@ def _cmd_work(args: argparse.Namespace) -> int:
             workers=args.workers,
             chaos=args.chaos,
             shard_timeout_s=args.shard_timeout,
-            max_retries=3 if args.max_retries is None else args.max_retries,
             connect_timeout_s=args.connect_timeout,
         )
     except ConnectionError as exc:

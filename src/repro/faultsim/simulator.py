@@ -28,11 +28,7 @@ import numpy as np
 
 from repro.faultsim.fault_models import FitTable, HOURS_PER_YEAR, LIFETIME_YEARS
 from repro.faultsim.injector import FaultSampler
-from repro.faultsim.parallel import (
-    plan_shards,
-    resolve_shard_size,
-    select_shard_args,
-)
+from repro.faultsim.parallel import plan_shards, resolve_shard_size
 from repro.faultsim.schemes import FailureKind, ProtectionScheme
 from repro.faultsim.vectorized import (
     SYSTEM_STREAM,
@@ -404,7 +400,11 @@ def _shard_plan(
 
     Each entry is the ``(scheme, config, start, count, seed_seq)``
     argument tuple of one shard; the seeds are the
-    ``SeedSequence(config.seed).spawn`` children in plan order.
+    ``SeedSequence(config.seed).spawn`` children in plan order.  This
+    is the one plan builder: :func:`simulate` runs the whole plan and a
+    distributed worker (:mod:`repro.runtime.distributed`) the leased
+    indices of it, so every shard keeps its single-machine seed and
+    offset.
     """
     shard_size = resolve_shard_size(
         config.num_systems, shard_size, DEFAULT_SHARD_SIZE
@@ -571,55 +571,6 @@ def simulate(
         )
 
     return result
-
-
-def simulate_shard_range(
-    scheme: ProtectionScheme,
-    config: Optional[MonteCarloConfig] = None,
-    indices: Sequence[int] = (),
-    shard_size: Optional[int] = None,
-    workers: int = 1,
-    runtime: Optional[RuntimePolicy] = None,
-) -> Dict[int, ReliabilityResult]:
-    """Simulate a subset of the deterministic shard plan by index.
-
-    This is the distributed-worker entry point: it builds the *same*
-    full shard plan and ``SeedSequence.spawn`` children that
-    :func:`simulate` would, then executes only the leased ``indices``.
-    Because seeds and start offsets come from the full plan, a merge of
-    per-index results across any number of machines is bit-identical to
-    the single-machine run.
-
-    Returns ``{global_shard_index: ReliabilityResult}`` for the indices
-    that completed.  Failed shards follow the retry/quarantine contract
-    of the policy :func:`repro.runtime.run_resilient` resolves from
-    ``runtime`` (quarantined indices are simply absent from the
-    returned dict -- the coordinator decides their fate).
-    """
-    config = config or MonteCarloConfig()
-    validate_faultsim_backend(config.faultsim_backend)
-    if config.faultsim_backend == "analytical":
-        raise ValueError(
-            "simulate_shard_range requires a sampling backend; the "
-            "analytical solver has no shards to lease"
-        )
-    shard_size, full_args = _shard_plan(scheme, config, shard_size)
-    indices = list(indices)
-    selected = select_shard_args(full_args, indices)
-    results, outcome = run_resilient(
-        _simulate_shard,
-        selected,
-        workers=workers,
-        fingerprint=reliability_fingerprint(scheme, config, shard_size),
-        policy=runtime,
-        encode=lambda r: r.to_payload(),
-        decode=ReliabilityResult.from_payload,
-    )
-    # The executor omits quarantined shards from its plan-ordered list,
-    # so realign by the local indices that survived.
-    quarantined = set(outcome.quarantined_shards)
-    kept = [i for i in range(len(selected)) if i not in quarantined]
-    return {indices[local]: result for local, result in zip(kept, results)}
 
 
 def simulate_many(

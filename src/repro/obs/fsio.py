@@ -7,17 +7,18 @@ land.  A plain ``open(path, "w")`` killed mid-write leaves a truncated
 JSON document that silently poisons downstream tooling (``repro obs
 summarize``, the perf-regression comparator).
 
-:func:`atomic_write_text` therefore uses the same idiom as
-:mod:`repro.runtime.checkpoint`: write the full payload to a temporary
-sibling file, ``fsync``, then ``os.replace`` onto the destination.  A
-reader observes either the previous complete file or the new complete
-file, never a prefix.
+:func:`atomic_write_text` therefore writes the full payload to a
+temporary sibling file, calls ``fsync`` on it, then moves it onto the
+destination with ``os.replace``.  A reader observes either the
+previous complete file or the new complete file, never a prefix.  The
+checkpoint rewrites of :mod:`repro.runtime.checkpoint` and the
+service's result cache go through it too.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
+import uuid
 
 __all__ = ["atomic_write_text"]
 
@@ -28,12 +29,14 @@ def atomic_write_text(path: str, text: str) -> None:
     The temporary file is created in the destination directory (rename
     is only atomic within a filesystem) and cleaned up on any failure,
     so an interrupted export can never leave either a truncated target
-    or stray temp files behind.
+    or stray temp files behind.  Its mode is ``0o666`` less the umask,
+    as ``open(path, "w")`` would create it.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
+    tmp_path = os.path.join(
+        directory, f"{os.path.basename(path)}.{uuid.uuid4().hex}.tmp"
     )
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

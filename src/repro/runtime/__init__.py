@@ -60,7 +60,6 @@ from repro.runtime.distributed import (
 )
 from repro.runtime.protocol import (
     PROTOCOL_VERSION,
-    FrameDecoder,
     ProtocolError,
     encode_frame,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "CheckpointMismatch",
     "CheckpointStore",
     "Coordinator",
-    "FrameDecoder",
     "JobSpec",
     "LeaseBook",
     "ProtocolError",

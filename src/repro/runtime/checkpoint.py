@@ -26,11 +26,13 @@ File format (one JSON object per line)::
   intact prefix record is still usable, so a crash mid-write (or a
   chaos-injected corruption) costs at most the shards behind it.
 * **Atomicity.**  Full rewrites (header creation, resume cleanups) go
-  through write-temp-then-``os.replace``, so a reader never observes a
-  half-written header.  Completed shards are *appended* (one fsynced
-  line each) rather than rewriting the whole file -- O(1) bytes per
-  shard instead of O(shards) -- and a crash mid-append leaves at most
-  one torn tail line, which :func:`load_checkpoint` already discards.
+  through :func:`repro.obs.fsio.atomic_write_text` (write a temp file,
+  ``fsync``, ``os.replace``), so a reader never observes a half-written
+  header and a rewrite is as durable as an append.  Completed shards
+  are *appended* (one fsynced line each) rather than rewriting the
+  whole file -- O(1) bytes per shard instead of O(shards) -- and a
+  crash mid-append leaves at most one torn tail line, which
+  :func:`load_checkpoint` already discards.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
+
+from repro.obs.fsio import atomic_write_text
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -202,13 +206,17 @@ def _parse_shard_line(record: Dict[str, object]) -> Optional[ShardRecord]:
         return None
     index = record.get("index")
     payload = record.get("payload")
-    if not isinstance(index, int) or not isinstance(payload, dict):
+    metrics = record.get("metrics")
+    trace = record.get("trace")
+    if (
+        not isinstance(index, int)
+        or not isinstance(payload, dict)
+        or not isinstance(metrics, (dict, type(None)))
+        or not isinstance(trace, (list, type(None)))
+    ):
         return None
     return ShardRecord(
-        index=index,
-        payload=payload,
-        metrics=record.get("metrics"),
-        trace=record.get("trace"),
+        index=index, payload=payload, metrics=metrics, trace=trace
     )
 
 
@@ -340,9 +348,9 @@ class CheckpointStore:
     line (write + fsync): completion-order appends keep every earlier
     byte of the file stable, which makes per-shard persistence O(1)
     instead of rewriting the whole file.  Full atomic rewrites (temp
-    file + ``os.replace``) still happen where the file's existing
-    content must change: header creation and resume-time cleanup of
-    corrupt/duplicate lines.  Use
+    file + ``fsync`` + ``os.replace``) still happen where the file's
+    existing content must change: header creation and resume-time
+    cleanup of corrupt/duplicate lines.  Use
     :meth:`CheckpointStore.create` for a fresh run and
     :meth:`CheckpointStore.resume` to adopt (and keep extending) an
     existing file.
@@ -467,7 +475,11 @@ class CheckpointStore:
         })
 
     def flush(self) -> None:
-        """Rewrite the full checkpoint via temp file + ``os.replace``.
+        """Rewrite the full checkpoint durably and atomically.
+
+        The text goes through :func:`repro.obs.fsio.atomic_write_text`
+        (temp file, ``fsync``, ``os.replace``), so a rewrite never
+        replaces fsynced appends with bytes not yet on disk.
 
         Records are written in insertion (completion) order, never
         re-sorted, so the rewritten file is byte-for-byte what appending
@@ -475,13 +487,9 @@ class CheckpointStore:
         :meth:`add` can append after it without reordering anything.
         """
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(
-            f".{self.path.name}.tmp.{os.getpid()}"
-        )
         lines = [self._header_line()]
         lines.extend(record.to_line() for record in self.records.values())
-        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        os.replace(tmp, self.path)
+        atomic_write_text(str(self.path), "\n".join(lines) + "\n")
         self._appendable = True
 
 
@@ -501,15 +509,6 @@ class ShardLease:
     attempts: Tuple[int, ...]
     worker: str
     deadline: float
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready form for the wire protocol's ``lease`` message."""
-        return {
-            "lease_id": self.lease_id,
-            "shards": list(self.shards),
-            "attempts": list(self.attempts),
-            "worker": self.worker,
-        }
 
 
 class LeaseBook:

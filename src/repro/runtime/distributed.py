@@ -5,20 +5,28 @@ populations; one machine cannot hold that.  This module scales the
 resilient executor *out*: a **coordinator** owns the deterministic
 shard plan of one experiment and leases index ranges to any number of
 **workers** over the length-prefixed JSON protocol of
-:mod:`repro.runtime.protocol`; each worker executes its leased shards
-through the existing :func:`repro.runtime.executor.run_resilient`
-machinery and streams back checkpoint-format records.
+:mod:`repro.runtime.protocol`; each worker runs every leased shard
+once through the executor and streams back each shard's record as a
+local checkpoint would hold it: the payload plus that shard's own
+metrics and trace.
 
-The design inherits every guarantee the single-machine runtime already
-proves:
+The run keeps one set of books, the executor's: the coordinator
+completes, checkpoints, charges and finishes shards through the same
+:class:`~repro.runtime.executor._RunBooks` as a local run, and so
+inherits every guarantee the single-machine runtime already proves:
 
 * **Bit-identity.**  Workers execute subsets of the *same* shard plan
   and ``SeedSequence`` children a single-machine run would build
-  (:func:`repro.faultsim.simulator.simulate_shard_range`), and the
-  coordinator merges records in plan-index order, so the merged
+  (:func:`repro.faultsim.simulator._shard_plan`), and the coordinator
+  merges records in plan-index order, so the merged
   :class:`~repro.faultsim.simulator.ReliabilityResult` is bit-identical
   to ``simulate()`` on one machine -- the differential harness asserts
   it in the chaos tests.
+* **Exactly-once telemetry.**  A shard's telemetry rides its record
+  and is folded once, in plan order, for the record the coordinator
+  accepted; a late duplicate of a re-run shard is dropped with its
+  telemetry, and a resumed run replays the checkpointed telemetry the
+  way a local resume does.
 * **Transfer integrity.**  Every result frame carries the checkpoint
   format's per-record SHA-256 digest and is re-verified on receipt
   (:func:`repro.runtime.checkpoint._parse_shard_line`); a corrupted
@@ -26,12 +34,15 @@ proves:
 * **Fault tolerance.**  The executor's own scheduler
   (:class:`~repro.runtime.checkpoint.LeaseBook`) and failure path
   charge expired, failed and orphaned shards, so retries, quarantine
-  and counters match a local run.  Worker disconnects requeue their
-  outstanding shards, a failure reported after its lease expired is
-  not charged twice, the run ends only once every granted lease is
-  closed (so the last ``lease_done``'s telemetry is folded), and
-  SIGINT/SIGTERM drains to a resumable checkpoint exactly like the
-  in-process executor (``repro coordinate --resume``).
+  and counters match a local run, and the coordinator's
+  ``--max-retries`` is the whole budget (a worker never retries).
+  Worker disconnects requeue their outstanding shards, a failure
+  reported after its lease expired is not charged twice, the run ends
+  only once every granted lease is closed, and SIGINT/SIGTERM drains
+  to a resumable checkpoint exactly like the in-process executor
+  (``repro coordinate --resume``).  A worker stopped the same way
+  sends the records its lease finished and exits 130; the coordinator
+  requeues the rest as a dropped connection's.
 * **Identity.**  The job handshake ships the coordinator's
   :class:`~repro.runtime.checkpoint.RunFingerprint`; each worker
   recomputes the fingerprint from the spec locally and refuses on any
@@ -56,8 +67,6 @@ from repro.obs.events import SpanClosed
 from repro.obs.tracing import TraceContext, current_context, span
 from repro.runtime.chaos import CRASH_EXIT_CODE, ChaosPolicy
 from repro.runtime.checkpoint import (
-    CheckpointStore,
-    LeaseBook,
     RunFingerprint,
     ShardLease,
     ShardRecord,
@@ -68,8 +77,8 @@ from repro.runtime.executor import (
     RunOutcome,
     RuntimePolicy,
     ShardFailure,
-    _charge_failure,
-    _open_run,
+    _ResilientRun,
+    _RunBooks,
     _SignalGuard,
 )
 from repro.runtime.protocol import (
@@ -135,7 +144,6 @@ class JobSpec:
     years: float = 7.0
     scaling_rate: float = 0.0
     scrub_hours: Optional[float] = None
-    device_width: int = 8
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready form for the ``job`` message."""
@@ -147,7 +155,6 @@ class JobSpec:
             "years": self.years,
             "scaling_rate": self.scaling_rate,
             "scrub_hours": self.scrub_hours,
-            "device_width": self.device_width,
         }
 
     @classmethod
@@ -164,7 +171,6 @@ class JobSpec:
                 None if data.get("scrub_hours") is None
                 else float(data["scrub_hours"])
             ),
-            device_width=int(data["device_width"]),
         )
 
     def build(self) -> Tuple[Any, Any]:
@@ -190,7 +196,6 @@ class JobSpec:
             seed=self.seed,
             scaling_rate=self.scaling_rate,
             scrub_hours=self.scrub_hours,
-            device_width=self.device_width,
         )
         return scheme, config
 
@@ -228,11 +233,13 @@ class Coordinator:
     """Serve one experiment's shard plan to remote workers as leases.
 
     The coordinator is the distributed twin of the resilient executor
-    and shares its :class:`~repro.runtime.checkpoint.LeaseBook`;
+    and keeps the same books (:class:`~repro.runtime.executor._RunBooks`):
     worker connections replace the process pool, and the same
     checkpoint file / :class:`RunOutcome` / exit-code contract applies,
     so ``repro coordinate`` composes with ``--resume``,
-    ``--keep-going`` and the provenance export unchanged.
+    ``--keep-going`` and the provenance export unchanged.  What the
+    coordinator keeps itself is wire code: frame validation, duplicate
+    and conflict counting, leases, deadlines and connections.
 
     The listening socket binds in the constructor, so :attr:`address`
     is usable (e.g. to start loopback workers) before :meth:`run` is
@@ -259,16 +266,12 @@ class Coordinator:
         self.outcome = RunOutcome(
             kind=self.fingerprint.kind, total_shards=spec.num_shards()
         )
-        self._book: Optional[LeaseBook] = None
-        self._store: Optional[CheckpointStore] = None
-        self._records: Dict[int, ShardRecord] = {}
+        self._books: Optional[_RunBooks] = None
         #: Granted leases not yet closed, with wall/perf start times.
         self._open: Dict[int, Tuple[ShardLease, float, float]] = {}
         self._connections: List[_Connection] = []
         self._finished: Optional[asyncio.Event] = None
-        self._stop_signal: Optional[str] = None
         self._abort: Optional[ShardFailure] = None
-        self._draining = False
         self._ctx: Optional[TraceContext] = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -276,13 +279,15 @@ class Coordinator:
     def run(self) -> Any:
         """Serve leases until the plan completes; return the merged result.
 
-        Raises :class:`ShardFailure` when a shard exhausts its retry
+        The run finishes through the executor's own finish path: it
+        raises :class:`ShardFailure` when a shard exhausts its retry
         budget without ``keep_going`` and :class:`RunInterrupted` after
-        a signal-triggered drain -- both with the checkpoint flushed,
-        exactly like :func:`run_resilient`.  The final
+        a signal, exactly like :func:`run_resilient`, and the final
         :class:`RunOutcome` is appended to ``policy.outcomes`` either
         way.
         """
+        from repro.faultsim.simulator import ReliabilityResult, _merge_shards
+
         try:
             with span(
                 "runtime.coordinate",
@@ -291,33 +296,21 @@ class Coordinator:
                 shards=self.outcome.total_shards,
             ):
                 self._ctx = current_context()
-                self._open_book()
-                with _SignalGuard(self._on_signal):
-                    asyncio.run(self._serve())
-                return self._finish()
+                self._books = _RunBooks(
+                    self.policy, self.fingerprint, self.outcome,
+                    lease_shards=self.lease_shards,
+                    lease_timeout_s=self.lease_timeout_s,
+                    encode=ReliabilityResult.to_payload,
+                    decode=ReliabilityResult.from_payload,
+                )
+                results = self._books.run(lambda: asyncio.run(self._serve()))
+                scheme, config = self.spec.build()
+                return _merge_shards(scheme, config, results)
         finally:
             self._sock.close()
 
-    def _open_book(self) -> None:
-        """Create/resume the checkpoint and seed the lease ledger."""
-        self._store, self._records, self._book = _open_run(
-            self.policy, self.fingerprint, self.outcome,
-            self.lease_shards, self.lease_timeout_s,
-        )
-        # Mirror run_resilient: resumed shards count as completed, so
-        # completeness reflects the whole plan.
-        self.outcome.completed_shards = len(self._records)
-
-    def _on_signal(self, name: str) -> None:
-        """First SIGINT/SIGTERM: stop granting and drain to checkpoint."""
-        self._stop_signal = name
-        if OBS.enabled:
-            OBS.registry.counter("runtime.interrupts").inc()
-            OBS.trace.record(events.RunSignalled(name))
-        log.warning("received %s: draining distributed run", name)
-
     async def _serve(self) -> None:
-        """Accept workers and tick the watchdog until the run finishes."""
+        """Accept workers until the run ends; raise the abort that ended it."""
         self._finished = asyncio.Event()
         self._sock.setblocking(False)
         server = await asyncio.start_server(self._handle, sock=self._sock)
@@ -335,24 +328,24 @@ class Coordinator:
                 await server.wait_closed()
             except Exception:  # pragma: no cover - teardown best effort
                 pass
+        if self._abort is not None:
+            raise self._abort
 
     async def _watchdog(self) -> None:
-        """Expire leases, honour signals, and detect completion.
+        """Expire leases and detect the end of the run.
 
-        A done book or a drain ends the run once every granted lease is
-        closed (each wait bounded by that lease's deadline).
+        A done book or a signal ends the run once every granted lease
+        is closed (each wait bounded by that lease's deadline).
         """
-        assert self._book is not None
+        books = self._books
         while True:
             now = time.monotonic()
             for lease, _, _ in list(self._open.values()):
                 if lease.deadline <= now:
                     self._expire_lease(lease, "timeout")
-            if self._stop_signal is not None and not self._draining:
-                self._draining = True
             if self._abort is not None:
                 break
-            if (self._book.done or self._draining) and not self._open:
+            if (books.book.done or books.stopping) and not self._open:
                 break
             await asyncio.sleep(_TICK_S)
         assert self._finished is not None
@@ -364,7 +357,6 @@ class Coordinator:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """Serve one worker connection: handshake, then the lease loop."""
-        assert self._book is not None
         conn: Optional[_Connection] = None
         try:
             hello = await read_message(reader)
@@ -437,8 +429,8 @@ class Coordinator:
         if mtype == "shard_failed":
             # An expired lease's shards were charged at expiry.
             lease_id, index = message.get("lease_id"), message.get("index")
-            if isinstance(lease_id, int) and index in self._book.outstanding(
-                lease_id
+            if isinstance(lease_id, int) and index in (
+                self._books.book.outstanding(lease_id)
             ):
                 self._charge(index, str(message.get("reason", "fault")))
             return True
@@ -453,13 +445,13 @@ class Coordinator:
 
     async def _grant(self, conn: _Connection) -> bool:
         """Answer a ``ready`` with a lease, a wait hint, or drain."""
-        assert self._book is not None
-        if self._draining or self._abort is not None or self._book.done:
+        books = self._books
+        if books.stopping or self._abort is not None or books.book.done:
             await write_message(conn.writer, {"type": "drain"})
             return True
-        lease = self._book.grant(conn.name)
+        lease = books.grant(conn.name)
         if lease is None:
-            delay = self._book.next_ready_in()
+            delay = books.book.next_ready_in()
             await write_message(
                 conn.writer,
                 {"type": "wait", "delay_s": max(_TICK_S, delay or _TICK_S)},
@@ -493,13 +485,19 @@ class Coordinator:
     def _receive_result(
         self, conn: _Connection, message: Dict[str, object]
     ) -> None:
-        """Digest-verify one shard record and bank it."""
-        assert self._book is not None
+        """Digest-verify one shard record and complete its shard."""
+        books = self._books
         record = message.get("record")
         shard = (
             _parse_shard_line(record) if isinstance(record, dict) else None
         )
-        if shard is None:
+        result = None
+        if shard is not None and 0 <= shard.index < self.outcome.total_shards:
+            try:
+                result = books.decode(shard.payload)
+            except (KeyError, TypeError, ValueError):
+                pass
+        if result is None:
             # Corrupted in transit (or a lying worker): reject.  The
             # shard stays outstanding and requeues on lease expiry.
             if OBS.enabled:
@@ -508,50 +506,31 @@ class Coordinator:
                 "rejected undecodable/corrupt shard record from %s", conn.name
             )
             return
-        if not 0 <= shard.index < self.outcome.total_shards:
+        held = books.results.get(shard.index)
+        if held is None:
+            books.complete(shard.index, result, shard.metrics, shard.trace)
+        elif books.encode(held) == shard.payload:
+            # A re-run of a shard already in (an expired lease's late
+            # result): its telemetry is not folded a second time.
             if OBS.enabled:
-                OBS.registry.counter("runtime.transfer_rejects").inc()
-            return
-        held = self._records.get(shard.index)
-        if held is not None:
-            if held.to_line() == shard.to_line():
-                if OBS.enabled:
-                    OBS.registry.counter("runtime.duplicate_results").inc()
-            else:
-                # Two digest-valid records disagreeing about one shard
-                # means non-deterministic workers -- surface loudly.
-                if OBS.enabled:
-                    OBS.registry.counter("runtime.conflicting_records").inc()
-                log.error(
-                    "conflicting record for shard %d from %s (kept first)",
-                    shard.index, conn.name,
-                )
-            return
-        if self._book.complete(shard.index):
-            self._records[shard.index] = shard
-            self.outcome.completed_shards += 1
-            if self._store is not None:
-                self._store.add(
-                    shard.index, shard.payload, shard.metrics, shard.trace
-                )
-                if OBS.enabled:
-                    OBS.registry.counter("runtime.checkpoint_writes").inc()
+                OBS.registry.counter("runtime.duplicate_results").inc()
+        else:
+            # Two digest-valid records disagreeing about one shard
+            # means non-deterministic workers -- surface loudly.
+            if OBS.enabled:
+                OBS.registry.counter("runtime.conflicting_records").inc()
+            log.error(
+                "conflicting record for shard %d from %s (kept first)",
+                shard.index, conn.name,
+            )
 
     def _lease_done(self, conn: _Connection, message: Dict[str, object]) -> None:
-        """Close out a lease: fold telemetry, requeue whatever is left."""
-        assert self._book is not None
+        """Close out a lease; charge whatever it left unaccounted for."""
         lease_id = message.get("lease_id")
         if not isinstance(lease_id, int):
             return
         conn.leases.discard(lease_id)
-        if OBS.enabled:
-            metrics = message.get("metrics")
-            trace = message.get("trace")
-            if isinstance(metrics, dict):
-                OBS.registry.merge_state(metrics)
-            if isinstance(trace, list):
-                OBS.trace.merge_records(trace)
-        outstanding = self._book.release(lease_id)
+        outstanding = self._books.book.release(lease_id)
         for index in outstanding:
             # The worker closed the lease without accounting for these
             # (e.g. its result frame was rejected): treat as faults.
@@ -587,14 +566,11 @@ class Coordinator:
 
     def _charge(self, index: int, reason: str) -> None:
         """Charge a failed shard; the first exhausted budget aborts the run."""
-        error = _charge_failure(
-            self._book, self.outcome, self.policy, index, reason
-        )
-        self._abort = self._abort or error
+        self._abort = self._abort or self._books.charge(index, reason)
 
     def _expire_lease(self, lease: ShardLease, reason: str) -> None:
         """Close an expired/lost lease and charge its outstanding shards."""
-        indices = self._book.release(lease.lease_id)
+        indices = self._books.book.release(lease.lease_id)
         if OBS.enabled:
             OBS.registry.counter("runtime.leases_expired").inc()
             OBS.trace.record(
@@ -625,49 +601,6 @@ class Coordinator:
             conn.writer.close()
         except Exception:  # pragma: no cover - teardown best effort
             pass
-
-    # -- completion ---------------------------------------------------------
-
-    def _finish(self) -> Any:
-        """Flush, account the outcome, and merge (or raise)."""
-        from repro.faultsim.simulator import ReliabilityResult
-
-        assert self._book is not None
-        self.outcome.quarantined_shards = tuple(self._book.quarantined)
-        if self._store is not None:
-            self._store.flush()
-            if OBS.enabled:
-                OBS.trace.record(
-                    events.CheckpointWritten(
-                        str(self._store.path), len(self._records)
-                    )
-                )
-        self.outcome.interrupted = self._stop_signal is not None
-        self.outcome.signal_name = self._stop_signal
-        self.policy.outcomes.append(self.outcome)
-        if self._abort is not None:
-            raise self._abort
-        if self._stop_signal is not None and not self._book.done:
-            raise RunInterrupted(
-                f"run interrupted by {self._stop_signal} after "
-                f"{len(self._records)}/{self.outcome.total_shards} shards",
-                signal_name=self._stop_signal,
-                checkpoint_path=self.outcome.checkpoint_path,
-            )
-        decoded = [
-            ReliabilityResult.from_payload(self._records[index].payload)
-            for index in sorted(self._records)
-        ]
-        if not decoded:
-            scheme, config = self.spec.build()
-            return ReliabilityResult(
-                scheme_name=scheme.name,
-                num_systems=0,
-                years=config.years,
-                failure_times_hours=[],
-                kinds=[],
-            )
-        return ReliabilityResult.merge(decoded)
 
 
 # ---------------------------------------------------------------------------
@@ -728,17 +661,25 @@ def run_worker(
     workers: int = 1,
     chaos: Optional[ChaosPolicy] = None,
     shard_timeout_s: Optional[float] = None,
-    max_retries: int = 3,
     connect_timeout_s: float = 30.0,
 ) -> WorkerSummary:
     """Serve one coordinator until drained; returns a summary.
 
     The worker dials ``host:port``, verifies the job fingerprint
     against its own build, then loops lease -> execute -> stream
-    results.  Leased shards run through
-    :func:`~repro.faultsim.simulator.simulate_shard_range` (and thus
-    ``run_resilient``) with ``workers`` local processes; each result
-    crosses the wire as a digest-carrying checkpoint record.
+    results.  Each leased shard runs once through the executor on
+    ``workers`` local processes (``shard_timeout_s`` reclaims a hung
+    one); the coordinator's retry budget is the only one.  A completed
+    shard's record -- its payload plus that shard's own metrics and
+    trace, exactly as a local checkpoint holds it -- crosses the wire
+    as soon as the shard completes, and a failed shard is reported
+    after the lease's single pass, before its ``lease_done``.
+
+    The first SIGINT/SIGTERM (in the main thread) drains: the running
+    lease sends the records of the shards it finished, no further lease
+    is requested, the connection closes (so the coordinator requeues
+    the rest as a dropped connection's) and :class:`RunInterrupted` is
+    raised.
 
     ``chaos`` applies the *network* verbs at the protocol layer, keyed
     by the campaign-global shard index and the lease's attempt number:
@@ -750,46 +691,42 @@ def run_worker(
     re-dialled, so one worker survives its own chaos -- exactly what
     the recovery tests need.
     """
-    name = worker_id or f"worker-{os.getpid()}"
-    summary = WorkerSummary(worker=name)
+    summary = WorkerSummary(worker=worker_id or f"worker-{os.getpid()}")
+    stop: List[str] = []
     first_connect = True
-    while True:
-        sock = _connect(host, port, connect_timeout_s)
-        if sock is None:
-            if first_connect:
-                raise ConnectionError(
-                    f"could not reach coordinator at {host}:{port} "
-                    f"within {connect_timeout_s}s"
-                )
-            return summary  # coordinator gone after a drop: we're done
-        if not first_connect:
-            summary.reconnects += 1
-        first_connect = False
-        try:
-            drained = _serve_connection(
-                sock, name, summary,
-                workers=workers,
-                chaos=chaos,
-                shard_timeout_s=shard_timeout_s,
-                max_retries=max_retries,
-            )
-        except _SeverConnection:
-            _abort_socket(sock)
-            continue
-        except (ProtocolError, ConnectionError, OSError):
-            # Coordinator vanished mid-conversation; it may be downing
-            # for good (drain) or we raced its shutdown -- either way
-            # reconnect once more and exit cleanly if it stays gone.
+    with _SignalGuard(stop.append):
+        while True:
+            sock = _connect(host, port, connect_timeout_s)
+            if sock is None:
+                if first_connect:
+                    raise ConnectionError(
+                        f"could not reach coordinator at {host}:{port} "
+                        f"within {connect_timeout_s}s"
+                    )
+                return summary  # coordinator gone after a drop: we're done
+            if not first_connect:
+                summary.reconnects += 1
+            first_connect = False
             try:
+                _serve_connection(
+                    sock, summary,
+                    workers=workers,
+                    chaos=chaos,
+                    shard_timeout_s=shard_timeout_s,
+                    stop=stop,
+                )
+            except _SeverConnection:
+                _abort_socket(sock)
+                continue
+            except (ProtocolError, ConnectionError, OSError):
+                # Coordinator vanished mid-conversation; it may be downing
+                # for good (drain) or we raced its shutdown -- either way
+                # reconnect once more and exit cleanly if it stays gone.
+                continue
+            finally:
                 sock.close()
-            except OSError:
-                pass
-            continue
-        else:
-            sock.close()
-            if drained:
-                summary.drained = True
-                return summary
+            summary.drained = True
+            return summary
 
 
 def _abort_socket(sock: socket.socket) -> None:
@@ -808,25 +745,29 @@ def _abort_socket(sock: socket.socket) -> None:
 
 def _serve_connection(
     sock: socket.socket,
-    name: str,
     summary: WorkerSummary,
     workers: int,
     chaos: Optional[ChaosPolicy],
     shard_timeout_s: Optional[float],
-    max_retries: int,
-) -> bool:
+    stop: List[str],
+) -> None:
     """Handshake + lease loop over one live connection.
 
-    Returns ``True`` when the coordinator drained us (clean exit),
-    ``False`` never (errors raise).  Raises :class:`_SeverConnection`
-    when chaos requires severing.
+    Returns when the coordinator drains us; raises
+    :class:`RunInterrupted` before asking for a lease once ``stop``
+    holds a signal name, and :class:`_SeverConnection` when chaos
+    requires severing.
     """
+    from repro.faultsim.simulator import _shard_plan
+
     send_message(
-        sock, {"type": "hello", "protocol": PROTOCOL_VERSION, "worker": name}
+        sock,
+        {"type": "hello", "protocol": PROTOCOL_VERSION,
+         "worker": summary.worker},
     )
     job = recv_message(sock)
     if job is None or job.get("type") == "drain":
-        return True
+        return
     if job.get("type") == "error":
         raise ProtocolError(f"coordinator refused: {job.get('reason')}")
     if job.get("type") != "job":
@@ -847,18 +788,23 @@ def _serve_connection(
             "coordinator/worker fingerprint mismatch (different config "
             "or code version): " + "; ".join(diffs)
         )
-    obs_enabled = bool(job.get("obs"))
+    if job.get("obs"):
+        # Shards capture telemetry only while OBS is on.
+        OBS.enabled = True
     scheme, config = spec.build()
-    local_policy = RuntimePolicy(
-        shard_timeout_s=shard_timeout_s,
-        max_retries=max_retries,
-        keep_going=True,
-    )
+    _, plan = _shard_plan(scheme, config, spec.shard_size)
     while True:
+        if stop:
+            raise RunInterrupted(
+                f"worker {summary.worker} interrupted by {stop[0]} after "
+                f"{summary.shards_completed} shard(s) over "
+                f"{summary.leases} lease(s)",
+                signal_name=stop[0],
+            )
         send_message(sock, {"type": "ready"})
         message = recv_message(sock)
         if message is None or message.get("type") == "drain":
-            return True
+            return
         mtype = message.get("type")
         if mtype == "wait":
             time.sleep(min(1.0, float(message.get("delay_s", _TICK_S))))
@@ -867,33 +813,42 @@ def _serve_connection(
             raise ProtocolError(f"expected lease/wait/drain, got {mtype!r}")
         summary.leases += 1
         _execute_lease(
-            sock, message, scheme, config, spec, summary,
+            sock, message, plan, mine, summary,
             workers=workers,
             chaos=chaos,
-            policy=local_policy,
-            obs_enabled=obs_enabled,
+            shard_timeout_s=shard_timeout_s,
+            stop=stop,
         )
 
 
 def _execute_lease(
     sock: socket.socket,
     lease: Dict[str, object],
-    scheme: Any,
-    config: Any,
-    spec: JobSpec,
+    plan: List[tuple],
+    fingerprint: RunFingerprint,
     summary: WorkerSummary,
     workers: int,
     chaos: Optional[ChaosPolicy],
-    policy: RuntimePolicy,
-    obs_enabled: bool,
+    shard_timeout_s: Optional[float],
+    stop: List[str],
 ) -> None:
-    """Run one lease's shards and stream the records back."""
-    from repro.faultsim.simulator import simulate_shard_range
+    """Run one lease's shards once each, streaming every record back.
+
+    The shards run through the executor under a policy of this lease
+    alone (no retries, ``keep_going``), and each record is built from
+    the executor's per-shard capture the moment its shard completes.
+    A signal drains the lease: its finished records are sent, no
+    ``lease_done`` is, and the signal name lands in ``stop``.
+    """
+    from repro.faultsim.parallel import select_shard_args
+    from repro.faultsim.simulator import ReliabilityResult, _simulate_shard
 
     indices = [int(i) for i in lease.get("shards", [])]
     attempts = [int(a) for a in lease.get("attempts", [1] * len(indices))]
+    attempt_of = dict(zip(indices, attempts))
     lease_id = lease.get("lease_id")
     # Pre-run chaos verbs, keyed by (global shard index, attempt).
+    failed: List[int] = []
     if chaos is not None:
         for index, attempt in zip(indices, attempts):
             if chaos.should_partition(index, attempt):
@@ -904,75 +859,69 @@ def _execute_lease(
         for index, attempt in zip(indices, attempts):
             if chaos.should_hang(index, attempt):
                 time.sleep(chaos.hang_s)
-    faulted = []
-    if chaos is not None:
-        faulted = [
+        failed = [
             index
             for index, attempt in zip(indices, attempts)
             if chaos.should_fault(index, attempt)
         ]
-    runnable = [i for i in indices if i not in faulted]
+    runnable = [i for i in indices if i not in failed]
 
-    OBS.reset()
-    OBS.enabled = obs_enabled
-    OBS.progress_enabled = False
-    trace = lease.get("trace")
-    lease_ctx = (
-        TraceContext(str(trace["trace_id"]), str(trace["span_id"]))
-        if isinstance(trace, dict)
-        else None
-    )
-    try:
-        with span(
-            "runtime.worker_lease",
-            ctx=lease_ctx,
-            worker=summary.worker,
-            shards=len(runnable),
-        ):
-            results = simulate_shard_range(
-                scheme,
-                config,
-                indices=runnable,
-                shard_size=spec.shard_size,
-                workers=workers,
-                runtime=policy,
-            )
-    except Exception as exc:  # a whole-lease failure: report every shard
-        log.warning("lease %s failed wholesale: %s", lease_id, exc)
-        results = {}
-    attempt_of = dict(zip(indices, attempts))
-    for index in indices:
-        if index in results:
-            record = ShardRecord(
-                index=index, payload=results[index].to_payload()
-            )
-            frame = {
-                "type": "result",
-                "lease_id": lease_id,
-                "record": json.loads(record.to_line()),
-            }
-            attempt = attempt_of.get(index, 1)
-            if chaos is not None and chaos.should_delay(index, attempt):
-                time.sleep(chaos.delay_s)
-            if chaos is not None and chaos.should_drop(index, attempt):
-                raise _SeverConnection()
+    def send_record(local: int) -> None:
+        index = runnable[local]
+        metrics, trace = run.books.telemetry[local]
+        record = ShardRecord(
+            index, run.books.results[local].to_payload(), metrics, trace
+        )
+        frame = {
+            "type": "result",
+            "lease_id": lease_id,
+            "record": json.loads(record.to_line()),
+        }
+        attempt = attempt_of[index]
+        if chaos is not None and chaos.should_delay(index, attempt):
+            time.sleep(chaos.delay_s)
+        if chaos is not None and chaos.should_drop(index, attempt):
+            raise _SeverConnection()
+        send_message(sock, frame)
+        if chaos is not None and chaos.should_duplicate(index, attempt):
             send_message(sock, frame)
-            if chaos is not None and chaos.should_duplicate(index, attempt):
-                send_message(sock, frame)
-            summary.shards_completed += 1
-        else:
-            send_message(
-                sock,
-                {
-                    "type": "shard_failed",
-                    "lease_id": lease_id,
-                    "index": index,
-                    "reason": "fault",
-                },
-            )
-            summary.shards_failed += 1
-    done: Dict[str, object] = {"type": "lease_done", "lease_id": lease_id}
-    if obs_enabled:
-        done["metrics"] = OBS.registry.state()
-        done["trace"] = OBS.trace.to_records()
-    send_message(sock, done)
+        summary.shards_completed += 1
+
+    run = _ResilientRun(
+        _simulate_shard,
+        select_shard_args(plan, runnable),
+        workers,
+        fingerprint,
+        RuntimePolicy(
+            shard_timeout_s=shard_timeout_s, max_retries=0, keep_going=True
+        ),
+        encode=ReliabilityResult.to_payload,
+        decode=ReliabilityResult.from_payload,
+        on_shard_done=send_record,
+    )
+    trace = lease.get("trace")
+    if isinstance(trace, dict):
+        # Shard spans hang off the coordinator's span of this lease.
+        run.trace_ctx = TraceContext(
+            str(trace["trace_id"]), str(trace["span_id"])
+        )
+    interrupted = False
+    try:
+        run.run()
+    except RunInterrupted as exc:
+        stop.append(exc.signal_name)
+        interrupted = True
+    failed += [runnable[local] for local in run.outcome.quarantined_shards]
+    for index in failed:
+        send_message(
+            sock,
+            {
+                "type": "shard_failed",
+                "lease_id": lease_id,
+                "index": index,
+                "reason": "fault",
+            },
+        )
+    summary.shards_failed += len(failed)
+    if not interrupted:
+        send_message(sock, {"type": "lease_done", "lease_id": lease_id})

@@ -5,10 +5,14 @@ deterministic shard plan through -- Monte-Carlo reliability,
 behavioural campaigns, the perfsim grid, distributed worker leases and
 service jobs -- in-process at ``workers=1`` or on a process pool,
 taking single-shard leases from the distributed coordinator's
-scheduler, :class:`~repro.runtime.checkpoint.LeaseBook`.  Runs
-without an explicit or ambient :class:`RuntimePolicy` get the defaults
-(no checkpoint, no timeout, 3 retries), so every run survives the
-failure modes that kill a multi-hour campaign in practice --
+scheduler, :class:`~repro.runtime.checkpoint.LeaseBook`.  A run's
+books (checkpoint, completion, failure charging, signal and finish)
+are one :class:`_RunBooks`, which the distributed coordinator keeps as
+well, so a coordinated run accounts for its shards exactly as a local
+one.  Runs without an explicit or ambient :class:`RuntimePolicy` get
+the defaults (no checkpoint, no timeout, 3 retries), so every run
+survives the failure modes that kill a multi-hour campaign in
+practice --
 
 * **Worker crashes** (OOM kill, segfault, ``os._exit``) surface as
   ``BrokenProcessPool``; the pool is rebuilt and the affected shards
@@ -23,8 +27,9 @@ failure modes that kill a multi-hour campaign in practice --
   quarantined so the run completes with an explicit completeness
   fraction instead of dying at 99%.
 * **Signals**: SIGINT/SIGTERM stop dispatch, drain in-flight shards,
-  flush a final checkpoint and raise :class:`RunInterrupted`; a second
-  signal aborts immediately.
+  flush a final checkpoint and raise :class:`RunInterrupted` (also when
+  the signal lands after the last shard completed); a second signal
+  aborts immediately.
 * **Checkpoint/resume**: every completed shard is atomically persisted
   (result payload + obs delta) through
   :class:`repro.runtime.checkpoint.CheckpointStore`; a resumed run
@@ -44,6 +49,7 @@ import math
 import signal
 import threading
 import time
+from time import time as wall_time
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
@@ -322,115 +328,6 @@ def _resilient_worker(
     return _run_shard_captured(shard_fn, args, ctx, index, attempt)
 
 
-def _open_run(
-    policy: RuntimePolicy,
-    fingerprint: RunFingerprint,
-    outcome: RunOutcome,
-    lease_shards: int,
-    lease_timeout_s: float,
-) -> Tuple[Optional[CheckpointStore], Dict[int, ShardRecord], LeaseBook]:
-    """Create or resume a run's checkpoint and seed its lease book.
-
-    Returns the store (``None`` when not persisting), the resumed
-    records inside the plan of ``outcome.total_shards`` in index order,
-    and the :class:`LeaseBook` scheduling the rest under ``policy``.
-    Sets the outcome's ``checkpoint_path``, ``discarded_records`` and
-    ``resumed_shards`` and counts ``runtime.shards_resumed``/
-    ``runtime.checkpoint_discarded``; the executor and the distributed
-    coordinator both open through here.
-    """
-    path = policy.checkpoint_path_for(fingerprint)
-    store: Optional[CheckpointStore] = None
-    records: Dict[int, ShardRecord] = {}
-    if path is not None:
-        outcome.checkpoint_path = str(path)
-        if policy.resume_dir is None or not path.exists():
-            store = CheckpointStore.create(path, fingerprint)
-        else:
-            store = CheckpointStore.resume(path, fingerprint)
-            outcome.discarded_records = store.discarded
-            records = {
-                index: store.completed[index]
-                for index in sorted(store.completed)
-                if 0 <= index < outcome.total_shards
-            }
-            if OBS.enabled:
-                resumed = OBS.registry.counter("runtime.shards_resumed")
-                resumed.inc(len(records))
-                if store.discarded:
-                    OBS.registry.counter("runtime.checkpoint_discarded").inc(
-                        store.discarded
-                    )
-    outcome.resumed_shards = len(records)
-    book = LeaseBook(
-        outcome.total_shards,
-        seed=fingerprint.seed,
-        lease_shards=lease_shards,
-        lease_timeout_s=lease_timeout_s,
-        max_retries=policy.max_retries,
-        keep_going=policy.keep_going,
-        backoff_base_s=policy.backoff_base_s,
-        backoff_cap_s=policy.backoff_cap_s,
-        completed=list(records),
-    )
-    return store, records, book
-
-
-def _charge_failure(
-    book: LeaseBook,
-    outcome: RunOutcome,
-    policy: RuntimePolicy,
-    index: int,
-    reason: str,
-) -> Optional[ShardFailure]:
-    """Charge a failed attempt of shard ``index`` and record what follows.
-
-    The one failure path of the executor and the distributed
-    coordinator: counts the ``"timeout"``, ``"crash"`` or fault, lets
-    :meth:`LeaseBook.fail` decide, then records a retry (with the
-    book's backoff delay and ``policy.on_shard_retry``) or a
-    quarantine.  Returns the :class:`ShardFailure` the caller must
-    raise when the budget is exhausted without ``keep_going``.
-    """
-    if reason == "timeout":
-        outcome.timeouts += 1
-        counter = "runtime.shard_timeouts"
-    elif reason == "crash":
-        outcome.crashes += 1
-        counter = "runtime.worker_crashes"
-    else:
-        outcome.faults += 1
-        counter = "runtime.shard_faults"
-    if OBS.enabled:
-        OBS.registry.counter(counter).inc()
-    decision = book.fail(index, reason)
-    count = book.failures.get(index, 0)
-    if decision == "retry":
-        outcome.retries += 1
-        if OBS.enabled:
-            delay = backoff_delay(
-                book.seed, index, count,
-                book.backoff_base_s, book.backoff_cap_s,
-            )
-            OBS.registry.counter("runtime.shard_retries").inc()
-            OBS.trace.record(events.ShardRetried(index, count, reason, delay))
-        if policy.on_shard_retry is not None:
-            policy.on_shard_retry(index, count, reason)
-    elif decision == "quarantine":
-        if OBS.enabled:
-            OBS.registry.counter("runtime.shards_quarantined").inc()
-            OBS.trace.record(events.ShardQuarantined(index, count, reason))
-    else:
-        return ShardFailure(
-            f"shard {index} failed {count} time(s) ({reason}) and "
-            f"--max-retries={book.max_retries} is exhausted",
-            shard_index=index,
-            reason=reason,
-            checkpoint_path=outcome.checkpoint_path,
-        )
-    return None
-
-
 def _terminate_executor(executor: ProcessPoolExecutor) -> None:
     """Tear a pool down hard, reclaiming hung or crashed workers.
 
@@ -492,15 +389,266 @@ class _SignalGuard:
 
 
 # ---------------------------------------------------------------------------
+# The books of a run
+# ---------------------------------------------------------------------------
+
+class _RunBooks:
+    """One sharded run's books, kept alike by executor and coordinator.
+
+    Construction creates or resumes the run's checkpoint, seeds its
+    :class:`LeaseBook` under ``policy`` and replays the resumed records
+    (counting ``runtime.shards_resumed``/``runtime.checkpoint_discarded``
+    and setting the outcome's ``checkpoint_path``, ``discarded_records``
+    and ``resumed_shards``).  After that the books own every shard's
+    fate: :meth:`grant` counts one attempt per granted shard,
+    :meth:`complete` and :meth:`charge` are the one completion and
+    failure paths, :meth:`on_signal` is the one signal handler and
+    :meth:`run` the one finish path.  A dispatcher -- the executor's
+    inline or pool loop, or the coordinator's connections -- only
+    hands the books what happened to the shards it was granted.
+    """
+
+    def __init__(
+        self,
+        policy: RuntimePolicy,
+        fingerprint: RunFingerprint,
+        outcome: RunOutcome,
+        lease_shards: int,
+        lease_timeout_s: float,
+        encode: Callable[[Any], Dict],
+        decode: Callable[[Dict], Any],
+        on_shard_done: Optional[Callable[[int], None]] = None,
+    ) -> None:
+        self.policy = policy
+        self.outcome = outcome
+        self.encode = encode
+        self.decode = decode
+        self.on_shard_done = on_shard_done
+        self.results: Dict[int, Any] = {}
+        #: Each banked shard's (metrics, trace) capture.
+        self.telemetry: Dict[int, Tuple[Optional[Dict], Optional[List]]] = {}
+        self.stop_signal: Optional[str] = None
+        self._signalled_at = 0.0
+        self.store: Optional[CheckpointStore] = None
+        records: Dict[int, ShardRecord] = {}
+        path = policy.checkpoint_path_for(fingerprint)
+        if path is not None:
+            outcome.checkpoint_path = str(path)
+            if policy.resume_dir is None or not path.exists():
+                self.store = CheckpointStore.create(path, fingerprint)
+            else:
+                self.store = CheckpointStore.resume(path, fingerprint)
+                outcome.discarded_records = self.store.discarded
+                records = {
+                    index: self.store.completed[index]
+                    for index in sorted(self.store.completed)
+                    if 0 <= index < outcome.total_shards
+                }
+                if OBS.enabled:
+                    resumed = OBS.registry.counter("runtime.shards_resumed")
+                    resumed.inc(len(records))
+                    if self.store.discarded:
+                        discarded = "runtime.checkpoint_discarded"
+                        OBS.registry.counter(discarded).inc(
+                            self.store.discarded
+                        )
+        outcome.resumed_shards = len(records)
+        self.book = LeaseBook(
+            outcome.total_shards,
+            seed=fingerprint.seed,
+            lease_shards=lease_shards,
+            lease_timeout_s=lease_timeout_s,
+            max_retries=policy.max_retries,
+            keep_going=policy.keep_going,
+            backoff_base_s=policy.backoff_base_s,
+            backoff_cap_s=policy.backoff_cap_s,
+            completed=list(records),
+        )
+        for index, record in records.items():
+            self.results[index] = decode(record.payload)
+            self.telemetry[index] = (record.metrics, record.trace)
+            self._announce(index)
+
+    @property
+    def stopping(self) -> bool:
+        """Whether a signal asked the run to drain."""
+        return self.stop_signal is not None
+
+    def on_signal(self, name: str) -> None:
+        """First SIGINT/SIGTERM: stop granting and drain.
+
+        Only the name and the instant are kept: the handler may run
+        while a shard's telemetry capture is installed, so :meth:`run`
+        records the signal in the run's own telemetry.
+        """
+        self.stop_signal = name
+        self._signalled_at = wall_time()
+
+    def grant(self, worker: str) -> Optional[ShardLease]:
+        """Lease ready shards to ``worker``; each counts one attempt."""
+        lease = self.book.grant(worker)
+        if lease is not None and OBS.enabled:
+            attempts = OBS.registry.counter("runtime.shard_attempts")
+            attempts.inc(len(lease.shards))
+        return lease
+
+    def complete(
+        self,
+        index: int,
+        result: Any,
+        metrics: Optional[Dict],
+        trace: Optional[List[Dict]],
+    ) -> bool:
+        """Bank shard ``index`` with its telemetry and checkpoint it.
+
+        Returns ``False`` (and banks nothing) when the book already
+        holds the shard as completed or quarantined.
+        """
+        if not self.book.complete(index):
+            return False
+        self.results[index] = result
+        self.telemetry[index] = (metrics, trace)
+        if self.store is not None:
+            self.store.add(index, self.encode(result), metrics, trace)
+            if OBS.enabled:
+                OBS.registry.counter("runtime.checkpoint_writes").inc()
+        self._announce(index)
+        return True
+
+    def _announce(self, index: int) -> None:
+        self.outcome.completed_shards = len(self.results)
+        if self.on_shard_done is not None:
+            self.on_shard_done(index)
+        if self.policy.on_shard_complete is not None:
+            self.policy.on_shard_complete(
+                index, len(self.results), self.outcome.total_shards
+            )
+
+    def charge(self, index: int, reason: str) -> Optional[ShardFailure]:
+        """Charge a failed attempt of shard ``index`` and record what follows.
+
+        Counts the ``"timeout"``, ``"crash"`` or fault, lets
+        :meth:`LeaseBook.fail` decide, then records a retry (with the
+        book's backoff delay and ``policy.on_shard_retry``) or a
+        quarantine.  Returns the :class:`ShardFailure` the caller must
+        raise when the budget is exhausted without ``keep_going``.
+        """
+        outcome, book = self.outcome, self.book
+        if reason == "timeout":
+            outcome.timeouts += 1
+            counter = "runtime.shard_timeouts"
+        elif reason == "crash":
+            outcome.crashes += 1
+            counter = "runtime.worker_crashes"
+        else:
+            outcome.faults += 1
+            counter = "runtime.shard_faults"
+        if OBS.enabled:
+            OBS.registry.counter(counter).inc()
+        decision = book.fail(index, reason)
+        count = book.failures.get(index, 0)
+        if decision == "retry":
+            outcome.retries += 1
+            if OBS.enabled:
+                delay = backoff_delay(
+                    book.seed, index, count,
+                    book.backoff_base_s, book.backoff_cap_s,
+                )
+                OBS.registry.counter("runtime.shard_retries").inc()
+                OBS.trace.record(
+                    events.ShardRetried(index, count, reason, delay)
+                )
+            if self.policy.on_shard_retry is not None:
+                self.policy.on_shard_retry(index, count, reason)
+        elif decision == "quarantine":
+            if OBS.enabled:
+                OBS.registry.counter("runtime.shards_quarantined").inc()
+                OBS.trace.record(events.ShardQuarantined(index, count, reason))
+        else:
+            return ShardFailure(
+                f"shard {index} failed {count} time(s) ({reason}) and "
+                f"--max-retries={book.max_retries} is exhausted",
+                shard_index=index,
+                reason=reason,
+                checkpoint_path=outcome.checkpoint_path,
+            )
+        return None
+
+    def run(self, dispatch: Callable[[], None]) -> List[Any]:
+        """Drive ``dispatch`` under the signal guard, then finish the run.
+
+        Telemetry folds in a ``finally``, so an aborted run keeps its
+        partial telemetry.  The outcome then gets the sorted quarantine
+        and the signal, a ``checkpoint_written`` event is recorded and
+        the outcome is appended to ``policy.outcomes``.  A
+        :class:`ShardFailure` raised by ``dispatch`` is re-raised; a
+        signal raises :class:`RunInterrupted`, even one that landed
+        after the last shard completed.  Otherwise returns the results
+        in plan order.
+        """
+        error: Optional[ShardFailure] = None
+        with _SignalGuard(self.on_signal):
+            try:
+                dispatch()
+            except ShardFailure as exc:
+                error = exc
+            finally:
+                self._fold_telemetry()
+        if self.stopping and OBS.enabled:
+            OBS.registry.counter("runtime.interrupts").inc()
+            OBS.trace.record_at(
+                self._signalled_at, events.RunSignalled(self.stop_signal)
+            )
+        outcome = self.outcome
+        outcome.completed_shards = len(self.results)
+        outcome.quarantined_shards = tuple(sorted(self.book.quarantined))
+        outcome.interrupted = self.stopping and error is None
+        outcome.signal_name = self.stop_signal
+        if OBS.enabled and self.store is not None:
+            OBS.trace.record(
+                events.CheckpointWritten(
+                    str(self.store.path), len(self.store.completed)
+                )
+            )
+        self.policy.outcomes.append(outcome)
+        if error is not None:
+            raise error
+        if self.stopping:
+            raise RunInterrupted(
+                f"run interrupted by {self.stop_signal} after "
+                f"{len(self.results)}/{outcome.total_shards} shards",
+                signal_name=self.stop_signal or "signal",
+                checkpoint_path=outcome.checkpoint_path,
+            )
+        return [self.results[index] for index in sorted(self.results)]
+
+    def _fold_telemetry(self) -> None:
+        """Merge per-shard obs deltas into the live OBS, in plan order.
+
+        Folding in plan order (not completion order) keeps the merged
+        trace/metrics identical across worker counts, retries and
+        resumes.
+        """
+        if not OBS.enabled:
+            return
+        for index in sorted(self.telemetry):
+            metrics, trace = self.telemetry[index]
+            if metrics:
+                OBS.registry.merge_state(metrics)
+            if trace:
+                OBS.trace.merge_records(trace)
+
+
+# ---------------------------------------------------------------------------
 # The resilient run
 # ---------------------------------------------------------------------------
 
 class _ResilientRun:
-    """State machine for one :func:`run_resilient` invocation.
+    """Dispatch loop of one :func:`run_resilient` invocation.
 
-    Its :class:`LeaseBook` owns shard order, attempts, retries and
-    quarantine; the run keeps checkpoint replay, the per-shard capture,
-    pool teardown, the signal guard and the plan-order telemetry fold.
+    Its :class:`_RunBooks` own the checkpoint, shard order, attempts,
+    retries, quarantine, telemetry and the finish; the run keeps the
+    per-shard capture, the inline or pool dispatch and pool teardown.
     """
 
     def __init__(
@@ -520,38 +668,26 @@ class _ResilientRun:
         self.shard_fn = shard_fn
         self.shard_args = [tuple(args) for args in shard_args]
         self.workers = validate_workers(workers)
-        self.fingerprint = fingerprint
         self.policy = policy
-        self.encode = encode
-        self.decode = decode
-        self.on_shard_done = on_shard_done
         self.outcome = RunOutcome(
             kind=fingerprint.kind, total_shards=len(self.shard_args)
+        )
+        # In-process shards have no deadline (chaos raises ChaosHang).
+        timeout = policy.shard_timeout_s
+        if self.workers == 1 or timeout is None:
+            timeout = math.inf
+        self.books = _RunBooks(
+            policy, fingerprint, self.outcome,
+            lease_shards=1, lease_timeout_s=timeout,
+            encode=encode, decode=decode, on_shard_done=on_shard_done,
         )
         #: Trace parent for every shard span, captured at construction
         #: (dispatch) time so both execution paths and every retry graft
         #: onto the same node of the caller's trace tree.
         self.trace_ctx = current_context()
-        self.results: Dict[int, Any] = {}
-        self.telemetry: Dict[int, Tuple[Optional[Dict], Optional[List[Dict]]]] = {}
-        self.store: Optional[CheckpointStore] = None
-        self.book: Optional[LeaseBook] = None
         self.pool: Optional[ProcessPoolExecutor] = None
         self.inflight: Dict[Future, ShardLease] = {}
         self.slots = 1
-        self.stop_signal: Optional[str] = None
-
-    # -- bookkeeping --------------------------------------------------------
-
-    def _on_signal(self, name: str) -> None:
-        self.stop_signal = name
-        if OBS.enabled:
-            OBS.registry.counter("runtime.interrupts").inc()
-            OBS.trace.record(events.RunSignalled(name))
-
-    @property
-    def _stopping(self) -> bool:
-        return self.stop_signal is not None
 
     def _fail(
         self,
@@ -560,31 +696,14 @@ class _ResilientRun:
         cause: Optional[BaseException] = None,
     ) -> None:
         """Charge a failed attempt; raise when the run must abort."""
-        error = _charge_failure(
-            self.book, self.outcome, self.policy, lease.shards[0], reason
-        )
+        error = self.books.charge(lease.shards[0], reason)
         if error is not None:
             raise error from cause
-
-    def _complete(self, index: int, result: Any, metrics, trace) -> None:
-        self.book.complete(index)
-        self.results[index] = result
-        self.telemetry[index] = (metrics, trace)
-        if self.store is not None:
-            self.store.add(index, self.encode(result), metrics, trace)
-            if OBS.enabled:
-                OBS.registry.counter("runtime.checkpoint_writes").inc()
-        if self.on_shard_done is not None:
-            self.on_shard_done(index)
-        if self.policy.on_shard_complete is not None:
-            self.policy.on_shard_complete(
-                index, len(self.results), self.outcome.total_shards
-            )
 
     def _sleep(self, seconds: float) -> None:
         """Interruptible sleep (wakes early when a signal arrived)."""
         deadline = time.monotonic() + seconds
-        while not self._stopping:
+        while not self.books.stopping:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return
@@ -599,23 +718,22 @@ class _ResilientRun:
         up to that many on the pool.  The loop sleeps only when nothing
         is ready and nothing is running.
         """
-        self.slots = min(self.workers, max(1, self.book.pending_count))
+        books, book = self.books, self.books.book
+        self.slots = min(self.workers, max(1, book.pending_count))
         try:
-            while not self.book.done and (self.inflight or not self._stopping):
-                while not self._stopping and len(self.inflight) < self.slots:
-                    lease = self.book.grant("local")
+            while not book.done and (self.inflight or not books.stopping):
+                while not books.stopping and len(self.inflight) < self.slots:
+                    lease = books.grant("local")
                     if lease is None:
                         break
-                    if OBS.enabled:
-                        OBS.registry.counter("runtime.shard_attempts").inc()
                     if self.workers == 1:
                         self._run_inline(lease)
                     else:
                         self._submit(lease)
                 if self.inflight:
                     self._collect()
-                elif not self.book.done and not self._stopping:
-                    self._sleep(self.book.next_ready_in() or 0.0)
+                elif not book.done and not books.stopping:
+                    self._sleep(book.next_ready_in() or 0.0)
         finally:
             if self.pool is not None:
                 _terminate_executor(self.pool)
@@ -639,7 +757,7 @@ class _ResilientRun:
         except Exception as exc:
             self._fail(lease, "fault", exc)
         else:
-            self._complete(index, result, metrics, trace)
+            self.books.complete(index, result, metrics, trace)
 
     def _submit(self, lease: ShardLease) -> None:
         if self.pool is None:
@@ -679,11 +797,11 @@ class _ResilientRun:
             except Exception as exc:
                 self._fail(lease, "fault", exc)
             else:
-                self._complete(lease.shards[0], result, metrics, trace)
+                self.books.complete(lease.shards[0], result, metrics, trace)
         if broken is not None:
             self._reset_pool(crash=broken)
             return
-        expired = {lease.lease_id for lease, _ in self.book.expire()}
+        expired = {lease.lease_id for lease, _ in self.books.book.expire()}
         if expired:
             self._reset_pool(expired=expired)
 
@@ -708,80 +826,13 @@ class _ResilientRun:
             elif lease.lease_id in expired:
                 self._fail(lease, "timeout")
             else:
-                self.book.requeue(lease.lease_id)
+                self.books.book.requeue(lease.lease_id)
 
     # -- driver -------------------------------------------------------------
 
     def run(self) -> Tuple[List[Any], RunOutcome]:
         """Execute the plan; returns (plan-ordered results, outcome)."""
-        # In-process shards have no deadline (chaos raises ChaosHang).
-        timeout = self.policy.shard_timeout_s
-        if self.workers == 1 or timeout is None:
-            timeout = math.inf
-        self.store, records, self.book = _open_run(
-            self.policy, self.fingerprint, self.outcome,
-            lease_shards=1, lease_timeout_s=timeout,
-        )
-        for position, (index, record) in enumerate(records.items()):
-            self.results[index] = self.decode(record.payload)
-            self.telemetry[index] = (record.metrics, record.trace)
-            if self.on_shard_done is not None:
-                self.on_shard_done(index)
-            if self.policy.on_shard_complete is not None:
-                self.policy.on_shard_complete(
-                    index, position + 1, self.outcome.total_shards
-                )
-        error: Optional[ShardFailure] = None
-        with _SignalGuard(self._on_signal):
-            try:
-                self._dispatch()
-            except ShardFailure as exc:
-                error = exc
-            finally:
-                self._fold_telemetry()
-        self.outcome.completed_shards = len(self.results)
-        self.outcome.quarantined_shards = tuple(sorted(self.book.quarantined))
-        self.outcome.interrupted = self._stopping and error is None
-        self.outcome.signal_name = self.stop_signal
-        if OBS.enabled and self.store is not None:
-            OBS.trace.record(
-                events.CheckpointWritten(
-                    str(self.store.path), len(self.store.completed)
-                )
-            )
-        self.policy.outcomes.append(self.outcome)
-        if error is not None:
-            raise error
-        if self._stopping:
-            raise RunInterrupted(
-                f"run interrupted by {self.stop_signal} after "
-                f"{len(self.results)}/{len(self.shard_args)} shards",
-                signal_name=self.stop_signal or "signal",
-                checkpoint_path=self.outcome.checkpoint_path,
-            )
-        ordered = [
-            self.results[i]
-            for i in range(len(self.shard_args))
-            if i in self.results
-        ]
-        return ordered, self.outcome
-
-    def _fold_telemetry(self) -> None:
-        """Merge per-shard obs deltas into the live OBS, in plan order.
-
-        Folding in plan order (not completion order) keeps the merged
-        trace/metrics identical across worker counts, retries and
-        resumes; folding in a ``finally`` keeps partial telemetry from
-        an aborted run.
-        """
-        if not OBS.enabled:
-            return
-        for index in sorted(self.telemetry):
-            metrics, trace = self.telemetry[index]
-            if metrics:
-                OBS.registry.merge_state(metrics)
-            if trace:
-                OBS.trace.merge_records(trace)
+        return self.books.run(self._dispatch), self.outcome
 
 
 def run_resilient(

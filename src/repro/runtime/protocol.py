@@ -12,20 +12,25 @@ to flush into the coordinator's checkpoint.
 
 Message vocabulary (the ``type`` key):
 
-========== =========== ====================================================
-type       direction   meaning
-========== =========== ====================================================
-hello      worker→coor protocol version + worker name
-job        coor→worker experiment spec + run fingerprint
-ready      worker→coor fingerprint verified; worker wants a lease
-lease      coor→worker shard indices + per-shard attempts + deadline
-wait       coor→worker nothing ready; retry ``ready`` after ``delay_s``
-result     worker→coor one digest-carrying shard record of a lease
-shard_failed worker→coor one shard of a lease failed (reason string)
-lease_done worker→coor every shard of the lease was accounted for
-drain      coor→worker stop asking; close the connection
-error      either      protocol violation; sender closes after
-========== =========== ====================================================
+============ =========== ==================================================
+type         direction   meaning
+============ =========== ==================================================
+hello        worker→coor protocol version + worker name
+job          coor→worker experiment spec + run fingerprint + telemetry flag
+ready        worker→coor fingerprint verified; worker wants a lease
+lease        coor→worker shard indices + per-shard attempts + deadline
+wait         coor→worker nothing ready; retry ``ready`` after ``delay_s``
+result       worker→coor one shard's digest-carrying checkpoint record:
+                         its payload plus that shard's metrics and trace
+shard_failed worker→coor one shard of a lease failed its one run (reason)
+lease_done   worker→coor closes the lease; carries no telemetry
+drain        coor→worker stop asking; close the connection
+error        either      protocol violation; sender closes after
+============ =========== ==================================================
+
+Version 3 gave ``result`` its telemetry and took it from
+``lease_done``; a peer speaking another version is refused at
+``hello``.
 """
 
 from __future__ import annotations
@@ -34,14 +39,13 @@ import asyncio
 import json
 import socket
 import struct
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
     "ProtocolError",
     "encode_frame",
-    "FrameDecoder",
     "send_message",
     "recv_message",
     "read_message",
@@ -49,7 +53,7 @@ __all__ = [
 ]
 
 #: Wire protocol version; ``hello``/``job`` refuse a mismatch.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one frame (64 MiB) -- far above any real shard record,
 #: small enough that a garbage length prefix cannot balloon memory.
@@ -74,48 +78,25 @@ def encode_frame(message: Dict[str, object]) -> bytes:
     return _LENGTH.pack(len(body)) + body
 
 
-class FrameDecoder:
-    """Incremental decoder turning a byte stream back into messages.
+def _frame_length(header: bytes) -> int:
+    """The body length a frame header announces, checked against the cap."""
+    (length,) = _LENGTH.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"incoming frame claims {length} bytes (cap {MAX_FRAME_BYTES})"
+        )
+    return length
 
-    Feed it whatever chunks arrive; it buffers partial frames across
-    calls and yields each complete message exactly once, so it works
-    unchanged over blocking sockets, asyncio transports or test
-    fixtures slicing a frame one byte at a time.
-    """
 
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    def feed(self, data: bytes) -> List[Dict[str, object]]:
-        """Absorb ``data``; return every message completed by it."""
-        self._buffer.extend(data)
-        messages: List[Dict[str, object]] = []
-        while True:
-            if len(self._buffer) < _LENGTH.size:
-                break
-            (length,) = _LENGTH.unpack_from(self._buffer)
-            if length > MAX_FRAME_BYTES:
-                raise ProtocolError(
-                    f"incoming frame claims {length} bytes "
-                    f"(cap {MAX_FRAME_BYTES}); stream is corrupt"
-                )
-            if len(self._buffer) < _LENGTH.size + length:
-                break
-            body = bytes(self._buffer[_LENGTH.size:_LENGTH.size + length])
-            del self._buffer[:_LENGTH.size + length]
-            try:
-                message = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError) as exc:
-                raise ProtocolError(f"frame body is not JSON: {exc}") from exc
-            if not isinstance(message, dict):
-                raise ProtocolError("frame body is not a JSON object")
-            messages.append(message)
-        return messages
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered toward an incomplete frame."""
-        return len(self._buffer)
+def _decode_body(body: bytes) -> Dict[str, object]:
+    """One frame body as a message dict; :class:`ProtocolError` otherwise."""
+    try:
+        message = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise ProtocolError(f"frame body is not JSON: {exc}") from exc
+    if not isinstance(message, dict):
+        raise ProtocolError("frame body is not a JSON object")
+    return message
 
 
 # -- blocking-socket helpers (worker side) ----------------------------------
@@ -134,21 +115,10 @@ def recv_message(sock: socket.socket) -> Optional[Dict[str, object]]:
     header = _recv_exact(sock, _LENGTH.size)
     if header is None:
         return None
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"incoming frame claims {length} bytes (cap {MAX_FRAME_BYTES})"
-        )
-    body = _recv_exact(sock, length)
+    body = _recv_exact(sock, _frame_length(header))
     if body is None:
         raise ProtocolError("connection closed mid-frame")
-    try:
-        message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise ProtocolError(f"frame body is not JSON: {exc}") from exc
-    if not isinstance(message, dict):
-        raise ProtocolError("frame body is not a JSON object")
-    return message
+    return _decode_body(body)
 
 
 def _recv_exact(sock: socket.socket, nbytes: int) -> Optional[bytes]:
@@ -178,22 +148,11 @@ async def read_message(reader) -> Optional[Dict[str, object]]:
         if not exc.partial:
             return None
         raise ProtocolError("connection closed mid-frame") from exc
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"incoming frame claims {length} bytes (cap {MAX_FRAME_BYTES})"
-        )
     try:
-        body = await reader.readexactly(length)
+        body = await reader.readexactly(_frame_length(header))
     except asyncio.IncompleteReadError as exc:
         raise ProtocolError("connection closed mid-frame") from exc
-    try:
-        message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise ProtocolError(f"frame body is not JSON: {exc}") from exc
-    if not isinstance(message, dict):
-        raise ProtocolError("frame body is not a JSON object")
-    return message
+    return _decode_body(body)
 
 
 async def write_message(writer, message: Dict[str, object]) -> None:

@@ -9,34 +9,43 @@ run of the same spec.  This is the distributed twin of
 ``tests/unit/test_chaos.py``.  Hand-driven protocol clients pin the
 lease accounting: a failure reported after its lease expired is not
 charged again, a retry is traced with its real backoff delay, and the
-run waits for the last ``lease_done`` before it finishes.
+run waits for the last ``lease_done`` before it finishes.  They also
+pin the one set of books: each shard's telemetry rides its record and
+counts once (late duplicates and resumes included), the coordinator's
+``--max-retries`` is the only retry budget, and quarantine order and
+a late signal end the run as the executor ends it.  A real
+``repro work`` process stopped by SIGINT exits 130 after sending what
+it finished.
 """
 
 import json
 import multiprocessing
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.faultsim.differential import assert_identical
 from repro.faultsim.schemes import XedScheme
-from repro.faultsim.simulator import (
-    MonteCarloConfig,
-    simulate,
-    simulate_shard_range,
-)
+from repro.faultsim.simulator import MonteCarloConfig, simulate
 from repro.obs import TelemetryScope
 from repro.runtime import (
     CRASH_EXIT_CODE,
     ChaosPolicy,
     RunInterrupted,
     RuntimePolicy,
+    ShardFailure,
     corrupt_checkpoint_tail,
+    load_checkpoint,
     parse_chaos_spec,
 )
-from repro.runtime.checkpoint import ShardRecord, backoff_delay
+from repro.runtime.checkpoint import backoff_delay
 from repro.runtime.distributed import Coordinator, JobSpec, run_worker
 from repro.runtime.protocol import PROTOCOL_VERSION, recv_message, send_message
 
@@ -44,6 +53,7 @@ SPEC = JobSpec(scheme="xed", num_systems=20_000, shard_size=5_000, seed=7)
 CFG = MonteCarloConfig(
     num_systems=20_000, seed=7, faultsim_backend="vectorized"
 )
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -79,23 +89,37 @@ def _worker_process_main(host, port, chaos_spec):
 
 
 @pytest.fixture(scope="module")
-def result_frames():
+def result_frames(tmp_path_factory):
     """Every SPEC shard's ``result`` record, as a worker sends it.
 
+    A worker sends each shard's record exactly as a local checkpoint
+    holds it -- payload plus that shard's metrics and trace -- so the
+    records come from a checkpointed local run with telemetry on.
     Computed up front in the test process, so hand-driven clients in
-    threads run no engine code (which would reset this process's OBS).
+    threads run no engine code (a shard's telemetry capture swaps this
+    process's OBS).
     """
+    directory = tmp_path_factory.mktemp("records")
     scheme, config = SPEC.build()
-    results = simulate_shard_range(
-        scheme, config, indices=range(SPEC.num_shards()),
-        shard_size=SPEC.shard_size,
-    )
-    return {
-        index: json.loads(
-            ShardRecord(index=index, payload=result.to_payload()).to_line()
+    with TelemetryScope():
+        simulate(
+            scheme, config, shard_size=SPEC.shard_size,
+            runtime=RuntimePolicy(checkpoint_dir=str(directory)),
         )
-        for index, result in results.items()
+    (path,) = directory.glob("*.ckpt")
+    return {
+        index: json.loads(record.to_line())
+        for index, record in load_checkpoint(path).records.items()
     }
+
+
+def _shard_counters(frames):
+    """The counters of ``frames``' own telemetry, each folded once."""
+    totals = {}
+    for frame in frames:
+        for name, value in frame["metrics"]["counters"].items():
+            totals[name] = totals.get(name, 0) + value
+    return totals
 
 
 def _hand_client(address, name):
@@ -120,19 +144,27 @@ def _next_lease(sock):
         time.sleep(message["delay_s"])
 
 
+def _send_results(sock, lease, frames, indices=None):
+    """Send the records of ``indices`` (default: the lease's shards)."""
+    for index in lease["shards"] if indices is None else indices:
+        send_message(
+            sock,
+            {"type": "result", "lease_id": lease["lease_id"],
+             "record": frames[index]},
+        )
+
+
+def _close_lease(sock, lease):
+    """Send the ``lease_done`` that closes ``lease``."""
+    send_message(sock, {"type": "lease_done", "lease_id": lease["lease_id"]})
+
+
 def _serve_leases(sock, frames):
     """Answer every lease with precomputed results until drained."""
     try:
         while (lease := _next_lease(sock)) is not None:
-            for index in lease["shards"]:
-                send_message(
-                    sock,
-                    {"type": "result", "lease_id": lease["lease_id"],
-                     "record": frames[index]},
-                )
-            send_message(
-                sock, {"type": "lease_done", "lease_id": lease["lease_id"]}
-            )
+            _send_results(sock, lease, frames)
+            _close_lease(sock, lease)
     except OSError:
         pass  # the coordinator finished and closed the connection
 
@@ -161,9 +193,9 @@ class TestDistributedRuns:
         assert coordinator.outcome.completeness == 1.0
 
     def test_old_protocol_hello_gets_error_and_no_job(self, reference):
-        # A version-1 worker would die on the version-2 job message, so
-        # the coordinator must refuse it at the hello.  A current worker
-        # then finishes the run, which lets run() return.
+        # An older worker would misread the version-3 job and result
+        # messages, so the coordinator must refuse it at the hello.  A
+        # current worker then finishes the run, which lets run() return.
         coordinator = Coordinator(SPEC, port=0, lease_shards=1)
         frames = []
 
@@ -191,7 +223,7 @@ class TestDistributedRuns:
             "type": "error",
             "reason": f"protocol 1 != {PROTOCOL_VERSION}",
         }]
-        assert PROTOCOL_VERSION == 2
+        assert PROTOCOL_VERSION == 3
         assert_identical(result, reference, "run after a refused worker")
 
     def test_crash_partition_and_drop_recover_bit_identically(
@@ -250,7 +282,7 @@ class TestDistributedRuns:
         def signal_when_partial():
             while coordinator.outcome.completed_shards < 3:
                 time.sleep(0.02)
-            coordinator._on_signal("SIGINT")
+            coordinator._books.on_signal("SIGINT")
 
         threading.Thread(target=signal_when_partial, daemon=True).start()
         with pytest.raises(RunInterrupted) as excinfo:
@@ -340,10 +372,10 @@ class TestDistributedRuns:
 
     def test_run_waits_for_the_last_lease_done(self, reference, result_frames):
         # One lease holds the whole plan.  Its results complete the book
-        # 0.3 s before its lease_done arrives; that message's telemetry
-        # must still be folded, and the lease closed as completed.
+        # 0.3 s before its lease_done arrives; the run must still wait
+        # for it and close the lease as completed, and each record's
+        # own telemetry is folded once.
         coordinator = Coordinator(SPEC, port=0, lease_shards=SPEC.num_shards())
-        folded = {"counters": {"test.lease_done_folded": 1}}
 
         def slow_closer():
             with _hand_client(coordinator.address, "slow") as sock:
@@ -356,9 +388,7 @@ class TestDistributedRuns:
                     )
                 time.sleep(0.3)
                 send_message(
-                    sock,
-                    {"type": "lease_done", "lease_id": lease["lease_id"],
-                     "metrics": folded},
+                    sock, {"type": "lease_done", "lease_id": lease["lease_id"]}
                 )
                 _serve_leases(sock, result_frames)
 
@@ -369,7 +399,9 @@ class TestDistributedRuns:
         thread.join(timeout=30.0)
         assert not thread.is_alive()
         assert_identical(result, reference, "run with a slow lease_done")
-        assert scope.snapshot()["counters"].get("test.lease_done_folded") == 1
+        sent = _shard_counters(result_frames.values())
+        counters = scope.snapshot()["counters"]
+        assert {name: counters.get(name) for name in sent} == sent
         kinds = scope.trace.counts_by_kind()
         assert kinds.get("lease_granted") == kinds.get("lease_completed") == 1
         assert "lease_expired" not in kinds
@@ -402,3 +434,258 @@ class TestDistributedRuns:
         assert counters.get("runtime.shard_retries") == 1
         assert counters.get("runtime.shard_faults") == 1
         assert "runtime.lease_requeues" not in counters
+
+    def test_expired_lease_late_result_is_folded_once(self, result_frames):
+        # Client A holds shard 0 past its 0.5 s deadline; client B runs
+        # the retry.  A's late record then arrives with its telemetry,
+        # then its lease_done.  Shard 0's counters must count once.
+        coordinator = Coordinator(
+            SPEC, port=0, lease_shards=1, lease_timeout_s=0.5,
+            policy=RuntimePolicy(backoff_base_s=0.01),
+        )
+
+        def late_and_retry():
+            with _hand_client(coordinator.address, "late") as late:
+                held = _next_lease(late)
+                assert held["shards"] == [0]
+                _wait_for(lambda: coordinator.outcome.timeouts == 1)
+                book = coordinator._books.book
+                _wait_for(lambda: time.monotonic() >= book.retry_at.get(0, 0))
+                with _hand_client(coordinator.address, "retry") as retry:
+                    again = _next_lease(retry)
+                    assert (again["shards"], again["attempts"]) == ([0], [2])
+                    _send_results(retry, again, result_frames)
+                    _close_lease(retry, again)
+                    _wait_for(lambda: 0 in coordinator._books.results)
+                _send_results(late, held, result_frames)
+                _close_lease(late, held)
+                _serve_leases(late, result_frames)
+
+        thread = threading.Thread(target=late_and_retry, daemon=True)
+        thread.start()
+        with TelemetryScope() as scope:
+            coordinator.run()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        counters = scope.snapshot()["counters"]
+        sent = _shard_counters(result_frames.values())
+        assert sent.get("faultsim.vectorized.shards") == SPEC.num_shards()
+        assert {name: counters.get(name) for name in sent} == sent
+        assert counters.get("runtime.duplicate_results") == 1
+
+    def test_coordinator_budget_is_the_only_retry_budget(self, monkeypatch):
+        # A shard that always raises runs max_retries + 1 times in all:
+        # the worker runs each leased shard once and reports the
+        # failure, so only the coordinator's budget retries it.
+        import repro.faultsim.simulator as simulator
+
+        runs = []
+
+        def always_raises(*args):
+            runs.append(args[2])
+            raise RuntimeError("shard always fails")
+
+        monkeypatch.setattr(simulator, "_simulate_shard", always_raises)
+        spec = JobSpec(
+            scheme="xed", num_systems=5_000, shard_size=5_000, seed=7
+        )
+        coordinator = Coordinator(
+            spec, port=0, lease_shards=1,
+            policy=RuntimePolicy(max_retries=1, backoff_base_s=0.01),
+        )
+        _start_worker_thread(coordinator.address, "once")
+        with pytest.raises(ShardFailure) as excinfo:
+            coordinator.run()
+        assert runs == [0, 0]
+        assert f"shard 0 failed {len(runs)} time(s)" in str(excinfo.value)
+        assert coordinator.outcome.faults == len(runs)
+
+    def test_signalled_then_resumed_run_exports_every_shard_once(
+        self, reference, result_frames, tmp_path
+    ):
+        # Run 1 is drained by a signal after three shards and resumed by
+        # run 2; run 3 is uninterrupted.  Run 2 replays the checkpointed
+        # shards' telemetry, so its shard counters equal run 3's.
+        def first_three_then_signal(coordinator):
+            with _hand_client(coordinator.address, "first") as sock:
+                for _ in range(3):
+                    lease = _next_lease(sock)
+                    _send_results(sock, lease, result_frames)
+                    _close_lease(sock, lease)
+                _wait_for(lambda: coordinator.outcome.completed_shards == 3)
+                coordinator._books.on_signal("SIGINT")
+
+        def serve_all(coordinator):
+            with _hand_client(coordinator.address, "all") as sock:
+                _serve_leases(sock, result_frames)
+
+        def run(policy, client):
+            coordinator = Coordinator(
+                SPEC, port=0, lease_shards=1, policy=policy
+            )
+            thread = threading.Thread(
+                target=client, args=(coordinator,), daemon=True
+            )
+            thread.start()
+            with TelemetryScope() as scope:
+                try:
+                    result = coordinator.run()
+                except RunInterrupted:
+                    result = None
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+            counters = scope.snapshot()["counters"]
+            shard_counters = {
+                name: value for name, value in counters.items()
+                if name.startswith("faultsim.")
+            }
+            return coordinator.outcome, result, shard_counters
+
+        checkpoint = RuntimePolicy(checkpoint_dir=str(tmp_path))
+        drained, nothing, _ = run(checkpoint, first_three_then_signal)
+        assert drained.interrupted and nothing is None
+        resume = RuntimePolicy(resume_dir=str(tmp_path))
+        resumed, result, resumed_counters = run(resume, serve_all)
+        assert resumed.resumed_shards == 3
+        assert_identical(result, reference, "resumed coordinated run")
+        _, _, whole_counters = run(RuntimePolicy(), serve_all)
+        sent = _shard_counters(result_frames.values())
+        assert resumed_counters == whole_counters == {
+            name: value for name, value in sent.items()
+            if name.startswith("faultsim.")
+        }
+
+    def test_signalled_worker_sends_what_it_finished_and_exits_130(self):
+        # A real `repro work` gets SIGINT while it delays shard 1's
+        # record.  It must still send that record, ask for no further
+        # lease and exit 130; only its unfinished shards are charged
+        # (as a dropped connection's), and a second worker finishes a
+        # bit-identical merge.
+        spec = JobSpec(
+            scheme="xed", num_systems=80_000, shard_size=5_000, seed=7
+        )
+        expected = simulate(
+            XedScheme(), MonteCarloConfig(num_systems=80_000, seed=7),
+            shard_size=5_000,
+        )
+        total = spec.num_shards()
+        coordinator = Coordinator(spec, port=0, lease_shards=total)
+        host, port = coordinator.address
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        worker = subprocess.Popen(
+            [sys.executable, "-m", "repro", "work",
+             "--coordinator", f"{host}:{port}",
+             "--chaos", "delay=1;delay-s=1"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+        seen = {}
+
+        def interrupt_then_replace():
+            _wait_for(lambda: coordinator.outcome.completed_shards >= 1)
+            worker.send_signal(signal.SIGINT)
+            worker.wait(timeout=60.0)
+            _wait_for(lambda: coordinator.outcome.crashes > 0)
+            seen["first"] = set(coordinator._books.results)
+            multiprocessing.get_context("spawn").Process(
+                target=_worker_process_main, args=(host, port, None)
+            ).start()
+
+        thread = threading.Thread(target=interrupt_then_replace, daemon=True)
+        thread.start()
+        with TelemetryScope() as scope:
+            result = coordinator.run()
+        thread.join(timeout=60.0)
+        out, err = worker.communicate(timeout=30.0)
+        assert worker.returncode == 130, err
+        assert "interrupted by SIGINT" in err
+        assert_identical(result, expected, "run finished by a second worker")
+        first = seen["first"]
+        assert 1 <= len(first) < total
+        outcome = coordinator.outcome
+        unfinished = set(range(total)) - first
+        assert set(coordinator._books.book.failures) == unfinished
+        assert (outcome.crashes, outcome.faults, outcome.timeouts) == (
+            len(unfinished), 0, 0
+        )
+        counters = scope.snapshot()["counters"]
+        assert "runtime.interrupts" not in counters
+        granted = sum(
+            record["shards"] for record in scope.trace.to_records()
+            if record["event"] == "lease_granted"
+        )
+        assert counters["runtime.shard_attempts"] == granted == total + len(
+            unfinished
+        )
+
+    def test_quarantine_order_matches_the_executor(self, result_frames):
+        # Shards 3 then 1 fail once under --max-retries 0 --keep-going.
+        # The coordinator reports them sorted, as the executor does.
+        policy = RuntimePolicy(max_retries=0, keep_going=True)
+        coordinator = Coordinator(
+            SPEC, port=0, lease_shards=SPEC.num_shards(), policy=policy
+        )
+
+        def fail_three_then_one():
+            with _hand_client(coordinator.address, "q") as sock:
+                lease = _next_lease(sock)
+                for index in (3, 1):
+                    send_message(
+                        sock,
+                        {"type": "shard_failed", "lease_id": lease["lease_id"],
+                         "index": index, "reason": "fault"},
+                    )
+                _send_results(sock, lease, result_frames, (0, 2))
+                _close_lease(sock, lease)
+                _serve_leases(sock, result_frames)
+
+        thread = threading.Thread(target=fail_three_then_one, daemon=True)
+        thread.start()
+        coordinator.run()
+        thread.join(timeout=30.0)
+        local = RuntimePolicy(
+            max_retries=0, keep_going=True,
+            chaos=ChaosPolicy(fault_shards=(1, 3), trigger_attempts=99),
+        )
+        scheme, config = SPEC.build()
+        simulate(scheme, config, shard_size=SPEC.shard_size, runtime=local)
+        assert coordinator.outcome.quarantined_shards == (1, 3)
+        assert local.outcomes[0].quarantined_shards == (1, 3)
+
+    def test_signal_after_the_last_shard_interrupts_like_the_executor(
+        self, result_frames
+    ):
+        # The signal lands once every shard is in but before the run
+        # finishes: both the coordinator and the executor drain to
+        # RunInterrupted with the whole plan completed.
+        coordinator = Coordinator(SPEC, port=0, lease_shards=SPEC.num_shards())
+
+        def all_results_then_signal():
+            with _hand_client(coordinator.address, "last") as sock:
+                lease = _next_lease(sock)
+                _send_results(sock, lease, result_frames)
+                _wait_for(
+                    lambda: coordinator.outcome.completed_shards
+                    == SPEC.num_shards()
+                )
+                coordinator._books.on_signal("SIGINT")
+                _close_lease(sock, lease)
+                _serve_leases(sock, result_frames)
+
+        thread = threading.Thread(target=all_results_then_signal, daemon=True)
+        thread.start()
+        with pytest.raises(RunInterrupted):
+            coordinator.run()
+        thread.join(timeout=30.0)
+
+        def signal_after_last(index, done, total):
+            if done == total:
+                os.kill(os.getpid(), signal.SIGINT)
+
+        local = RuntimePolicy(on_shard_complete=signal_after_last)
+        scheme, config = SPEC.build()
+        with pytest.raises(RunInterrupted):
+            simulate(scheme, config, shard_size=SPEC.shard_size, runtime=local)
+        for outcome in (coordinator.outcome, local.outcomes[0]):
+            assert outcome.interrupted and outcome.signal_name == "SIGINT"
+            assert outcome.completed_shards == SPEC.num_shards()

@@ -22,6 +22,7 @@ from repro.runtime.checkpoint import (
     LeaseBook,
     RunFingerprint,
     ShardRecord,
+    _parse_shard_line,
 )
 from repro.runtime.distributed import JobSpec
 
@@ -281,6 +282,26 @@ class TestCheckpointDuplicateHardening:
         reloaded = load_checkpoint(path)
         assert reloaded.conflicts == 0
         assert reloaded.records[0].payload == {"value": "first"}
+
+
+class TestRecordTelemetryValidation:
+    """The coordinator folds a record's telemetry, so its types are checked."""
+
+    @pytest.mark.parametrize(
+        "metrics, trace",
+        [([1], None), ("counters", None), (None, {"event": "x"}), (None, 3)],
+    )
+    def test_digest_valid_record_with_bad_telemetry_is_rejected(
+        self, metrics, trace
+    ):
+        line = ShardRecord(0, {"sum": 1}, metrics, trace).to_line()
+        assert _parse_shard_line(json.loads(line)) is None
+
+    def test_object_metrics_and_list_trace_are_accepted(self):
+        record = ShardRecord(
+            0, {"sum": 1}, {"counters": {"c": 1}}, [{"event": "x"}]
+        )
+        assert _parse_shard_line(json.loads(record.to_line())) == record
 
 
 class TestJobSpec:

@@ -3,8 +3,9 @@
 The length-prefixed JSON framing of :mod:`repro.runtime.protocol` must
 survive arbitrary payloads, arbitrary chunking (one byte at a time, many
 frames per chunk) and reject oversized or corrupt frames -- property
-tests drive the round trip with hypothesis, and socket-pair tests cover
-the blocking and asyncio helpers the worker/coordinator actually use.
+tests drive the round trip with hypothesis, and socket-pair and
+stream-reader tests cover the blocking and asyncio helpers the
+worker/coordinator actually use.
 """
 
 import asyncio
@@ -18,9 +19,9 @@ from hypothesis import strategies as st
 from repro.runtime import protocol
 from repro.runtime.protocol import (
     MAX_FRAME_BYTES,
-    FrameDecoder,
     ProtocolError,
     encode_frame,
+    read_message,
     recv_message,
     send_message,
 )
@@ -38,42 +39,84 @@ json_values = st.recursive(
 messages = st.dictionaries(st.text(max_size=16), json_values, max_size=6)
 
 
+def _recv_all(blob: bytes, count: int):
+    """Receive ``count`` messages sent as one ``blob`` over a socket pair."""
+    left, right = socket.socketpair()
+    try:
+        left.sendall(blob)
+        left.close()
+        return [recv_message(right) for _ in range(count)]
+    finally:
+        right.close()
+
+
+def _read_chunked(chunks, count: int):
+    """Read ``count`` messages while ``chunks`` arrive one at a time."""
+
+    async def scenario():
+        reader = asyncio.StreamReader()
+
+        async def feed():
+            for chunk in chunks:
+                reader.feed_data(chunk)
+                await asyncio.sleep(0)
+            reader.feed_eof()
+
+        feeder = asyncio.ensure_future(feed())
+        out = [await read_message(reader) for _ in range(count)]
+        await feeder
+        return out
+
+    return asyncio.run(scenario())
+
+
+class _OneByteAtATime:
+    """A socket stand-in whose ``recv`` hands back one byte per call."""
+
+    def __init__(self, data: bytes) -> None:
+        self._data = data
+
+    def recv(self, nbytes: int) -> bytes:
+        chunk, self._data = self._data[:1], self._data[1:]
+        return chunk
+
+
+def _both_helpers_reject(frame: bytes, match: str) -> None:
+    """Both receive helpers raise the same ProtocolError on ``frame``."""
+    with pytest.raises(ProtocolError, match=match):
+        _recv_all(frame, 1)
+    with pytest.raises(ProtocolError, match=match):
+        _read_chunked([frame], 1)
+
+
 class TestFraming:
     @given(message=messages)
     @settings(max_examples=80)
     def test_round_trip(self, message):
-        decoder = FrameDecoder()
-        assert decoder.feed(encode_frame(message)) == [message]
-        assert decoder.pending_bytes == 0
+        assert _recv_all(encode_frame(message), 1) == [message]
+        assert _read_chunked([encode_frame(message)], 1) == [message]
 
     @given(batch=st.lists(messages, min_size=1, max_size=5))
     @settings(max_examples=40)
     def test_many_frames_in_one_chunk(self, batch):
-        decoder = FrameDecoder()
         blob = b"".join(encode_frame(m) for m in batch)
-        assert decoder.feed(blob) == batch
+        assert _recv_all(blob, len(batch)) == batch
+        assert _read_chunked([blob], len(batch)) == batch
 
     @given(batch=st.lists(messages, min_size=1, max_size=3))
     @settings(max_examples=25)
     def test_byte_at_a_time(self, batch):
-        decoder = FrameDecoder()
-        out = []
-        for byte in b"".join(encode_frame(m) for m in batch):
-            out.extend(decoder.feed(bytes([byte])))
-        assert out == batch
-        assert decoder.pending_bytes == 0
+        sock = _OneByteAtATime(b"".join(encode_frame(m) for m in batch))
+        assert [recv_message(sock) for _ in batch] == batch
+        assert recv_message(sock) is None
 
     def test_partial_frame_is_buffered(self):
         frame = encode_frame({"type": "ready"})
-        decoder = FrameDecoder()
-        assert decoder.feed(frame[:5]) == []
-        assert decoder.pending_bytes == 5
-        assert decoder.feed(frame[5:]) == [{"type": "ready"}]
+        assert _read_chunked([frame[:5], frame[5:]], 1) == [{"type": "ready"}]
 
     def test_oversized_length_prefix_rejected(self):
         header = struct.pack(">I", MAX_FRAME_BYTES + 1)
-        with pytest.raises(ProtocolError, match="cap"):
-            FrameDecoder().feed(header)
+        _both_helpers_reject(header, "cap")
 
     def test_oversized_body_rejected_on_encode(self, monkeypatch):
         monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 16)
@@ -82,13 +125,13 @@ class TestFraming:
 
     def test_non_json_body_rejected(self):
         body = b"\xff\xfenot json"
-        with pytest.raises(ProtocolError, match="not JSON"):
-            FrameDecoder().feed(struct.pack(">I", len(body)) + body)
+        _both_helpers_reject(struct.pack(">I", len(body)) + body, "not JSON")
 
     def test_non_object_body_rejected(self):
         body = b"[1,2,3]"
-        with pytest.raises(ProtocolError, match="JSON object"):
-            FrameDecoder().feed(struct.pack(">I", len(body)) + body)
+        _both_helpers_reject(
+            struct.pack(">I", len(body)) + body, "JSON object"
+        )
 
     def test_canonical_encoding_is_deterministic(self):
         a = encode_frame({"b": 1, "a": 2})

@@ -169,6 +169,17 @@ class TestCheckpointFile:
         store.add(0, {"sum": 1})
         assert [p.name for p in tmp_path.iterdir()] == ["run.ckpt"]
 
+    def test_mode_follows_the_umask(self, tmp_path):
+        # The atomic rewrite creates the file as open(path, "w") would,
+        # so a checkpoint directory stays readable where the umask says.
+        path = tmp_path / "run.ckpt"
+        previous = os.umask(0o027)
+        try:
+            CheckpointStore.create(path, _fingerprint())
+        finally:
+            os.umask(previous)
+        assert path.stat().st_mode & 0o777 == 0o640
+
     def test_corrupt_tail_discarded_not_fatal(self, tmp_path):
         path = tmp_path / "run.ckpt"
         store = CheckpointStore.create(path, _fingerprint())
