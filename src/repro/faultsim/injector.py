@@ -6,8 +6,16 @@ rare one.  The number of runtime faults a system develops over 7 years
 is Poisson with mean ~0.3, so the overwhelming majority of sample
 systems draw fewer faults than the scheme under test can possibly fail
 on -- those are resolved wholesale with one vectorised Poisson draw.
-Only the surviving minority gets fully materialised
-:class:`~repro.faultsim.fault.ChipFault` objects.
+Only the surviving minority gets its faults drawn, and only the
+reference materialises them as :class:`~repro.faultsim.fault.ChipFault`
+objects.
+
+Each shard draws from its own generator, in this order: one Poisson
+fault total per system; one categorical FIT-table row per fault of the
+systems with at least ``min_faults`` faults; one batch of every fault
+attribute for those faults.  By Poisson superposition, a Poisson total
+split categorically by the rows' rate shares is distributed exactly as
+one independent Poisson count per row.
 """
 
 from __future__ import annotations
@@ -23,6 +31,12 @@ from repro.faultsim.fault_models import FailureMode, FitTable
 from repro.faultsim.scaling import ScalingFaultModel
 from repro.faultsim.schemes import ProtectionScheme
 from repro.faultsim.vectorized import MODE_CODES, FaultShard
+
+#: Tag of the shard sampler's draw order
+#: (:meth:`FaultSampler.sample_shard_arrays`).  ``reliability_fingerprint``
+#: hashes it, so checkpoints and cached results drawn by another sampler
+#: are never mixed with this one's.
+SHARD_SAMPLER = "poisson-total+categorical-row"
 
 
 @dataclass
@@ -118,16 +132,7 @@ class FaultSampler:
         """Expected runtime faults per system over the lifetime."""
         return self.fit.total_fit * 1e-9 * self.hours * self.scheme.total_chips
 
-    @property
-    def row_rates(self) -> np.ndarray:
-        """Expected faults per system per FIT-table row (mode x t/p)."""
-        return self._mode_probs * self.lam_per_system
-
     # -- sampling -------------------------------------------------------------
-
-    def sample_counts(self, num_systems: int, rng: np.random.Generator) -> np.ndarray:
-        """Total runtime-fault counts per system (one Poisson draw)."""
-        return rng.poisson(self.lam_per_system, num_systems)
 
     def sample_shard_arrays(
         self,
@@ -136,33 +141,30 @@ class FaultSampler:
         rng: np.random.Generator,
         min_faults: int = 1,
     ) -> FaultShard:
-        """Sample one shard into struct-of-arrays form, per FIT row.
+        """Sample one shard into struct-of-arrays form.
 
-        Instead of drawing one total-Poisson count per system and then
-        splitting it categorically, each FIT-table row (failure mode x
-        transient/permanent) gets one batched Poisson draw across the
-        shard, and every fault attribute (arrival time, chip, address,
-        promotion draw) is drawn as one numpy batch per row.  Thinning a
-        Poisson process row-by-row is distribution-identical to the
-        categorical split, and it removes the per-fault ``rng.choice``
-        from the hot loop.
+        Draws from ``rng`` in this order:
 
-        Only systems with at least ``min_faults`` faults are kept;
-        their global indices are ``start_index`` plus the in-shard
-        offset, so downstream per-system seeding (which hashes the
-        global index) is shard-layout independent.  The returned
+        1. one Poisson fault total per system of the shard;
+        2. one FIT-table row (failure mode x transient/permanent) per
+           fault of the systems with at least ``min_faults`` faults,
+           categorical with the rows' rate shares;
+        3. one :meth:`_draw_attributes` batch (chip, arrival time,
+           address, promotion draw) for those faults.
+
+        Faults come out grouped by system in selection order, and the
+        rows and attributes of skipped systems are never drawn.  The
+        selected systems' global indices are ``start_index`` plus the
+        in-shard offset, so downstream per-system seeding (which hashes
+        the global index) is shard-layout independent.  The returned
         :class:`~repro.faultsim.vectorized.FaultShard` holds the raw
-        draw columns grouped by system; the vectorized kernels consume
-        it directly and ``scheme.evaluate`` (the reference, and the
-        fallback for schemes without a kernel) through
-        :meth:`materialise_shard`, so the RNG stream is shared verbatim.
+        draw columns; the vectorized kernels consume it directly and
+        ``scheme.evaluate`` (the reference, and the fallback for schemes
+        without a kernel) through :meth:`materialise_shard`, so the
+        draws are shared verbatim.
         """
-        rates = self.row_rates
-        num_rows = len(rates)
-        counts = np.empty((num_rows, num_systems), dtype=np.int64)
-        for i in range(num_rows):
-            counts[i] = rng.poisson(rates[i], num_systems)
-        selected = np.nonzero(counts.sum(axis=0) >= min_faults)[0]
+        counts = rng.poisson(self.lam_per_system, num_systems)
+        selected = np.flatnonzero(counts >= min_faults)
         if selected.size == 0:
             empty_i = np.empty(0, dtype=np.int64)
             empty_f = np.empty(0, dtype=np.float64)
@@ -170,31 +172,14 @@ class FaultSampler:
                 start_index, num_systems, selected, empty_i,
                 empty_i, empty_i, empty_f, empty_i, empty_f,
             )
-        sel_counts = counts[:, selected]
-
-        # One attribute batch per row, drawn in fixed row order (this is
-        # the deterministic part of the stream), then flattened and
-        # stably re-grouped by system -- pure bookkeeping, no draws.
-        row_attrs = [
-            self._draw_attributes(int(sel_counts[i].sum()), rng)
-            for i in range(num_rows)
-        ]
-        positions = np.concatenate([
-            np.repeat(np.arange(selected.size), sel_counts[i])
-            for i in range(num_rows)
-        ])
-        order = np.argsort(positions, kind="stable")
-        mode_rows = np.concatenate([
-            np.full(len(row_attrs[i]["times"]), i, dtype=np.int64)
-            for i in range(num_rows)
-        ])[order]
-        chips = np.concatenate([a["chips"] for a in row_attrs])[order]
-        times = np.concatenate([a["times"] for a in row_attrs])[order]
-        addrs = np.concatenate([a["addrs"] for a in row_attrs])[order]
-        promote = np.concatenate([a["promote"] for a in row_attrs])[order]
+        counts = counts[selected]
+        total = int(counts.sum())
+        mode_rows = rng.choice(
+            len(self._modes), size=total, p=self._mode_probs
+        )
         return self._shard(
-            start_index, num_systems, selected, sel_counts.sum(axis=0),
-            mode_rows, chips, times, addrs, promote,
+            start_index, num_systems, selected, counts, mode_rows,
+            *self._draw_attributes(total, rng),
         )
 
     def _shard(
@@ -262,71 +247,22 @@ class FaultSampler:
 
     def _draw_attributes(
         self, total: int, rng: np.random.Generator
-    ) -> dict:
-        """One numpy batch of every per-fault attribute (size ``total``)."""
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(chips, times, addrs, promote): one batch of ``total`` faults."""
         s = self.space
         banks = rng.integers(0, self.geometry.banks, size=total)
         rows = rng.integers(0, self.geometry.rows_per_bank, size=total)
         cols = rng.integers(0, self.geometry.columns_per_row, size=total)
         bits = rng.integers(0, 1 << (s.beat_bits + s.lane_bits), size=total)
-        return {
-            "chips": rng.integers(0, self.scheme.total_chips, size=total),
-            "times": rng.uniform(0.0, self.hours, size=total),
-            "addrs": (
-                (banks.astype(np.int64) << s.bank_shift)
-                | (rows.astype(np.int64) << s.row_shift)
-                | (cols.astype(np.int64) << s.column_shift)
-                | bits.astype(np.int64)
-            ),
-            "promote": rng.random(size=total),
-        }
-
-    def materialise(
-        self,
-        system_indices: np.ndarray,
-        counts: np.ndarray,
-        rng: np.random.Generator,
-    ) -> Iterator[SampledSystem]:
-        """Build ChipFault lists for the systems that need evaluation."""
-        total = int(counts.sum())
-        if total == 0:
-            return
-        s = self.space
-        chips_per_rank = self.scheme.chips_per_rank
-        ranks = self.scheme.ranks_per_channel
-
-        mode_idx = rng.choice(len(self._modes), size=total, p=self._mode_probs)
-        chip_global = rng.integers(0, self.scheme.total_chips, size=total)
+        chips = rng.integers(0, self.scheme.total_chips, size=total)
         times = rng.uniform(0.0, self.hours, size=total)
-        banks = rng.integers(0, self.geometry.banks, size=total)
-        rows = rng.integers(0, self.geometry.rows_per_bank, size=total)
-        cols = rng.integers(0, self.geometry.columns_per_row, size=total)
-        bits = rng.integers(0, 1 << (s.beat_bits + s.lane_bits), size=total)
-        promote_draw = rng.random(size=total)
-
-        addr_values = (
+        addrs = (
             (banks.astype(np.int64) << s.bank_shift)
             | (rows.astype(np.int64) << s.row_shift)
             | (cols.astype(np.int64) << s.column_shift)
             | bits.astype(np.int64)
         )
-
-        offset = 0
-        for sys_idx, n in zip(system_indices, counts):
-            n = int(n)
-            faults: List[ChipFault] = []
-            for j in range(offset, offset + n):
-                faults.extend(self._build_fault(
-                    int(mode_idx[j]),
-                    int(chip_global[j]),
-                    float(times[j]),
-                    int(addr_values[j]),
-                    float(promote_draw[j]),
-                    chips_per_rank,
-                    ranks,
-                ))
-            offset += n
-            yield SampledSystem(int(sys_idx), faults)
+        return chips, times, addrs, rng.random(size=total)
 
     def _build_fault(
         self,

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.faultsim.fault_models import FitTable, HOURS_PER_YEAR, LIFETIME_YEARS
-from repro.faultsim.injector import FaultSampler
+from repro.faultsim.injector import SHARD_SAMPLER, FaultSampler
 from repro.faultsim.parallel import plan_shards, resolve_shard_size
 from repro.faultsim.schemes import FailureKind, ProtectionScheme
 from repro.faultsim.vectorized import (
@@ -441,10 +441,12 @@ def reliability_fingerprint(
 
     Everything that can change a shard's contents goes into the config
     hash -- the scheme, the FIT table, scaling, scrubbing, device
-    geometry and the per-system draw stream -- so a checkpoint can
-    never be silently resumed into a different experiment.
+    geometry, the shard sampler's draw order and the per-system draw
+    stream -- so a checkpoint can never be silently resumed into a
+    different experiment.
     """
     description = {
+        "sampler": SHARD_SAMPLER,
         "stream": SYSTEM_STREAM,
         "scheme": scheme.name,
         "years": config.years,
@@ -480,11 +482,11 @@ def simulate(
     The population is split into deterministic shards of ``shard_size``
     systems, each seeded by its own ``SeedSequence`` child and run on
     ``workers`` processes (``workers=1`` runs the same shard plan
-    in-process).  Within a shard the Poisson fault-arrival draws are
-    batched per FIT-table row; only systems with at least
-    ``scheme.min_faults`` runtime faults are adjudicated, by the
-    scheme's batch kernel or, for a scheme type without one, by
-    ``scheme.evaluate``.
+    in-process).  Within a shard one Poisson draw gives every system's
+    fault total (:meth:`FaultSampler.sample_shard_arrays`); only
+    systems with at least ``scheme.min_faults`` runtime faults get
+    their faults drawn and are adjudicated, by the scheme's batch
+    kernel or, for a scheme type without one, by ``scheme.evaluate``.
 
     The shards run on :func:`repro.runtime.run_resilient` under
     ``runtime``, else the ambient policy installed by

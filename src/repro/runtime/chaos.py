@@ -271,7 +271,8 @@ def corrupt_checkpoint_tail(
     (digest mismatch), not merely a parse artefact -- though either
     must be survived.
     """
-    raw = bytearray(open(path, "rb").read())
+    with open(path, "rb") as fh:
+        raw = bytearray(fh.read())
     end = len(raw)
     while end > 0 and raw[end - 1 : end] in (b"\n", b"\r"):
         end -= 1

@@ -72,8 +72,12 @@ class TestPairSchemesAgainstClosedForm:
 
     def test_mode_knockout_isolates_contribution(self):
         """Removing all large-granularity modes leaves only the word
-        faults: the remaining XED failure probability must collapse by
-        orders of magnitude."""
+        faults: the remaining XED failure probability must collapse.
+
+        The analytical backend gives 7.30e-4 against 4.94e-5, a 14.8x
+        ratio.  At 2e6 systems that is ~1,460 against ~99 expected
+        failures, so a 10x bound fails for about one draw stream in
+        1e5 (at 2e5 systems it failed for about one in eleven)."""
         from repro.faultsim.fault_models import ModeRate
 
         gutted = FitTable()
@@ -81,8 +85,8 @@ class TestPairSchemesAgainstClosedForm:
                      FailureMode.SINGLE_BANK, FailureMode.MULTI_BANK,
                      FailureMode.MULTI_RANK):
             gutted = gutted.with_mode(mode, ModeRate(0.0, 0.0))
-        cfg_full = MonteCarloConfig(num_systems=200_000, seed=15)
-        cfg_gut = MonteCarloConfig(num_systems=200_000, seed=15, fit=gutted)
+        cfg_full = MonteCarloConfig(num_systems=2_000_000, seed=15)
+        cfg_gut = MonteCarloConfig(num_systems=2_000_000, seed=15, fit=gutted)
         full = simulate(XedScheme(), cfg_full).probability_of_failure
         gut = simulate(XedScheme(), cfg_gut).probability_of_failure
         assert gut < full / 10

@@ -186,14 +186,16 @@ class TestExitCodes:
     def test_checkpoint_of_the_former_stream_is_refused(
         self, tmp_path, capsys
     ):
-        """Shards drawn from the former per-system stream never mix in.
+        """Shards drawn by a former stream or sampler never mix in.
 
         Before the Philox stream, ``reliability_fingerprint`` hashed the
-        same description without its ``stream`` tag.  Under its own
-        name such a checkpoint is never opened (the hash is in the file
-        name); at the name this run resumes from, it is refused.
+        same description without its ``stream`` tag; before the split
+        sampler, without its ``sampler`` tag.  Under its own name such
+        a checkpoint is never opened (the hash is in the file name); at
+        the name this run resumes from, it is refused.
         """
         from repro.faultsim import MonteCarloConfig, XedScheme
+        from repro.faultsim.injector import SHARD_SAMPLER
         from repro.faultsim.simulator import reliability_fingerprint
         from repro.faultsim.vectorized import SYSTEM_STREAM
         from repro.runtime.checkpoint import (
@@ -210,7 +212,7 @@ class TestExitCodes:
         written = load_checkpoint(path)
         assert written.fingerprint == current.to_dict()
 
-        former_description = {
+        former_stream = {
             "scheme": "XED (9 chips)",
             "years": config.years,
             "scaling_rate": config.scaling_rate,
@@ -223,21 +225,23 @@ class TestExitCodes:
                 )
             ],
         }
+        per_row_sampler = {**former_stream, "stream": SYSTEM_STREAM}
         assert config_digest(
-            {**former_description, "stream": SYSTEM_STREAM}
+            {**per_row_sampler, "sampler": SHARD_SAMPLER}
         ) == current.config_hash
-        former = dataclasses.replace(
-            current, config_hash=config_digest(former_description)
-        )
-        assert former.slug() != current.slug()
-        store = CheckpointStore.create(path, former)
-        for index, record in sorted(written.records.items()):
-            store.add(index, record.payload)
+        for former_description in (former_stream, per_row_sampler):
+            former = dataclasses.replace(
+                current, config_hash=config_digest(former_description)
+            )
+            assert former.slug() != current.slug()
+            store = CheckpointStore.create(path, former)
+            for index, record in sorted(written.records.items()):
+                store.add(index, record.payload)
 
-        code = main(RELIABILITY_ARGS + ["--resume", str(tmp_path)])
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "different run" in err and "config_hash" in err
+            code = main(RELIABILITY_ARGS + ["--resume", str(tmp_path)])
+            assert code == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert "different run" in err and "config_hash" in err
 
     def test_shard_failure_is_4_and_prints_resume_command(
         self, tmp_path, capsys

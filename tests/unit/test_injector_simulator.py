@@ -1,5 +1,7 @@
 """Unit tests for the Monte-Carlo sampler and driver."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -30,14 +32,13 @@ def make_sampler(scheme=None, fit=None, scaling=0.0, scrub=None):
 
 
 def draw_all_faults(sampler, num_systems=30000, seed=7):
-    rng = np.random.default_rng(seed)
-    counts = sampler.sample_counts(num_systems, rng)
-    mask = counts >= 1
-    idx = np.nonzero(mask)[0]
+    shard = sampler.sample_shard_arrays(
+        0, num_systems, np.random.default_rng(seed)
+    )
     faults = []
-    for system in sampler.materialise(idx, counts[mask], rng):
+    for system in sampler.materialise_shard(shard):
         faults.extend(system.faults)
-    return counts, faults
+    return shard, faults
 
 
 class TestFaultSampler:
@@ -49,8 +50,9 @@ class TestFaultSampler:
     def test_poisson_counts_have_right_mean(self):
         sampler = make_sampler()
         rng = np.random.default_rng(1)
-        counts = sampler.sample_counts(200_000, rng)
-        assert counts.mean() == pytest.approx(sampler.lam_per_system, rel=0.05)
+        shard = sampler.sample_shard_arrays(0, 200_000, rng)
+        mean = shard.counts.sum() / 200_000
+        assert mean == pytest.approx(sampler.lam_per_system, rel=0.05)
 
     def test_fault_fields_in_range(self):
         sampler = make_sampler()
@@ -107,6 +109,182 @@ class TestFaultSampler:
                 assert f.end_hours == float("inf")
             else:
                 assert f.end_hours == pytest.approx(f.time_hours + 24.0)
+
+
+#: Population of the split-sampler z-tests: the rarest FIT row
+#: (transient row faults, 0.2 of 66.1 FIT) expects ~880 faults, the
+#: min-faults-2 share ~35,000 systems.
+SPLIT_SYSTEMS = 1_000_000
+
+
+def per_row_reference(sampler, num_systems, rng):
+    """The former sampler's counts: one Poisson draw per FIT-table row.
+
+    Returns each row's fault total and each system's fault count.
+    """
+    per_system = np.zeros(num_systems, dtype=np.int64)
+    row_totals = []
+    for rate in sampler._mode_probs * sampler.lam_per_system:
+        counts = rng.poisson(rate, num_systems)
+        row_totals.append(int(counts.sum()))
+        per_system += counts
+    return np.array(row_totals), per_system
+
+
+def split_draws(sampler, min_faults, seed, num_systems=SPLIT_SYSTEMS):
+    """Each row's fault total and each system's count, from one shard."""
+    shard = sampler.sample_shard_arrays(
+        0, num_systems, np.random.default_rng(seed), min_faults=min_faults
+    )
+    per_system = np.zeros(num_systems, dtype=np.int64)
+    per_system[shard.selected] = shard.counts
+    row_totals = np.bincount(
+        shard.mode_rows, minlength=len(sampler._mode_probs)
+    )
+    return row_totals, per_system
+
+
+def poisson_z(a, b):
+    """z statistic of two Poisson counts over equal exposure."""
+    return 0.0 if a + b == 0 else (a - b) / math.sqrt(a + b)
+
+
+def two_proportion_z(a, b, trials):
+    """Pooled z statistic of two counts out of ``trials`` each."""
+    pooled = (a + b) / (2 * trials)
+    spread = math.sqrt(pooled * (1 - pooled) * 2 / trials)
+    return 0.0 if spread == 0 else (a - b) / trials / spread
+
+
+def mean_z(x, y):
+    """Welch z statistic of the means of two samples."""
+    spread = math.sqrt(x.var() / x.size + y.var() / y.size)
+    return 0.0 if spread == 0 else (x.mean() - y.mean()) / spread
+
+
+def split_z_scores(reference, split, per_system_ref, per_system_split):
+    """Every z statistic of the split sampler against the reference."""
+    scores = {
+        f"row {i}": poisson_z(int(a), int(b))
+        for i, (a, b) in enumerate(zip(reference, split))
+    }
+    for m in (1, 2):
+        scores[f"selected share at min_faults {m}"] = two_proportion_z(
+            int((per_system_ref >= m).sum()),
+            int((per_system_split >= m).sum()),
+            per_system_ref.size,
+        )
+    scores["mean faults per system"] = mean_z(
+        per_system_ref, per_system_split
+    )
+    return scores
+
+
+class TestSplitSampler:
+    """One Poisson total per system, split by a categorical row draw.
+
+    By Poisson superposition that is distributed as one Poisson count
+    per FIT-table row, which the former sampler drew.  Every statistic
+    must pass |z| < 3.29 (two-sided p = 0.001) against that per-row
+    reference, and the same tests must flag a sampler that is off.
+    """
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return per_row_reference(
+            make_sampler(), SPLIT_SYSTEMS, np.random.default_rng(101)
+        )
+
+    def test_split_matches_per_row_reference(self, reference):
+        sampler = make_sampler()
+        split_rows, per_system = split_draws(sampler, 1, seed=102)
+        ref_rows, ref_per_system = reference
+        scores = split_z_scores(
+            ref_rows, split_rows, ref_per_system, per_system
+        )
+        # The min_faults-2 statistics come from a shard drawn at
+        # min_faults 2, which keeps each selected system's whole count.
+        _, per_system_2 = split_draws(sampler, 2, seed=103)
+        selected_2 = per_system_2[per_system_2 >= 2]
+        ref_selected_2 = ref_per_system[ref_per_system >= 2]
+        scores["selected share at min_faults 2"] = two_proportion_z(
+            ref_selected_2.size, selected_2.size, SPLIT_SYSTEMS
+        )
+        scores["mean faults per selected system at min_faults 2"] = mean_z(
+            ref_selected_2, selected_2
+        )
+        failed = {k: z for k, z in scores.items() if abs(z) >= 3.29}
+        assert not failed, failed
+
+    def test_z_tests_flag_a_skewed_sampler(self, reference):
+        # Each shift moves its statistics' expected z to 7 or more.
+        ref_rows, ref_per_system = reference
+        rarest = make_sampler()._modes.index((FailureMode.SINGLE_ROW, False))
+        row = FitTable().rates[FailureMode.SINGLE_ROW]
+        skews = {
+            "rarest row +50%": (
+                FitTable().with_mode(
+                    FailureMode.SINGLE_ROW,
+                    ModeRate(row.transient * 1.5, row.permanent),
+                ),
+                {f"row {rarest}"},
+            ),
+            "rate +3%": (
+                FitTable().scaled(1.03),
+                {"mean faults per system",
+                 "selected share at min_faults 1",
+                 "selected share at min_faults 2"},
+            ),
+        }
+        for skew, (fit, expected) in skews.items():
+            split_rows, per_system = split_draws(
+                make_sampler(fit=fit), 1, seed=102
+            )
+            scores = split_z_scores(
+                ref_rows, split_rows, ref_per_system, per_system
+            )
+            flagged = {k for k, z in scores.items() if abs(z) >= 3.29}
+            assert expected <= flagged, (skew, scores)
+
+    @pytest.mark.parametrize("min_faults", [1, 2])
+    def test_shard_invariants(self, min_faults):
+        sampler = make_sampler(
+            fit=FitTable().scaled(4.0)  # multi-fault systems aplenty
+        )
+        shard = sampler.sample_shard_arrays(
+            100, 20_000, np.random.default_rng(104), min_faults=min_faults
+        )
+        assert shard.num_selected > 1000
+        assert shard.counts.min() >= min_faults
+        total = int(shard.counts.sum())
+        for column in (shard.mode_rows, shard.chips_global, shard.times,
+                       shard.addr_values, shard.promote_u):
+            assert len(column) == total
+        assert np.all(np.diff(shard.selected) > 0)
+        # Each system's faults are one contiguous run of the columns, in
+        # selection order: the reference reads them that way ...
+        ends = np.cumsum(shard.counts)
+        systems = list(sampler.materialise_shard(shard))
+        assert len(systems) == shard.num_selected
+        for system, offset, end, count in zip(
+            systems, shard.selected, ends, shard.counts
+        ):
+            assert system.index == 100 + offset
+            run = shard.times[end - count:end].tolist()
+            assert sorted({f.time_hours for f in system.faults}) == (
+                sorted(set(run))
+            )
+        # ... and so do the kernels.
+        assert np.all(np.diff(shard.visible().sys) >= 0)
+
+    def test_zero_fit_table_gives_an_empty_shard(self):
+        # No FIT row has a rate, so there is no row to draw a fault from.
+        sampler = make_sampler(fit=FitTable().scaled(0.0))
+        shard = sampler.sample_shard_arrays(
+            0, 1_000, np.random.default_rng(105)
+        )
+        assert shard.num_selected == 0
+        assert shard.mode_rows.size == shard.times.size == 0
 
 
 class TestSimulate:

@@ -13,11 +13,13 @@ workers, so checkpoint records and the trace stay small however many
 systems fail.
 """
 
+import gc
 import hashlib
 import json
 import os
 import signal
 import time
+import warnings
 
 import pytest
 
@@ -189,6 +191,17 @@ class TestCheckpointFile:
         _, records, discarded = load_checkpoint(path)
         assert sorted(records) == [0, 1]
         assert discarded == 1
+
+    def test_corrupt_tail_closes_the_file(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        store = CheckpointStore.create(path, _fingerprint())
+        store.add(0, {"sum": 0})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert corrupt_checkpoint_tail(path, seed=2) > 0
+            gc.collect()
+        leaked = [w for w in caught if w.category is ResourceWarning]
+        assert not leaked, [str(w.message) for w in leaked]
 
     def test_truncated_tail_discarded(self, tmp_path):
         path = tmp_path / "run.ckpt"

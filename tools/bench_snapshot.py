@@ -145,7 +145,7 @@ def _bench_markov(num_systems: int = 4_000_000) -> Dict[str, Dict[str, object]]:
     answers it in milliseconds while the sampler pays per system, so
     the ratio is the ledger's guard against the solver silently
     regressing into per-system work.  The Monte-Carlo leg is timed
-    once (it runs ~10 s; its jitter is small relative to the 100x-scale
+    once (it runs ~2 s; its jitter is small relative to the 30x-scale
     ratio and the comparator's tolerance band).
     """
     from repro.faultsim import (
