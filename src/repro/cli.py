@@ -50,7 +50,10 @@ Exit codes (stable contract, asserted by the test suite):
 * ``0``  -- success.
 * ``1``  -- the command ran but the result is bad (campaign saw SDC).
 * ``2``  -- usage error: bad flags, unknown experiment, resuming
-  against a checkpoint of a different run.
+  against a checkpoint of a different run, run values the shared
+  :class:`~repro.runtime.spec.ExperimentSpec` rejects (e.g.
+  ``--systems 0``, ``--years -1``, ``--scrub-hours 0``), and a
+  ``repro work`` handshake its coordinator refused or failed.
 * ``3``  -- partial completion: ``--keep-going`` quarantined shards;
   results were reported with an explicit completeness fraction.
 * ``4``  -- a shard failed permanently without ``--keep-going``;
@@ -288,15 +291,39 @@ def _resume_command(argv: Sequence[str], directory: str) -> str:
     return "repro " + " ".join(shlex.quote(p) for p in parts)
 
 
-#: Monte-Carlo scheme registry for the reliability sub-command.
-RELIABILITY_SCHEMES = {
-    "non_ecc": "NonEccScheme",
-    "ecc_dimm": "EccDimmScheme",
-    "xed": "XedScheme",
-    "chipkill": "ChipkillScheme",
-    "xed_chipkill": "XedChipkillScheme",
-    "double_chipkill": "DoubleChipkillScheme",
-}
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """Attach the reliability-run values an ``ExperimentSpec`` holds.
+
+    The defaults are the spec's own, and the values are validated by
+    its constructor when the command runs (exit 2 on a rejected one).
+    """
+    from repro.runtime.spec import ExperimentSpec
+
+    parser.add_argument("--systems", type=int, default=ExperimentSpec.systems)
+    parser.add_argument("--years", type=float, default=ExperimentSpec.years)
+    parser.add_argument(
+        "--scaling-rate", type=float, default=ExperimentSpec.scaling_rate
+    )
+    parser.add_argument(
+        "--scrub-hours", type=float, default=ExperimentSpec.scrub_hours
+    )
+    parser.add_argument("--seed", type=int, default=ExperimentSpec.seed)
+
+
+def _run_spec(args: argparse.Namespace):
+    """The ``ExperimentSpec`` of a reliability or coordinate command."""
+    from repro.runtime.spec import ExperimentSpec
+
+    return ExperimentSpec.from_dict({
+        "schemes": args.schemes,
+        "systems": args.systems,
+        "years": args.years,
+        "scaling_rate": args.scaling_rate,
+        "scrub_hours": args.scrub_hours,
+        "seed": args.seed,
+        "shard_size": args.shard_size,
+        "workers": getattr(args, "workers", 1),
+    })
 
 
 def _obs_parent() -> argparse.ArgumentParser:
@@ -335,6 +362,8 @@ def _obs_parent() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser with all subcommands."""
+    from repro.runtime.spec import SCHEMES
+
     obs_flags = _obs_parent()
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -362,13 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     rel = add_parser("reliability", help="Monte-Carlo scheme comparison")
     rel.add_argument(
         "--schemes", nargs="+", default=["ecc_dimm", "xed", "chipkill"],
-        choices=sorted(RELIABILITY_SCHEMES),
+        choices=sorted(SCHEMES),
     )
-    rel.add_argument("--systems", type=int, default=200_000)
-    rel.add_argument("--years", type=float, default=7.0)
-    rel.add_argument("--scaling-rate", type=float, default=0.0)
-    rel.add_argument("--scrub-hours", type=float, default=None)
-    rel.add_argument("--seed", type=int, default=2016)
+    _add_run_flags(rel)
     _add_faultsim_backend_flag(rel)
     _add_parallel_flags(rel)
     _add_runtime_flags(rel)
@@ -426,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     swp.add_argument(
         "--schemes", nargs="+", default=["ecc_dimm", "xed", "chipkill"],
-        choices=sorted(RELIABILITY_SCHEMES),
+        choices=sorted(SCHEMES),
     )
     swp.add_argument(
         "--fit-scales", nargs="+", type=float, default=[1.0], metavar="X",
@@ -461,14 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     coord.add_argument(
         "--schemes", nargs=1, default=["xed"],
-        choices=sorted(RELIABILITY_SCHEMES),
+        choices=sorted(SCHEMES),
         help="scheme to simulate (exactly one per coordinate run)",
     )
-    coord.add_argument("--systems", type=int, default=200_000)
-    coord.add_argument("--years", type=float, default=7.0)
-    coord.add_argument("--scaling-rate", type=float, default=0.0)
-    coord.add_argument("--scrub-hours", type=float, default=None)
-    coord.add_argument("--seed", type=int, default=2016)
+    _add_run_flags(coord)
     coord.add_argument(
         "--shard-size", type=_positive_int, default=None, metavar="N",
         help="systems per shard / per lease unit (default: engine-"
@@ -505,7 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "and a failed shard is reported to the coordinator, "
                     "whose --max-retries is the only retry budget.  "
                     "SIGINT/SIGTERM sends the finished shards' records, "
-                    "asks for no further lease and exits 130.",
+                    "asks for no further lease and exits 130.  A failed "
+                    "handshake (a refused hello or job, no job within "
+                    "--connect-timeout) exits 2.",
     )
     work.add_argument(
         "--coordinator", type=_host_port, required=True,
@@ -529,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     work.add_argument(
         "--connect-timeout", type=_timeout_seconds, default=30.0,
         metavar="S",
-        help="seconds to keep dialling the coordinator before giving "
-             "up (default 30)",
+        help="seconds to keep dialling the coordinator, and to wait "
+             "for its job after hello, before giving up (default 30)",
     )
     work.add_argument(
         "--chaos", type=_chaos_spec, default=None, metavar="SPEC",
@@ -602,50 +625,33 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_reliability(args: argparse.Namespace) -> int:
     from repro import faultsim
-    from repro.analysis import format_reliability_table
 
-    config = faultsim.MonteCarloConfig(
-        num_systems=args.systems,
-        years=args.years,
-        seed=args.seed,
-        scaling_rate=args.scaling_rate,
-        scrub_hours=args.scrub_hours,
-        faultsim_backend=args.faultsim_backend,
-    )
+    spec = _run_spec(args)
     results = []
-    for key in args.schemes:
-        scheme = getattr(faultsim, RELIABILITY_SCHEMES[key])()
+    for scheme, config in spec.build_runs():
+        config.faultsim_backend = args.faultsim_backend
         results.append(
             faultsim.simulate(
                 scheme, config,
-                workers=args.workers, shard_size=args.shard_size,
+                workers=spec.workers, shard_size=spec.shard_size,
             )
         )
-    baseline = results[0].scheme_name if len(results) > 1 else None
-    print(
-        format_reliability_table(
-            f"{args.systems:,} systems, {args.years:g} years, "
-            f"scaling rate {args.scaling_rate:g}:",
-            results,
-            baseline_name=baseline,
-        )
-    )
-    return 0
+    print(spec.table(results))
+    return EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from time import perf_counter
 
     from repro import faultsim
+    from repro.runtime.spec import build_scheme
 
     config = faultsim.MonteCarloConfig(
         years=args.years,
         scaling_rate=args.scaling_rate,
         faultsim_backend="analytical",
     )
-    schemes = [
-        getattr(faultsim, RELIABILITY_SCHEMES[key])() for key in args.schemes
-    ]
+    schemes = [build_scheme(key) for key in args.schemes]
     started = perf_counter()
     cells = faultsim.sweep(
         schemes,
@@ -804,28 +810,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_coordinate(args: argparse.Namespace) -> int:
-    from repro.analysis import format_reliability_table
-    from repro.faultsim.parallel import resolve_shard_size
-    from repro.faultsim.simulator import DEFAULT_SHARD_SIZE
     from repro.runtime import current_policy
     from repro.runtime.distributed import (
         DEFAULT_LEASE_SHARDS,
         DEFAULT_LEASE_TIMEOUT_S,
         Coordinator,
-        JobSpec,
     )
 
-    spec = JobSpec(
-        scheme=args.schemes[0],
-        num_systems=args.systems,
-        shard_size=resolve_shard_size(
-            args.systems, args.shard_size, DEFAULT_SHARD_SIZE
-        ),
-        seed=args.seed,
-        years=args.years,
-        scaling_rate=args.scaling_rate,
-        scrub_hours=args.scrub_hours,
-    )
+    spec = _run_spec(args)
     host, port = args.bind
     coordinator = Coordinator(
         spec,
@@ -845,18 +837,10 @@ def _cmd_coordinate(args: argparse.Namespace) -> int:
     # Stderr, so stdout stays diffable against `repro reliability`.
     print(
         f"repro: coordinating {spec.num_shards()} shard(s) of "
-        f"{args.schemes[0]} on {bound_host}:{bound_port}",
+        f"{spec.schemes[0]} on {bound_host}:{bound_port}",
         file=sys.stderr,
     )
-    result = coordinator.run()
-    print(
-        format_reliability_table(
-            f"{args.systems:,} systems, {args.years:g} years, "
-            f"scaling rate {args.scaling_rate:g}:",
-            [result],
-            baseline_name=None,
-        )
-    )
+    print(spec.table([coordinator.run()]))
     return EXIT_OK
 
 
@@ -984,8 +968,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.obs import OBS, configure, get_logger, span
     from repro.runtime import (
         CheckpointError,
+        HandshakeError,
         RunInterrupted,
         ShardFailure,
+        SpecError,
         use_policy,
     )
 
@@ -1049,7 +1035,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         code = EXIT_SHARD_FAILURE
-    except CheckpointError as exc:
+    except (CheckpointError, HandshakeError, SpecError) as exc:
         print(f"repro: {exc}", file=sys.stderr)
         code = EXIT_USAGE
     finally:

@@ -18,6 +18,9 @@ through this package's execution layer --
   network verbs for distributed runs) used by the test suite and the
   ``--chaos`` developer flag to prove every recovery path yields
   bit-identical results.
+* :mod:`repro.runtime.spec` -- :class:`ExperimentSpec`, the one
+  description of a reliability run that ``repro reliability``, the
+  coordinator and the campaign service all take.
 * :mod:`repro.runtime.protocol` -- the length-prefixed JSON framing
   that distributed coordinators and workers speak.
 * :mod:`repro.runtime.distributed` -- the multi-machine campaign
@@ -54,7 +57,7 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.distributed import (
     Coordinator,
-    JobSpec,
+    HandshakeError,
     WorkerSummary,
     run_worker,
 )
@@ -72,11 +75,13 @@ from repro.runtime.executor import (
     run_resilient,
     use_policy,
 )
+from repro.runtime.spec import SCHEMES, ExperimentSpec, SpecError
 
 __all__ = [
     "CHECKPOINT_VERSION",
     "CRASH_EXIT_CODE",
     "PROTOCOL_VERSION",
+    "SCHEMES",
     "ChaosCrash",
     "ChaosFault",
     "ChaosHang",
@@ -87,7 +92,8 @@ __all__ = [
     "CheckpointMismatch",
     "CheckpointStore",
     "Coordinator",
-    "JobSpec",
+    "ExperimentSpec",
+    "HandshakeError",
     "LeaseBook",
     "ProtocolError",
     "RunFingerprint",
@@ -97,6 +103,7 @@ __all__ = [
     "ShardFailure",
     "ShardLease",
     "ShardRecord",
+    "SpecError",
     "WorkerSummary",
     "config_digest",
     "corrupt_checkpoint_tail",

@@ -60,8 +60,10 @@ __all__ = [
     "LeaseBook",
     "CheckpointStore",
     "backoff_delay",
+    "canonical_json",
     "config_digest",
     "load_checkpoint",
+    "sha256_hex",
 ]
 
 #: On-disk format version; bumped on incompatible layout changes.
@@ -76,14 +78,19 @@ class CheckpointMismatch(CheckpointError):
     """A resume was attempted against a different run's checkpoint."""
 
 
-def _canonical(obj: object) -> str:
-    """Canonical JSON text (sorted keys, no whitespace) for digesting."""
+def canonical_json(obj: object) -> str:
+    """Canonical JSON text: sorted keys, no whitespace.
+
+    The one encoding of every byte-sensitive document -- checkpoint
+    records, run and cache fingerprints, cache entries, result digests
+    and wire frames -- so equal values always give equal bytes.
+    """
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _digest(obj: object) -> str:
-    """SHA-256 hex digest of an object's canonical JSON form."""
-    return hashlib.sha256(_canonical(obj).encode("utf-8")).hexdigest()
+def sha256_hex(text: str) -> str:
+    """SHA-256 hex digest of ``text`` (UTF-8), usually a canonical JSON."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _digested_line(body: Dict[str, object]) -> str:
@@ -94,9 +101,8 @@ def _digested_line(body: Dict[str, object]) -> str:
     canonical text with the digest spliced in first: one encoding
     serves both the hash and the line.
     """
-    text = _canonical(body)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return '{"digest":"' + digest + '",' + text[1:]
+    text = canonical_json(body)
+    return '{"digest":"' + sha256_hex(text) + '",' + text[1:]
 
 
 def backoff_delay(
@@ -120,7 +126,7 @@ def config_digest(description: Dict[str, object]) -> str:
     description (scheme name, FIT rates, scrub interval ...);
     two runs share a ``config_hash`` iff their shards are interchangeable.
     """
-    return _digest(description)
+    return sha256_hex(canonical_json(description))
 
 
 @dataclass(frozen=True)
@@ -158,13 +164,22 @@ class RunFingerprint:
         )
         return f"{safe}-{self.config_hash[:12]}"
 
-    def mismatches(self, other: Dict[str, object]) -> List[str]:
-        """Human-readable field diffs vs. a stored fingerprint dict."""
-        mine = self.to_dict()
+    def mismatches(
+        self,
+        other: Dict[str, object],
+        mine: str = "run",
+        theirs: str = "checkpoint",
+    ) -> List[str]:
+        """Human-readable field diffs vs. another fingerprint's dict.
+
+        Each diff labels this fingerprint's value ``mine`` and the
+        other's ``theirs``: a run against its checkpoint by default.
+        """
+        own = self.to_dict()
         return [
-            f"{field}: run={mine[field]!r} checkpoint={other.get(field)!r}"
-            for field in mine
-            if mine[field] != other.get(field)
+            f"{field}: {mine}={own[field]!r} {theirs}={other.get(field)!r}"
+            for field in own
+            if own[field] != other.get(field)
         ]
 
 
@@ -202,7 +217,7 @@ def _parse_shard_line(record: Dict[str, object]) -> Optional[ShardRecord]:
         return None
     digest = record.get("digest")
     body = {k: v for k, v in record.items() if k != "digest"}
-    if digest != _digest(body):
+    if digest != sha256_hex(canonical_json(body)):
         return None
     index = record.get("index")
     payload = record.get("payload")
@@ -295,7 +310,8 @@ def load_checkpoint(path: "str | os.PathLike[str]") -> CheckpointLoad:
     if not isinstance(header, dict) or header.get("record") != "header":
         raise CheckpointError(f"checkpoint {path} has no header record")
     digest = header.get("digest")
-    if digest != _digest({k: v for k, v in header.items() if k != "digest"}):
+    body = {k: v for k, v in header.items() if k != "digest"}
+    if digest != sha256_hex(canonical_json(body)):
         raise CheckpointError(f"checkpoint {path} header failed its digest")
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(

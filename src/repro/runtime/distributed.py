@@ -43,11 +43,14 @@ inherits every guarantee the single-machine runtime already proves:
   (``repro coordinate --resume``).  A worker stopped the same way
   sends the records its lease finished and exits 130; the coordinator
   requeues the rest as a dropped connection's.
-* **Identity.**  The job handshake ships the coordinator's
-  :class:`~repro.runtime.checkpoint.RunFingerprint`; each worker
-  recomputes the fingerprint from the spec locally and refuses on any
-  mismatch, so config or code-version skew across machines is caught
-  before a single shard runs.
+* **Identity.**  The job handshake ships the coordinator's one-scheme
+  :class:`~repro.runtime.spec.ExperimentSpec` and its
+  :class:`~repro.runtime.checkpoint.RunFingerprint`; each worker parses
+  the spec with the constructor the HTTP API uses, recomputes the
+  fingerprint locally and refuses on any mismatch, so config or
+  code-version skew across machines is caught before a single shard
+  runs.  A refused handshake ends the worker with
+  :class:`HandshakeError` rather than a re-dial.
 """
 
 from __future__ import annotations
@@ -89,10 +92,11 @@ from repro.runtime.protocol import (
     send_message,
     write_message,
 )
+from repro.runtime.spec import ExperimentSpec, SpecError
 
 __all__ = [
-    "JobSpec",
     "Coordinator",
+    "HandshakeError",
     "WorkerSummary",
     "run_worker",
     "DEFAULT_LEASE_SHARDS",
@@ -113,109 +117,24 @@ DEFAULT_LEASE_TIMEOUT_S = 120.0
 #: Watchdog cadence for lease expiry / drain checks, seconds.
 _TICK_S = 0.05
 
-#: Scheme key -> repro.faultsim class name (the CLI's vocabulary).
-SCHEME_CLASSES = {
-    "non_ecc": "NonEccScheme",
-    "ecc_dimm": "EccDimmScheme",
-    "xed": "XedScheme",
-    "chipkill": "ChipkillScheme",
-    "xed_chipkill": "XedChipkillScheme",
-    "double_chipkill": "DoubleChipkillScheme",
-}
 
+class HandshakeError(RuntimeError):
+    """A worker and its coordinator could not agree on a job.
 
-@dataclass(frozen=True)
-class JobSpec:
-    """Portable description of one distributed reliability experiment.
-
-    This is everything a worker needs to rebuild the exact scheme,
-    config and shard plan the coordinator holds; it travels in the
-    ``job`` handshake message.  The spec deliberately speaks the CLI's
-    vocabulary (scheme keys and flag values) rather than pickled
-    objects, so coordinator and workers can run different builds and
-    still *detect* divergence via the fingerprint check instead of
-    silently diverging.
+    :func:`run_worker` raises it for any failure before the ``job`` is
+    accepted (``repro work`` exits 2): re-dialling cannot mend it, as
+    it mends a connection lost after the handshake.
     """
 
-    scheme: str
-    num_systems: int
-    shard_size: int
-    seed: int = 2016
-    years: float = 7.0
-    scaling_rate: float = 0.0
-    scrub_hours: Optional[float] = None
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready form for the ``job`` message."""
-        return {
-            "scheme": self.scheme,
-            "num_systems": self.num_systems,
-            "shard_size": self.shard_size,
-            "seed": self.seed,
-            "years": self.years,
-            "scaling_rate": self.scaling_rate,
-            "scrub_hours": self.scrub_hours,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "JobSpec":
-        """Rebuild a spec from a ``job`` message payload."""
-        return cls(
-            scheme=str(data["scheme"]),
-            num_systems=int(data["num_systems"]),
-            shard_size=int(data["shard_size"]),
-            seed=int(data["seed"]),
-            years=float(data["years"]),
-            scaling_rate=float(data["scaling_rate"]),
-            scrub_hours=(
-                None if data.get("scrub_hours") is None
-                else float(data["scrub_hours"])
-            ),
+def _run_fingerprint(spec: ExperimentSpec) -> RunFingerprint:
+    """The run fingerprint of a one-scheme spec on this build."""
+    if len(spec.schemes) != 1:
+        raise SpecError(
+            f"a coordinated run takes exactly one scheme, "
+            f"got {len(spec.schemes)}"
         )
-
-    def build(self) -> Tuple[Any, Any]:
-        """Instantiate ``(scheme, MonteCarloConfig)`` for this spec.
-
-        Imports lazily: :mod:`repro.faultsim.simulator` itself imports
-        :mod:`repro.runtime`, so a module-level import here would be
-        circular.
-        """
-        import repro.faultsim as faultsim
-        from repro.faultsim.simulator import MonteCarloConfig
-
-        class_name = SCHEME_CLASSES.get(self.scheme)
-        if class_name is None:
-            raise ValueError(
-                f"unknown scheme {self.scheme!r}; "
-                f"expected one of {sorted(SCHEME_CLASSES)}"
-            )
-        scheme = getattr(faultsim, class_name)()
-        config = MonteCarloConfig(
-            num_systems=self.num_systems,
-            years=self.years,
-            seed=self.seed,
-            scaling_rate=self.scaling_rate,
-            scrub_hours=self.scrub_hours,
-        )
-        return scheme, config
-
-    def fingerprint(self) -> RunFingerprint:
-        """The run fingerprint this spec resolves to *on this build*.
-
-        Workers compare their locally computed fingerprint against the
-        coordinator's; any field diff (config hash, code version...)
-        refuses the job.
-        """
-        from repro.faultsim.simulator import reliability_fingerprint
-
-        scheme, config = self.build()
-        return reliability_fingerprint(scheme, config, self.shard_size)
-
-    def num_shards(self) -> int:
-        """Number of shards in the deterministic plan."""
-        from repro.faultsim.parallel import plan_shards
-
-        return len(plan_shards(self.num_systems, self.shard_size))
+    return spec.run_fingerprints()[0]
 
 
 class _Connection:
@@ -230,7 +149,7 @@ class _Connection:
 
 
 class Coordinator:
-    """Serve one experiment's shard plan to remote workers as leases.
+    """Serve a one-scheme spec's shard plan to remote workers as leases.
 
     The coordinator is the distributed twin of the resilient executor
     and keeps the same books (:class:`~repro.runtime.executor._RunBooks`):
@@ -249,7 +168,7 @@ class Coordinator:
 
     def __init__(
         self,
-        spec: JobSpec,
+        spec: ExperimentSpec,
         host: str = "127.0.0.1",
         port: int = 0,
         lease_shards: int = DEFAULT_LEASE_SHARDS,
@@ -260,7 +179,7 @@ class Coordinator:
         self.policy = policy or RuntimePolicy()
         self.lease_shards = int(lease_shards)
         self.lease_timeout_s = float(lease_timeout_s)
-        self.fingerprint = spec.fingerprint()
+        self.fingerprint = _run_fingerprint(spec)
         self._sock = socket.create_server((host, port))
         self.address: Tuple[str, int] = self._sock.getsockname()[:2]
         self.outcome = RunOutcome(
@@ -291,8 +210,8 @@ class Coordinator:
         try:
             with span(
                 "runtime.coordinate",
-                scheme=self.spec.scheme,
-                systems=self.spec.num_systems,
+                scheme=self.spec.schemes[0],
+                systems=self.spec.systems,
                 shards=self.outcome.total_shards,
             ):
                 self._ctx = current_context()
@@ -304,7 +223,7 @@ class Coordinator:
                     decode=ReliabilityResult.from_payload,
                 )
                 results = self._books.run(lambda: asyncio.run(self._serve()))
-                scheme, config = self.spec.build()
+                ((scheme, config),) = self.spec.build_runs()
                 return _merge_shards(scheme, config, results)
         finally:
             self._sock.close()
@@ -689,7 +608,9 @@ def run_worker(
     severs instead of sending a computed result, ``delay`` sends late
     and ``duplicate`` sends the frame twice.  Severed connections are
     re-dialled, so one worker survives its own chaos -- exactly what
-    the recovery tests need.
+    the recovery tests need.  Only a connection lost after the
+    handshake is re-dialled: a failed handshake raises
+    :class:`HandshakeError`.
     """
     summary = WorkerSummary(worker=worker_id or f"worker-{os.getpid()}")
     stop: List[str] = []
@@ -708,13 +629,15 @@ def run_worker(
                 summary.reconnects += 1
             first_connect = False
             try:
-                _serve_connection(
-                    sock, summary,
-                    workers=workers,
-                    chaos=chaos,
-                    shard_timeout_s=shard_timeout_s,
-                    stop=stop,
-                )
+                job = _handshake(sock, summary.worker, f"{host}:{port}")
+                if job is not None:
+                    _serve_connection(
+                        sock, *job, summary,
+                        workers=workers,
+                        chaos=chaos,
+                        shard_timeout_s=shard_timeout_s,
+                        stop=stop,
+                    )
             except _SeverConnection:
                 _abort_socket(sock)
                 continue
@@ -743,15 +666,83 @@ def _abort_socket(sock: socket.socket) -> None:
         pass
 
 
+def _handshake(
+    sock: socket.socket, worker: str, coordinator: str
+) -> Optional[Tuple[ExperimentSpec, RunFingerprint]]:
+    """Say hello and accept the coordinator's job; ``None`` if it drains.
+
+    Returns the job's spec and this build's run fingerprint of it.  Any
+    other end before the job is accepted raises :class:`HandshakeError`
+    naming both sides: an ``error`` frame, a reply that is not a
+    ``job`` or does not decode, no reply within the socket's timeout, a
+    spec :meth:`ExperimentSpec.from_dict` rejects, or a run fingerprint
+    that differs from this build's.  The worker answers all but the
+    ``error`` frame with an ``error`` frame where the socket still
+    allows one.  A reset connection is left to the caller's re-dial.
+    """
+    try:
+        send_message(
+            sock,
+            {"type": "hello", "protocol": PROTOCOL_VERSION, "worker": worker},
+        )
+        job = recv_message(sock)
+        if job is None or job.get("type") == "drain":
+            return None
+        if job.get("type") != "error":
+            return _accept_job(job)
+        reason = f"coordinator refused: {job.get('reason')}"
+    except (ProtocolError, SpecError, socket.timeout) as exc:
+        reason = str(exc)
+        try:
+            send_message(sock, {"type": "error", "reason": reason})
+        except OSError:
+            pass
+    raise HandshakeError(
+        f"handshake of worker {worker} with coordinator {coordinator} "
+        f"failed: {reason}"
+    )
+
+
+def _accept_job(
+    job: Dict[str, object]
+) -> Tuple[ExperimentSpec, RunFingerprint]:
+    """The spec of a ``job`` frame and this build's fingerprint of it.
+
+    The spec goes through the constructor the HTTP API uses; its
+    execution-only ``workers`` and ``chaos`` are ignored, as the
+    fingerprint ignores them.
+    """
+    if job.get("type") != "job":
+        raise ProtocolError(f"expected job, got {job.get('type')!r}")
+    spec = ExperimentSpec.from_dict(job.get("spec"))
+    mine = _run_fingerprint(spec)
+    theirs = job.get("fingerprint")
+    diffs = mine.mismatches(
+        theirs if isinstance(theirs, dict) else {},
+        mine="worker", theirs="coordinator",
+    )
+    if diffs:
+        raise ProtocolError(
+            "fingerprint mismatch (different config or code version): "
+            + "; ".join(diffs)
+        )
+    if job.get("obs"):
+        # Shards capture telemetry only while OBS is on.
+        OBS.enabled = True
+    return spec, mine
+
+
 def _serve_connection(
     sock: socket.socket,
+    spec: ExperimentSpec,
+    fingerprint: RunFingerprint,
     summary: WorkerSummary,
     workers: int,
     chaos: Optional[ChaosPolicy],
     shard_timeout_s: Optional[float],
     stop: List[str],
 ) -> None:
-    """Handshake + lease loop over one live connection.
+    """The lease loop over one connection past its handshake.
 
     Returns when the coordinator drains us; raises
     :class:`RunInterrupted` before asking for a lease once ``stop``
@@ -760,38 +751,7 @@ def _serve_connection(
     """
     from repro.faultsim.simulator import _shard_plan
 
-    send_message(
-        sock,
-        {"type": "hello", "protocol": PROTOCOL_VERSION,
-         "worker": summary.worker},
-    )
-    job = recv_message(sock)
-    if job is None or job.get("type") == "drain":
-        return
-    if job.get("type") == "error":
-        raise ProtocolError(f"coordinator refused: {job.get('reason')}")
-    if job.get("type") != "job":
-        raise ProtocolError(f"expected job, got {job.get('type')!r}")
-    spec = JobSpec.from_dict(job["spec"])
-    theirs = job.get("fingerprint")
-    mine = spec.fingerprint()
-    diffs = mine.mismatches(theirs if isinstance(theirs, dict) else {})
-    if diffs:
-        send_message(
-            sock,
-            {
-                "type": "error",
-                "reason": "fingerprint mismatch: " + "; ".join(diffs),
-            },
-        )
-        raise RuntimeError(
-            "coordinator/worker fingerprint mismatch (different config "
-            "or code version): " + "; ".join(diffs)
-        )
-    if job.get("obs"):
-        # Shards capture telemetry only while OBS is on.
-        OBS.enabled = True
-    scheme, config = spec.build()
+    ((scheme, config),) = spec.build_runs()
     _, plan = _shard_plan(scheme, config, spec.shard_size)
     while True:
         if stop:
@@ -813,7 +773,7 @@ def _serve_connection(
             raise ProtocolError(f"expected lease/wait/drain, got {mtype!r}")
         summary.leases += 1
         _execute_lease(
-            sock, message, plan, mine, summary,
+            sock, message, plan, fingerprint, summary,
             workers=workers,
             chaos=chaos,
             shard_timeout_s=shard_timeout_s,

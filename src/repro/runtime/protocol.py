@@ -16,7 +16,8 @@ Message vocabulary (the ``type`` key):
 type         direction   meaning
 ============ =========== ==================================================
 hello        worker→coor protocol version + worker name
-job          coor→worker experiment spec + run fingerprint + telemetry flag
+job          coor→worker ``ExperimentSpec.to_dict()`` + run fingerprint +
+                         telemetry flag
 ready        worker→coor fingerprint verified; worker wants a lease
 lease        coor→worker shard indices + per-shard attempts + deadline
 wait         coor→worker nothing ready; retry ``ready`` after ``delay_s``
@@ -28,9 +29,11 @@ drain        coor→worker stop asking; close the connection
 error        either      protocol violation; sender closes after
 ============ =========== ==================================================
 
-Version 3 gave ``result`` its telemetry and took it from
-``lease_done``; a peer speaking another version is refused at
-``hello``.
+Version 4 made the ``job`` spec the one reliability-run spec,
+:class:`~repro.runtime.spec.ExperimentSpec`, which the worker parses
+with the constructor the HTTP API uses; version 3 gave ``result`` its
+telemetry and took it from ``lease_done``.  A peer speaking another
+version is refused at ``hello``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ import json
 import socket
 import struct
 from typing import Dict, Optional
+
+from repro.runtime.checkpoint import canonical_json
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -53,7 +58,7 @@ __all__ = [
 ]
 
 #: Wire protocol version; ``hello``/``job`` refuse a mismatch.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: Upper bound on one frame (64 MiB) -- far above any real shard record,
 #: small enough that a garbage length prefix cannot balloon memory.
@@ -68,9 +73,7 @@ class ProtocolError(RuntimeError):
 
 def encode_frame(message: Dict[str, object]) -> bytes:
     """Serialise one message dict to a length-prefixed frame."""
-    body = json.dumps(
-        message, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    body = canonical_json(message).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES} cap"

@@ -4,8 +4,10 @@
 long-running HTTP service so repeated experiments are computed once and
 answered from a verified cache forever after:
 
-* :mod:`repro.service.spec` -- :class:`ExperimentSpec` validation and
-  the job **fingerprint**: a SHA-256 over the per-scheme
+* :mod:`repro.service.spec` -- the service's names for
+  :class:`~repro.runtime.spec.ExperimentSpec`, the one reliability-run
+  spec (shared with ``repro reliability`` and ``repro coordinate``),
+  and its job **fingerprint**: a SHA-256 over the per-scheme
   :class:`~repro.runtime.checkpoint.RunFingerprint` dicts, covering
   everything that can change a result bit and nothing that can't.
 * :mod:`repro.service.cache` -- :class:`ResultCache`, the
@@ -23,14 +25,11 @@ Everything is standard library (``http.server``); see
 ``docs/serving.md`` for the endpoint and identity contracts.
 """
 
+from repro.runtime.checkpoint import canonical_json
 from repro.service.app import CampaignServer, CampaignService, create_server
 from repro.service.cache import CACHE_VERSION, ResultCache
 from repro.service.jobstore import ACTIVE_STATES, JOB_STATES, Job, JobStore
-from repro.service.spec import (
-    ExperimentSpec,
-    ServiceSpecError,
-    canonical_json,
-)
+from repro.service.spec import ExperimentSpec, ServiceSpecError
 
 __all__ = [
     "ACTIVE_STATES",

@@ -32,7 +32,6 @@ when its execution history differs.
 from __future__ import annotations
 
 import json
-import math
 import shutil
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -41,13 +40,10 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro import __version__
 from repro.obs import TelemetryScope, get_logger
+from repro.runtime.checkpoint import canonical_json, sha256_hex
 from repro.service.cache import ResultCache
 from repro.service.jobstore import Job, JobStore
-from repro.service.spec import (
-    ExperimentSpec,
-    ServiceSpecError,
-    canonical_json,
-)
+from repro.service.spec import ExperimentSpec, ServiceSpecError
 
 __all__ = ["CampaignService", "CampaignServer", "create_server"]
 
@@ -55,15 +51,6 @@ _LOG = get_logger("service")
 
 #: ``Content-Type`` for every response body the service emits.
 _JSON = "application/json"
-
-
-def _result_digest(core: Dict[str, object]) -> str:
-    """SHA-256 over the deterministic result core (canonical JSON)."""
-    import hashlib
-
-    return hashlib.sha256(
-        canonical_json(core).encode("utf-8")
-    ).hexdigest()
 
 
 class CampaignService:
@@ -267,9 +254,8 @@ def _execute_job(service: CampaignService, job: Job) -> None:
     from repro.runtime import RuntimePolicy, parse_chaos_spec
 
     spec = job.spec
-    per_scheme = math.ceil(spec.systems / spec.shard_size)
-    total = per_scheme * len(spec.schemes)
-    service.store.begin_run(job, total)
+    per_scheme = spec.num_shards()
+    service.store.begin_run(job, per_scheme * len(spec.schemes))
     ckpt_dir = service.checkpoint_root / job.fingerprint
     chaos = parse_chaos_spec(spec.chaos) if spec.chaos else None
     base = 0
@@ -316,22 +302,14 @@ def _result_body(
 ) -> Dict[str, object]:
     """Assemble the result document for one completed job.
 
-    ``table`` reproduces ``repro reliability``'s stdout byte-for-byte
-    (same title format, same baseline rule), so the service's answer is
-    diffable against a local CLI run of the same spec.  The
+    ``table`` is the spec's own :meth:`ExperimentSpec.table`, the one
+    ``repro reliability`` prints, so the service's answer is diffable
+    against a local CLI run of the same spec.  The
     ``result_digest`` covers only the deterministic ``core`` keys;
     ``provenance`` (code version, run outcomes, retry counts) rides
     outside the digest because recovery history may legitimately vary
     between bit-identical recomputes.
     """
-    from repro.analysis import format_reliability_table
-
-    title = (
-        f"{spec.systems:,} systems, {spec.years:g} years, "
-        f"scaling rate {spec.scaling_rate:g}:"
-    )
-    baseline = results[0].scheme_name if len(results) > 1 else None
-    table = format_reliability_table(title, results, baseline_name=baseline)
     result_rows = [
         {
             "scheme_name": r.scheme_name,
@@ -348,11 +326,11 @@ def _result_body(
     ]
     core = {
         "fingerprint": fingerprint,
-        "table": table,
+        "table": spec.table(results),
         "results": result_rows,
     }
     body: Dict[str, object] = dict(core)
-    body["result_digest"] = _result_digest(core)
+    body["result_digest"] = sha256_hex(canonical_json(core))
     body["provenance"] = {
         "code_version": __version__,
         "spec": spec.to_dict(),

@@ -3,7 +3,7 @@
 Under heavy traffic most submissions are repeats of canonical configs
 (the Table II / Figs 7-10 sweeps); those must be answered from disk in
 milliseconds, not recomputed in minutes.  The cache maps a job
-fingerprint (:meth:`repro.service.spec.ExperimentSpec.fingerprint`) to
+fingerprint (:meth:`repro.runtime.spec.ExperimentSpec.fingerprint`) to
 one file, ``<fingerprint>.json``, holding a canonical-JSON envelope::
 
     {"body": {...}, "digest": "<sha256 of canonical(body)>",
@@ -24,7 +24,6 @@ one file, ``<fingerprint>.json``, holding a canonical-JSON envelope::
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -32,7 +31,7 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from repro.obs.fsio import atomic_write_text
-from repro.service.spec import canonical_json
+from repro.runtime.checkpoint import canonical_json, sha256_hex
 
 __all__ = ["CACHE_VERSION", "ResultCache"]
 
@@ -42,11 +41,6 @@ CACHE_VERSION = 1
 #: Fingerprints are SHA-256 hex digests; anything else never touches
 #: the filesystem (defence against path-traversal keys in URLs).
 _HEX = set("0123456789abcdef")
-
-
-def _body_digest(body: object) -> str:
-    """SHA-256 hex digest of a result body's canonical JSON."""
-    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
 
 
 class ResultCache:
@@ -77,7 +71,7 @@ class ResultCache:
         """Store a result body; returns the exact bytes future hits see."""
         envelope = {
             "body": body,
-            "digest": _body_digest(body),
+            "digest": sha256_hex(canonical_json(body)),
             "fingerprint": fingerprint,
             "version": CACHE_VERSION,
         }
@@ -125,7 +119,7 @@ class ResultCache:
             envelope.get("version") == CACHE_VERSION
             and envelope.get("fingerprint") == fingerprint
             and isinstance(body, dict)
-            and envelope.get("digest") == _body_digest(body)
+            and envelope.get("digest") == sha256_hex(canonical_json(body))
         )
 
     def stats(self) -> Dict[str, int]:

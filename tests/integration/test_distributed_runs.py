@@ -46,10 +46,13 @@ from repro.runtime import (
     parse_chaos_spec,
 )
 from repro.runtime.checkpoint import backoff_delay
-from repro.runtime.distributed import Coordinator, JobSpec, run_worker
+from repro.runtime.distributed import Coordinator, run_worker
 from repro.runtime.protocol import PROTOCOL_VERSION, recv_message, send_message
+from repro.runtime.spec import ExperimentSpec
 
-SPEC = JobSpec(scheme="xed", num_systems=20_000, shard_size=5_000, seed=7)
+SPEC = ExperimentSpec(
+    schemes=("xed",), systems=20_000, shard_size=5_000, seed=7
+)
 CFG = MonteCarloConfig(
     num_systems=20_000, seed=7, faultsim_backend="vectorized"
 )
@@ -100,7 +103,7 @@ def result_frames(tmp_path_factory):
     process's OBS).
     """
     directory = tmp_path_factory.mktemp("records")
-    scheme, config = SPEC.build()
+    ((scheme, config),) = SPEC.build_runs()
     with TelemetryScope():
         simulate(
             scheme, config, shard_size=SPEC.shard_size,
@@ -193,7 +196,7 @@ class TestDistributedRuns:
         assert coordinator.outcome.completeness == 1.0
 
     def test_old_protocol_hello_gets_error_and_no_job(self, reference):
-        # An older worker would misread the version-3 job and result
+        # An older worker would misread the version-4 job and result
         # messages, so the coordinator must refuse it at the hello.  A
         # current worker then finishes the run, which lets run() return.
         coordinator = Coordinator(SPEC, port=0, lease_shards=1)
@@ -223,7 +226,7 @@ class TestDistributedRuns:
             "type": "error",
             "reason": f"protocol 1 != {PROTOCOL_VERSION}",
         }]
-        assert PROTOCOL_VERSION == 3
+        assert PROTOCOL_VERSION == 4
         assert_identical(result, reference, "run after a refused worker")
 
     def test_crash_partition_and_drop_recover_bit_identically(
@@ -308,7 +311,7 @@ class TestDistributedRuns:
     ):
         # A torn last record is dropped on resume and counted the way
         # the local executor counts it; the worker re-runs that shard.
-        scheme, config = SPEC.build()
+        ((scheme, config),) = SPEC.build_runs()
         simulate(
             scheme, config, shard_size=SPEC.shard_size,
             runtime=RuntimePolicy(checkpoint_dir=str(tmp_path)),
@@ -486,8 +489,8 @@ class TestDistributedRuns:
             raise RuntimeError("shard always fails")
 
         monkeypatch.setattr(simulator, "_simulate_shard", always_raises)
-        spec = JobSpec(
-            scheme="xed", num_systems=5_000, shard_size=5_000, seed=7
+        spec = ExperimentSpec(
+            schemes=("xed",), systems=5_000, shard_size=5_000, seed=7
         )
         coordinator = Coordinator(
             spec, port=0, lease_shards=1,
@@ -561,8 +564,8 @@ class TestDistributedRuns:
         # lease and exit 130; only its unfinished shards are charged
         # (as a dropped connection's), and a second worker finishes a
         # bit-identical merge.
-        spec = JobSpec(
-            scheme="xed", num_systems=80_000, shard_size=5_000, seed=7
+        spec = ExperimentSpec(
+            schemes=("xed",), systems=80_000, shard_size=5_000, seed=7
         )
         expected = simulate(
             XedScheme(), MonteCarloConfig(num_systems=80_000, seed=7),
@@ -647,7 +650,7 @@ class TestDistributedRuns:
             max_retries=0, keep_going=True,
             chaos=ChaosPolicy(fault_shards=(1, 3), trigger_attempts=99),
         )
-        scheme, config = SPEC.build()
+        ((scheme, config),) = SPEC.build_runs()
         simulate(scheme, config, shard_size=SPEC.shard_size, runtime=local)
         assert coordinator.outcome.quarantined_shards == (1, 3)
         assert local.outcomes[0].quarantined_shards == (1, 3)
@@ -683,7 +686,7 @@ class TestDistributedRuns:
                 os.kill(os.getpid(), signal.SIGINT)
 
         local = RuntimePolicy(on_shard_complete=signal_after_last)
-        scheme, config = SPEC.build()
+        ((scheme, config),) = SPEC.build_runs()
         with pytest.raises(RunInterrupted):
             simulate(scheme, config, shard_size=SPEC.shard_size, runtime=local)
         for outcome in (coordinator.outcome, local.outcomes[0]):

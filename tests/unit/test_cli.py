@@ -11,7 +11,6 @@ from repro.cli import (
     EXIT_PARTIAL,
     EXIT_SHARD_FAILURE,
     EXIT_USAGE,
-    RELIABILITY_SCHEMES,
     build_parser,
     main,
 )
@@ -84,8 +83,9 @@ class TestCommands:
 
     def test_scheme_registry_matches_faultsim(self):
         import repro.faultsim as fs
+        from repro.runtime.spec import SCHEMES
 
-        for class_name in RELIABILITY_SCHEMES.values():
+        for class_name in SCHEMES.values():
             assert hasattr(fs, class_name)
 
 

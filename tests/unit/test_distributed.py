@@ -4,18 +4,22 @@ Covers the :class:`~repro.runtime.checkpoint.LeaseBook` lease ledger
 that schedules local and distributed runs alike (deterministic grant
 ordering, expiry + requeue, retry budgets, quarantine/abort, grants
 that stay cheap at 100,000 shards), the duplicate/conflict hardening of
-:func:`~repro.runtime.checkpoint.load_checkpoint`, and the
-:class:`~repro.runtime.distributed.JobSpec` handshake payload.  The
-network paths are exercised end to end in
+:func:`~repro.runtime.checkpoint.load_checkpoint`, the
+:class:`~repro.runtime.spec.ExperimentSpec` handshake payload, and the
+worker's handshake: any failure before the job is accepted ends
+:func:`~repro.runtime.distributed.run_worker` instead of re-dialling.
+The network paths are exercised end to end in
 ``tests/integration/test_distributed_runs.py``.
 """
 
 import json
+import socket
+import threading
 import time
 
 import pytest
 
-from repro.faultsim.parallel import select_shard_args
+from repro.faultsim.parallel import plan_shards, select_shard_args
 from repro.runtime import load_checkpoint, parse_chaos_spec
 from repro.runtime.checkpoint import (
     CheckpointStore,
@@ -24,7 +28,10 @@ from repro.runtime.checkpoint import (
     ShardRecord,
     _parse_shard_line,
 )
-from repro.runtime.distributed import JobSpec
+from repro.runtime.distributed import HandshakeError, run_worker
+from repro.runtime.protocol import PROTOCOL_VERSION, recv_message, send_message
+from repro.runtime.spec import ExperimentSpec, SpecError
+from repro.service import CampaignServer, CampaignService
 
 
 class FakeClock:
@@ -305,21 +312,27 @@ class TestRecordTelemetryValidation:
 
 
 class TestJobSpec:
+    """The ``job`` frame's spec is the one :class:`ExperimentSpec`."""
+
     def test_round_trips_through_wire_dict(self):
-        spec = JobSpec(
-            scheme="xed", num_systems=10_000, shard_size=2_500,
+        spec = ExperimentSpec(
+            schemes=("xed",), systems=10_000, shard_size=2_500,
             seed=11, years=5.0, scaling_rate=0.1, scrub_hours=24.0,
         )
-        assert JobSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+        wire = json.loads(json.dumps(spec.to_dict()))
+        assert ExperimentSpec.from_dict(wire) == spec
 
     def test_unknown_scheme_is_rejected(self):
-        spec = JobSpec(scheme="rot13", num_systems=100, shard_size=50)
-        with pytest.raises(ValueError, match="unknown scheme"):
-            spec.build()
+        with pytest.raises(SpecError, match="unknown scheme"):
+            ExperimentSpec.from_dict(
+                {"schemes": ["rot13"], "systems": 100, "shard_size": 50}
+            )
 
     def test_num_shards_matches_plan(self):
-        spec = JobSpec(scheme="xed", num_systems=10_000, shard_size=3_000)
-        assert spec.num_shards() == 4
+        spec = ExperimentSpec(
+            schemes=("xed",), systems=10_000, shard_size=3_000
+        )
+        assert spec.num_shards() == len(plan_shards(10_000, 3_000)) == 4
 
 
 class TestSelectShardArgs:
@@ -354,3 +367,137 @@ class TestNetworkChaosVerbs:
 
     def test_crash_only_spec_has_no_network_verbs(self):
         assert not parse_chaos_spec("crash=1").has_network_verbs
+
+
+class _FakeCoordinator:
+    """A listening socket answering every ``hello`` with one frame.
+
+    It counts the connections it accepts and keeps every frame a worker
+    sends (the ``hello`` included) until the worker closes.
+    """
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.connections = 0
+        self.frames = []
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        self.address = self._sock.getsockname()[:2]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                return  # closed by the test
+            self.connections += 1
+            with conn:
+                conn.settimeout(10.0)
+                try:
+                    self.frames.append(recv_message(conn))
+                    send_message(conn, self.reply)
+                    while (frame := recv_message(conn)) is not None:
+                        self.frames.append(frame)
+                except OSError:
+                    pass
+
+    def close(self):
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)  # wakes the accept()
+        except OSError:
+            pass
+        self._sock.close()
+        self._thread.join(10.0)
+        assert not self._thread.is_alive()
+
+
+def _run_worker_bounded(address, bound_s=15.0):
+    """Run a worker in a thread; what it raised, within ``bound_s``."""
+    ended = {}
+
+    def serve():
+        try:
+            run_worker(*address, worker_id="w1", connect_timeout_s=1.0)
+        except Exception as exc:  # noqa: BLE001 - handed to the test
+            ended["error"] = exc
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    thread.join(bound_s)
+    assert not thread.is_alive(), "the worker is still re-dialling"
+    return ended.get("error")
+
+
+def _job(spec, fingerprint=None):
+    """A ``job`` frame carrying ``spec`` and ``fingerprint`` as given."""
+    return {
+        "type": "job", "protocol": PROTOCOL_VERSION,
+        "spec": spec, "fingerprint": fingerprint, "obs": False,
+    }
+
+
+@pytest.mark.timeout(60)
+class TestHandshakeEndsTheWorker:
+    """A worker whose handshake fails stops instead of re-dialling."""
+
+    def test_refused_hello_is_one_connection(self):
+        fake = _FakeCoordinator({"type": "error", "reason": "go away"})
+        try:
+            error = _run_worker_bounded(fake.address)
+        finally:
+            fake.close()
+        assert isinstance(error, HandshakeError)
+        assert fake.connections == 1
+        assert "worker w1" in str(error) and "go away" in str(error)
+        assert f"coordinator 127.0.0.1:{fake.address[1]}" in str(error)
+
+    def test_http_server_is_one_connection(self, tmp_path):
+        class CountingServer(CampaignServer):
+            connections = 0
+
+            def get_request(self):
+                request = super().get_request()
+                self.connections += 1
+                return request
+
+        server = CountingServer(("127.0.0.1", 0), CampaignService(tmp_path))
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            error = _run_worker_bounded(server.server_address[:2])
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert isinstance(error, HandshakeError)
+        assert server.connections == 1
+
+    @pytest.mark.parametrize(
+        "spec", [None, {"schemes": ["rot13"], "systems": 100}],
+        ids=["missing-spec", "unknown-scheme"],
+    )
+    def test_rejected_spec_gets_an_error_frame(self, spec):
+        fake = _FakeCoordinator(_job(spec))
+        try:
+            error = _run_worker_bounded(fake.address)
+        finally:
+            fake.close()
+        assert isinstance(error, HandshakeError)
+        assert fake.connections == 1
+        assert [f["type"] for f in fake.frames] == ["hello", "error"]
+
+    def test_fingerprint_mismatch_names_both_sides(self):
+        spec = ExperimentSpec(schemes=("xed",), systems=1_000, shard_size=500)
+        (theirs,) = spec.run_fingerprints()
+        skewed = dict(theirs.to_dict(), code_version="0.0.1")
+        fake = _FakeCoordinator(_job(spec.to_dict(), skewed))
+        try:
+            error = _run_worker_bounded(fake.address)
+        finally:
+            fake.close()
+        assert isinstance(error, HandshakeError)
+        assert fake.connections == 1
+        assert [f["type"] for f in fake.frames] == ["hello", "error"]
+        assert (
+            "code_version: worker='1.0.0' coordinator='0.0.1'" in str(error)
+        )
+        assert fake.frames[1]["reason"].startswith("fingerprint mismatch")
