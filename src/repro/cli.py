@@ -39,11 +39,14 @@ bit-identical for any worker count; see docs/performance.md).  Long
 ``reliability``/``campaign``/``perf`` runs show a live progress line on
 stderr when it is a terminal.
 
-The long-running sub-commands (``experiment``, ``reliability``,
-``all``, ``campaign``) also take the fault-tolerance flags
-``--checkpoint DIR``, ``--resume DIR``, ``--shard-timeout S``,
-``--max-retries N``, ``--keep-going`` and the developer flag
-``--chaos SPEC`` (see docs/robustness.md).
+The long-running sub-commands (``experiment``, ``export``,
+``reliability``, ``perf``, ``all``, ``campaign``) take the
+fault-tolerance flags ``--checkpoint DIR``, ``--resume DIR``,
+``--shard-timeout S``, ``--max-retries N``, ``--keep-going`` and the
+developer flag ``--chaos SPEC``.  ``coordinate`` takes only
+``--checkpoint``, ``--resume``, ``--max-retries`` and ``--keep-going``:
+its shards run in ``repro work`` processes, which take their own
+``--shard-timeout`` and ``--chaos`` (see docs/robustness.md).
 
 Exit codes (stable contract, asserted by the test suite):
 
@@ -67,7 +70,7 @@ from __future__ import annotations
 import argparse
 import shlex
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.version import __version__
 
@@ -83,30 +86,26 @@ EXIT_SHARD_FAILURE = 4
 EXIT_INTERRUPTED = 130
 
 
-def _worker_count(value: str) -> int:
-    """argparse type for ``--workers``: an integer >= 1.
+def _bounded(noun: str, low: int, kind: type = int) -> Callable[[str], float]:
+    """argparse type for a numeric flag, named ``noun`` in its errors.
 
-    Raising ``ArgumentTypeError`` lets argparse print a clean one-line
-    error and exit with status 2, matching its other usage errors.
+    An ``int`` (a count) must be at least ``low``; a ``float`` (a
+    duration in seconds) must exceed it.  Raising ``ArgumentTypeError``
+    lets argparse print a clean one-line error naming the flag and exit
+    with status 2, matching its other usage errors.
     """
-    try:
-        workers = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
-    if workers < 1:
-        raise argparse.ArgumentTypeError("workers must be >= 1")
-    return workers
 
+    def parse(value: str) -> float:
+        number = kind(value)
+        if kind is int and number < low:
+            raise argparse.ArgumentTypeError(f"{noun} must be >= {low}")
+        if kind is float and number <= low:
+            raise argparse.ArgumentTypeError(f"{noun} must be > {low} seconds")
+        return number
 
-def _positive_int(value: str) -> int:
-    """argparse type for ``--shard-size``: an integer >= 1."""
-    try:
-        size = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
-    if size < 1:
-        raise argparse.ArgumentTypeError("shard size must be >= 1")
-    return size
+    # A value ``kind`` cannot parse fails as ``invalid <__name__> value``.
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _add_faultsim_backend_flag(parser: argparse.ArgumentParser) -> None:
@@ -135,12 +134,13 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
     sub-commands (see docs/performance.md for guidance)."""
     group = parser.add_argument_group("parallelism")
     group.add_argument(
-        "--workers", type=_worker_count, default=1, metavar="N",
+        "--workers", type=_bounded("workers", 1), default=1, metavar="N",
         help="worker processes for sharded execution (default 1; "
              "results are identical for any worker count)",
     )
     group.add_argument(
-        "--shard-size", type=_positive_int, default=None, metavar="N",
+        "--shard-size", type=_bounded("shard size", 1), default=None,
+        metavar="N",
         help="systems/trials per shard (default: engine-chosen; "
              "changing it changes the RNG shard plan)",
     )
@@ -158,28 +158,6 @@ def _scrub_interval(value: str) -> Optional[float]:
     if hours <= 0:
         raise argparse.ArgumentTypeError("scrub interval must be > 0 hours")
     return hours
-
-
-def _timeout_seconds(value: str) -> float:
-    """argparse type for ``--shard-timeout``: a float > 0 (seconds)."""
-    try:
-        seconds = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}")
-    if seconds <= 0:
-        raise argparse.ArgumentTypeError("shard timeout must be > 0 seconds")
-    return seconds
-
-
-def _retry_count(value: str) -> int:
-    """argparse type for ``--max-retries``: an integer >= 0."""
-    try:
-        retries = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
-    if retries < 0:
-        raise argparse.ArgumentTypeError("max retries must be >= 0")
-    return retries
 
 
 def _chaos_spec(value: str):
@@ -216,9 +194,17 @@ def _host_port(value: str) -> "Tuple[str, int]":
     return host, port
 
 
-def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
-    """Attach the fault-tolerance flags shared by long-running
-    sub-commands (see docs/robustness.md for the full semantics)."""
+def _add_recovery_flags(
+    parser: argparse.ArgumentParser,
+) -> argparse._ArgumentGroup:
+    """Attach the fault-tolerance flags every shard-running command
+    honours; returns their group (see docs/robustness.md for the full
+    semantics).
+
+    ``coordinate`` takes only these.  The commands that run their
+    shards in this process or its pool also take
+    :func:`_add_injection_flags`'s.
+    """
     group = parser.add_argument_group("fault tolerance")
     group.add_argument(
         "--checkpoint", metavar="DIR", default=None,
@@ -232,11 +218,8 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
              "keeps checkpointing there",
     )
     group.add_argument(
-        "--shard-timeout", type=_timeout_seconds, default=None, metavar="S",
-        help="kill and retry any shard still running after S seconds",
-    )
-    group.add_argument(
-        "--max-retries", type=_retry_count, default=None, metavar="N",
+        "--max-retries", type=_bounded("max retries", 0), default=None,
+        metavar="N",
         help="retries per shard (with exponential backoff) before the "
              "shard counts as permanently failed (default 3)",
     )
@@ -244,6 +227,18 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
         "--keep-going", action="store_true", default=False,
         help="quarantine permanently-failing shards and finish with "
              "partial results (exit code 3) instead of aborting",
+    )
+    return group
+
+
+def _add_injection_flags(group: argparse._ArgumentGroup) -> None:
+    """Attach ``--shard-timeout`` and ``--chaos`` to a fault-tolerance
+    group.  A coordinated run's shards run in ``repro work``, which
+    declares its own pair."""
+    group.add_argument(
+        "--shard-timeout", type=_bounded("shard timeout", 0, float),
+        default=None, metavar="S",
+        help="kill and retry any shard still running after S seconds",
     )
     group.add_argument(
         "--chaos", type=_chaos_spec, default=None, metavar="SPEC",
@@ -255,40 +250,43 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
 def _build_runtime_policy(args: argparse.Namespace):
     """Translate parsed runtime flags into a RuntimePolicy (or None).
 
-    Returns ``None`` when no fault-tolerance flag was used (or the
-    sub-command has none): no ambient policy is installed, so the
-    engines run under ``RuntimePolicy()`` defaults and the provenance
-    export records no runs.
+    Returns ``None`` when no fault-tolerance flag was used (the root
+    parser defaults them for sub-commands that have none): no ambient
+    policy is installed, so the engines run under ``RuntimePolicy()``
+    defaults and the provenance export records no runs.
     """
-    checkpoint = getattr(args, "checkpoint", None)
-    resume = getattr(args, "resume", None)
-    shard_timeout = getattr(args, "shard_timeout", None)
-    max_retries = getattr(args, "max_retries", None)
-    keep_going = getattr(args, "keep_going", False)
-    chaos = getattr(args, "chaos", None)
     if not any(
-        (checkpoint, resume, shard_timeout is not None,
-         max_retries is not None, keep_going, chaos)
+        (args.checkpoint, args.resume, args.shard_timeout is not None,
+         args.max_retries is not None, args.keep_going, args.chaos)
     ):
         return None
     from repro.runtime import RuntimePolicy
 
     return RuntimePolicy(
-        checkpoint_dir=checkpoint,
-        resume_dir=resume,
-        shard_timeout_s=shard_timeout,
-        max_retries=3 if max_retries is None else max_retries,
-        keep_going=keep_going,
-        chaos=chaos,
+        checkpoint_dir=args.checkpoint,
+        resume_dir=args.resume,
+        shard_timeout_s=args.shard_timeout,
+        max_retries=3 if args.max_retries is None else args.max_retries,
+        keep_going=args.keep_going,
+        chaos=args.chaos,
     )
 
 
-def _resume_command(argv: Sequence[str], directory: str) -> str:
-    """The exact CLI invocation that resumes an interrupted run."""
+def _print_resume_hint(policy, argv: Sequence[str], done: str) -> None:
+    """After ``repro: <done>``, the exact command that resumes the run.
+
+    Printed only when the run has a checkpoint directory to resume from.
+    """
+    if policy is None or not policy.storage_dir:
+        return
     parts = list(argv)
     if "--resume" not in parts:
-        parts += ["--resume", directory]
-    return "repro " + " ".join(shlex.quote(p) for p in parts)
+        parts += ["--resume", policy.storage_dir]
+    print(
+        f"repro: {done} resume with:\n  repro "
+        + " ".join(shlex.quote(p) for p in parts),
+        file=sys.stderr,
+    )
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -332,6 +330,8 @@ def _obs_parent() -> argparse.ArgumentParser:
     Defaults are ``SUPPRESS`` so the flags may appear on either side of
     the sub-command: a sub-parser only copies attributes it actually
     parsed, instead of clobbering root-level values with ``None``.
+    The actions are shared objects, so no parser may ``set_defaults``
+    these names: that would rewrite the default of every copy.
     """
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("observability")
@@ -361,7 +361,11 @@ def _obs_parent() -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Build the top-level argument parser with all subcommands."""
+    """Build the top-level argument parser with all subcommands.
+
+    Every sub-command's parser sets ``handler``, the function that runs
+    it (``repro obs`` sets it on its own sub-commands).
+    """
     from repro.runtime.spec import SCHEMES
 
     obs_flags = _obs_parent()
@@ -372,23 +376,41 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
+    # What the fault-tolerance flags read where a command has none.
+    parser.set_defaults(checkpoint=None, resume=None, shard_timeout=None,
+                        max_retries=None, keep_going=False, chaos=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name: str, **kwargs) -> argparse.ArgumentParser:
-        return sub.add_parser(
-            name, parents=[obs_flags], allow_abbrev=False, **kwargs
+    def add_parser(
+        name: str, handler: Callable[[argparse.Namespace], int],
+        *parents: argparse.ArgumentParser, **kwargs,
+    ) -> argparse.ArgumentParser:
+        command = sub.add_parser(
+            name, parents=[obs_flags, *parents], allow_abbrev=False, **kwargs
         )
+        command.set_defaults(handler=handler)
+        return command
 
-    add_parser("list", help="list the registered paper experiments")
+    # The flags of every command that runs its shards here.
+    local_runs = argparse.ArgumentParser(add_help=False)
+    _add_injection_flags(_add_recovery_flags(local_runs))
+    reports = argparse.ArgumentParser(add_help=False, parents=[local_runs])
+    reports.add_argument("--scale", choices=("quick", "full"), default="quick")
+    reports.add_argument("--seed", type=int, default=2016)
+    _add_faultsim_backend_flag(reports)
 
-    exp = add_parser("experiment", help="regenerate one table/figure")
+    add_parser("list", _cmd_list, help="list the registered paper experiments")
+
+    exp = add_parser(
+        "experiment", _cmd_experiment, reports,
+        help="regenerate one table/figure",
+    )
     exp.add_argument("experiment_id", help="e.g. fig7, table2")
-    exp.add_argument("--scale", choices=("quick", "full"), default="quick")
-    exp.add_argument("--seed", type=int, default=2016)
-    _add_faultsim_backend_flag(exp)
-    _add_runtime_flags(exp)
 
-    rel = add_parser("reliability", help="Monte-Carlo scheme comparison")
+    rel = add_parser(
+        "reliability", _cmd_reliability, local_runs,
+        help="Monte-Carlo scheme comparison",
+    )
     rel.add_argument(
         "--schemes", nargs="+", default=["ecc_dimm", "xed", "chipkill"],
         choices=sorted(SCHEMES),
@@ -396,9 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(rel)
     _add_faultsim_backend_flag(rel)
     _add_parallel_flags(rel)
-    _add_runtime_flags(rel)
 
-    perf = add_parser("perf", help="performance/power grid")
+    perf = add_parser(
+        "perf", _cmd_perf, local_runs, help="performance/power grid"
+    )
     perf.add_argument("--workloads", nargs="+", default=["libquantum", "mcf"])
     perf.add_argument(
         "--schemes", nargs="+",
@@ -410,44 +433,40 @@ def build_parser() -> argparse.ArgumentParser:
         "--metric", choices=("time", "power", "both"), default="both"
     )
     perf.add_argument(
-        "--workers", type=_worker_count, default=1, metavar="N",
+        "--workers", type=_bounded("workers", 1), default=1, metavar="N",
         help="worker processes for the (workload x scheme) grid "
              "(default 1; one shard per workload and distinct machine, "
              "results identical for any worker count)",
     )
-    _add_runtime_flags(perf)
 
-    col = add_parser("collision", help="catch-word collision analytics")
+    col = add_parser(
+        "collision", _cmd_collision, help="catch-word collision analytics"
+    )
     col.add_argument("--bits", type=int, default=64)
     col.add_argument("--write-interval", type=float, default=5.53e-6,
                      help="seconds between novel writes per chip")
 
     all_cmd = add_parser(
-        "all", help="regenerate every table/figure, optionally exporting"
+        "all", _cmd_all, reports,
+        help="regenerate every table/figure, optionally exporting",
     )
-    all_cmd.add_argument("--scale", choices=("quick", "full"), default="quick")
-    all_cmd.add_argument("--seed", type=int, default=2016)
     all_cmd.add_argument("--out", default=None,
                          help="also export text+CSV into this directory")
     all_cmd.add_argument("--svg", action="store_true",
                          help="also render SVG charts where applicable")
-    _add_faultsim_backend_flag(all_cmd)
-    _add_runtime_flags(all_cmd)
 
     exp_out = add_parser(
-        "export", help="regenerate an experiment and write text + CSVs"
+        "export", _cmd_experiment, reports,
+        help="regenerate an experiment and write text + CSVs",
     )
     exp_out.add_argument("experiment_id")
-    exp_out.add_argument("--scale", choices=("quick", "full"), default="quick")
-    exp_out.add_argument("--seed", type=int, default=2016)
     exp_out.add_argument("--out", default="results")
     exp_out.add_argument("--svg", action="store_true",
                          help="also render an SVG chart where applicable")
-    _add_faultsim_backend_flag(exp_out)
-    _add_runtime_flags(exp_out)
 
     swp = add_parser(
-        "sweep", help="instant analytical parameter sweep (Markov solver)"
+        "sweep", _cmd_sweep,
+        help="instant analytical parameter sweep (Markov solver)",
     )
     swp.add_argument(
         "--schemes", nargs="+", default=["ecc_dimm", "xed", "chipkill"],
@@ -469,7 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the per-cell failure-mechanism decomposition",
     )
 
-    camp = add_parser("campaign", help="behavioural fault campaign")
+    camp = add_parser(
+        "campaign", _cmd_campaign, local_runs,
+        help="behavioural fault campaign",
+    )
     camp.add_argument("--kind", choices=("xed", "chipkill"), default="xed")
     camp.add_argument("--trials", type=int, default=30)
     camp.add_argument("--chips", type=int, default=1,
@@ -477,10 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--scaling-rate", type=float, default=0.0)
     camp.add_argument("--seed", type=int, default=2016)
     _add_parallel_flags(camp)
-    _add_runtime_flags(camp)
 
     coord = add_parser(
-        "coordinate",
+        "coordinate", _cmd_coordinate,
         help="serve one reliability run to distributed workers as "
              "shard-range leases (see docs/robustness.md)",
     )
@@ -491,7 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_run_flags(coord)
     coord.add_argument(
-        "--shard-size", type=_positive_int, default=None, metavar="N",
+        "--shard-size", type=_bounded("shard size", 1), default=None,
+        metavar="N",
         help="systems per shard / per lease unit (default: engine-"
              "chosen; must match the single-machine run you want to "
              "reproduce bit-identically)",
@@ -504,20 +526,21 @@ def build_parser() -> argparse.ArgumentParser:
              "port 0 picks an ephemeral port, printed on stderr)",
     )
     group.add_argument(
-        "--lease-shards", type=_positive_int, default=None, metavar="N",
+        "--lease-shards", type=_bounded("lease shards", 1), default=None,
+        metavar="N",
         help="shards granted per lease (default 4; larger leases "
              "amortise round-trips, smaller ones rebalance faster)",
     )
     group.add_argument(
-        "--lease-timeout", type=_timeout_seconds, default=None,
-        metavar="S",
+        "--lease-timeout", type=_bounded("lease timeout", 0, float),
+        default=None, metavar="S",
         help="seconds before an unacknowledged lease expires and its "
              "shards are requeued (default 120)",
     )
-    _add_runtime_flags(coord)
+    _add_recovery_flags(coord)
 
     work = add_parser(
-        "work",
+        "work", _cmd_work,
         help="serve a repro coordinate run: lease shards, simulate, "
              "stream digest-verified results back",
         description="Serve a repro coordinate run.  Each leased shard "
@@ -536,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="address of the repro coordinate process to serve",
     )
     work.add_argument(
-        "--workers", type=_worker_count, default=1, metavar="N",
+        "--workers", type=_bounded("workers", 1), default=1, metavar="N",
         help="local worker processes per lease (default 1)",
     )
     work.add_argument(
@@ -544,14 +567,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="name reported to the coordinator (default worker-<pid>)",
     )
     work.add_argument(
-        "--shard-timeout", type=_timeout_seconds, default=None,
-        metavar="S",
+        "--shard-timeout", type=_bounded("shard timeout", 0, float),
+        default=None, metavar="S",
         help="with --workers > 1, kill a pool process whose shard is "
              "still running after S seconds and report the shard failed",
     )
     work.add_argument(
-        "--connect-timeout", type=_timeout_seconds, default=30.0,
-        metavar="S",
+        "--connect-timeout", type=_bounded("connect timeout", 0, float),
+        default=30.0, metavar="S",
         help="seconds to keep dialling the coordinator, and to wait "
              "for its job after hello, before giving up (default 30)",
     )
@@ -563,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     serve = add_parser(
-        "serve",
+        "serve", _cmd_serve,
         help="run the campaign service: async job API with a "
              "fingerprint-keyed result cache (see docs/serving.md)",
     )
@@ -586,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     from repro.analysis import EXPERIMENTS
 
     print(f"{'id':8s} {'title':45s} paper claim")
@@ -596,30 +619,29 @@ def _cmd_list() -> int:
     return 0
 
 
-def _known_experiment(experiment_id: str) -> bool:
-    """False, after a usage message on stderr, for an unregistered id.
-
-    Checked before running, so a ``KeyError`` raised inside a run is a
-    bug that propagates rather than an "unknown experiment".
-    """
-    from repro.analysis import EXPERIMENTS
-
-    if experiment_id in EXPERIMENTS:
-        return True
-    print(f"unknown experiment {experiment_id!r}; "
-          f"known: {sorted(EXPERIMENTS)}", file=sys.stderr)
-    return False
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.analysis import run_experiment
+    """``repro experiment`` prints one report; ``repro export`` writes it.
 
-    if not _known_experiment(args.experiment_id):
+    The id is checked before running, so a ``KeyError`` raised inside a
+    run is a bug that propagates rather than an "unknown experiment".
+    """
+    from repro.analysis import EXPERIMENTS, run_experiment
+
+    if args.experiment_id not in EXPERIMENTS:
+        print(f"unknown experiment {args.experiment_id!r}; "
+              f"known: {sorted(EXPERIMENTS)}", file=sys.stderr)
         return EXIT_USAGE
     report = run_experiment(args.experiment_id, scale=args.scale,
                             seed=args.seed,
                             faultsim_backend=args.faultsim_backend)
-    print(report.text)
+    if args.command == "experiment":
+        print(report.text)
+        return EXIT_OK
+    from repro.analysis.export import export_report
+
+    for path in export_report(report, args.out, svg=args.svg,
+                              provenance=_provenance(args)):
+        print(path)
     return EXIT_OK
 
 
@@ -739,9 +761,9 @@ def _provenance(args: argparse.Namespace) -> dict:
     policy = current_policy()
     prov: dict = {
         "code_version": __version__,
-        "seed": getattr(args, "seed", None),
-        "scale": getattr(args, "scale", None),
-        "faultsim_backend": getattr(args, "faultsim_backend", None),
+        "seed": args.seed,
+        "scale": args.scale,
+        "faultsim_backend": args.faultsim_backend,
         "complete": True,
         "runs": [],
     }
@@ -770,21 +792,6 @@ def _cmd_all(args: argparse.Namespace) -> int:
                           provenance=provenance)
     if args.out:
         print(f"exported {len(reports)} experiments to {args.out}/")
-    return EXIT_OK
-
-
-def _cmd_export(args: argparse.Namespace) -> int:
-    from repro.analysis import run_experiment
-    from repro.analysis.export import export_report
-
-    if not _known_experiment(args.experiment_id):
-        return EXIT_USAGE
-    report = run_experiment(args.experiment_id, scale=args.scale,
-                            seed=args.seed,
-                            faultsim_backend=args.faultsim_backend)
-    for path in export_report(report, args.out, svg=args.svg,
-                              provenance=_provenance(args)):
-        print(path)
     return EXIT_OK
 
 
@@ -917,38 +924,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return code
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "reliability":
-        return _cmd_reliability(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "perf":
-        return _cmd_perf(args)
-    if args.command == "collision":
-        return _cmd_collision(args)
-    if args.command == "all":
-        return _cmd_all(args)
-    if args.command == "export":
-        return _cmd_export(args)
-    if args.command == "campaign":
-        return _cmd_campaign(args)
-    if args.command == "coordinate":
-        return _cmd_coordinate(args)
-    if args.command == "work":
-        return _cmd_work(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "obs":
-        from repro.obs.cli import run_obs
-
-        return run_obs(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the ``repro`` CLI; returns the process exit code.
 
@@ -996,7 +971,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # The root of the run's trace tree: every engine span and
             # every worker's shard span is reachable from this one.
             with span(f"repro.{args.command}"):
-                code = _dispatch(args)
+                code = args.handler(args)
         if policy is not None and policy.quarantined_total and code == EXIT_OK:
             quarantined = policy.quarantined_total
             completeness = policy.worst_completeness
@@ -1009,12 +984,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             code = EXIT_PARTIAL
     except RunInterrupted as exc:
         print(f"repro: {exc}", file=sys.stderr)
-        if policy is not None and policy.storage_dir:
-            print(
-                "repro: progress checkpointed; resume with:\n  "
-                + _resume_command(raw_argv, policy.storage_dir),
-                file=sys.stderr,
-            )
+        _print_resume_hint(policy, raw_argv, "progress checkpointed;")
         code = EXIT_INTERRUPTED
     except ShardFailure as exc:
         print(f"repro: {exc}", file=sys.stderr)
@@ -1022,13 +992,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if cause is not None:
             print(f"repro: cause: {type(cause).__name__}: {cause}",
                   file=sys.stderr)
-        if policy is not None and policy.storage_dir:
-            print(
-                "repro: completed shards are checkpointed; after fixing "
-                "the cause, resume with:\n  "
-                + _resume_command(raw_argv, policy.storage_dir),
-                file=sys.stderr,
-            )
+        _print_resume_hint(policy, raw_argv, "completed shards are "
+                           "checkpointed; after fixing the cause,")
         print(
             "repro: use --keep-going to finish with partial results "
             "instead of aborting",

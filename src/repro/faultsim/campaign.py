@@ -285,41 +285,47 @@ def _xed_trial(
     _observe_trial(trial, "xed", outcomes)
 
 
-def _xed_shard(
-    start: int,
-    count: int,
-    faulty_chips: int,
-    seed: int,
-    scaling_ber: float,
-    granularities: Sequence[FaultGranularity],
-    lines_per_trial: int,
+def _trial_shard(
+    trial_fn: Callable[..., None], start: int, count: int, *trial_args: object
 ) -> CampaignResult:
-    """Run XED trials ``[start, start + count)`` (pool worker entry)."""
+    """Run trials ``[start, start + count)`` of one campaign (pool worker
+    entry): ``trial_fn(result, trial, *trial_args)`` for each trial."""
     result = CampaignResult()
     for trial in range(start, start + count):
-        _xed_trial(
-            result, trial, faulty_chips, seed, scaling_ber,
-            granularities, lines_per_trial,
-        )
+        trial_fn(result, trial, *trial_args)
     return result
 
 
-def _run_campaign_shards(
+def _run_campaign(
     kind: str,
-    shard_fn: Callable[..., CampaignResult],
-    shard_args: List[tuple],
-    shards: List[tuple],
+    trial_fn: Callable[..., None],
+    trial_args: tuple,
+    config: Dict[str, object],
     trials: int,
+    seed: int,
     workers: int,
-    fingerprint: RunFingerprint,
+    shard_size: Optional[int],
     runtime: Optional[RuntimePolicy],
-) -> List[CampaignResult]:
-    """Dispatch campaign shards through :func:`repro.runtime.run_resilient`.
+) -> CampaignResult:
+    """The body of both campaign runners.
 
-    Shared tail of both campaign runners.  ``runtime`` (else the
+    Plans ``trials`` into shards, runs them as :func:`_trial_shard`
+    calls through :func:`repro.runtime.run_resilient` and merges them.
+    The checkpoint identity is the fingerprint of ``campaign.<kind>``,
+    ``seed``, the shard plan and ``config``.  ``runtime`` (else the
     ambient policy, else ``RuntimePolicy()``) sets checkpoint/resume,
     retry and timeout behaviour.
     """
+    shard_size = resolve_shard_size(trials, shard_size, DEFAULT_TRIAL_SHARD_SIZE)
+    shards = plan_shards(trials, shard_size)
+    fingerprint = RunFingerprint(
+        kind=f"campaign.{kind}",
+        seed=seed,
+        total=trials,
+        shard_size=shard_size,
+        config_hash=config_digest(config),
+        code_version=__version__,
+    )
     reporter = progress(trials, f"campaign {kind}")
 
     def _shard_done(i: int) -> None:
@@ -330,20 +336,25 @@ def _run_campaign_shards(
             if OBS.sampler is not None:
                 OBS.sampler.maybe_sample()
 
-    try:
-        results, _outcome = run_resilient(
-            shard_fn,
-            shard_args,
-            workers=workers,
-            fingerprint=fingerprint,
-            policy=runtime,
-            encode=lambda r: r.to_payload(),
-            decode=CampaignResult.from_payload,
-            on_shard_done=_shard_done,
-        )
-        return results
-    finally:
-        reporter.close()
+    started = perf_counter()
+    with span(f"campaign.{kind}_s"):
+        try:
+            shard_results, _outcome = run_resilient(
+                _trial_shard,
+                [(trial_fn, start, count, *trial_args)
+                 for start, count in shards],
+                workers=workers,
+                fingerprint=fingerprint,
+                policy=runtime,
+                encode=lambda r: r.to_payload(),
+                decode=CampaignResult.from_payload,
+                on_shard_done=_shard_done,
+            )
+        finally:
+            reporter.close()
+    result = CampaignResult.merge(shard_results)
+    _observe_campaign(kind, trials, result, perf_counter() - started)
+    return result
 
 
 def run_xed_campaign(
@@ -371,42 +382,19 @@ def run_xed_campaign(
     ``runtime`` policy (or the ambient one) adds checkpoint/resume and
     retry semantics -- see :mod:`repro.runtime`.
     """
-    shard_size = resolve_shard_size(trials, shard_size, DEFAULT_TRIAL_SHARD_SIZE)
-    shards = plan_shards(trials, shard_size)
-    fingerprint = RunFingerprint(
-        kind="campaign.xed",
-        seed=seed,
-        total=trials,
-        shard_size=shard_size,
-        config_hash=config_digest(
-            {
-                "faulty_chips": faulty_chips,
-                "scaling_ber": scaling_ber,
-                "granularities": [g.value for g in granularities],
-                "lines_per_trial": lines_per_trial,
-            }
-        ),
-        code_version=__version__,
+    return _run_campaign(
+        "xed",
+        _xed_trial,
+        (faulty_chips, seed, scaling_ber, tuple(granularities),
+         lines_per_trial),
+        {
+            "faulty_chips": faulty_chips,
+            "scaling_ber": scaling_ber,
+            "granularities": [g.value for g in granularities],
+            "lines_per_trial": lines_per_trial,
+        },
+        trials, seed, workers, shard_size, runtime,
     )
-    started = perf_counter()
-    with span("campaign.xed_s"):
-        shard_results = _run_campaign_shards(
-            "xed",
-            _xed_shard,
-            [
-                (start, count, faulty_chips, seed, scaling_ber,
-                 tuple(granularities), lines_per_trial)
-                for start, count in shards
-            ],
-            shards,
-            trials,
-            workers,
-            fingerprint,
-            runtime,
-        )
-    result = CampaignResult.merge(shard_results)
-    _observe_campaign("xed", trials, result, perf_counter() - started)
-    return result
 
 
 def _chipkill_trial(
@@ -452,20 +440,6 @@ def _chipkill_trial(
     _observe_trial(trial, "chipkill", [outcome])
 
 
-def _chipkill_shard(
-    start: int,
-    count: int,
-    faulty_chips: int,
-    seed: int,
-    granularities: Sequence[FaultGranularity],
-) -> CampaignResult:
-    """Run Chipkill trials ``[start, start + count)`` (pool worker entry)."""
-    result = CampaignResult()
-    for trial in range(start, start + count):
-        _chipkill_trial(result, trial, faulty_chips, seed, granularities)
-    return result
-
-
 def run_chipkill_campaign(
     trials: int = 30,
     faulty_chips: int = 2,
@@ -482,39 +456,16 @@ def run_chipkill_campaign(
     and the optional ``runtime`` policy behave exactly as in
     :func:`run_xed_campaign`.
     """
-    shard_size = resolve_shard_size(trials, shard_size, DEFAULT_TRIAL_SHARD_SIZE)
-    shards = plan_shards(trials, shard_size)
-    fingerprint = RunFingerprint(
-        kind="campaign.chipkill",
-        seed=seed,
-        total=trials,
-        shard_size=shard_size,
-        config_hash=config_digest(
-            {
-                "faulty_chips": faulty_chips,
-                "granularities": [g.value for g in granularities],
-            }
-        ),
-        code_version=__version__,
+    return _run_campaign(
+        "chipkill",
+        _chipkill_trial,
+        (faulty_chips, seed, tuple(granularities)),
+        {
+            "faulty_chips": faulty_chips,
+            "granularities": [g.value for g in granularities],
+        },
+        trials, seed, workers, shard_size, runtime,
     )
-    started = perf_counter()
-    with span("campaign.chipkill_s"):
-        shard_results = _run_campaign_shards(
-            "chipkill",
-            _chipkill_shard,
-            [
-                (start, count, faulty_chips, seed, tuple(granularities))
-                for start, count in shards
-            ],
-            shards,
-            trials,
-            workers,
-            fingerprint,
-            runtime,
-        )
-    result = CampaignResult.merge(shard_results)
-    _observe_campaign("chipkill", trials, result, perf_counter() - started)
-    return result
 
 
 def _classify(ok: bool, data_correct: bool, status: str) -> Outcome:

@@ -33,7 +33,6 @@ from repro.obs.exporters import span_records
 
 __all__ = [
     "add_obs_parser",
-    "run_obs",
     "format_span_summary",
     "format_shard_table",
     "format_metrics_diff",
@@ -43,12 +42,14 @@ __all__ = [
 
 def add_obs_parser(
     subparsers: argparse._SubParsersAction,
-    parents: Sequence[argparse.ArgumentParser] = (),
 ) -> argparse.ArgumentParser:
-    """Attach the ``obs`` sub-command group to the main CLI parser."""
+    """Attach the ``obs`` sub-command group to the main CLI parser.
+
+    Each of its sub-commands sets ``handler``, the function that runs
+    it, as every ``repro`` sub-command does.
+    """
     obs = subparsers.add_parser(
         "obs",
-        parents=list(parents),
         allow_abbrev=False,
         help="analyse exported traces, metrics and checkpoints",
     )
@@ -57,6 +58,7 @@ def add_obs_parser(
     summarize = obs_sub.add_parser(
         "summarize", help="summarise an exported trace (and metrics)"
     )
+    summarize.set_defaults(handler=_cmd_summarize)
     summarize.add_argument(
         "--trace", required=True, metavar="PATH",
         help="a --trace-out JSON-lines file",
@@ -73,11 +75,13 @@ def add_obs_parser(
     inspect = obs_sub.add_parser(
         "inspect", help="show a checkpoint's fingerprint and completeness"
     )
+    inspect.set_defaults(handler=_cmd_inspect)
     inspect.add_argument("checkpoint", help="a .ckpt file")
 
     diff = obs_sub.add_parser(
         "diff", help="compare two runs' --metrics-out documents"
     )
+    diff.set_defaults(handler=_cmd_diff)
     diff.add_argument("baseline", help="baseline metrics JSON")
     diff.add_argument("current", help="current metrics JSON")
     diff.add_argument(
@@ -85,17 +89,6 @@ def add_obs_parser(
         help="flag timer-mean changes beyond this fraction (default 0.10)",
     )
     return obs
-
-
-def run_obs(args: argparse.Namespace) -> int:
-    """Dispatch one parsed ``repro obs`` invocation; returns exit code."""
-    if args.obs_command == "summarize":
-        return _cmd_summarize(args)
-    if args.obs_command == "inspect":
-        return _cmd_inspect(args)
-    if args.obs_command == "diff":
-        return _cmd_diff(args)
-    raise AssertionError(f"unhandled obs command {args.obs_command!r}")
 
 
 # ---------------------------------------------------------------------------

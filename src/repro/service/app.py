@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -349,6 +350,13 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     #: on, a keep-alive client's delayed ACK of the first holds the
     #: second back by ~40 ms on every response.
     disable_nagle_algorithm = True
+    #: Seconds a connection may stay silent, mid-request or between
+    #: keep-alive requests, before its handler closes it.  Without a
+    #: bound, a client that stalls holds a handler thread until it hangs
+    #: up.  Keep-alive clients pause for minutes (the end-to-end
+    #: benchmark leaves one connection idle through its whole run), so
+    #: the bound is long.
+    timeout = 300
 
     @property
     def service(self) -> CampaignService:
@@ -419,6 +427,18 @@ class CampaignServer(ThreadingHTTPServer):
     def __init__(self, address: Tuple[str, int], service: CampaignService) -> None:
         super().__init__(address, _ServiceHandler)
         self.service = service
+
+    def handle_error(self, request: object, client_address: object) -> None:
+        """Log a client that hung up mid-request at debug level.
+
+        A client that leaves is not a server error; any other error
+        keeps ``socketserver``'s traceback on stderr.
+        """
+        error = sys.exc_info()[1]
+        if isinstance(error, ConnectionError):
+            _LOG.debug("client %s went away: %r", client_address, error)
+        else:
+            super().handle_error(request, client_address)
 
 
 def create_server(

@@ -7,6 +7,7 @@ from repro.faultsim.campaign import (
     Outcome,
     Scenario,
     _classify,
+    run_chipkill_campaign,
     run_xed_campaign,
 )
 from repro.dram.chip import FaultGranularity
@@ -123,3 +124,38 @@ class TestDeterminism:
         )
         for scenario in result.scenarios:
             assert scenario.granularities == [FaultGranularity.ROW]
+
+
+class TestCheckpointIdentity:
+    """Both runners share one body; their checkpoints keep their names.
+
+    A checkpoint's file name and header carry the run fingerprint, so a
+    campaign written before the runners shared a body must still be
+    found and accepted by ``--resume``.
+    """
+
+    @pytest.mark.parametrize("runner, trials, kind, config_hash", [
+        (run_xed_campaign, 8, "campaign.xed",
+         "2be4310ad759fe0925e439ddee06f205"
+         "6467b9730b348077f9c89c354a3509d8"),
+        (run_chipkill_campaign, 6, "campaign.chipkill",
+         "8743edf0a993337b4b2f4b88abe24f8d"
+         "b41a194bd15cb1c24d06143d500bbd6b"),
+    ])
+    def test_fingerprint_is_pinned(
+        self, tmp_path, runner, trials, kind, config_hash
+    ):
+        from repro.runtime import RuntimePolicy, load_checkpoint
+
+        result = runner(
+            trials=trials, seed=5, shard_size=2,
+            runtime=RuntimePolicy(checkpoint_dir=str(tmp_path)),
+        )
+        (path,) = tmp_path.glob("*.ckpt")
+        assert path.name == f"{kind}-{config_hash[:12]}.ckpt"
+        loaded = load_checkpoint(path)
+        assert loaded.fingerprint["kind"] == kind
+        assert loaded.fingerprint["config_hash"] == config_hash
+        assert loaded.fingerprint["total"] == trials
+        assert sorted(loaded.records) == list(range(trials // 2))
+        assert result.total >= trials

@@ -132,6 +132,50 @@ class TestCheckFile:
         assert problems == []
 
 
+class TestCommandFlags:
+    """A flag in a ``repro <command>`` invocation must be that command's."""
+
+    def _lint(self, tmp_path, text, cli_flags, tool_flags):
+        doc = tmp_path / "doc.md"
+        doc.write_text(text, encoding="utf-8")
+        return check_docs.check_file(doc, cli_flags, tool_flags)
+
+    @pytest.mark.parametrize("text, flag, command, line", [
+        pytest.param(
+            "Rehearse with `repro coordinate --schemes xed --chaos crash=1`.\n",
+            "--chaos", "coordinate", 1, id="inline-coordinate-chaos",
+        ),
+        pytest.param(
+            "Workers:\n\n```bash\n"
+            "PYTHONPATH=src python -m repro work \\\n"
+            "    --coordinator host1:7653 --checkpoint ck/\n```\n",
+            "--checkpoint", "work", 4, id="block-work-checkpoint",
+        ),
+    ])
+    def test_flag_of_another_command_reported(
+        self, tmp_path, cli_flags, tool_flags, text, flag, command, line
+    ):
+        (problem,) = self._lint(tmp_path, text, cli_flags, tool_flags)
+        assert f":{line}:" in problem
+        assert flag in problem and f"`repro {command}`" in problem
+
+    def test_root_and_obs_subcommand_flags_accepted(
+        self, tmp_path, cli_flags, tool_flags
+    ):
+        # The root's flags go before the command, the obs flags after
+        # it; `&&` ends the command, so --tolerance is not its flag.
+        text = (
+            "```bash\n"
+            "python -m repro --trace-out t.jsonl reliability \\\n"
+            "    --schemes xed --metrics-out m.json && \\\n"
+            "    python tools/bench_snapshot.py compare --tolerance 0.5\n"
+            "python -m repro obs summarize --trace t.jsonl --top 3\n"
+            "```\n"
+            "and `repro work --coordinator h:7653 --shard-timeout 5`\n"
+        )
+        assert self._lint(tmp_path, text, cli_flags, tool_flags) == []
+
+
 class TestMainExitCodes:
     def test_clean_exit_zero(self, tmp_path, capsys):
         doc = tmp_path / "ok.md"

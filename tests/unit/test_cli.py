@@ -142,6 +142,70 @@ class TestParallelFlags:
         assert "scenarios" in capsys.readouterr().out
 
 
+class TestFlagErrors:
+    """Each numeric flag names itself; a command rejects flags it ignores."""
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(
+            ["coordinate", "--lease-shards", "0"],
+            "argument --lease-shards: lease shards must be >= 1",
+            id="lease-shards",
+        ),
+        pytest.param(
+            ["coordinate", "--lease-timeout", "0"],
+            "argument --lease-timeout: lease timeout must be > 0 seconds",
+            id="lease-timeout",
+        ),
+        pytest.param(
+            ["work", "--coordinator", "127.0.0.1:1", "--connect-timeout", "0"],
+            "argument --connect-timeout: connect timeout must be > 0 seconds",
+            id="connect-timeout",
+        ),
+        pytest.param(
+            ["reliability", "--workers", "0"],
+            "argument --workers: workers must be >= 1",
+            id="workers",
+        ),
+        pytest.param(
+            ["reliability", "--shard-size", "0"],
+            "argument --shard-size: shard size must be >= 1",
+            id="shard-size",
+        ),
+        pytest.param(
+            ["reliability", "--shard-timeout", "0"],
+            "argument --shard-timeout: shard timeout must be > 0 seconds",
+            id="shard-timeout",
+        ),
+        pytest.param(
+            ["reliability", "--max-retries", "-1"],
+            "argument --max-retries: max retries must be >= 0",
+            id="max-retries",
+        ),
+        pytest.param(
+            ["reliability", "--workers", "lots"],
+            "argument --workers: invalid int value: 'lots'",
+            id="workers-not-a-number",
+        ),
+        pytest.param(
+            ["coordinate", "--chaos", "crash=1"],
+            "unrecognized arguments: --chaos crash=1",
+            id="coordinate-chaos",
+        ),
+        pytest.param(
+            ["coordinate", "--shard-timeout", "5"],
+            "unrecognized arguments: --shard-timeout 5",
+            id="coordinate-shard-timeout",
+        ),
+    ])
+    def test_usage_error_names_the_flag(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: {message}"
+        )
+
+
 #: One small reliability run, reused by the exit-code tests below.
 RELIABILITY_ARGS = [
     "reliability", "--schemes", "xed",

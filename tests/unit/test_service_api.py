@@ -10,7 +10,9 @@ guard the cache identity.
 
 import http.client
 import json
+import socket
 import statistics
+import struct
 import threading
 import time
 import urllib.error
@@ -185,6 +187,113 @@ class TestEndpoints:
         finally:
             conn.close()
         assert statistics.median(latencies) < 0.020, latencies
+
+
+@pytest.fixture
+def short_idle_bound(monkeypatch):
+    """The handler's idle bound, checked as shipped, then cut to 0.5 s."""
+    from repro.service.app import _ServiceHandler
+
+    # Finite, so a stalled client cannot hold a handler thread forever,
+    # and above the 170 s run budget through which benchmarks/e2e keeps
+    # one keep-alive connection idle.
+    assert 170 < _ServiceHandler.timeout <= 3600
+    monkeypatch.setattr(_ServiceHandler, "timeout", 0.5)
+    return 0.5
+
+
+def _wait_for_handlers(baseline, timeout=5.0):
+    """Wait until the handler threads started since ``baseline`` end."""
+    deadline = time.monotonic() + timeout
+    while threading.active_count() > baseline:
+        assert time.monotonic() < deadline, threading.enumerate()
+        time.sleep(0.02)
+
+
+class TestClientFaults:
+    """A client that stalls or vanishes costs one bounded handler thread
+    and leaves no traceback, and keep-alive clients are still served."""
+
+    @pytest.mark.timeout(60)
+    def test_stalled_requests_are_closed_after_the_idle_bound(
+        self, server, short_idle_bound
+    ):
+        baseline = threading.active_count()
+        port = server.server_address[1]
+        socks = [
+            socket.create_connection(("127.0.0.1", port), timeout=5.0)
+            for _ in range(5)
+        ]
+        try:
+            started = time.monotonic()
+            for sock in socks:
+                sock.sendall(b"GET /healthz HTTP/1.1")  # no line end
+            for sock in socks:
+                assert sock.recv(1024) == b""  # closed, nothing answered
+            assert time.monotonic() - started < 4.0
+        finally:
+            for sock in socks:
+                sock.close()
+        _wait_for_handlers(baseline)
+
+    @pytest.mark.timeout(60)
+    def test_client_hanging_up_leaves_no_traceback(self, server, capfd):
+        baseline = threading.active_count()
+        port = server.server_address[1]
+        for request in (
+            b"GET /healthz HTTP/1.1",  # half a request line, then FIN
+            b"GET /v1/stats HTTP/1.1\r\n\r\n",  # whole request, then FIN
+        ):
+            for reset in (False, True):
+                with socket.create_connection(
+                    ("127.0.0.1", port), timeout=5.0
+                ) as sock:
+                    if reset:  # close with RST instead of FIN
+                        sock.setsockopt(
+                            socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0),
+                        )
+                    sock.sendall(request)
+        _wait_for_handlers(baseline)
+        assert "Traceback" not in capfd.readouterr().err
+
+    @pytest.mark.timeout(60)
+    def test_other_handler_errors_keep_their_traceback(
+        self, server, capfd, monkeypatch
+    ):
+        def broken(service):
+            raise RuntimeError("stats exploded")
+
+        monkeypatch.setattr(CampaignService, "stats", broken)
+        baseline = threading.active_count()
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=5.0
+        )
+        try:
+            conn.request("GET", "/v1/stats")
+            with pytest.raises(ConnectionError):
+                conn.getresponse()
+        finally:
+            conn.close()
+        _wait_for_handlers(baseline)
+        err = capfd.readouterr().err
+        assert "Traceback" in err and "RuntimeError: stats exploded" in err
+
+    @pytest.mark.timeout(60)
+    def test_keep_alive_requests_within_the_bound_are_answered(
+        self, server, short_idle_bound
+    ):
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=5.0
+        )
+        try:
+            for _ in range(3):
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200 and resp.read()
+                time.sleep(short_idle_bound / 2)
+        finally:
+            conn.close()
 
 
 class TestSpecValidation:

@@ -11,6 +11,10 @@ verifying each against the living code:
   (all subcommands, recursively), declared by a script under
   ``tools/``, or belong to the small allowlist of third-party tools
   the docs legitimately mention (pytest-benchmark, coverage, pip);
+* in a ``repro <command>`` invocation -- an inline code span, or a
+  line of a fenced code block with its ``\\`` continuations joined --
+  every flag must be one that command (or ``repro obs <sub>``) takes,
+  or one of the root parser's observability flags;
 * dotted paths must import — ``repro.faultsim.markov`` as a module,
   ``repro.faultsim.markov.solve`` as an attribute of one — with a
   trailing ``*`` accepted as a prefix wildcard over the parent's
@@ -30,8 +34,9 @@ import argparse
 import importlib
 import re
 import sys
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -63,24 +68,104 @@ FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 #: source marks a prefix wildcard, handled in :func:`resolve_dotted`.
 DOTTED_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 
+#: Inline code spans on one line.
+INLINE_CODE_RE = re.compile(r"`([^`]+)`")
+
+#: Shell words: a quoted string or a run of other non-space characters.
+WORD_RE = re.compile(r"'[^']*'|\"[^\"]*\"|[^\s'\"]+")
+
+#: Words that end a shell command: a pipe, ``&``, ``;``, a redirect or
+#: a comment.
+COMMAND_END_RE = re.compile(r"(?:\d?>|<|\||&|;|#)")
+
+
+@lru_cache(maxsize=None)
+def collect_command_flags() -> Dict[str, Set[str]]:
+    """The ``--flags`` of each parser in the repro argparse tree.
+
+    Keyed by command path: ``""`` for the root parser, then
+    ``"reliability"``, ``"obs"``, ``"obs summarize"`` and so on.
+    """
+    from repro.cli import build_parser
+
+    commands: Dict[str, Set[str]] = {}
+
+    def walk(path: str, parser: argparse.ArgumentParser) -> None:
+        flags = commands.setdefault(path, set())
+        for action in parser._actions:
+            flags.update(
+                option for option in action.option_strings
+                if option.startswith("--")
+            )
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    walk(f"{path} {name}".strip(), sub)
+
+    walk("", build_parser())
+    return commands
+
 
 def collect_cli_flags() -> Set[str]:
     """Every ``--flag`` registered in the repro argparse tree."""
-    from repro.cli import build_parser
+    return set().union(*collect_command_flags().values())
 
-    flags: Set[str] = set()
 
-    def walk(parser: argparse.ArgumentParser) -> None:
-        for action in parser._actions:
-            for option in action.option_strings:
-                if option.startswith("--"):
-                    flags.add(option)
-            if isinstance(action, argparse._SubParsersAction):
-                for sub in action.choices.values():
-                    walk(sub)
+def command_snippets(lines: List[str]) -> Iterator[Tuple[int, str]]:
+    """``(line number, text)`` of each place a command may be written.
 
-    walk(build_parser())
-    return flags
+    Outside fenced code blocks, every inline code span.  Inside one,
+    every line, with lines ending in ``\\`` joined to the next and
+    numbered by the first.
+    """
+    in_fence = False
+    pending: Optional[Tuple[int, str]] = None
+    for lineno, line in enumerate(lines, start=1):
+        if line.lstrip().startswith("```"):
+            in_fence, pending = not in_fence, None
+        elif not in_fence:
+            for span in INLINE_CODE_RE.findall(line):
+                yield lineno, span
+        else:
+            start, text = pending or (lineno, "")
+            text = f"{text} {line.strip()}"
+            if text.endswith("\\"):
+                pending = start, text[:-1]
+            else:
+                pending = None
+                yield start, text
+
+
+def misplaced_flags(
+    text: str, commands: Dict[str, Set[str]]
+) -> List[Tuple[str, str]]:
+    """``(flag, command)`` for each flag a ``repro <command>`` in
+    ``text`` is given but does not take.
+
+    The command is the first word after ``repro`` that names one (with
+    ``obs``, the next word too); the flags are every ``--flag`` word up
+    to the end of that shell command.  The root parser's flags are
+    accepted on either side of the command name.
+    """
+    words = WORD_RE.findall(text)
+    found: List[Tuple[str, str]] = []
+    for start, word in enumerate(words):
+        if word != "repro":
+            continue
+        command = ""
+        flags: List[str] = []
+        for arg in words[start + 1:]:
+            if COMMAND_END_RE.match(arg) or arg == "repro":
+                break
+            flag = FLAG_RE.match(arg)
+            named = f"{command} {arg}".strip()
+            if flag:
+                flags.append(flag.group(0))
+            elif command in ("", "obs") and named in commands:
+                command = named
+        if command:
+            allowed = commands[command] | commands[""]
+            found.extend((f, command) for f in flags if f not in allowed)
+    return found
 
 
 def collect_tool_flags(tools_dir: Optional[Path] = None) -> Set[str]:
@@ -154,9 +239,8 @@ def check_file(
         rel = doc.relative_to(REPO_ROOT)
     except ValueError:
         rel = doc
-    for lineno, line in enumerate(
-        doc.read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    lines = doc.read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
         for match in FLAG_RE.finditer(line):
             flag = match.group(0)
             if flag not in known_flags:
@@ -174,6 +258,13 @@ def check_file(
                     f"{rel}:{lineno}: unresolvable reference "
                     f"{path}{suffix} (does not import)"
                 )
+    commands = collect_command_flags()
+    for lineno, text in command_snippets(lines):
+        for flag, command in misplaced_flags(text, commands):
+            problems.append(
+                f"{rel}:{lineno}: flag {flag} is not an option of "
+                f"`repro {command}`"
+            )
     return problems
 
 
