@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.analysis.formatting import format_reliability_table, format_series
 from repro.core.catch_word import CollisionModel
@@ -166,55 +167,79 @@ def _run_table4(scale: str = "quick", seed: int = 2016) -> ExperimentReport:
 # Reliability figures
 # ---------------------------------------------------------------------------
 
-def _reliability_config(
-    scale: str,
-    seed: int,
-    scaling_rate: float = 0.0,
-    triple: bool = False,
-    faultsim_backend: str = "vectorized",
-) -> MonteCarloConfig:
-    if triple:
-        n = QUICK_SYSTEMS_TRIPLE if scale == "quick" else FULL_SYSTEMS_TRIPLE
-    else:
-        n = QUICK_SYSTEMS if scale == "quick" else FULL_SYSTEMS
-    return MonteCarloConfig(
-        num_systems=n,
-        seed=seed,
-        scaling_rate=scaling_rate,
-        faultsim_backend=faultsim_backend,
-    )
+class _ReliabilityFigure(NamedTuple):
+    """Figs 1 and 7-10: three schemes over one Monte-Carlo population,
+    a P(fail) table against a baseline and failure-by-year curves."""
+
+    schemes: Tuple[Callable, ...]
+    title: str
+    #: Position in ``schemes`` of the table's baseline.
+    baseline: int
+    #: Systems simulated at the quick and the full scale.
+    population: Tuple[int, int]
+    scaling_rate: float
+    #: ``report.data`` ratios: (key, scheme position, over position).
+    ratios: Tuple[Tuple[str, int, int], ...]
 
 
-def _run_fig1(
+_FIG7 = _ReliabilityFigure(
+    (EccDimmScheme, XedScheme, ChipkillScheme),
+    "Reliability of ECC-DIMM, XED and Chipkill:",
+    0, (QUICK_SYSTEMS, FULL_SYSTEMS), 0.0,
+    (("xed_vs_eccdimm", 1, 0), ("chipkill_vs_eccdimm", 2, 0),
+     ("xed_vs_chipkill", 1, 2)),
+)
+_FIG9 = _ReliabilityFigure(
+    (ChipkillScheme, DoubleChipkillScheme, XedChipkillScheme),
+    "Single-Chipkill vs Double-Chipkill vs XED+Single-Chipkill:",
+    0, (QUICK_SYSTEMS_TRIPLE, FULL_SYSTEMS_TRIPLE), 0.0,
+    (("double_vs_single", 1, 0), ("xedck_vs_double", 2, 1)),
+)
+_RELIABILITY_FIGURES: Dict[str, _ReliabilityFigure] = {
+    "fig1": _ReliabilityFigure(
+        (NonEccScheme, EccDimmScheme, ChipkillScheme),
+        "Probability of system failure over 7 years "
+        "(on-die ECC concealed):",
+        1, (QUICK_SYSTEMS, FULL_SYSTEMS), 0.0,
+        (("chipkill_vs_eccdimm", 2, 1),),
+    ),
+    "fig7": _FIG7,
+    "fig8": _FIG7._replace(scaling_rate=1e-4),
+    "fig9": _FIG9,
+    "fig10": _FIG9._replace(scaling_rate=1e-4),
+}
+
+
+def _run_reliability_figure(
+    exp_id: str,
     scale: str = "quick",
     seed: int = 2016,
     faultsim_backend: str = "vectorized",
 ) -> ExperimentReport:
-    cfg = _reliability_config(
-        scale, seed, faultsim_backend=faultsim_backend
+    fig = _RELIABILITY_FIGURES[exp_id]
+    quick, full = fig.population
+    cfg = MonteCarloConfig(
+        num_systems=quick if scale == "quick" else full,
+        seed=seed,
+        scaling_rate=fig.scaling_rate,
+        faultsim_backend=faultsim_backend,
     )
-    schemes = [NonEccScheme(), EccDimmScheme(), ChipkillScheme()]
+    schemes = [make() for make in fig.schemes]
     results = [simulate(s, cfg) for s in schemes]
-    ecc, chipkill = results[1], results[2]
-    series = {r.scheme_name: r.curve() for r in results}
     lines = [
         format_reliability_table(
-            "Probability of system failure over 7 years "
-            "(on-die ECC concealed):",
-            results,
-            baseline_name=ecc.scheme_name,
+            fig.title, results, baseline_name=results[fig.baseline].scheme_name
         ),
         "",
-        format_series("Failure probability by year:", series),
+        format_series(
+            "Failure probability by year:",
+            {r.scheme_name: r.curve() for r in results},
+        ),
     ]
-    return _report(
-        "fig1",
-        lines=lines,
-        data={
-            "results": {r.scheme_name: r for r in results},
-            "chipkill_vs_eccdimm": chipkill.improvement_over(ecc),
-        },
-    )
+    data: Dict[str, object] = {"results": {r.scheme_name: r for r in results}}
+    for key, scheme, over in fig.ratios:
+        data[key] = results[scheme].improvement_over(results[over])
+    return _report(exp_id, lines=lines, data=data)
 
 
 def _run_fig6(scale: str = "quick", seed: int = 2016) -> ExperimentReport:
@@ -247,96 +272,6 @@ def _run_fig6(scale: str = "quick", seed: int = 2016) -> ExperimentReport:
             "x8_mean_years": x8.mean_years_to_collision(),
             "x4_mean_hours": x4.mean_years_to_collision() * 365.25 * 24,
         },
-    )
-
-
-def _run_fig7(
-    scale: str = "quick",
-    seed: int = 2016,
-    scaling_rate: float = 0.0,
-    faultsim_backend: str = "vectorized",
-) -> ExperimentReport:
-    cfg = _reliability_config(
-        scale, seed, scaling_rate, faultsim_backend=faultsim_backend
-    )
-    schemes = [EccDimmScheme(), XedScheme(), ChipkillScheme()]
-    results = [simulate(s, cfg) for s in schemes]
-    ecc, xed, chipkill = results
-    series = {r.scheme_name: r.curve() for r in results}
-    lines = [
-        format_reliability_table(
-            "Reliability of ECC-DIMM, XED and Chipkill:",
-            results,
-            baseline_name=ecc.scheme_name,
-        ),
-        "",
-        format_series("Failure probability by year:", series),
-    ]
-    return _report(
-        "fig7" if scaling_rate == 0.0 else "fig8",
-        lines=lines,
-        data={
-            "results": {r.scheme_name: r for r in results},
-            "xed_vs_eccdimm": xed.improvement_over(ecc),
-            "chipkill_vs_eccdimm": chipkill.improvement_over(ecc),
-            "xed_vs_chipkill": xed.improvement_over(chipkill),
-        },
-    )
-
-
-def _run_fig8(
-    scale: str = "quick",
-    seed: int = 2016,
-    faultsim_backend: str = "vectorized",
-) -> ExperimentReport:
-    return _run_fig7(
-        scale, seed, scaling_rate=1e-4, faultsim_backend=faultsim_backend
-    )
-
-
-def _run_fig9(
-    scale: str = "quick",
-    seed: int = 2016,
-    scaling_rate: float = 0.0,
-    faultsim_backend: str = "vectorized",
-) -> ExperimentReport:
-    cfg = _reliability_config(
-        scale, seed, scaling_rate, triple=True,
-        faultsim_backend=faultsim_backend,
-    )
-    schemes = [ChipkillScheme(), DoubleChipkillScheme(), XedChipkillScheme()]
-    results = [simulate(s, cfg) for s in schemes]
-    single, double, xed_ck = results
-    lines = [
-        format_reliability_table(
-            "Single-Chipkill vs Double-Chipkill vs XED+Single-Chipkill:",
-            results,
-            baseline_name=single.scheme_name,
-        ),
-        "",
-        format_series(
-            "Failure probability by year:",
-            {r.scheme_name: r.curve() for r in results},
-        ),
-    ]
-    return _report(
-        "fig9" if scaling_rate == 0.0 else "fig10",
-        lines=lines,
-        data={
-            "results": {r.scheme_name: r for r in results},
-            "double_vs_single": double.improvement_over(single),
-            "xedck_vs_double": xed_ck.improvement_over(double),
-        },
-    )
-
-
-def _run_fig10(
-    scale: str = "quick",
-    seed: int = 2016,
-    faultsim_backend: str = "vectorized",
-) -> ExperimentReport:
-    return _run_fig9(
-        scale, seed, scaling_rate=1e-4, faultsim_backend=faultsim_backend
     )
 
 
@@ -386,35 +321,31 @@ def _perf_grid(scale: str, seed: int, scheme_keys) -> Dict:
 _FIG11_SCHEMES = ("ecc_dimm", "xed", "chipkill", "xed_chipkill", "double_chipkill")
 
 
-def _run_fig11(scale: str = "quick", seed: int = 2016) -> ExperimentReport:
-    grid = _perf_grid(scale, seed, _FIG11_SCHEMES)
-    keys = [k for k in _FIG11_SCHEMES if k != "ecc_dimm"]
-    table = format_figure_table(
-        grid, keys, metric="time", title="Normalized Execution Time (Figure 11)"
-    )
-    gmeans = {
-        key: geometric_mean(normalized_metric(grid, key).values()) for key in keys
-    }
-    lines = [table, "", "Gmean slowdowns: "
-             + ", ".join(f"{k}={v:.3f}" for k, v in gmeans.items())]
-    return _report("fig11", lines=lines, data={"grid": grid, "gmeans": gmeans})
+#: Figs 11 and 12 read one grid as time or power:
+#: metric -> (experiment id, table title, gmean label).
+_PERF_FIGURES = {
+    "time": ("fig11", "Normalized Execution Time (Figure 11)",
+             "Gmean slowdowns"),
+    "power": ("fig12", "Normalized Memory Power (Figure 12)", "Gmean power"),
+}
 
 
-def _run_fig12(scale: str = "quick", seed: int = 2016) -> ExperimentReport:
+def _run_perf_figure(
+    metric: str, scale: str = "quick", seed: int = 2016
+) -> ExperimentReport:
+    exp_id, title, label = _PERF_FIGURES[metric]
     grid = _perf_grid(scale, seed, _FIG11_SCHEMES)
     keys = [k for k in _FIG11_SCHEMES if k != "ecc_dimm"]
-    table = format_figure_table(
-        grid, keys, metric="power", title="Normalized Memory Power (Figure 12)"
-    )
+    table = format_figure_table(grid, keys, metric=metric, title=title)
     gmeans = {
         key: geometric_mean(
-            normalized_metric(grid, key, metric="power").values()
+            normalized_metric(grid, key, metric=metric).values()
         )
         for key in keys
     }
-    lines = [table, "", "Gmean power: "
+    lines = [table, "", f"{label}: "
              + ", ".join(f"{k}={v:.3f}" for k, v in gmeans.items())]
-    return _report("fig12", lines=lines, data={"grid": grid, "gmeans": gmeans})
+    return _report(exp_id, lines=lines, data={"grid": grid, "gmeans": gmeans})
 
 
 _FIG13_SCHEMES = (
@@ -503,25 +434,29 @@ EXPERIMENTS: Dict[str, Experiment] = {
                    _run_table4),
         Experiment("fig1", "Reliability with On-Die ECC concealed",
                    "ECC-DIMM adds ~nothing over Non-ECC; Chipkill ~43x better",
-                   _run_fig1),
+                   partial(_run_reliability_figure, "fig1")),
         Experiment("fig6", "Catch-word collision probability",
                    "collision every ~3.2M years (x8), 6.6 hours (x4)",
                    _run_fig6),
         Experiment("fig7", "Reliability of ECC-DIMM, XED, Chipkill",
                    "XED 172x better than ECC-DIMM, 4x better than Chipkill",
-                   _run_fig7),
+                   partial(_run_reliability_figure, "fig7")),
         Experiment("fig8", "Same, with scaling faults at 1e-4",
-                   "ordering unchanged; XED still ~172x", _run_fig8),
+                   "ordering unchanged; XED still ~172x",
+                   partial(_run_reliability_figure, "fig8")),
         Experiment("fig9", "Double-Chipkill vs XED+Single-Chipkill",
-                   "XED+CK ~8.5x better than Double-Chipkill", _run_fig9),
+                   "XED+CK ~8.5x better than Double-Chipkill",
+                   partial(_run_reliability_figure, "fig9")),
         Experiment("fig10", "Same, with scaling faults at 1e-4",
-                   "XED+CK still ~8.5x better", _run_fig10),
+                   "XED+CK still ~8.5x better",
+                   partial(_run_reliability_figure, "fig10")),
         Experiment("fig11", "Normalized execution time",
                    "Chipkill +21%, Double-Chipkill +82%, XED ~0%, "
-                   "XED+CK +21%; libquantum +63.5%/+220%", _run_fig11),
+                   "XED+CK +21%; libquantum +63.5%/+220%",
+                   partial(_run_perf_figure, "time")),
         Experiment("fig12", "Normalized memory power",
                    "Chipkill -8%, Double-Chipkill +8.4%, XED ~1.0",
-                   _run_fig12),
+                   partial(_run_perf_figure, "power")),
         Experiment("fig13", "Exposure alternatives (burst/transaction)",
                    "both alternatives cost more time and power than XED",
                    _run_fig13),
@@ -570,12 +505,7 @@ def reproduce_all(
     """Regenerate every table and figure (or a chosen subset), in the
     paper's order.  The whole-evaluation equivalent of the benchmark
     harness, usable from a notebook or the ``repro all`` CLI."""
-    order = [
-        "table1", "table2", "table3", "table4",
-        "fig1", "fig6", "fig7", "fig8", "fig9", "fig10",
-        "fig11", "fig12", "fig13", "fig14",
-    ]
-    ids = experiment_ids if experiment_ids is not None else order
+    ids = EXPERIMENTS if experiment_ids is None else experiment_ids
     return {
         exp_id: run_experiment(
             exp_id, scale, seed, faultsim_backend=faultsim_backend

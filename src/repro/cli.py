@@ -604,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     from repro.obs.cli import add_obs_parser
 
-    add_obs_parser(sub)
+    add_obs_parser(sub, obs_flags)
 
     return parser
 

@@ -7,9 +7,13 @@
   Faulty-row Chip Tracker, and intra-line write/read-back diagnosis
   (Section VI).
 * :mod:`repro.core.controller` -- the memory-controller side of XED:
-  catch-word recognition, erasure reconstruction, serial-mode recovery
-  of multi-catch-word scaling episodes, collision handling, and the
-  diagnosis escalation path (Sections V-VII).
+  the catch-word protocol both XED controllers inherit (provisioning,
+  recognition, the serial-mode re-read, collision rotation, DUE
+  accounting), erasure reconstruction, serial-mode recovery of
+  multi-catch-word scaling episodes, and the diagnosis escalation path
+  (Sections V-VII).
+* :mod:`repro.core.erasure_controller` -- the same protocol on Chipkill
+  hardware with Reed-Solomon erasure decoding (Section IX).
 """
 
 from repro.core.types import ReadStatus, XedReadResult

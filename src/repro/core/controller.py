@@ -1,27 +1,38 @@
-"""The memory-controller side of XED (Sections V-VII of the paper).
+"""The memory-controller side of XED (Sections V-VII and IX of the paper).
 
-The controller owns:
+:class:`CatchWordProtocol` is the protocol every XED controller speaks,
+whatever code sits behind the catch-words:
 
 * catch-word provisioning: at boot it writes a unique random catch-word
-  into every chip's CWR over the MRS interface and keeps copies;
+  into every chip's CWR over the MRS interface and keeps copies
+  (Section V-A);
 * catch-word recognition on every read;
-* RAID-3 erasure correction using the parity chip (Equation 3);
+* the serial-mode re-read: XED-Enable is cleared over MRS, the line is
+  re-read so each chip's on-die ECC delivers corrected data, and
+  XED-Enable is restored (Section VII-B);
 * collision handling: when a reconstruction equals the catch-word
   itself, the episode is logged and the chip's catch-word is rotated
   (Section V-D3);
-* serial-mode recovery for multi-catch-word reads: XED-Enable is
-  cleared over MRS, the line is re-read so each chip's on-die ECC
-  delivers corrected data, XED-Enable is restored, and parity verifies
-  the result (Section VII-B);
+* Detected Uncorrectable Error accounting.
+
+:class:`XedController` runs it on the 9-chip XED DIMM and adds its
+decision tree:
+
+* RAID-3 erasure correction using the parity chip (Equation 3);
+* serial-mode recovery for multi-catch-word reads, with parity
+  verifying the re-read (Section VII-B);
 * diagnosis escalation (inter-line with the FCT, then intra-line) when
   parity mismatches without a usable catch-word (Sections VI, VII-C);
-* a Detected Uncorrectable Error verdict when everything fails.
+* a DUE verdict when everything fails.
+
+:class:`repro.core.erasure_controller.XedChipkillController` runs the
+same protocol on a Chipkill rank (Section IX).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.catch_word import CatchWordRegister
 from repro.core.diagnosis import (
@@ -37,7 +48,107 @@ from repro.obs import OBS, events, get_logger
 log = get_logger("core.controller")
 
 
-class XedController:
+class CatchWordProtocol:
+    """The catch-word protocol both XED controllers inherit.
+
+    Provisions one catch-word per chip of ``device`` (a DIMM or rank:
+    anything with ``chips`` and ``write_line``), drawn from
+    ``random.Random(seed)``, and gives subclasses the protocol's steps:
+    :meth:`_read_transfers`, :meth:`_serial_mode_read`,
+    :meth:`_rotate_catch_word` and :meth:`_due`.  Each step keeps its
+    ``stats`` entry and its telemetry.  ``stats`` starts with
+    ``stats_keys`` at zero, in that order.
+    """
+
+    def __init__(self, device, seed: int, stats_keys: Sequence[str]) -> None:
+        self._device = device
+        self._rng = random.Random(seed)
+        self.stats: Dict[str, int] = dict.fromkeys(stats_keys, 0)
+        self.registers: List[CatchWordRegister] = []
+        for chip in device.chips:
+            reg = CatchWordRegister(width_bits=chip.regs.catch_word_bits)
+            reg.generate(self._rng)
+            chip.regs.set_catch_word(reg.value)
+            chip.regs.set_xed_enable(True)
+            self.registers.append(reg)
+
+    @property
+    def catch_words(self) -> List[int]:
+        """Catch-word patterns currently programmed in the chips."""
+        return [reg.value for reg in self.registers]
+
+    def write_line(
+        self, bank: int, row: int, column: int, words: Sequence[int]
+    ) -> None:
+        """Write one line of data words; the device fills its check chips."""
+        self.stats["writes"] += 1
+        if OBS.enabled:
+            OBS.registry.counter("controller.writes").inc()
+        self._device.write_line(bank, row, column, list(words))
+
+    def _read_transfers(
+        self, bank: int, row: int, column: int
+    ) -> Tuple[List[int], List[int]]:
+        """Read every chip: the transfers and the chips that sent their
+        catch-word."""
+        self.stats["reads"] += 1
+        transfers = [
+            chip.read(bank, row, column) for chip in self._device.chips
+        ]
+        cw_chips = [
+            i for i, value in enumerate(transfers)
+            if self.registers[i].matches(value)
+        ]
+        self.stats["catch_words_seen"] += len(cw_chips)
+        if OBS.enabled:
+            OBS.registry.counter("controller.reads").inc()
+            if cw_chips:
+                OBS.registry.counter("catch_word_detected").inc(len(cw_chips))
+                for chip_idx in cw_chips:
+                    OBS.trace.record(
+                        events.CatchWordDetected(chip_idx, bank, row, column)
+                    )
+        return transfers, cw_chips
+
+    def _serial_mode_read(self, bank: int, row: int, column: int) -> List[int]:
+        """Clear XED-Enable, re-read corrected data, restore XED-Enable."""
+        self.stats["serial_mode_entries"] += 1
+        if OBS.enabled:
+            OBS.registry.counter("serial_retry").inc()
+            OBS.trace.record(events.SerialRetry(bank, row, column))
+        chips = self._device.chips
+        for chip in chips:
+            chip.regs.set_xed_enable(False)
+        corrected = [chip.read(bank, row, column) for chip in chips]
+        for chip in chips:
+            chip.regs.set_xed_enable(True)
+        return corrected
+
+    def _rotate_catch_word(self, chip_idx: int) -> None:
+        """Log a collision episode and regenerate that chip's catch-word.
+
+        Only an MRS write is needed -- no data scrub -- because a fresh
+        random word restores the full 2^-w per-write collision odds
+        regardless of what data the chip holds (Section V-D3).
+        """
+        self.stats["collisions"] += 1
+        reg = self.registers[chip_idx]
+        reg.record_collision(self._rng)
+        self._device.chips[chip_idx].regs.set_catch_word(reg.value)
+        if OBS.enabled:
+            OBS.registry.counter("catch_word_collision").inc()
+            OBS.registry.counter("catch_word_rotation").inc()
+            log.debug("rotated catch-word of chip %d after collision", chip_idx)
+
+    def _due(self, words: List[int]) -> XedReadResult:
+        """Count a Detected Uncorrectable Error and return its verdict."""
+        self.stats["dues"] += 1
+        if OBS.enabled:
+            OBS.registry.counter("due").inc()
+        return XedReadResult(ReadStatus.DUE, words)
+
+
+class XedController(CatchWordProtocol):
     """Drives an :class:`repro.dram.dimm.XedDimm` with the XED protocol.
 
     Parameters
@@ -55,7 +166,7 @@ class XedController:
     >>> dimm = XedDimm.build(seed=7)
     >>> ctrl = XedController(dimm)
     >>> ctrl.write_line(0, 0, 0, [0xDEAD + i for i in range(8)])
-    >>> dimm.inject_chip_failure(chip=3)
+    >>> _ = dimm.inject_chip_failure(chip=3)
     >>> res = ctrl.read_line(0, 0, 0)
     >>> res.status.value, res.words[3] == 0xDEAD + 3
     ('corrected_erasure', True)
@@ -68,63 +179,14 @@ class XedController:
         fct_capacity: int = 8,
     ) -> None:
         self.dimm = dimm
-        self._rng = random.Random(seed)
-        self.registers: List[CatchWordRegister] = []
         self.fct = FaultyRowChipTracker(capacity=fct_capacity)
-        self.stats: Dict[str, int] = {
-            "reads": 0,
-            "writes": 0,
-            "catch_words_seen": 0,
-            "erasure_corrections": 0,
-            "serial_mode_entries": 0,
-            "diagnoses": 0,
-            "collisions": 0,
-            "catch_word_updates": 0,
-            "dues": 0,
-        }
-        self._provision()
-
-    # -- boot-time provisioning (Section V-A) ------------------------------
-
-    def _provision(self) -> None:
-        """Program XED-Enable and a unique catch-word into every chip."""
-        for chip in self.dimm.chips:
-            reg = CatchWordRegister(width_bits=chip.regs.catch_word_bits)
-            reg.generate(self._rng)
-            chip.regs.set_catch_word(reg.value)
-            chip.regs.set_xed_enable(True)
-            self.registers.append(reg)
-
-    @property
-    def catch_words(self) -> List[int]:
-        """Catch-word patterns currently programmed in the chips."""
-        return [reg.value for reg in self.registers]
-
-    def _rotate_catch_word(self, chip_idx: int) -> None:
-        """Regenerate one chip's catch-word after a collision episode.
-
-        Only an MRS write is needed -- no data scrub -- because a fresh
-        random word restores the full 2^-w per-write collision odds
-        regardless of what data the chip holds (Section V-D3).
-        """
-        reg = self.registers[chip_idx]
-        reg.record_collision(self._rng)
-        self.dimm.chips[chip_idx].regs.set_catch_word(reg.value)
-        self.stats["catch_word_updates"] += 1
-        if OBS.enabled:
-            OBS.registry.counter("catch_word_rotation").inc()
-            log.debug("rotated catch-word of chip %d after collision", chip_idx)
+        super().__init__(dimm, seed, (
+            "reads", "writes", "catch_words_seen", "erasure_corrections",
+            "serial_mode_entries", "diagnoses", "collisions",
+            "catch_word_updates", "dues",
+        ))
 
     # -- writes --------------------------------------------------------------
-
-    def write_line(
-        self, bank: int, row: int, column: int, words: Sequence[int]
-    ) -> None:
-        """Write a cache line (8 x 64-bit words) plus RAID-3 parity."""
-        self.stats["writes"] += 1
-        if OBS.enabled:
-            OBS.registry.counter("controller.writes").inc()
-        self.dimm.write_line(bank, row, column, list(words))
 
     def write_bytes(self, bank: int, row: int, column: int, data: bytes) -> None:
         """Write a 64-byte cache line given as raw bytes."""
@@ -142,21 +204,7 @@ class XedController:
 
     def read_line(self, bank: int, row: int, column: int) -> XedReadResult:
         """Read a cache line, performing whatever correction is needed."""
-        self.stats["reads"] += 1
-        transfers = [chip.read(bank, row, column) for chip in self.dimm.chips]
-        cw_chips = [
-            i for i, value in enumerate(transfers)
-            if self.registers[i].matches(value)
-        ]
-        self.stats["catch_words_seen"] += len(cw_chips)
-        if OBS.enabled:
-            OBS.registry.counter("controller.reads").inc()
-            if cw_chips:
-                OBS.registry.counter("catch_word_detected").inc(len(cw_chips))
-                for chip_idx in cw_chips:
-                    OBS.trace.record(
-                        events.CatchWordDetected(chip_idx, bank, row, column)
-                    )
+        transfers, cw_chips = self._read_transfers(bank, row, column)
         residue = parity_residue(transfers)
 
         # A chip already convicted by the FCT is treated as an erasure on
@@ -203,10 +251,8 @@ class XedController:
         if collision:
             # The data legitimately equals the catch-word: a collision
             # episode.  The value is still correct; rotate the word.
-            self.stats["collisions"] += 1
-            if OBS.enabled:
-                OBS.registry.counter("catch_word_collision").inc()
             self._rotate_catch_word(chip_idx)
+            self.stats["catch_word_updates"] += 1
         return XedReadResult(
             ReadStatus.CORRECTED_ERASURE,
             fixed[:-1],
@@ -216,19 +262,6 @@ class XedController:
         )
 
     # -- multiple catch-words: serial mode (Section VII-B/C) ------------------
-
-    def _serial_mode_read(self, bank: int, row: int, column: int) -> List[int]:
-        """Clear XED-Enable, re-read corrected data, restore XED-Enable."""
-        self.stats["serial_mode_entries"] += 1
-        if OBS.enabled:
-            OBS.registry.counter("serial_retry").inc()
-            OBS.trace.record(events.SerialRetry(bank, row, column))
-        for chip in self.dimm.chips:
-            chip.regs.set_xed_enable(False)
-        corrected = [chip.read(bank, row, column) for chip in self.dimm.chips]
-        for chip in self.dimm.chips:
-            chip.regs.set_xed_enable(True)
-        return corrected
 
     def _multiple_catch_words(
         self, bank: int, row: int, column: int, cw_chips: List[int]
@@ -314,11 +347,9 @@ class XedController:
         return self._record_due(transfers, emit)
 
     def _record_due(self, transfers, emit) -> XedReadResult:
-        self.stats["dues"] += 1
-        if OBS.enabled:
-            OBS.registry.counter("due").inc()
+        result = self._due(transfers[:-1])
         emit(None, None)
-        return XedReadResult(ReadStatus.DUE, transfers[:-1])
+        return result
 
     def _erasure_correct(
         self,

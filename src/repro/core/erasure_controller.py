@@ -7,6 +7,11 @@ faulty chips, the same two symbols become *erasure* correctors and fix
 two chips -- Double-Chipkill reliability on Single-Chipkill hardware,
 with none of the 36-chip activation cost.
 
+The controller speaks the same catch-word protocol as the 9-chip design
+(:class:`repro.core.controller.CatchWordProtocol`: provisioning,
+recognition, the serial-mode re-read, collision rotation and DUE
+accounting); only the decode behind the catch-words differs.
+
 With x4 devices the per-access transfer is 32 bits, so catch-words are
 32-bit and collide roughly every 6.6 hours per chip; collisions are
 harmless (the erasure decode reproduces the stored value) and trigger a
@@ -15,17 +20,16 @@ catch-word rotation exactly as in the 9-chip design.
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.core.catch_word import CatchWordRegister
+from repro.core.controller import CatchWordProtocol
 from repro.core.types import ReadStatus, XedReadResult
 from repro.dram.dimm import ChipkillRank
 from repro.ecc.reed_solomon import RSDecodeFailure
 from repro.obs import OBS, events
 
 
-class XedChipkillController:
+class XedChipkillController(CatchWordProtocol):
     """Drives a :class:`repro.dram.dimm.ChipkillRank` with XED erasures.
 
     Parameters
@@ -41,99 +45,43 @@ class XedChipkillController:
     >>> rank = ChipkillRank(seed=3)
     >>> ctrl = XedChipkillController(rank)
     >>> ctrl.write_line(0, 0, 0, list(range(16)))
-    >>> rank.inject_chip_failure(chip=2)
-    >>> rank.inject_chip_failure(chip=9, seed=1)
+    >>> _ = rank.inject_chip_failure(chip=2)
+    >>> _ = rank.inject_chip_failure(chip=9, seed=1)
     >>> ctrl.read_line(0, 0, 0).words == list(range(16))   # two chips dead
     True
     """
 
     def __init__(self, rank: ChipkillRank, seed: int = 2016) -> None:
         self.rank = rank
-        self._rng = random.Random(seed)
-        self.registers: List[CatchWordRegister] = []
-        self.stats: Dict[str, int] = {
-            "reads": 0,
-            "writes": 0,
-            "catch_words_seen": 0,
-            "erasure_corrections": 0,
-            "error_corrections": 0,
-            "collisions": 0,
-            "serial_mode_entries": 0,
-            "dues": 0,
-        }
-        self._provision()
-
-    def _provision(self) -> None:
-        for chip in self.rank.chips:
-            reg = CatchWordRegister(width_bits=chip.regs.catch_word_bits)
-            reg.generate(self._rng)
-            chip.regs.set_catch_word(reg.value)
-            chip.regs.set_xed_enable(True)
-            self.registers.append(reg)
-
-    @property
-    def catch_words(self) -> List[int]:
-        """Catch-word patterns currently programmed in the chips."""
-        return [reg.value for reg in self.registers]
-
-    # -- writes --------------------------------------------------------------
-
-    def write_line(
-        self, bank: int, row: int, column: int, words: Sequence[int]
-    ) -> None:
-        """Write one line of data symbols; RS check chips filled by the rank."""
-        self.stats["writes"] += 1
-        if OBS.enabled:
-            OBS.registry.counter("controller.writes").inc()
-        self.rank.write_line(bank, row, column, list(words))
-
-    # -- reads ----------------------------------------------------------------
-
-    def _serial_mode_values(self, bank: int, row: int, column: int) -> List[int]:
-        """Re-read with XED disabled so on-die-corrected data comes back."""
-        self.stats["serial_mode_entries"] += 1
-        if OBS.enabled:
-            OBS.registry.counter("serial_retry").inc()
-            OBS.trace.record(events.SerialRetry(bank, row, column))
-        for chip in self.rank.chips:
-            chip.regs.set_xed_enable(False)
-        values = [chip.read(bank, row, column) for chip in self.rank.chips]
-        for chip in self.rank.chips:
-            chip.regs.set_xed_enable(True)
-        return values
+        super().__init__(rank, seed, (
+            "reads", "writes", "catch_words_seen", "erasure_corrections",
+            "error_corrections", "collisions", "serial_mode_entries", "dues",
+        ))
 
     def read_line(self, bank: int, row: int, column: int) -> XedReadResult:
         """Read with catch-word-driven errors-and-erasures decoding."""
-        self.stats["reads"] += 1
-        transfers = [chip.read(bank, row, column) for chip in self.rank.chips]
-        cw_chips = [
-            i for i, value in enumerate(transfers)
-            if self.registers[i].matches(value)
-        ]
-        self.stats["catch_words_seen"] += len(cw_chips)
-        if OBS.enabled:
-            OBS.registry.counter("controller.reads").inc()
-            if cw_chips:
-                OBS.registry.counter("catch_word_detected").inc(len(cw_chips))
-                for chip_idx in cw_chips:
-                    OBS.trace.record(
-                        events.CatchWordDetected(chip_idx, bank, row, column)
-                    )
-
-        if len(cw_chips) > self.rank.check_chips:
+        transfers, cw_chips = self._read_transfers(bank, row, column)
+        serial = len(cw_chips) > self.rank.check_chips
+        if serial:
             # More erasures than check symbols: scaling faults in many
             # chips -- fall back to the serialised on-die-corrected read
             # (Section VII-B logic carried over).
-            corrected = self._serial_mode_values(bank, row, column)
-            result = self._decode(bank, row, column, corrected, erasures=[])
-            result.serial_mode = True
-            result.catch_word_chips = cw_chips
-            return result
-
-        result = self._decode(bank, row, column, transfers, erasures=cw_chips)
+            transfers = self._serial_mode_read(bank, row, column)
+        erasures = [] if serial else cw_chips
+        result = self._decode(bank, row, column, transfers, erasures)
         result.catch_word_chips = cw_chips
+        result.serial_mode = serial
         if result.ok:
-            self._handle_collisions(result, cw_chips)
+            # A data chip whose decoded word is its own catch-word stored
+            # that word: a collision, so rotate it (Section V-D3).
+            for chip_idx in erasures:
+                catch_word = self.registers[chip_idx].value
+                if (
+                    chip_idx < self.rank.data_chips
+                    and result.words[chip_idx] == catch_word
+                ):
+                    result.collision = True
+                    self._rotate_catch_word(chip_idx)
         return result
 
     def _decode(
@@ -155,10 +103,7 @@ class XedChipkillController:
             try:
                 decoded = self.rank.rs.decode(received, erasures=erasures)
             except RSDecodeFailure:
-                self.stats["dues"] += 1
-                if OBS.enabled:
-                    OBS.registry.counter("due").inc()
-                return XedReadResult(ReadStatus.DUE, out_words)
+                return self._due(out_words)
             corrected_any |= decoded.detected
             for i in range(self.rank.data_chips):
                 out_words[i] |= decoded.data[i] << (8 * beat)
@@ -181,20 +126,3 @@ class XedChipkillController:
         else:
             status = ReadStatus.CLEAN
         return XedReadResult(status, out_words)
-
-    def _handle_collisions(
-        self, result: XedReadResult, cw_chips: Sequence[int]
-    ) -> None:
-        """Rotate catch-words whose reconstruction equals the word itself."""
-        for chip_idx in cw_chips:
-            if chip_idx >= self.rank.data_chips:
-                continue
-            if result.words[chip_idx] == self.registers[chip_idx].value:
-                result.collision = True
-                self.stats["collisions"] += 1
-                if OBS.enabled:
-                    OBS.registry.counter("catch_word_collision").inc()
-                    OBS.registry.counter("catch_word_rotation").inc()
-                reg = self.registers[chip_idx]
-                reg.record_collision(self._rng)
-                self.rank.chips[chip_idx].regs.set_catch_word(reg.value)

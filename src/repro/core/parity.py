@@ -11,13 +11,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-
-def xor_parity(words: Sequence[int]) -> int:
-    """Parity = D0 xor D1 xor ... xor D7 (Equation 1)."""
-    parity = 0
-    for w in words:
-        parity ^= w
-    return parity
+# Equation 1 lives with the DIMM that stores it; re-exported here.
+from repro.dram.dimm import xor_parity
 
 
 def verify_parity(data_words: Sequence[int], parity: int) -> bool:

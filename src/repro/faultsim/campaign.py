@@ -333,8 +333,6 @@ def _run_campaign(
         reporter.update(shards[i][1])
         if OBS.enabled:
             OBS.registry.counter("campaign.trials_done").inc(shards[i][1])
-            if OBS.sampler is not None:
-                OBS.sampler.maybe_sample()
 
     started = perf_counter()
     with span(f"campaign.{kind}_s"):

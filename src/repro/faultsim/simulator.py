@@ -521,8 +521,6 @@ def simulate(
         reporter.update(count)
         if OBS.enabled:
             OBS.registry.counter("faultsim.systems_done").inc(count)
-            if OBS.sampler is not None:
-                OBS.sampler.maybe_sample()
 
     try:
         with span(

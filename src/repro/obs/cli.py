@@ -42,21 +42,26 @@ __all__ = [
 
 def add_obs_parser(
     subparsers: argparse._SubParsersAction,
+    obs_flags: argparse.ArgumentParser,
 ) -> argparse.ArgumentParser:
     """Attach the ``obs`` sub-command group to the main CLI parser.
 
     Each of its sub-commands sets ``handler``, the function that runs
-    it, as every ``repro`` sub-command does.
+    it, as every ``repro`` sub-command does.  ``obs`` and each of its
+    sub-commands take ``obs_flags``, the observability flags every
+    ``repro`` sub-command accepts.
     """
     obs = subparsers.add_parser(
         "obs",
+        parents=[obs_flags],
         allow_abbrev=False,
         help="analyse exported traces, metrics and checkpoints",
     )
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
 
     summarize = obs_sub.add_parser(
-        "summarize", help="summarise an exported trace (and metrics)"
+        "summarize", parents=[obs_flags],
+        help="summarise an exported trace (and metrics)",
     )
     summarize.set_defaults(handler=_cmd_summarize)
     summarize.add_argument(
@@ -73,13 +78,15 @@ def add_obs_parser(
     )
 
     inspect = obs_sub.add_parser(
-        "inspect", help="show a checkpoint's fingerprint and completeness"
+        "inspect", parents=[obs_flags],
+        help="show a checkpoint's fingerprint and completeness",
     )
     inspect.set_defaults(handler=_cmd_inspect)
     inspect.add_argument("checkpoint", help="a .ckpt file")
 
     diff = obs_sub.add_parser(
-        "diff", help="compare two runs' --metrics-out documents"
+        "diff", parents=[obs_flags],
+        help="compare two runs' --metrics-out documents",
     )
     diff.set_defaults(handler=_cmd_diff)
     diff.add_argument("baseline", help="baseline metrics JSON")

@@ -57,7 +57,7 @@ class Observability:
         self.registry = MetricsRegistry()
         self.trace = EventTrace()
         #: Optional time-series sampler (installed by the CLI for
-        #: ``--timeseries-out``; engines call ``maybe_sample`` on it).
+        #: ``--timeseries-out``; the executor calls ``maybe_sample`` on it).
         self.sampler: Optional["TelemetrySampler"] = None
 
     def enable(self, trace_capacity: Optional[int] = None) -> None:

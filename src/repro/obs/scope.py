@@ -10,9 +10,10 @@ stopped).
 
 :class:`TelemetryScope` gives one job its own registry and trace by
 swapping fresh instances into ``OBS`` for the duration of a ``with``
-block and restoring the previous state afterwards -- the same
-save/swap/restore discipline :func:`repro.runtime.executor`'s shard
-capture uses, lifted to job granularity.  The scope keeps references
+block and restoring the previous state afterwards.  It is the one
+save/swap/restore in the package: the service scopes each job, the
+executor each shard attempt (whose delta it returns with the shard's
+result) and the test suite each test.  The scope keeps references
 to its registry and trace, so the job's telemetry remains readable
 (status endpoints, exports) after the block exits:
 

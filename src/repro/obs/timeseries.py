@@ -17,9 +17,9 @@ Samples accumulate in memory (bounded) and export as JSON lines --
 object per line, ready for any log pipeline or a quick pandas load.
 
 The clock is injectable, so tests drive the sampler deterministically
-with a fake clock; sampling is synchronous (engines call
-:meth:`maybe_sample` from their shard-completion callbacks) because the
-hot paths cannot afford a background thread.
+with a fake clock; sampling is synchronous (the executor calls
+:meth:`maybe_sample` after every completed shard of every sharded run)
+because the hot paths cannot afford a background thread.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class TelemetrySampler:
     """Rate-limited snapshots of counters, gauges, rates and quantiles.
 
     One sampler serves one run: the CLI installs it on ``OBS.sampler``
-    and the engines call :meth:`maybe_sample` whenever a shard
+    and the executor calls :meth:`maybe_sample` whenever a shard
     completes; callers that want a guaranteed final data point (end of
     run) pass ``force=True``.  All time sources are injectable --
     ``clock`` (monotonic, drives rate-limiting and rate denominators)

@@ -61,9 +61,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.obs import OBS, events
-from repro.obs.events import EventTrace
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import OBS, TelemetryScope, events
 from repro.obs.tracing import TraceContext, current_context, shard_span
 from repro.runtime.chaos import ChaosCrash, ChaosHang, ChaosPolicy
 from repro.runtime.checkpoint import (
@@ -286,25 +284,20 @@ def _run_shard_captured(
     """Run one shard, capturing its obs delta in isolation.
 
     Both execution paths run every attempt through here (pool workers
-    via :func:`_resilient_worker`): the shard runs against a fresh
-    registry/trace and returns its delta, so (a) checkpoints carry
-    exactly this shard's telemetry and (b) a failed attempt's partial
-    metrics are discarded rather than double-counted on retry -- the
-    same all-or-nothing semantics as a crashed worker process.  The
-    shard's :func:`~repro.obs.tracing.shard_span` opens inside the
-    captured delta so only successful attempts contribute spans.
+    via :func:`_resilient_worker`): the shard runs in its own
+    :class:`~repro.obs.TelemetryScope` and returns that delta, so (a)
+    checkpoints carry exactly this shard's telemetry and (b) a failed
+    attempt's partial metrics are discarded rather than double-counted
+    on retry -- the same all-or-nothing semantics as a crashed worker
+    process.  The shard's :func:`~repro.obs.tracing.shard_span` opens
+    inside the scope so only successful attempts contribute spans.
     """
     if not OBS.enabled:
         return shard_fn(*args), None, None
-    saved_registry, saved_trace = OBS.registry, OBS.trace
-    OBS.registry = MetricsRegistry()
-    OBS.trace = EventTrace(capacity=saved_trace.capacity)
-    try:
+    with TelemetryScope(trace_capacity=OBS.trace.capacity) as scope:
         with shard_span(ctx, index, attempt=attempt):
             result = shard_fn(*args)
-        return result, OBS.registry.state(), OBS.trace.to_records()
-    finally:
-        OBS.registry, OBS.trace = saved_registry, saved_trace
+    return result, scope.registry.state(), scope.trace.to_records()
 
 
 def _resilient_worker(
@@ -519,6 +512,10 @@ class _RunBooks:
         self.outcome.completed_shards = len(self.results)
         if self.on_shard_done is not None:
             self.on_shard_done(index)
+        # One time-series tick per completed shard, after the engine's
+        # callback has counted the shard's work.
+        if OBS.enabled and OBS.sampler is not None:
+            OBS.sampler.maybe_sample()
         if self.policy.on_shard_complete is not None:
             self.policy.on_shard_complete(
                 index, len(self.results), self.outcome.total_shards

@@ -11,6 +11,20 @@ from repro.dram import XedDimm
 from repro.ecc import CRC8ATMCode, HammingSECDED, ReedSolomonCode
 from repro.ecc.miscorrection import MiscorrectionProfile
 from repro.ecc.secded import DecodeOutcome
+from repro.obs import TelemetryScope
+
+
+@pytest.fixture(autouse=True)
+def _isolated_telemetry():
+    """Run every test in its own telemetry scope, observability off.
+
+    The scope restores the process-wide switchboard (enabled flags,
+    registry, trace, sampler) when the test ends, so no test's
+    observability state reaches a later one; a test or per-file
+    fixture only sets up what it needs, e.g. ``OBS.enable()``.
+    """
+    with TelemetryScope(enabled=False):
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,8 @@ The contracts encoded here follow the paper precisely:
   ~0.8% on-die-miss beats, which must surface as DUE, never silence.
 """
 
+import hashlib
+
 import pytest
 
 from repro.faultsim.campaign import (
@@ -73,3 +75,20 @@ class TestChipkillCampaign:
         result = run_chipkill_campaign(trials=20, faulty_chips=3, seed=10)
         assert result.sdc_count == 0
         assert result.counts[Outcome.DUE] > 0
+
+
+class TestPinnedSummaries:
+    """The campaigns ``repro campaign --kind xed|chipkill --trials 40``
+    runs, pinned to the sha256 of the summary the command prints: the
+    controllers' decisions, draw order and tallies must not move."""
+
+    @pytest.mark.parametrize("run, digest", [
+        (run_xed_campaign,
+         "4ee5666b7aac061fbff86c33259e1394ac182e5fa0a85be771dea6bfb83f4ccd"),
+        (run_chipkill_campaign,
+         "91e6b6f45efa1dccc5a37428efc496bcf3809fd5c8510270bbcbd11bc6f940fd"),
+    ], ids=["xed", "chipkill"])
+    def test_cli_trials_40_summary(self, run, digest):
+        result = run(trials=40, faulty_chips=1, seed=2016)
+        stdout = result.format_summary() + "\n"
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest

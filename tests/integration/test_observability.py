@@ -19,11 +19,7 @@ from repro.obs import OBS
 
 @pytest.fixture(autouse=True)
 def _obs_enabled():
-    OBS.reset()
     OBS.enable()
-    yield
-    OBS.disable()
-    OBS.reset()
 
 
 def counters():

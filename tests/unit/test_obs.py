@@ -26,19 +26,6 @@ from repro.obs import (
 )
 
 
-@pytest.fixture(autouse=True)
-def _clean_obs():
-    """Leave the global switchboard untouched by each test."""
-    was_enabled = OBS.enabled
-    capacity = OBS.trace.capacity
-    yield
-    OBS.enabled = was_enabled
-    OBS.progress_enabled = False
-    if OBS.trace.capacity != capacity:
-        OBS.trace = EventTrace(capacity=capacity)
-    OBS.reset()
-
-
 class TestCounter:
     def test_inc_and_reset(self):
         c = Counter("x")

@@ -10,8 +10,6 @@ a RuntimePolicy resumes to the identical payload.
 
 import json
 
-import pytest
-
 from repro.obs import OBS, span_records
 from repro.perfsim.runner import run_suite
 from repro.perfsim.workloads import workload_by_name
@@ -19,15 +17,6 @@ from repro.perfsim.workloads import workload_by_name
 SCHEMES = ["ecc_dimm", "xed"]
 WORKLOAD_NAMES = ["mcf", "libquantum"]
 INSTRUCTIONS = 3000
-
-
-@pytest.fixture(autouse=True)
-def _clean_obs():
-    was_enabled = OBS.enabled
-    yield
-    OBS.enabled = was_enabled
-    OBS.progress_enabled = False
-    OBS.reset()
 
 
 def _grid_payload(grid):

@@ -136,13 +136,9 @@ def _two_pass_line(body):
 
 @pytest.fixture
 def obs_enabled():
-    """Enable observability for a test and reset it afterwards."""
-    OBS.reset()
+    """Enable observability for a test."""
     OBS.enable()
-    OBS.progress_enabled = False
-    yield OBS
-    OBS.reset()
-    OBS.disable()
+    return OBS
 
 
 class TestCheckpointFile:

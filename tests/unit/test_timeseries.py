@@ -16,14 +16,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import MAX_SAMPLES
 
 
-@pytest.fixture(autouse=True)
-def _clean_obs():
-    was_enabled = OBS.enabled
-    yield
-    OBS.enabled = was_enabled
-    OBS.reset()
-
-
 class FakeClock:
     """A monotonic clock advanced explicitly by the test."""
 
@@ -217,7 +209,7 @@ class TestGlobalWiring:
 
 
 class TestEngineWiring:
-    """simulate()/campaigns drive an installed sampler to completion."""
+    """Every sharded run drives an installed sampler to completion."""
 
     def test_simulate_feeds_installed_sampler(self):
         from repro.faultsim import MonteCarloConfig, XedScheme, simulate
@@ -249,3 +241,21 @@ class TestEngineWiring:
         samples = OBS.sampler.samples
         assert samples
         assert samples[-1]["counters"]["campaign.trials_done"] == 8
+
+    def test_perf_grid_samples_once_per_shard(self):
+        from repro.perfsim.runner import run_suite
+        from repro.perfsim.workloads import WORKLOADS
+
+        OBS.reset()
+        OBS.enable()
+        OBS.sampler = TelemetrySampler(
+            interval_s=0.0, wall=lambda: 0.0, rss_fn=lambda: 1
+        )
+        workloads = [w for w in WORKLOADS if w.name in ("mcf", "lbm")]
+        run_suite(
+            ("ecc_dimm", "chipkill"), workloads=workloads,
+            instructions_per_core=2000,
+        )
+        # Two workloads x two machines: the executor ticks once per
+        # completed shard, and run_suite forces no final sample.
+        assert len(OBS.sampler.samples) == 4

@@ -11,8 +11,6 @@ trace-event export.
 
 import json
 
-import pytest
-
 from repro.obs import (
     OBS,
     EventTrace,
@@ -25,15 +23,6 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.obs.events import read_jsonl
-
-
-@pytest.fixture(autouse=True)
-def _clean_obs():
-    was_enabled = OBS.enabled
-    yield
-    OBS.enabled = was_enabled
-    OBS.progress_enabled = False
-    OBS.reset()
 
 
 def _spans():
