@@ -45,8 +45,9 @@ fault-tolerance flags ``--checkpoint DIR``, ``--resume DIR``,
 ``--shard-timeout S``, ``--max-retries N``, ``--keep-going`` and the
 developer flag ``--chaos SPEC``.  ``coordinate`` takes only
 ``--checkpoint``, ``--resume``, ``--max-retries`` and ``--keep-going``:
-its shards run in ``repro work`` processes, which take their own
-``--shard-timeout`` and ``--chaos`` (see docs/robustness.md).
+its shards run once each in ``repro work`` processes, which take their
+own ``--chaos``; the coordinator's ``--lease-timeout`` bounds a hung
+shard (see docs/robustness.md).
 
 Exit codes (stable contract, asserted by the test suite):
 
@@ -234,7 +235,7 @@ def _add_recovery_flags(
 def _add_injection_flags(group: argparse._ArgumentGroup) -> None:
     """Attach ``--shard-timeout`` and ``--chaos`` to a fault-tolerance
     group.  A coordinated run's shards run in ``repro work``, which
-    declares its own pair."""
+    declares its own ``--chaos``."""
     group.add_argument(
         "--shard-timeout", type=_bounded("shard timeout", 0, float),
         default=None, metavar="S",
@@ -544,14 +545,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a repro coordinate run: lease shards, simulate, "
              "stream digest-verified results back",
         description="Serve a repro coordinate run.  Each leased shard "
-                    "runs once; its record (result plus that shard's "
-                    "metrics and trace) streams back as it completes, "
-                    "and a failed shard is reported to the coordinator, "
-                    "whose --max-retries is the only retry budget.  "
-                    "SIGINT/SIGTERM sends the finished shards' records, "
-                    "asks for no further lease and exits 130.  A failed "
-                    "handshake (a refused hello or job, no job within "
-                    "--connect-timeout) exits 2.",
+                    "runs once, in this process; its record (result "
+                    "plus that shard's metrics and trace) streams back "
+                    "as it completes, and a failed shard is reported to "
+                    "the coordinator, whose --max-retries is the only "
+                    "retry budget and whose --lease-timeout reclaims a "
+                    "hung shard.  Run one worker per core.  "
+                    "SIGINT/SIGTERM lets the running shard send its "
+                    "record, asks for no further lease and exits 130.  "
+                    "A failed handshake (a refused hello or job, no job "
+                    "within --connect-timeout) exits 2.",
     )
     work.add_argument(
         "--coordinator", type=_host_port, required=True,
@@ -559,18 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="address of the repro coordinate process to serve",
     )
     work.add_argument(
-        "--workers", type=_bounded("workers", 1), default=1, metavar="N",
-        help="local worker processes per lease (default 1)",
-    )
-    work.add_argument(
         "--worker-id", default=None, metavar="NAME",
         help="name reported to the coordinator (default worker-<pid>)",
-    )
-    work.add_argument(
-        "--shard-timeout", type=_bounded("shard timeout", 0, float),
-        default=None, metavar="S",
-        help="with --workers > 1, kill a pool process whose shard is "
-             "still running after S seconds and report the shard failed",
     )
     work.add_argument(
         "--connect-timeout", type=_bounded("connect timeout", 0, float),
@@ -854,15 +847,11 @@ def _cmd_coordinate(args: argparse.Namespace) -> int:
 def _cmd_work(args: argparse.Namespace) -> int:
     from repro.runtime.distributed import run_worker
 
-    host, port = args.coordinator
     try:
         summary = run_worker(
-            host,
-            port,
+            *args.coordinator,
             worker_id=args.worker_id,
-            workers=args.workers,
             chaos=args.chaos,
-            shard_timeout_s=args.shard_timeout,
             connect_timeout_s=args.connect_timeout,
         )
     except ConnectionError as exc:

@@ -334,7 +334,6 @@ def evaluate_shard(
     such as a user-defined subclass.  Systems are materialised from the
     sampled shard itself, so the draw stream is shared verbatim.
     """
-    indices: List[int] = []
     times: List[float] = []
     kinds: List[FailureKind] = []
     for system in sampler.materialise_shard(shard):
@@ -342,10 +341,9 @@ def evaluate_shard(
             system.faults, system_rng(experiment_seed, system.index)
         )
         if outcome is not None:
-            indices.append(system.index)
             times.append(outcome.time_hours)
             kinds.append(outcome.kind)
-    return ShardAdjudication(indices, times, kinds)
+    return ShardAdjudication(times, kinds)
 
 
 def _simulate_shard(

@@ -429,7 +429,6 @@ class FaultShard:
 class ShardAdjudication:
     """Failed systems of one shard, in global-system-index order."""
 
-    system_indices: List[int]
     failure_times: List[float]
     kinds: List[FailureKind]
 
@@ -751,8 +750,8 @@ def adjudicate_shard(
 ) -> ShardAdjudication:
     """Classify every system of ``shard`` under ``scheme`` in batch.
 
-    Returns the failed systems -- global indices, first-failure times
-    and DUE/SDC kinds -- in system order, bit-identical to running
+    Returns the failed systems' first-failure times and DUE/SDC kinds
+    in global-system-index order, bit-identical to running
     ``scheme.evaluate`` over the materialisation of the same shard.
     Raises :class:`UnsupportedSchemeError` for scheme types without a
     registered kernel (see :func:`has_kernel`).
@@ -782,9 +781,6 @@ def adjudicate_shard(
         kinds, times = kernel(scheme, shard, vis, experiment_seed)
     failed = np.nonzero(kinds != _KIND_NONE)[0]
     return ShardAdjudication(
-        system_indices=[
-            shard.start_index + s for s in shard.selected[failed].tolist()
-        ],
         failure_times=times[failed].tolist(),
         kinds=[_KIND_OF_CODE[k] for k in kinds[failed].tolist()],
     )

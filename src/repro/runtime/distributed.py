@@ -5,10 +5,11 @@ populations; one machine cannot hold that.  This module scales the
 resilient executor *out*: a **coordinator** owns the deterministic
 shard plan of one experiment and leases index ranges to any number of
 **workers** over the length-prefixed JSON protocol of
-:mod:`repro.runtime.protocol`; each worker runs every leased shard
-once through the executor and streams back each shard's record as a
-local checkpoint would hold it: the payload plus that shard's own
-metrics and trace.
+:mod:`repro.runtime.protocol`.  A worker is a plain lease taker: it
+runs every leased shard once, in its own process, through the
+executor's per-shard capture, and streams back each shard's record as
+a local checkpoint would hold it: the payload plus that shard's own
+metrics and trace.  A host uses N cores by running N workers.
 
 The run keeps one set of books, the executor's: the coordinator
 completes, checkpoints, charges and finishes shards through the same
@@ -36,13 +37,15 @@ inherits every guarantee the single-machine runtime already proves:
   charge expired, failed and orphaned shards, so retries, quarantine
   and counters match a local run, and the coordinator's
   ``--max-retries`` is the whole budget (a worker never retries).
-  Worker disconnects requeue their outstanding shards, a failure
-  reported after its lease expired is not charged twice, the run ends
-  only once every granted lease is closed, and SIGINT/SIGTERM drains
-  to a resumable checkpoint exactly like the in-process executor
+  The lease deadline is the one bound on a hung shard.  Worker
+  disconnects requeue their outstanding shards, only the connection
+  holding a lease may report on it, a failure reported after its
+  lease expired is not charged twice, the run ends only once every
+  granted lease is closed, and SIGINT/SIGTERM drains to a resumable
+  checkpoint exactly like the in-process executor
   (``repro coordinate --resume``).  A worker stopped the same way
-  sends the records its lease finished and exits 130; the coordinator
-  requeues the rest as a dropped connection's.
+  lets its running shard finish and send its record, then exits 130;
+  the coordinator requeues the rest as a dropped connection's.
 * **Identity.**  The job handshake ships the coordinator's one-scheme
   :class:`~repro.runtime.spec.ExperimentSpec` and its
   :class:`~repro.runtime.checkpoint.RunFingerprint`; each worker parses
@@ -57,6 +60,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import socket
 import struct
@@ -80,8 +84,8 @@ from repro.runtime.executor import (
     RunOutcome,
     RuntimePolicy,
     ShardFailure,
-    _ResilientRun,
     _RunBooks,
+    _run_shard_captured,
     _SignalGuard,
 )
 from repro.runtime.protocol import (
@@ -137,15 +141,12 @@ def _run_fingerprint(spec: ExperimentSpec) -> RunFingerprint:
     return spec.run_fingerprints()[0]
 
 
+@dataclass(eq=False)
 class _Connection:
     """Coordinator-side state of one worker connection."""
 
-    __slots__ = ("name", "writer", "leases")
-
-    def __init__(self, name: str, writer: asyncio.StreamWriter) -> None:
-        self.name = name
-        self.writer = writer
-        self.leases: set = set()
+    name: str
+    writer: asyncio.StreamWriter
 
 
 class Coordinator:
@@ -186,8 +187,11 @@ class Coordinator:
             kind=self.fingerprint.kind, total_shards=spec.num_shards()
         )
         self._books: Optional[_RunBooks] = None
-        #: Granted leases not yet closed, with wall/perf start times.
-        self._open: Dict[int, Tuple[ShardLease, float, float]] = {}
+        #: Granted leases not yet closed: each lease, the connection
+        #: holding it and its wall/perf start times.
+        self._open: Dict[
+            int, Tuple[ShardLease, _Connection, float, float]
+        ] = {}
         self._connections: List[_Connection] = []
         self._finished: Optional[asyncio.Event] = None
         self._abort: Optional[ShardFailure] = None
@@ -259,7 +263,7 @@ class Coordinator:
         books = self._books
         while True:
             now = time.monotonic()
-            for lease, _, _ in list(self._open.values()):
+            for lease, _, _, _ in list(self._open.values()):
                 if lease.deadline <= now:
                     self._expire_lease(lease, "timeout")
             if self._abort is not None:
@@ -348,7 +352,7 @@ class Coordinator:
         if mtype == "shard_failed":
             # An expired lease's shards were charged at expiry.
             lease_id, index = message.get("lease_id"), message.get("index")
-            if isinstance(lease_id, int) and index in (
+            if self._holds(conn, lease_id) and index in (
                 self._books.book.outstanding(lease_id)
             ):
                 self._charge(index, str(message.get("reason", "fault")))
@@ -376,8 +380,9 @@ class Coordinator:
                 {"type": "wait", "delay_s": max(_TICK_S, delay or _TICK_S)},
             )
             return True
-        conn.leases.add(lease.lease_id)
-        self._open[lease.lease_id] = (lease, wall_time(), perf_counter())
+        self._open[lease.lease_id] = (
+            lease, conn, wall_time(), perf_counter()
+        )
         if OBS.enabled:
             OBS.registry.counter("runtime.leases_granted").inc()
             OBS.trace.record(
@@ -443,20 +448,27 @@ class Coordinator:
                 shard.index, conn.name,
             )
 
+    def _holds(self, conn: _Connection, lease_id: object) -> bool:
+        """Whether ``conn`` holds the open lease ``lease_id``.
+
+        Only the holder may report on a lease; an expired lease is no
+        longer open, so its holder's late report is ignored too.
+        """
+        held = isinstance(lease_id, int) and lease_id in self._open
+        return held and self._open[lease_id][1] is conn
+
     def _lease_done(self, conn: _Connection, message: Dict[str, object]) -> None:
         """Close out a lease; charge whatever it left unaccounted for."""
         lease_id = message.get("lease_id")
-        if not isinstance(lease_id, int):
+        if not self._holds(conn, lease_id):
             return
-        conn.leases.discard(lease_id)
         outstanding = self._books.book.release(lease_id)
         for index in outstanding:
             # The worker closed the lease without accounting for these
             # (e.g. its result frame was rejected): treat as faults.
             self._charge(index, "fault")
-        opened = self._open.get(lease_id)
-        if opened is not None and OBS.enabled:
-            lease = opened[0]
+        if OBS.enabled:
+            lease = self._open[lease_id][0]
             OBS.trace.record(
                 events.LeaseCompleted(lease_id, conn.name, len(lease.shards))
             )
@@ -467,7 +479,7 @@ class Coordinator:
         opened = self._open.pop(lease_id, None)
         if opened is None or self._ctx is None or not OBS.enabled:
             return
-        _, start_wall, start_perf = opened
+        _, _, start_wall, start_perf = opened
         OBS.trace.record(
             SpanClosed(
                 name="runtime.lease",
@@ -507,11 +519,9 @@ class Coordinator:
             self._connections.remove(conn)
         if OBS.enabled:
             OBS.registry.counter("runtime.workers_disconnected").inc()
-        for lease_id in sorted(conn.leases):
-            opened = self._open.get(lease_id)
-            if opened is not None:
-                self._expire_lease(opened[0], "crash")
-        conn.leases.clear()
+        for lease, owner, _, _ in list(self._open.values()):
+            if owner is conn:
+                self._expire_lease(lease, "crash")
         self._close_connection(conn)
 
     def _close_connection(self, conn: _Connection) -> None:
@@ -577,28 +587,28 @@ def run_worker(
     host: str,
     port: int,
     worker_id: Optional[str] = None,
-    workers: int = 1,
     chaos: Optional[ChaosPolicy] = None,
-    shard_timeout_s: Optional[float] = None,
     connect_timeout_s: float = 30.0,
 ) -> WorkerSummary:
     """Serve one coordinator until drained; returns a summary.
 
     The worker dials ``host:port``, verifies the job fingerprint
     against its own build, then loops lease -> execute -> stream
-    results.  Each leased shard runs once through the executor on
-    ``workers`` local processes (``shard_timeout_s`` reclaims a hung
-    one); the coordinator's retry budget is the only one.  A completed
-    shard's record -- its payload plus that shard's own metrics and
-    trace, exactly as a local checkpoint holds it -- crosses the wire
-    as soon as the shard completes, and a failed shard is reported
-    after the lease's single pass, before its ``lease_done``.
+    results.  It is a plain lease taker: each leased shard runs once,
+    in this process, and the coordinator's books decide every retry,
+    timeout and quarantine (its ``--lease-timeout`` reclaims a hung
+    shard).  A completed shard's record -- its payload plus that
+    shard's own metrics and trace, exactly as a local checkpoint holds
+    it -- crosses the wire as soon as the shard completes, and a failed
+    shard is reported after the lease's single pass, before its
+    ``lease_done``.  A host uses N cores by running N workers.
 
     The first SIGINT/SIGTERM (in the main thread) drains: the running
-    lease sends the records of the shards it finished, no further lease
-    is requested, the connection closes (so the coordinator requeues
-    the rest as a dropped connection's) and :class:`RunInterrupted` is
-    raised.
+    shard finishes and sends its record, the lease stops there, no
+    further lease is requested, the connection closes (so the
+    coordinator requeues the rest as a dropped connection's) and
+    :class:`RunInterrupted` is raised.  A second signal aborts with
+    ``KeyboardInterrupt``.
 
     ``chaos`` applies the *network* verbs at the protocol layer, keyed
     by the campaign-global shard index and the lease's attempt number:
@@ -609,8 +619,8 @@ def run_worker(
     and ``duplicate`` sends the frame twice.  Severed connections are
     re-dialled, so one worker survives its own chaos -- exactly what
     the recovery tests need.  Only a connection lost after the
-    handshake is re-dialled: a failed handshake raises
-    :class:`HandshakeError`.
+    handshake, or a frame that breaks the protocol, is re-dialled: a
+    failed handshake raises :class:`HandshakeError`.
     """
     summary = WorkerSummary(worker=worker_id or f"worker-{os.getpid()}")
     stop: List[str] = []
@@ -629,15 +639,9 @@ def run_worker(
                 summary.reconnects += 1
             first_connect = False
             try:
-                job = _handshake(sock, summary.worker, f"{host}:{port}")
-                if job is not None:
-                    _serve_connection(
-                        sock, *job, summary,
-                        workers=workers,
-                        chaos=chaos,
-                        shard_timeout_s=shard_timeout_s,
-                        stop=stop,
-                    )
+                spec = _handshake(sock, summary.worker, f"{host}:{port}")
+                if spec is not None:
+                    _serve_connection(sock, spec, summary, chaos, stop)
             except _SeverConnection:
                 _abort_socket(sock)
                 continue
@@ -668,15 +672,15 @@ def _abort_socket(sock: socket.socket) -> None:
 
 def _handshake(
     sock: socket.socket, worker: str, coordinator: str
-) -> Optional[Tuple[ExperimentSpec, RunFingerprint]]:
+) -> Optional[ExperimentSpec]:
     """Say hello and accept the coordinator's job; ``None`` if it drains.
 
-    Returns the job's spec and this build's run fingerprint of it.  Any
-    other end before the job is accepted raises :class:`HandshakeError`
-    naming both sides: an ``error`` frame, a reply that is not a
-    ``job`` or does not decode, no reply within the socket's timeout, a
-    spec :meth:`ExperimentSpec.from_dict` rejects, or a run fingerprint
-    that differs from this build's.  The worker answers all but the
+    Returns the job's spec.  Any other end before the job is accepted
+    raises :class:`HandshakeError` naming both sides: an ``error``
+    frame, a reply that is not a ``job`` or does not decode, no reply
+    within the socket's timeout, a spec
+    :meth:`ExperimentSpec.from_dict` rejects, or a run fingerprint that
+    differs from this build's.  The worker answers all but the
     ``error`` frame with an ``error`` frame where the socket still
     allows one.  A reset connection is left to the caller's re-dial.
     """
@@ -703,10 +707,8 @@ def _handshake(
     )
 
 
-def _accept_job(
-    job: Dict[str, object]
-) -> Tuple[ExperimentSpec, RunFingerprint]:
-    """The spec of a ``job`` frame and this build's fingerprint of it.
+def _accept_job(job: Dict[str, object]) -> ExperimentSpec:
+    """The spec of a ``job`` frame whose fingerprint matches this build's.
 
     The spec goes through the constructor the HTTP API uses; its
     execution-only ``workers`` and ``chaos`` are ignored, as the
@@ -729,25 +731,23 @@ def _accept_job(
     if job.get("obs"):
         # Shards capture telemetry only while OBS is on.
         OBS.enabled = True
-    return spec, mine
+    return spec
 
 
 def _serve_connection(
     sock: socket.socket,
     spec: ExperimentSpec,
-    fingerprint: RunFingerprint,
     summary: WorkerSummary,
-    workers: int,
     chaos: Optional[ChaosPolicy],
-    shard_timeout_s: Optional[float],
     stop: List[str],
 ) -> None:
     """The lease loop over one connection past its handshake.
 
     Returns when the coordinator drains us; raises
     :class:`RunInterrupted` before asking for a lease once ``stop``
-    holds a signal name, and :class:`_SeverConnection` when chaos
-    requires severing.
+    holds a signal name, :class:`ProtocolError` for a malformed
+    ``wait`` or ``lease`` frame, and :class:`_SeverConnection` when
+    chaos requires severing.
     """
     from repro.faultsim.simulator import _shard_plan
 
@@ -767,77 +767,112 @@ def _serve_connection(
             return
         mtype = message.get("type")
         if mtype == "wait":
-            time.sleep(min(1.0, float(message.get("delay_s", _TICK_S))))
+            delay = message.get("delay_s")
+            if type(delay) not in (int, float) or not 0 <= delay < math.inf:
+                raise ProtocolError(f"malformed wait delay {delay!r}")
+            time.sleep(min(1.0, delay))
             continue
         if mtype != "lease":
             raise ProtocolError(f"expected lease/wait/drain, got {mtype!r}")
         summary.leases += 1
-        _execute_lease(
-            sock, message, plan, fingerprint, summary,
-            workers=workers,
-            chaos=chaos,
-            shard_timeout_s=shard_timeout_s,
-            stop=stop,
+        _execute_lease(sock, message, plan, summary, chaos, stop)
+
+
+def _ints(value: object, low: int, high: float) -> bool:
+    """Whether a decoded JSON value is a list of ints in ``[low, high)``."""
+    return isinstance(value, list) and all(
+        type(item) is int and low <= item < high for item in value
+    )
+
+
+def _parse_lease(
+    lease: Dict[str, object], total: int
+) -> Tuple[int, List[int], List[int], Optional[TraceContext]]:
+    """A ``lease`` frame's id, shard indices, attempts and trace parent.
+
+    Raises :class:`ProtocolError` unless ``lease_id`` is an int,
+    ``shards`` a list of indices into the ``total``-shard plan,
+    ``attempts`` one positive int per shard and ``trace``, when sent,
+    a trace id and a span id.
+    """
+    lease_id, shards, attempts, trace = (
+        lease.get(key) for key in ("lease_id", "shards", "attempts", "trace")
+    )
+    if not (
+        type(lease_id) is int
+        and _ints(shards, 0, total)
+        and _ints(attempts, 1, math.inf)
+        and len(attempts) == len(shards)
+        and (trace is None or isinstance(trace, dict) and all(
+            isinstance(trace.get(key), str) for key in ("trace_id", "span_id")
+        ))
+    ):
+        raise ProtocolError(
+            f"malformed lease for a {total}-shard plan: {lease!r}"
         )
+    ctx = TraceContext(trace["trace_id"], trace["span_id"]) if trace else None
+    return lease_id, shards, attempts, ctx
 
 
 def _execute_lease(
     sock: socket.socket,
     lease: Dict[str, object],
     plan: List[tuple],
-    fingerprint: RunFingerprint,
     summary: WorkerSummary,
-    workers: int,
     chaos: Optional[ChaosPolicy],
-    shard_timeout_s: Optional[float],
     stop: List[str],
 ) -> None:
-    """Run one lease's shards once each, streaming every record back.
+    """Run one lease's shards once each, in lease order, in this process.
 
-    The shards run through the executor under a policy of this lease
-    alone (no retries, ``keep_going``), and each record is built from
-    the executor's per-shard capture the moment its shard completes.
-    A signal drains the lease: its finished records are sent, no
-    ``lease_done`` is, and the signal name lands in ``stop``.
+    Each shard runs through the executor's per-shard capture with its
+    plan index, the lease's attempt number and the lease's trace
+    parent, and its record is sent the moment it completes; the capture
+    then folds into this process's telemetry.  A shard that raises is
+    logged and reported failed after the pass, before ``lease_done``.
+    A signal (a name in ``stop``) ends the pass after the running
+    shard: failures are still reported, ``lease_done`` is not.
     """
-    from repro.faultsim.parallel import select_shard_args
-    from repro.faultsim.simulator import ReliabilityResult, _simulate_shard
+    from repro.faultsim.simulator import _simulate_shard
 
-    indices = [int(i) for i in lease.get("shards", [])]
-    attempts = [int(a) for a in lease.get("attempts", [1] * len(indices))]
-    attempt_of = dict(zip(indices, attempts))
-    lease_id = lease.get("lease_id")
+    lease_id, indices, attempts, ctx = _parse_lease(lease, len(plan))
+    pairs = list(zip(indices, attempts))
     # Pre-run chaos verbs, keyed by (global shard index, attempt).
     failed: List[int] = []
     if chaos is not None:
-        for index, attempt in zip(indices, attempts):
-            if chaos.should_partition(index, attempt):
-                raise _SeverConnection()
-        for index, attempt in zip(indices, attempts):
-            if chaos.should_crash(index, attempt):
-                os._exit(CRASH_EXIT_CODE)
-        for index, attempt in zip(indices, attempts):
-            if chaos.should_hang(index, attempt):
+        if any(chaos.should_partition(*pair) for pair in pairs):
+            raise _SeverConnection()
+        if any(chaos.should_crash(*pair) for pair in pairs):
+            os._exit(CRASH_EXIT_CODE)
+        for pair in pairs:
+            if chaos.should_hang(*pair):
                 time.sleep(chaos.hang_s)
         failed = [
-            index
-            for index, attempt in zip(indices, attempts)
+            index for index, attempt in pairs
             if chaos.should_fault(index, attempt)
         ]
-    runnable = [i for i in indices if i not in failed]
-
-    def send_record(local: int) -> None:
-        index = runnable[local]
-        metrics, trace = run.books.telemetry[local]
-        record = ShardRecord(
-            index, run.books.results[local].to_payload(), metrics, trace
-        )
+    for index, attempt in pairs:
+        if index in failed:
+            continue
+        if stop:
+            break
+        try:
+            result, metrics, trace = _run_shard_captured(
+                _simulate_shard, plan[index], ctx, index, attempt
+            )
+        except Exception:
+            # The worker outlives a failing shard: the coordinator's
+            # books charge it from the shard_failed frame.
+            log.warning(
+                "shard %d (attempt %d) failed", index, attempt, exc_info=True
+            )
+            failed.append(index)
+            continue
+        record = ShardRecord(index, result.to_payload(), metrics, trace)
         frame = {
             "type": "result",
             "lease_id": lease_id,
             "record": json.loads(record.to_line()),
         }
-        attempt = attempt_of[index]
         if chaos is not None and chaos.should_delay(index, attempt):
             time.sleep(chaos.delay_s)
         if chaos is not None and chaos.should_drop(index, attempt):
@@ -846,42 +881,19 @@ def _execute_lease(
         if chaos is not None and chaos.should_duplicate(index, attempt):
             send_message(sock, frame)
         summary.shards_completed += 1
-
-    run = _ResilientRun(
-        _simulate_shard,
-        select_shard_args(plan, runnable),
-        workers,
-        fingerprint,
-        RuntimePolicy(
-            shard_timeout_s=shard_timeout_s, max_retries=0, keep_going=True
-        ),
-        encode=ReliabilityResult.to_payload,
-        decode=ReliabilityResult.from_payload,
-        on_shard_done=send_record,
-    )
-    trace = lease.get("trace")
-    if isinstance(trace, dict):
-        # Shard spans hang off the coordinator's span of this lease.
-        run.trace_ctx = TraceContext(
-            str(trace["trace_id"]), str(trace["span_id"])
-        )
-    interrupted = False
-    try:
-        run.run()
-    except RunInterrupted as exc:
-        stop.append(exc.signal_name)
-        interrupted = True
-    failed += [runnable[local] for local in run.outcome.quarantined_shards]
+        if OBS.enabled:
+            if metrics:
+                OBS.registry.merge_state(metrics)
+            if trace:
+                OBS.trace.merge_records(trace)
+            if OBS.sampler is not None:
+                OBS.sampler.maybe_sample()
     for index in failed:
         send_message(
             sock,
-            {
-                "type": "shard_failed",
-                "lease_id": lease_id,
-                "index": index,
-                "reason": "fault",
-            },
+            {"type": "shard_failed", "lease_id": lease_id, "index": index,
+             "reason": "fault"},
         )
     summary.shards_failed += len(failed)
-    if not interrupted:
+    if not stop:
         send_message(sock, {"type": "lease_done", "lease_id": lease_id})

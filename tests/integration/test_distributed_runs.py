@@ -8,8 +8,10 @@ with ``os._exit`` -- and proves the merged result is *bit-identical*
 run of the same spec.  This is the distributed twin of
 ``tests/unit/test_chaos.py``.  Hand-driven protocol clients pin the
 lease accounting: a failure reported after its lease expired is not
-charged again, a retry is traced with its real backoff delay, and the
-run waits for the last ``lease_done`` before it finishes.  They also
+charged again, only the connection holding a lease may report on it,
+a retry is traced with its real backoff delay, and the run waits for
+the last ``lease_done`` before it finishes.  A worker labels each
+shard span with the shard's plan index and attempt.  They also
 pin the one set of books: each shard's telemetry rides its record and
 counts once (late duplicates and resumes included), the coordinator's
 ``--max-retries`` is the only retry budget, and quarantine order and
@@ -373,6 +375,48 @@ class TestDistributedRuns:
         outcome = coordinator.outcome
         assert (outcome.timeouts, outcome.faults, outcome.retries) == (1, 0, 1)
 
+    def test_lease_frames_count_only_from_the_holder(
+        self, reference, result_frames
+    ):
+        # Client B holds nothing, yet reports client A's lease failed
+        # and done.  Under --max-retries 0 --keep-going, charging that
+        # would quarantine shard 0; neither frame may charge or close
+        # A's lease, so A's own records complete the run.
+        coordinator = Coordinator(
+            SPEC, port=0, lease_shards=1,
+            policy=RuntimePolicy(max_retries=0, keep_going=True),
+        )
+
+        def holder_and_bystander():
+            with _hand_client(coordinator.address, "A") as holder:
+                lease = _next_lease(holder)
+                assert lease["shards"] == [0]
+                with _hand_client(coordinator.address, "B") as bystander:
+                    send_message(
+                        bystander,
+                        {"type": "shard_failed",
+                         "lease_id": lease["lease_id"],
+                         "index": 0, "reason": "fault"},
+                    )
+                    _close_lease(bystander, lease)
+                    # B's own lease is granted after both frames.
+                    own = _next_lease(bystander)
+                    assert own["shards"] == [1]
+                    _send_results(bystander, own, result_frames)
+                    _close_lease(bystander, own)
+                _send_results(holder, lease, result_frames)
+                _close_lease(holder, lease)
+                _serve_leases(holder, result_frames)
+
+        thread = threading.Thread(target=holder_and_bystander, daemon=True)
+        thread.start()
+        result = coordinator.run()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert_identical(result, reference, "run past a bystander's frames")
+        outcome = coordinator.outcome
+        assert (outcome.faults, outcome.quarantined_shards) == (0, ())
+
     def test_run_waits_for_the_last_lease_done(self, reference, result_frames):
         # One lease holds the whole plan.  Its results complete the book
         # 0.3 s before its lease_done arrives; the run must still wait
@@ -437,6 +481,52 @@ class TestDistributedRuns:
         assert counters.get("runtime.shard_retries") == 1
         assert counters.get("runtime.shard_faults") == 1
         assert "runtime.lease_requeues" not in counters
+
+    def test_shard_spans_carry_plan_index_and_attempt(self):
+        # A worker runs each leased shard under its plan index and the
+        # lease's attempt, so a coordinated trace labels shards as a
+        # local run does: two-shard leases give <lease>.s0 .. .s3, and
+        # shard 1 retried after a fault gives <lease>.s1a2.
+        def spans(chaos_spec, **kwargs):
+            coordinator = Coordinator(SPEC, port=0, **kwargs)
+            proc = multiprocessing.get_context("spawn").Process(
+                target=_worker_process_main,
+                args=(*coordinator.address, chaos_spec),
+            )
+            proc.start()
+            with TelemetryScope() as scope:
+                coordinator.run()
+            proc.join(timeout=60.0)
+            assert proc.exitcode == 0
+            records = [
+                record for record in scope.trace.to_records()
+                if record["event"] == "span"
+            ]
+            leases = {
+                record["span_id"] for record in records
+                if record["name"] == "runtime.lease"
+            }
+            shards = [
+                record for record in records if record["name"] == "shard_s"
+            ]
+            for record in shards:
+                assert record["parent_id"] in leases
+            return shards
+
+        clean = spans(None, lease_shards=2)
+        assert sorted(r["attrs"]["shard"] for r in clean) == list(
+            range(SPEC.num_shards())
+        )
+        for record in clean:
+            shard = record["attrs"]["shard"]
+            assert record["span_id"] == f"{record['parent_id']}.s{shard}"
+            assert record["attrs"]["attempt"] == 1
+        faulted = spans(
+            "fault=1", policy=RuntimePolicy(backoff_base_s=0.01)
+        )
+        (retried,) = [r for r in faulted if r["attrs"]["shard"] == 1]
+        assert retried["span_id"] == f"{retried['parent_id']}.s1a2"
+        assert retried["attrs"]["attempt"] == 2
 
     def test_expired_lease_late_result_is_folded_once(self, result_frames):
         # Client A holds shard 0 past its 0.5 s deadline; client B runs

@@ -171,7 +171,7 @@ class TestCommandFlags:
             "    python tools/bench_snapshot.py compare --tolerance 0.5\n"
             "python -m repro obs summarize --trace t.jsonl --top 3\n"
             "```\n"
-            "and `repro work --coordinator h:7653 --shard-timeout 5`\n"
+            "and `repro work --coordinator h:7653 --connect-timeout 5`\n"
         )
         assert self._lint(tmp_path, text, cli_flags, tool_flags) == []
 

@@ -196,6 +196,16 @@ class TestFlagErrors:
             "unrecognized arguments: --shard-timeout 5",
             id="coordinate-shard-timeout",
         ),
+        pytest.param(
+            ["work", "--coordinator", "127.0.0.1:1", "--workers", "2"],
+            "unrecognized arguments: --workers 2",
+            id="work-workers",
+        ),
+        pytest.param(
+            ["work", "--coordinator", "127.0.0.1:1", "--shard-timeout", "5"],
+            "unrecognized arguments: --shard-timeout 5",
+            id="work-shard-timeout",
+        ),
     ])
     def test_usage_error_names_the_flag(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,9 @@ that stay cheap at 100,000 shards), the duplicate/conflict hardening of
 :func:`~repro.runtime.checkpoint.load_checkpoint`, the
 :class:`~repro.runtime.spec.ExperimentSpec` handshake payload, and the
 worker's handshake: any failure before the job is accepted ends
-:func:`~repro.runtime.distributed.run_worker` instead of re-dialling.
+:func:`~repro.runtime.distributed.run_worker` instead of re-dialling,
+while a malformed ``lease`` or ``wait`` frame after it is a protocol
+error the worker survives.
 The network paths are exercised end to end in
 ``tests/integration/test_distributed_runs.py``.
 """
@@ -28,7 +30,11 @@ from repro.runtime.checkpoint import (
     ShardRecord,
     _parse_shard_line,
 )
-from repro.runtime.distributed import HandshakeError, run_worker
+from repro.runtime.distributed import (
+    HandshakeError,
+    WorkerSummary,
+    run_worker,
+)
 from repro.runtime.protocol import PROTOCOL_VERSION, recv_message, send_message
 from repro.runtime.spec import ExperimentSpec, SpecError
 from repro.service import CampaignServer, CampaignService
@@ -370,14 +376,18 @@ class TestNetworkChaosVerbs:
 
 
 class _FakeCoordinator:
-    """A listening socket answering every ``hello`` with one frame.
+    """A listening socket answering a worker's first frames with ``replies``.
 
-    It counts the connections it accepts and keeps every frame a worker
-    sends (the ``hello`` included) until the worker closes.
+    The first reply answers the ``hello``, the next the frame after it,
+    and so on.  It counts the connections it accepts and keeps every
+    frame a worker sends (the ``hello`` included) until the worker
+    closes.  With ``once`` it stops listening after one connection, so
+    a re-dial is refused.
     """
 
-    def __init__(self, reply):
-        self.reply = reply
+    def __init__(self, *replies, once=False):
+        self.replies = replies
+        self.once = once
         self.connections = 0
         self.frames = []
         self._sock = socket.create_server(("127.0.0.1", 0))
@@ -390,13 +400,16 @@ class _FakeCoordinator:
             try:
                 conn, _ = self._sock.accept()
             except OSError:
-                return  # closed by the test
+                return  # closed by the test, or after one connection
             self.connections += 1
+            if self.once:
+                self._sock.close()
             with conn:
                 conn.settimeout(10.0)
                 try:
-                    self.frames.append(recv_message(conn))
-                    send_message(conn, self.reply)
+                    for reply in self.replies:
+                        self.frames.append(recv_message(conn))
+                        send_message(conn, reply)
                     while (frame := recv_message(conn)) is not None:
                         self.frames.append(frame)
                 except OSError:
@@ -413,12 +426,15 @@ class _FakeCoordinator:
 
 
 def _run_worker_bounded(address, bound_s=15.0):
-    """Run a worker in a thread; what it raised, within ``bound_s``."""
+    """Run a worker in a thread; what it raised or returned, within
+    ``bound_s``."""
     ended = {}
 
     def serve():
         try:
-            run_worker(*address, worker_id="w1", connect_timeout_s=1.0)
+            ended["summary"] = run_worker(
+                *address, worker_id="w1", connect_timeout_s=1.0
+            )
         except Exception as exc:  # noqa: BLE001 - handed to the test
             ended["error"] = exc
 
@@ -426,7 +442,7 @@ def _run_worker_bounded(address, bound_s=15.0):
     thread.start()
     thread.join(bound_s)
     assert not thread.is_alive(), "the worker is still re-dialling"
-    return ended.get("error")
+    return ended.get("error", ended.get("summary"))
 
 
 def _job(spec, fingerprint=None):
@@ -501,3 +517,36 @@ class TestHandshakeEndsTheWorker:
             "code_version: worker='1.0.0' coordinator='0.0.1'" in str(error)
         )
         assert fake.frames[1]["reason"].startswith("fingerprint mismatch")
+
+
+@pytest.mark.timeout(60)
+class TestWorkerValidatesFrames:
+    """A malformed frame past the handshake is a protocol error: the
+    worker re-dials, and with the coordinator gone ends undrained."""
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"type": "lease", "lease_id": 0, "shards": [99], "attempts": [1],
+             "deadline_s": 60.0},
+            {"type": "lease", "lease_id": 0, "shards": 3, "attempts": [1],
+             "deadline_s": 60.0},
+            {"type": "wait", "delay_s": -1},
+        ],
+        ids=["shard-outside-plan", "shards-not-a-list", "negative-wait"],
+    )
+    def test_malformed_frame_ends_the_connection(self, frame):
+        spec = ExperimentSpec(schemes=("xed",), systems=2_000, shard_size=500)
+        (fingerprint,) = spec.run_fingerprints()
+        assert spec.num_shards() == 4
+        fake = _FakeCoordinator(
+            _job(spec.to_dict(), fingerprint.to_dict()), frame, once=True
+        )
+        try:
+            summary = _run_worker_bounded(fake.address)
+        finally:
+            fake.close()
+        assert isinstance(summary, WorkerSummary), summary
+        assert not summary.drained
+        assert (summary.shards_completed, summary.reconnects) == (0, 0)
+        assert [f["type"] for f in fake.frames] == ["hello", "ready"]

@@ -192,7 +192,6 @@ class TestBackendWiring:
             0, 50, np.random.default_rng(0), min_faults=scheme.min_faults
         )
         adjudication = adjudicate_shard(scheme, shard, 2016)
-        assert adjudication.system_indices == []
         assert adjudication.failure_times == []
         assert adjudication.kinds == []
 
