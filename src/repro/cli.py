@@ -42,12 +42,14 @@ stderr when it is a terminal.
 The long-running sub-commands (``experiment``, ``export``,
 ``reliability``, ``perf``, ``all``, ``campaign``) take the
 fault-tolerance flags ``--checkpoint DIR``, ``--resume DIR``,
-``--shard-timeout S``, ``--max-retries N``, ``--keep-going`` and the
-developer flag ``--chaos SPEC``.  ``coordinate`` takes only
-``--checkpoint``, ``--resume``, ``--max-retries`` and ``--keep-going``:
-its shards run once each in ``repro work`` processes, which take their
-own ``--chaos``; the coordinator's ``--lease-timeout`` bounds a hung
-shard (see docs/robustness.md).
+``--max-retries N``, ``--keep-going`` and the developer flag ``--chaos
+SPEC``.  ``reliability``, ``perf`` and ``campaign`` also take
+``--shard-timeout S``, a deadline on pool workers (``--workers`` > 1);
+the others run every shard in process and reject it.  ``coordinate``
+takes only ``--checkpoint``, ``--resume``, ``--max-retries`` and
+``--keep-going``: its shards run once each in ``repro work``
+processes, which take their own ``--chaos``; the coordinator's
+``--lease-timeout`` bounds a hung shard (see docs/robustness.md).
 
 Exit codes (stable contract, asserted by the test suite):
 
@@ -232,15 +234,24 @@ def _add_recovery_flags(
     return group
 
 
-def _add_injection_flags(group: argparse._ArgumentGroup) -> None:
-    """Attach ``--shard-timeout`` and ``--chaos`` to a fault-tolerance
-    group.  A coordinated run's shards run in ``repro work``, which
-    declares its own ``--chaos``."""
-    group.add_argument(
-        "--shard-timeout", type=_bounded("shard timeout", 0, float),
-        default=None, metavar="S",
-        help="kill and retry any shard still running after S seconds",
-    )
+def _add_injection_flags(
+    group: argparse._ArgumentGroup, pool: bool
+) -> None:
+    """Attach ``--chaos`` and, when the command can run its shards on a
+    pool (``pool``), ``--shard-timeout`` to a fault-tolerance group.
+
+    Only a pool worker can be killed, so a shard run in process has no
+    deadline and the commands that never start a pool reject the flag.
+    A coordinated run's shards run in ``repro work``, which declares its
+    own ``--chaos``."""
+    if pool:
+        group.add_argument(
+            "--shard-timeout", type=_bounded("shard timeout", 0, float),
+            default=None, metavar="S",
+            help="on a pool (--workers > 1), kill and retry any shard "
+                 "still running after S seconds; shards run in process "
+                 "have no deadline",
+        )
     group.add_argument(
         "--chaos", type=_chaos_spec, default=None, metavar="SPEC",
         help="developer flag: deterministically inject worker failures, "
@@ -392,10 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
         command.set_defaults(handler=handler)
         return command
 
-    # The flags of every command that runs its shards here.
+    # The flags of every command that runs its shards here: on a pool
+    # under --workers, or always in process for the reports.
     local_runs = argparse.ArgumentParser(add_help=False)
-    _add_injection_flags(_add_recovery_flags(local_runs))
-    reports = argparse.ArgumentParser(add_help=False, parents=[local_runs])
+    _add_injection_flags(_add_recovery_flags(local_runs), pool=True)
+    reports = argparse.ArgumentParser(add_help=False)
+    _add_injection_flags(_add_recovery_flags(reports), pool=False)
     reports.add_argument("--scale", choices=("quick", "full"), default="quick")
     reports.add_argument("--seed", type=int, default=2016)
     _add_faultsim_backend_flag(reports)

@@ -171,11 +171,6 @@ class DimmGeometry:
         return cls(data_chips=16, check_chips=2, chip=ChipGeometry(device_width=4))
 
     @classmethod
-    def chipkill_x8_lockstep(cls) -> "DimmGeometry":
-        """Chipkill from x8 devices: two 9-chip ranks in lockstep."""
-        return cls(data_chips=16, check_chips=2, chip=ChipGeometry(device_width=8))
-
-    @classmethod
     def double_chipkill_x4(cls) -> "DimmGeometry":
         """Double-Chipkill: 36 x4 chips per access (32 data + 4)."""
         return cls(data_chips=32, check_chips=4, chip=ChipGeometry(device_width=4))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -128,15 +129,13 @@ class ReliabilityResult:
     def _counts(self) -> tuple:
         """(population, due, sdc) with O(1) amortised access."""
         cached = self._kind_counts
-        if cached is None or cached[0] != len(self.kinds):
-            due = 0
-            sdc = 0
-            for k in self.kinds:
-                if k is FailureKind.DUE:
-                    due += 1
-                elif k is FailureKind.SDC:
-                    sdc += 1
-            cached = (len(self.kinds), due, sdc)
+        kinds = self.kinds
+        if cached is None or cached[0] != len(kinds):
+            cached = (
+                len(kinds),
+                kinds.count(FailureKind.DUE),
+                kinds.count(FailureKind.SDC),
+            )
             self._kind_counts = cached
         return cached
 
@@ -152,17 +151,18 @@ class ReliabilityResult:
 
     def probability_by_year(self, year: float) -> float:
         """P(failed at or before ``year``) -- one point of the curves."""
-        cutoff = year * HOURS_PER_YEAR
-        return (
-            sum(1 for t in self.failure_times_hours if t <= cutoff)
-            / self.num_systems
-        )
+        return self.curve((year,))[0][1]
 
     def curve(self, years: Optional[Sequence[float]] = None) -> List[tuple]:
         """(year, P(failure by year)) series for Figures 1 and 7-10."""
         if years is None:
             years = range(1, int(self.years) + 1)
-        return [(y, self.probability_by_year(y)) for y in years]
+        times = np.asarray(self.failure_times_hours, dtype=np.float64)
+        return [
+            (y, int(np.count_nonzero(times <= y * HOURS_PER_YEAR))
+             / self.num_systems)
+            for y in years
+        ]
 
     def confidence_interval(self, z: float = 1.96) -> tuple:
         """Wilson score interval on the failure probability."""
@@ -290,10 +290,10 @@ class ReliabilityResult:
             scheme_name=first.scheme_name,
             num_systems=sum(s.num_systems for s in shards),
             years=first.years,
-            failure_times_hours=[
-                t for s in shards for t in s.failure_times_hours
-            ],
-            kinds=[k for s in shards for k in s.kinds],
+            failure_times_hours=list(
+                chain.from_iterable(s.failure_times_hours for s in shards)
+            ),
+            kinds=list(chain.from_iterable(s.kinds for s in shards)),
         )
 
 

@@ -73,7 +73,10 @@ _BANK = MODE_CODES[FailureMode.SINGLE_BANK]
 _KIND_NONE = 0
 _KIND_DUE = 1
 _KIND_SDC = 2
-_KIND_OF_CODE = {_KIND_DUE: FailureKind.DUE, _KIND_SDC: FailureKind.SDC}
+#: The failure kind of each kind code, for one gather per shard.
+_KIND_OF_CODE = np.array(
+    [None, FailureKind.DUE, FailureKind.SDC], dtype=object
+)
 
 #: Tag of the per-system draw stream.  ``reliability_fingerprint``
 #: hashes it, so checkpoints and cached results drawn from another
@@ -156,11 +159,17 @@ def _mulhilo(m: np.uint64, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """High and low 64-bit halves of the 128-bit products ``m * x``."""
     m_lo, m_hi = m & _LO32, m >> _SHIFT32
     x_lo, x_hi = x & _LO32, x >> _SHIFT32
-    lo_lo = m_lo * x_lo
-    hi_lo = m_hi * x_lo
-    # At most 2 * (2^32 - 1) + (2^32 - 1)^2 = 2^64 - 1: no carry is lost.
-    mid = (lo_lo >> _SHIFT32) + (hi_lo & _LO32) + m_lo * x_hi
-    hi = m_hi * x_hi + (hi_lo >> _SHIFT32) + (mid >> _SHIFT32)
+    # mid = (lo_lo >> 32) + (hi_lo & LO32) + m_lo * x_hi is at most
+    # 2 * (2^32 - 1) + (2^32 - 1)^2 = 2^64 - 1: no carry is lost.  Each
+    # step writes into a temporary that is no longer read.
+    mid = m_lo * x_lo
+    mid >>= _SHIFT32
+    hi_lo = np.multiply(x_lo, m_hi, out=x_lo)
+    hi = m_hi * x_hi
+    mid += np.multiply(x_hi, m_lo, out=x_hi)
+    mid += np.bitwise_and(hi_lo, _LO32, out=x_hi)
+    hi += np.right_shift(hi_lo, _SHIFT32, out=hi_lo)
+    hi += np.right_shift(mid, _SHIFT32, out=mid)
     return hi, m * x
 
 
@@ -181,7 +190,11 @@ def philox4x64(
         k1 = np.uint64((key[1] + r * _PHILOX_W1) & _MASK64)
         hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
         hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        hi1 ^= c1
+        hi1 ^= k0
+        hi0 ^= c3
+        hi0 ^= k1
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
     return np.stack([c0, c1, c2, c3])
 
 
@@ -244,22 +257,20 @@ class VisibleFaults:
     def _segments(self) -> tuple:
         """(order, starts, counts) of the (system, channel, rank) runs."""
         if self._seg is None:
-            order = np.lexsort((self.rank, self.channel, self.sys))
-            if order.size == 0:
-                empty = np.empty(0, dtype=np.int64)
-                self._seg = (order.astype(np.int64), empty, empty)
-            else:
-                s = self.sys[order]
-                c = self.channel[order]
-                r = self.rank[order]
-                new = np.empty(order.size, dtype=bool)
-                new[0] = True
-                new[1:] = (
-                    (s[1:] != s[:-1]) | (c[1:] != c[:-1]) | (r[1:] != r[:-1])
-                )
-                starts = np.nonzero(new)[0]
-                counts = np.diff(np.append(starts, order.size))
-                self._seg = (order, starts, counts)
+            # One key per row that sorts as (system, channel, rank) and
+            # is equal exactly within a rank group: channel and rank are
+            # non-negative and below their strides.
+            key = self.sys
+            if key.size:
+                channels = int(self.channel.max()) + 1
+                ranks = int(self.rank.max()) + 1
+                key = (key * channels + self.channel) * ranks + self.rank
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            new = np.ones(order.size, dtype=bool)
+            new[1:] = key[1:] != key[:-1]
+            starts = np.nonzero(new)[0]
+            self._seg = (order, starts, np.diff(starts, append=order.size))
         return self._seg
 
     def rank_group_combos(self, r: int) -> Tuple[np.ndarray, ...]:
@@ -350,31 +361,43 @@ class FaultShard:
         to word-wildcard visibility when their uniform draw falls under
         the scaling promotion probability, transient faults truncated at
         the scrub interval, and multi-rank faults cloned into every rank
-        of the channel (in rank order, replacing the base fault).  The
-        result is cached; the columns are never mutated.
+        of the channel (in rank order, replacing the base fault).  A
+        clone is visible exactly when its base fault is, so the base
+        faults on-die ECC corrects are dropped first and every column is
+        derived for the visible rows only.  The result is cached; the
+        columns are never mutated.
         """
         if self._visible is not None:
             return self._visible
         num_sel = self.num_selected
-        rows = self.mode_rows
-        sys_pre = np.repeat(
-            np.arange(num_sel, dtype=np.int64), self.counts
-        )
-        perm = self.row_permanent[rows]
-        correctable = self.row_correctable[rows]
+        correctable = self.row_correctable[self.mode_rows]
         promoted = correctable & (self.promote_u < self.promotion_p)
-        vis = ~(correctable & ~promoted)
-        wild = np.where(promoted, self.word_mask, self.row_wildcards[rows])
+        keep = np.nonzero(~correctable | promoted)[0]
+        rows = self.mode_rows[keep]
+        times = self.times[keep]
+        perm = self.row_permanent[rows]
+        wild = np.where(
+            promoted[keep], self.word_mask, self.row_wildcards[rows]
+        )
         if self.scrub_hours is None:
             end = np.full(rows.size, np.inf)
         else:
-            end = np.where(perm, np.inf, self.times + self.scrub_hours)
+            end = np.where(perm, np.inf, times + self.scrub_hours)
         cpr = self.chips_per_rank
         ranks = self.ranks_per_channel
-        chip = self.chips_global % cpr
-        base_rank = (self.chips_global // cpr) % ranks
-        channel = self.chips_global // (cpr * ranks)
-
+        chips = self.chips_global[keep]
+        rank = (chips // cpr) % ranks
+        columns = [
+            np.repeat(np.arange(num_sel, dtype=np.int64), self.counts)[keep],
+            chips // (cpr * ranks),
+            chips % cpr,
+            self.row_mode_codes[rows],
+            perm,
+            times,
+            end,
+            self.addr_values[keep],
+            wild,
+        ]
         spans = self.row_spans[rows] & (ranks > 1)
         if spans.any():
             reps = np.where(spans, ranks, 1)
@@ -384,42 +407,24 @@ class FaultShard:
                 run_starts, reps
             )
             rank = np.where(
-                np.repeat(spans, reps), pos_in_run, np.repeat(base_rank, reps)
+                np.repeat(spans, reps), pos_in_run, np.repeat(rank, reps)
             )
-            sys_e = np.repeat(sys_pre, reps)
-            channel_e = np.repeat(channel, reps)
-            chip_e = np.repeat(chip, reps)
-            mode_e = np.repeat(self.row_mode_codes[rows], reps)
-            perm_e = np.repeat(perm, reps)
-            time_e = np.repeat(self.times, reps)
-            end_e = np.repeat(end, reps)
-            addr_e = np.repeat(self.addr_values, reps)
-            wild_e = np.repeat(wild, reps)
-            vis_e = np.repeat(vis, reps)
-        else:
-            rank = base_rank
-            sys_e, channel_e, chip_e = sys_pre, channel, chip
-            mode_e = self.row_mode_codes[rows]
-            perm_e, time_e, end_e = perm, self.times, end
-            addr_e, wild_e, vis_e = self.addr_values, wild, vis
-
-        keep = np.nonzero(vis_e)[0]
-        sys_v = sys_e[keep]
-        vis_counts = np.bincount(sys_v, minlength=num_sel)
+            columns = [np.repeat(c, reps) for c in columns]
+        sys_v, channel, chip, mode, perm, times, end, addr, wild = columns
         indptr = np.zeros(num_sel + 1, dtype=np.int64)
-        np.cumsum(vis_counts, out=indptr[1:])
+        np.cumsum(np.bincount(sys_v, minlength=num_sel), out=indptr[1:])
         self._visible = VisibleFaults(
             num_selected=num_sel,
             sys=sys_v,
-            channel=channel_e[keep],
-            rank=rank[keep],
-            chip=chip_e[keep],
-            mode=mode_e[keep],
-            permanent=perm_e[keep],
-            time=time_e[keep],
-            end=end_e[keep],
-            addr=addr_e[keep],
-            wild=wild_e[keep],
+            channel=channel,
+            rank=rank,
+            chip=chip,
+            mode=mode,
+            permanent=perm,
+            time=times,
+            end=end,
+            addr=addr,
+            wild=wild,
             indptr=indptr,
         )
         return self._visible
@@ -782,5 +787,5 @@ def adjudicate_shard(
     failed = np.nonzero(kinds != _KIND_NONE)[0]
     return ShardAdjudication(
         failure_times=times[failed].tolist(),
-        kinds=[_KIND_OF_CODE[k] for k in kinds[failed].tolist()],
+        kinds=_KIND_OF_CODE[kinds[failed]].tolist(),
     )

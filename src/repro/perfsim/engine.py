@@ -95,10 +95,6 @@ class SimulationResult:
         cpu_cycles = self.exec_bus_cycles * 4.0
         return self.total_instructions / cpu_cycles if cpu_cycles else 0.0
 
-    def normalized_time(self, baseline: "SimulationResult") -> float:
-        """Execution time relative to ``baseline`` (1.0 = equal)."""
-        return self.exec_bus_cycles / baseline.exec_bus_cycles
-
     def to_payload(self) -> dict:
         """JSON-serialisable form for checkpoints (drops command logs).
 

@@ -33,14 +33,6 @@ class DDR3Timing:
     tRFC: int = 88      # refresh cycle time, 2Gb part (110 ns)
     tREFI: int = 6240   # refresh interval (7.8 us)
 
-    def read_latency(self) -> int:
-        """CAS-to-data-valid latency for a read."""
-        return self.tCAS
-
-    def write_latency(self) -> int:
-        """Write latency (CWL) in bus cycles."""
-        return self.tCWD
-
 
 #: DDR4-2400 timing at a 1200 MHz bus (0.833 ns/cycle), JESD79-4 for a
 #: 4Gb part.  The paper notes DRAM with on-die ECC is proposed for

@@ -396,7 +396,6 @@ class Coordinator:
             "lease_id": lease.lease_id,
             "shards": list(lease.shards),
             "attempts": list(lease.attempts),
-            "deadline_s": self.lease_timeout_s,
         }
         if self._ctx is not None:
             message["trace"] = {
@@ -546,17 +545,6 @@ class WorkerSummary:
     shards_failed: int = 0
     reconnects: int = 0
     drained: bool = False
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready image (printed by ``repro work``)."""
-        return {
-            "worker": self.worker,
-            "leases": self.leases,
-            "shards_completed": self.shards_completed,
-            "shards_failed": self.shards_failed,
-            "reconnects": self.reconnects,
-            "drained": self.drained,
-        }
 
 
 class _SeverConnection(Exception):

@@ -19,7 +19,7 @@ hello        worker→coor protocol version + worker name
 job          coor→worker ``ExperimentSpec.to_dict()`` + run fingerprint +
                          telemetry flag
 ready        worker→coor fingerprint verified; worker wants a lease
-lease        coor→worker shard indices + per-shard attempts + deadline
+lease        coor→worker shard indices + per-shard attempts (+ trace span)
 wait         coor→worker nothing ready; retry ``ready`` after ``delay_s``
 result       worker→coor one shard's digest-carrying checkpoint record:
                          its payload plus that shard's metrics and trace
@@ -29,6 +29,8 @@ drain        coor→worker stop asking; close the connection
 error        either      protocol violation; sender closes after
 ============ =========== ==================================================
 
+Version 5 dropped the ``deadline_s`` of ``lease``, which no worker
+read: the coordinator's own lease expiry bounds a hung shard.
 Version 4 made the ``job`` spec the one reliability-run spec,
 :class:`~repro.runtime.spec.ExperimentSpec`, which the worker parses
 with the constructor the HTTP API uses; version 3 gave ``result`` its
@@ -58,7 +60,7 @@ __all__ = [
 ]
 
 #: Wire protocol version; ``hello``/``job`` refuse a mismatch.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: Upper bound on one frame (64 MiB) -- far above any real shard record,
 #: small enough that a garbage length prefix cannot balloon memory.

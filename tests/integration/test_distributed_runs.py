@@ -228,7 +228,7 @@ class TestDistributedRuns:
             "type": "error",
             "reason": f"protocol 1 != {PROTOCOL_VERSION}",
         }]
-        assert PROTOCOL_VERSION == 4
+        assert PROTOCOL_VERSION == 5
         assert_identical(result, reference, "run after a refused worker")
 
     def test_crash_partition_and_drop_recover_bit_identically(

@@ -9,6 +9,7 @@ purely-informational wall metrics must not.  The comparator is pure
 import copy
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -106,6 +107,11 @@ class TestSnapshotEnvelope:
         assert snap["version"] == bench_snapshot.SNAPSHOT_VERSION
         assert len(snap["stamp"]) == 8 and snap["stamp"].isdigit()
         assert "python" in snap["host"]
+        assert snap["host"]["cpus"] == os.cpu_count()
+        affinity = getattr(os, "sched_getaffinity", None)
+        assert snap["host"]["affinity_cpus"] == (
+            len(affinity(0)) if affinity else None
+        )
 
     def test_find_latest_snapshot_orders_by_stamp(self, tmp_path):
         for stamp in ("20250101", "20260807", "20251231"):

@@ -197,6 +197,21 @@ class TestFlagErrors:
             id="coordinate-shard-timeout",
         ),
         pytest.param(
+            ["experiment", "fig7", "--shard-timeout", "0.001"],
+            "unrecognized arguments: --shard-timeout 0.001",
+            id="experiment-shard-timeout",
+        ),
+        pytest.param(
+            ["export", "fig7", "--shard-timeout", "0.001"],
+            "unrecognized arguments: --shard-timeout 0.001",
+            id="export-shard-timeout",
+        ),
+        pytest.param(
+            ["all", "--shard-timeout", "0.001"],
+            "unrecognized arguments: --shard-timeout 0.001",
+            id="all-shard-timeout",
+        ),
+        pytest.param(
             ["work", "--coordinator", "127.0.0.1:1", "--workers", "2"],
             "unrecognized arguments: --workers 2",
             id="work-workers",

@@ -527,10 +527,8 @@ class TestWorkerValidatesFrames:
     @pytest.mark.parametrize(
         "frame",
         [
-            {"type": "lease", "lease_id": 0, "shards": [99], "attempts": [1],
-             "deadline_s": 60.0},
-            {"type": "lease", "lease_id": 0, "shards": 3, "attempts": [1],
-             "deadline_s": 60.0},
+            {"type": "lease", "lease_id": 0, "shards": [99], "attempts": [1]},
+            {"type": "lease", "lease_id": 0, "shards": 3, "attempts": [1]},
             {"type": "wait", "delay_s": -1},
         ],
         ids=["shard-outside-plan", "shards-not-a-list", "negative-wait"],

@@ -7,7 +7,9 @@ import pytest
 
 from repro.ecc import HammingSECDED
 from repro.faultsim.differential import reference_simulate
-from repro.faultsim.fault_models import FailureMode, FitTable, ModeRate
+from repro.faultsim.fault_models import (
+    HOURS_PER_YEAR, FailureMode, FitTable, ModeRate,
+)
 from repro.faultsim.injector import FaultSampler
 from repro.faultsim.schemes import EccDimmScheme, XedScheme
 from repro.faultsim.simulator import (
@@ -403,6 +405,54 @@ class TestKindCountCaching:
         b = ReliabilityResult("x", 100, 7, [1.0], [FailureKind.DUE])
         assert a.due_count == 1  # prime only one cache
         assert a == b
+
+
+class TestCountsAndCurveMatchLoops:
+    """Counts and curve points equal their one-pass loop definitions."""
+
+    @staticmethod
+    def result():
+        rng = np.random.default_rng(7)
+        hours = HOURS_PER_YEAR
+        # Failures anywhere in the lifetime, plus some exactly on a
+        # year boundary (counted in that year: the cutoff is ``<=``)
+        # and one just either side of the 3-year cutoff.
+        times = (rng.random(5_000) * 7 * hours).tolist() + [
+            y * hours for y in range(1, 8)
+        ] + [float(np.nextafter(3 * hours, d)) for d in (0.0, np.inf)]
+        kinds = [
+            FailureKind.SDC if u < 0.3 else FailureKind.DUE
+            for u in rng.random(len(times)).tolist()
+        ]
+        return ReliabilityResult("x", 40_000, 7, times, kinds)
+
+    def test_counts(self):
+        result = self.result()
+        due = sum(1 for k in result.kinds if k is FailureKind.DUE)
+        sdc = sum(1 for k in result.kinds if k is FailureKind.SDC)
+        assert (result.due_count, result.sdc_count) == (due, sdc)
+        assert due + sdc == result.failures
+
+    def test_probability_by_year_and_curve(self):
+        result = self.result()
+
+        def loop(year):
+            cutoff = year * HOURS_PER_YEAR
+            return (
+                sum(1 for t in result.failure_times_hours if t <= cutoff)
+                / result.num_systems
+            )
+
+        years = [0, 0.5, 1, 2.5, 3, 7, 8]
+        for year in years:
+            assert result.probability_by_year(year) == loop(year)
+        assert result.curve() == [(y, loop(y)) for y in range(1, 8)]
+        assert result.curve(years) == [(y, loop(y)) for y in years]
+        # A failure exactly on the 3-year boundary counts by year 3.
+        on_boundary = ReliabilityResult(
+            "x", 10, 7, [3 * HOURS_PER_YEAR], [FailureKind.DUE]
+        )
+        assert on_boundary.curve([2, 3]) == [(2, 0.0), (3, 0.1)]
 
 
 class TestEccBackendConfig:

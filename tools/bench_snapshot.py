@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import sys
@@ -334,6 +335,12 @@ def make_snapshot(metrics: Dict[str, Dict[str, object]]) -> Dict[str, object]:
             "python": platform.python_version(),
             "machine": platform.machine(),
             "system": platform.system(),
+            # Wall metrics move with the CPUs the run could use.
+            "cpus": os.cpu_count(),
+            "affinity_cpus": (
+                len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else None
+            ),
         },
         "metrics": metrics,
     }
