@@ -204,8 +204,8 @@ def test_analytical_sweep_speedup(benchmark):
     the committed full-scale figure population (4e6 systems — see
     EXPERIMENTS.md): the analytical backend answers it in tens of
     milliseconds while the vectorized sampler pays per system.  The
-    acceptance floor is >= 15x, half the ~30x measured at this
-    population; docs/theory.md is the accuracy
+    acceptance floor is >= 15x; about 20-24x is measured at this
+    population on a 2-CPU host; docs/theory.md is the accuracy
     contract (Wilson-interval agreement, enforced by the differential
     suite), this benchmark is the speed contract.
     """

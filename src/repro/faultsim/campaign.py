@@ -316,7 +316,7 @@ def _run_campaign(
     ambient policy, else ``RuntimePolicy()``) sets checkpoint/resume,
     retry and timeout behaviour.
     """
-    shard_size = resolve_shard_size(trials, shard_size, DEFAULT_TRIAL_SHARD_SIZE)
+    shard_size = resolve_shard_size(shard_size, DEFAULT_TRIAL_SHARD_SIZE)
     shards = plan_shards(trials, shard_size)
     fingerprint = RunFingerprint(
         kind=f"campaign.{kind}",

@@ -20,10 +20,12 @@ in-process (``workers=1``) or on a process pool built from
   registry/trace in plan order, so ``--metrics-out``/``--trace-out``
   stay truthful under parallelism.
 
-The pool pays one process spawn per worker plus one pickle round-trip
-per shard, so shards should be thousands of systems each (see
-``DEFAULT_SHARD_SIZE`` in :mod:`repro.faultsim.simulator`); with the
-default sizes the overhead is well under a percent of shard runtime.
+Every shard pays a fixed cost -- a sampler, a few dozen numpy calls
+and a record in process, plus one pickle round-trip on a pool, where
+each worker also costs a process spawn -- so shards should be tens of
+thousands of systems each.  ``DEFAULT_SHARD_SIZE`` in
+:mod:`repro.runtime.spec` is 50,000; docs/performance.md measures
+what the fixed cost is at 25,000, 50,000 and 100,000.
 """
 
 from __future__ import annotations
@@ -82,9 +84,7 @@ def plan_shards(total: int, shard_size: int) -> List[Shard]:
     ]
 
 
-def resolve_shard_size(
-    total: int, shard_size: Optional[int], default: int
-) -> int:
+def resolve_shard_size(shard_size: Optional[int], default: int) -> int:
     """Validate an explicit shard size or fall back to ``default``."""
     if shard_size is None:
         shard_size = default

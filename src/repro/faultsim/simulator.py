@@ -44,15 +44,10 @@ from repro.obs import OBS, get_logger, span
 from repro.obs.progress import progress
 from repro.runtime.checkpoint import RunFingerprint, config_digest
 from repro.runtime.executor import RuntimePolicy, run_resilient
+from repro.runtime.spec import DEFAULT_SHARD_SIZE
 from repro.version import __version__
 
 log = get_logger("faultsim.simulator")
-
-#: Default systems per shard.  Small enough that the default population
-#: splits into several shards (parallel speedup and fine-grained
-#: progress), large enough that the per-shard numpy batches amortise
-#: dispatch overhead.
-DEFAULT_SHARD_SIZE = 25_000
 
 
 @dataclass
@@ -404,9 +399,7 @@ def _shard_plan(
     indices of it, so every shard keeps its single-machine seed and
     offset.
     """
-    shard_size = resolve_shard_size(
-        config.num_systems, shard_size, DEFAULT_SHARD_SIZE
-    )
+    shard_size = resolve_shard_size(shard_size, DEFAULT_SHARD_SIZE)
     shards = plan_shards(config.num_systems, shard_size)
     seeds = np.random.SeedSequence(config.seed).spawn(max(1, len(shards)))
     return shard_size, [

@@ -41,7 +41,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.runtime.chaos import ChaosSpecError, parse_chaos_spec
 from repro.runtime.checkpoint import RunFingerprint, canonical_json, sha256_hex
 
-__all__ = ["SCHEMES", "SpecError", "ExperimentSpec", "build_scheme"]
+__all__ = [
+    "DEFAULT_SHARD_SIZE",
+    "SCHEMES",
+    "SpecError",
+    "ExperimentSpec",
+    "build_scheme",
+]
+
+#: Default systems per Monte-Carlo shard, for a spec and for
+#: :func:`repro.faultsim.simulate` alike: the engine imports it from
+#: here, as this module does not import the engine.  Every shard pays a
+#: fixed cost (a sampler, a few dozen numpy calls and a record), so
+#: larger shards run faster in process but hold more adjudication
+#: arrays at once; docs/performance.md measures 25,000, 50,000 and
+#: 100,000.  The shard plan is part of a run's identity: changing this
+#: moves every default-plan sampled bit.
+DEFAULT_SHARD_SIZE = 50_000
 
 #: Scheme key -> :mod:`repro.faultsim` class name: the vocabulary of
 #: ``--schemes``, of a service request and of the ``job`` frame.
@@ -83,7 +99,7 @@ class ExperimentSpec:
     scaling_rate: float = 0.0
     scrub_hours: Optional[float] = None
     seed: int = 2016
-    shard_size: int = 25_000
+    shard_size: int = DEFAULT_SHARD_SIZE
     workers: int = 1
     chaos: Optional[str] = None
 
@@ -97,8 +113,6 @@ class ExperimentSpec:
         message: the CLI exits 2 on it, the service answers 400 and a
         worker replies with an ``error`` frame.
         """
-        from repro.faultsim.simulator import DEFAULT_SHARD_SIZE
-
         if not isinstance(data, dict):
             raise SpecError("spec must be a JSON object")
         # A key that is no field is a typo, rejected loudly: a
@@ -127,7 +141,7 @@ class ExperimentSpec:
             workers = int(data.get("workers", cls.workers))
             raw_shard = data.get("shard_size")
             shard_size = (
-                DEFAULT_SHARD_SIZE if raw_shard is None else int(raw_shard)
+                cls.shard_size if raw_shard is None else int(raw_shard)
             )
             raw_scrub = data.get("scrub_hours")
             scrub_hours = None if raw_scrub is None else float(raw_scrub)

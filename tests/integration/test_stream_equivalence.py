@@ -1,8 +1,8 @@
-"""The current draws against the two sets of draws they replaced.
+"""The current draws against the three sets of draws they replaced.
 
-Two changes moved sampled bits without touching a knob, and each left
-its seed-2016 counts of one Fig-7 pass of 1e6 systems (default shard
-plan) pinned here:
+Three changes moved default-plan sampled bits without touching a
+knob, and each left its seed-2016 counts of one Fig-7 pass of 1e6
+systems (default shard plan) pinned here:
 
 * ``PREVIOUS_STREAM``: the per-system probabilistic draws (ECC-DIMM's
   DUE/SDC split, XED's on-die-miss tail) came from a seeded
@@ -10,12 +10,16 @@ plan) pinned here:
   (:func:`repro.faultsim.vectorized.system_rng`);
 * ``PER_ROW_SAMPLER``: each shard drew one Poisson count per FIT-table
   row and system, before ``FaultSampler.sample_shard_arrays`` drew one
-  Poisson total per system and a categorical row per fault.
+  Poisson total per system and a categorical row per fault;
+* ``FORMER_SHARD_PLAN``: the default shard held 25,000 systems, before
+  :data:`repro.runtime.spec.DEFAULT_SHARD_SIZE` became 50,000, so each
+  shard's ``SeedSequence`` child now draws for other systems.  The
+  former plan still reproduces these counts (``shard_size=25_000``).
 
-The current draws share no bits with either set, so each current
-count is an independent estimate of the same probability and must pass
-a pooled two-proportion z-test at |z| < 3.29 (two-sided p = 0.001)
-against both.
+The current draws share no bits with any set, so each current count
+is an independent estimate of the same probability and must pass a
+pooled two-proportion z-test at |z| < 3.29 (two-sided p = 0.001)
+against all three.
 """
 
 import math
@@ -48,7 +52,19 @@ PER_ROW_SAMPLER = {
     "chipkill_failures": 2_947,
 }
 
-PINNED = {"previous_stream": PREVIOUS_STREAM, "per_row": PER_ROW_SAMPLER}
+#: Seed-2016 counts under the split sampler and 25,000-system shards.
+FORMER_SHARD_PLAN = {
+    "ecc_dimm_failures": 136_992,
+    "ecc_dimm_sdc": 60_492,
+    "xed_failures": 785,
+    "chipkill_failures": 2_798,
+}
+
+PINNED = {
+    "previous_stream": PREVIOUS_STREAM,
+    "per_row": PER_ROW_SAMPLER,
+    "former_shard_plan": FORMER_SHARD_PLAN,
+}
 
 
 def two_proportion_z(
@@ -64,17 +80,21 @@ def two_proportion_z(
     return (after / trials - before / n_before) / spread
 
 
-@pytest.fixture(scope="module")
-def fig7_pass():
+def _fig7_counts(shard_size=None):
     config = MonteCarloConfig(num_systems=SYSTEMS, seed=2016)
     return {
-        key: simulate(scheme, config)
+        key: simulate(scheme, config, shard_size=shard_size)
         for key, scheme in (
             ("ecc_dimm", EccDimmScheme()),
             ("xed", XedScheme()),
             ("chipkill", ChipkillScheme()),
         )
     }
+
+
+@pytest.fixture(scope="module")
+def fig7_pass():
+    return _fig7_counts()
 
 
 def assert_equivalent(
@@ -114,6 +134,17 @@ class TestStreamEquivalence:
 
     def test_xed_failures_equivalent(self, fig7_pass):
         assert_equivalent("xed_failures", fig7_pass["xed"].failures, SYSTEMS)
+
+    def test_former_shard_plan_keeps_its_counts(self):
+        # Only the default plan moved: asked for by name, the former
+        # 25,000-system plan draws exactly the bits it always did.
+        former = _fig7_counts(shard_size=25_000)
+        assert {
+            "ecc_dimm_failures": former["ecc_dimm"].failures,
+            "ecc_dimm_sdc": former["ecc_dimm"].sdc_count,
+            "xed_failures": former["xed"].failures,
+            "chipkill_failures": former["chipkill"].failures,
+        } == FORMER_SHARD_PLAN
 
     def test_z_statistic_flags_a_real_shift(self):
         assert abs(two_proportion_z(752, 752, SYSTEMS)) == 0.0

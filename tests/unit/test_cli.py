@@ -332,6 +332,53 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "different run" in err and "config_hash" in err
 
+    def test_checkpoint_of_the_former_default_shard_size(
+        self, tmp_path, capsys
+    ):
+        """A checkpoint planned at the former 25,000-system default.
+
+        The shard size is not in the config hash, so the file keeps its
+        name: a resume at the default finds it and refuses it, naming
+        ``shard_size``; naming the former size resumes it.
+        """
+        from repro.runtime.checkpoint import (
+            CheckpointStore, RunFingerprint, load_checkpoint,
+        )
+        from repro.runtime.spec import DEFAULT_SHARD_SIZE
+
+        default_plan = [
+            "reliability", "--schemes", "xed", "--systems", "100000",
+        ]
+        former_plan = default_plan + ["--shard-size", "25000"]
+        assert main(former_plan) == EXIT_OK
+        uninterrupted = capsys.readouterr().out
+        assert main(former_plan + ["--checkpoint", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        (path,) = tmp_path.glob("*.ckpt")
+        written = load_checkpoint(path)
+        assert sorted(written.records) == [0, 1, 2, 3]
+        # Keep the first two shards, as a run interrupted there would.
+        store = CheckpointStore.create(
+            path, RunFingerprint(**written.fingerprint)
+        )
+        for index in (0, 1):
+            store.add(index, written.records[index].payload)
+
+        code = main(default_plan + ["--resume", str(tmp_path)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "different run" in err
+        assert f"shard_size: run={DEFAULT_SHARD_SIZE} checkpoint=25000" in err
+
+        metrics = tmp_path / "metrics.json"
+        assert main([
+            "--metrics-out", str(metrics),
+            *former_plan, "--resume", str(tmp_path),
+        ]) == EXIT_OK
+        assert capsys.readouterr().out == uninterrupted
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["runtime.shards_resumed"] == 2
+
     def test_shard_failure_is_4_and_prints_resume_command(
         self, tmp_path, capsys
     ):

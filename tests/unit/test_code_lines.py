@@ -74,3 +74,17 @@ def test_paths_report_files_directories_and_total(tmp_path, capsys):
     assert code_lines.main([str(package)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-1].split() == [str(EXPECTED + 2), "total"]
+
+
+def test_help_prints_the_usage(capsys):
+    for flag in ("-h", "--help"):
+        assert code_lines.main([flag]) == 0
+        assert "Usage::" in capsys.readouterr().out
+
+
+def test_a_missing_path_is_named_on_one_line(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir"
+    assert code_lines.main([str(tmp_path), str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"code_lines: no such path: {missing}\n"

@@ -1,0 +1,104 @@
+"""Unit tests for the report of names only tests use.
+
+``tools/names_only_tests_use.py`` lists the functions, methods and
+classes of ``src/repro`` that no Python file outside ``tests/`` names;
+a name in a code span of ``docs/api.md`` counts as used.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+_TOOL = (
+    Path(__file__).resolve().parents[2] / "tools" / "names_only_tests_use.py"
+)
+_spec = importlib.util.spec_from_file_location("names_only_tests_use", _TOOL)
+names_only_tests_use = importlib.util.module_from_spec(_spec)
+sys.modules.setdefault("names_only_tests_use", names_only_tests_use)
+_spec.loader.exec_module(names_only_tests_use)
+
+MODULE = '''"""A module whose docstring names tested_only."""
+
+__all__ = ["tested_only", "used_from_src", "Box"]
+
+
+def tested_only():
+    """Only a test calls this."""
+    return tested_only  # its own body names it
+
+
+def used_from_src():
+    return 1
+
+
+def documented():
+    return 2
+
+
+def looked_up():
+    return 3
+
+
+class Box:
+    def __repr__(self):
+        return "Box()"
+
+    def open(self):
+        return used_from_src()
+
+    def spare(self):
+        return None
+'''
+
+
+def _checkout(root: Path) -> Path:
+    package = root / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from repro.mod import tested_only, used_from_src\n"
+    )
+    (package / "mod.py").write_text(MODULE)
+    (package / "user.py").write_text(
+        "from repro.mod import Box\n\n"
+        "Box().open()\n"
+        "handler = getattr(Box, 'looked_up', None)\n"
+    )
+    (root / "tests").mkdir()
+    (root / "tests" / "test_mod.py").write_text(
+        "from repro.mod import tested_only\n\n"
+        "def test_it():\n"
+        "    assert tested_only() is tested_only\n"
+    )
+    (root / "docs").mkdir()
+    (root / "docs" / "api.md").write_text(
+        "Call `repro.mod.documented()`; tested_only is prose, not code.\n"
+    )
+    return root
+
+
+def test_lists_a_name_only_a_test_uses_and_not_one_src_uses(tmp_path):
+    root = _checkout(tmp_path)
+    found = [
+        qualified for _, _, qualified in names_only_tests_use.report(root)
+    ]
+    # tested_only: its def, own body, __all__, the re-export, the
+    # docstring and api.md prose are no use, and the test does not
+    # count.  Box.spare: nothing names it.  used_from_src, documented,
+    # looked_up, Box and Box.open are used; __repr__ is a dunder.
+    assert found == ["tested_only", "Box.spare"]
+
+
+def test_main_prints_each_name_and_a_count(tmp_path, capsys):
+    root = _checkout(tmp_path)
+    assert names_only_tests_use.main(["--root", str(root)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "src/repro/mod.py:6  tested_only",
+        "src/repro/mod.py:30  Box.spare",
+        "2 definitions named by nothing outside tests/",
+    ]
+
+
+def test_main_refuses_a_root_without_the_package(tmp_path, capsys):
+    assert names_only_tests_use.main(["--root", str(tmp_path)]) == 2
+    assert "src/repro" in capsys.readouterr().err

@@ -68,14 +68,14 @@ class TestValidation:
             validate_workers(bad)
 
     def test_resolve_shard_size_default(self):
-        assert resolve_shard_size(100, None, 25) == 25
+        assert resolve_shard_size(None, 25) == 25
 
     def test_resolve_shard_size_explicit(self):
-        assert resolve_shard_size(100, 10, 25) == 10
+        assert resolve_shard_size(10, 25) == 10
 
     def test_resolve_shard_size_rejects_non_positive(self):
         with pytest.raises(ValueError):
-            resolve_shard_size(100, 0, 25)
+            resolve_shard_size(0, 25)
 
 
 class TestReliabilityMerge:

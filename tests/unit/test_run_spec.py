@@ -27,7 +27,7 @@ import pytest
 import repro.faultsim.simulator as simulator
 from repro.cli import _run_spec, build_parser, main
 from repro.runtime.distributed import Coordinator
-from repro.runtime.spec import ExperimentSpec
+from repro.runtime.spec import ExperimentSpec, build_scheme
 from repro.service import CampaignService, create_server
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -124,11 +124,28 @@ class TestPinnedIdentities:
         assert ExperimentSpec.from_dict(self.SMALL).fingerprint() == (
             "27bc9f1dc7526d22d0998e12fa9f18445cb82de726b543b255d7460d3fc68f4c"
         )
-        assert ExperimentSpec.from_dict({
-            "schemes": ["ecc_dimm", "xed", "chipkill"], "systems": 200_000,
-        }).fingerprint() == (
+        # The shard size is hashed resolved: the former 25,000 default
+        # keeps its key when spelled out, and the default has its own.
+        fig7 = {"schemes": ["ecc_dimm", "xed", "chipkill"], "systems": 200_000}
+        assert ExperimentSpec.from_dict(
+            {**fig7, "shard_size": 25_000}
+        ).fingerprint() == (
             "05ecfda59445eca121a8fa432015b41abaeb8e1fc599797c942764287a16c90c"
         )
+        assert ExperimentSpec.from_dict(fig7).fingerprint() == (
+            "edce6c30c86fdaa36015c30a81caeb3e58f2292d6c4af08e7661fbf35c9e050c"
+        )
+
+    def test_default_shard_size_has_one_owner(self):
+        built = ExperimentSpec(schemes=("xed",))
+        parsed = ExperimentSpec.from_dict({"schemes": ["xed"]})
+        assert built.shard_size == parsed.shard_size == (
+            simulator.DEFAULT_SHARD_SIZE
+        )
+        assert built.fingerprint() == parsed.fingerprint()
+        config = simulator.MonteCarloConfig(num_systems=built.systems)
+        shard_size, _ = simulator._shard_plan(build_scheme("xed"), config)
+        assert shard_size == built.shard_size
 
     def test_coordinator_run_fingerprint(self):
         coordinator = Coordinator(ExperimentSpec.from_dict(self.SMALL))

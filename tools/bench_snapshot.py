@@ -146,7 +146,7 @@ def _bench_markov(num_systems: int = 4_000_000) -> Dict[str, Dict[str, object]]:
     answers it in milliseconds while the sampler pays per system, so
     the ratio is the ledger's guard against the solver silently
     regressing into per-system work.  The Monte-Carlo leg is timed
-    once (it runs ~2 s; its jitter is small relative to the 30x-scale
+    once (it runs ~1 s; its jitter is small relative to the 20x-scale
     ratio and the comparator's tolerance band).
     """
     from repro.faultsim import (
@@ -279,11 +279,11 @@ def _bench_checkpoint(
     a :class:`TelemetryScope` with a :class:`RuntimePolicy` writing a
     fresh checkpoint in a temporary directory.  The metric is the mean
     canonical-JSON size of each shard record's ``metrics`` plus its
-    ``trace`` (about 1.3 KB over 4 shards): a count, not a timing, so
-    it does not move with the sampler's speed or the host, only the
-    printed width of span timings jitters it by a few bytes.  It is
-    ratio class, so CI gates it: the ledger's guard against per-failure
-    telemetry coming back.
+    ``trace`` (about 1.3 KB in each of 2 records): a count, not a
+    timing, so it does not move with the sampler's speed or the host,
+    only the printed width of span timings jitters it by a few bytes.
+    It is ratio class, so CI gates it: the ledger's guard against
+    per-failure telemetry coming back.
     """
     import tempfile
 

@@ -13,7 +13,7 @@ Usage::
 
 Prints one count per ``.py`` file, then one per directory (a directory
 counts everything below it, down from each directory argument), then
-the total over all arguments.
+the total over all arguments.  ``-h``/``--help`` prints this text.
 """
 
 from __future__ import annotations
@@ -91,9 +91,21 @@ def count_paths(paths: Sequence[str]) -> Dict[str, int]:
 
 
 def main(argv: Sequence[str]) -> int:
-    """Print the counts for ``argv``'s paths; returns the exit code."""
+    """Print the counts for ``argv``'s paths; returns the exit code.
+
+    ``-h``/``--help`` prints the usage and returns 0.  No argument
+    prints it to stderr and returns 2; a path that does not exist
+    returns 2 with one stderr line naming it.
+    """
+    if "-h" in argv or "--help" in argv:
+        print(__doc__.strip())
+        return 0
     if not argv:
         print(__doc__.strip(), file=sys.stderr)
+        return 2
+    missing = [arg for arg in argv if not Path(arg).exists()]
+    if missing:
+        print(f"code_lines: no such path: {missing[0]}", file=sys.stderr)
         return 2
     counts = count_paths(argv)
     total = counts.pop("total")
