@@ -858,7 +858,7 @@ def _cmd_coordinate(args: argparse.Namespace) -> int:
 
 
 def _cmd_work(args: argparse.Namespace) -> int:
-    from repro.runtime.distributed import run_worker
+    from repro.runtime.distributed import HandshakeError, run_worker
 
     try:
         summary = run_worker(
@@ -867,6 +867,9 @@ def _cmd_work(args: argparse.Namespace) -> int:
             chaos=args.chaos,
             connect_timeout_s=args.connect_timeout,
         )
+    except HandshakeError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ConnectionError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return EXIT_BAD_RESULT
@@ -945,7 +948,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.obs import OBS, configure, get_logger, span
     from repro.runtime import (
         CheckpointError,
-        HandshakeError,
         RunInterrupted,
         ShardFailure,
         SpecError,
@@ -1002,7 +1004,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         code = EXIT_SHARD_FAILURE
-    except (CheckpointError, HandshakeError, SpecError) as exc:
+    except (CheckpointError, SpecError) as exc:
         print(f"repro: {exc}", file=sys.stderr)
         code = EXIT_USAGE
     finally:

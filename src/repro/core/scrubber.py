@@ -76,13 +76,6 @@ class PatrolScrubber:
         )
         self._cursor: Tuple[int, int] = (0, 0)  # (bank, row)
 
-    def addresses(self) -> Iterator[Tuple[int, int, int]]:
-        """Yield every (bank, row, column) address in patrol order."""
-        for bank in range(self.banks):
-            for row in range(self.rows):
-                for column in range(self.columns):
-                    yield bank, row, column
-
     def scrub_region(
         self,
         banks: Iterator[int] | None = None,

@@ -26,6 +26,11 @@ methodology:
 * :mod:`repro.faultsim.markov` -- closed-form Markov lifetime solver
   (``faultsim_backend="analytical"``), cross-validated against
   Monte-Carlo within Wilson intervals; see docs/theory.md.
+
+The package does not import :mod:`repro.faultsim.analytical` or
+:mod:`repro.faultsim.campaign` (the behavioural campaigns of ``repro
+campaign``), which a Monte-Carlo run never uses; import them by name,
+as in ``from repro.faultsim import analytical``.
 """
 
 from repro.faultsim.fault_models import (
@@ -67,8 +72,6 @@ from repro.faultsim.markov import (
     solve_many,
     sweep,
 )
-from repro.faultsim import analytical
-from repro.faultsim import campaign
 from repro.faultsim import differential
 from repro.faultsim import markov
 from repro.faultsim import parallel
@@ -106,8 +109,6 @@ __all__ = [
     "solve",
     "solve_many",
     "sweep",
-    "analytical",
-    "campaign",
     "differential",
     "markov",
     "parallel",

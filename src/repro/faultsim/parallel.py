@@ -30,8 +30,10 @@ what the fixed cost is at 25,000, 50,000 and 100,000.
 
 from __future__ import annotations
 
-import multiprocessing
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - loaded by pool runs only
+    import multiprocessing.context
 
 __all__ = [
     "Shard",
@@ -56,7 +58,11 @@ def pool_context() -> multiprocessing.context.BaseContext:
     crash behaviour did.  Should an exotic platform lack ``spawn``
     (CPython provides it everywhere; this is belt-and-braces), the
     platform default context is the documented fallback.
+    ``multiprocessing`` is imported here, by the pool runs that use
+    it, so an in-process run never loads it.
     """
+    import multiprocessing
+
     try:
         return multiprocessing.get_context("spawn")
     except ValueError:  # pragma: no cover - spawn exists on all tier-1 OSes

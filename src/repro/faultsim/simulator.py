@@ -44,7 +44,11 @@ from repro.obs import OBS, get_logger, span
 from repro.obs.progress import progress
 from repro.runtime.checkpoint import RunFingerprint, config_digest
 from repro.runtime.executor import RuntimePolicy, run_resilient
-from repro.runtime.spec import DEFAULT_SHARD_SIZE
+from repro.runtime.spec import (
+    DEFAULT_SEED,
+    DEFAULT_SHARD_SIZE,
+    DEFAULT_SYSTEMS,
+)
 from repro.version import __version__
 
 log = get_logger("faultsim.simulator")
@@ -60,9 +64,9 @@ class MonteCarloConfig:
     confidence intervals so undersampling is visible, not silent.
     """
 
-    num_systems: int = 200_000
+    num_systems: int = DEFAULT_SYSTEMS
     years: float = LIFETIME_YEARS
-    seed: int = 2016
+    seed: int = DEFAULT_SEED
     fit: FitTable = field(default_factory=FitTable)
     scaling_rate: float = 0.0
     scrub_hours: Optional[float] = None

@@ -37,6 +37,7 @@ from functools import lru_cache
 from math import log
 from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
+from repro.mtwords import pull_words
 from repro.perfsim.requests import RequestType
 from repro.perfsim.workloads import Workload
 
@@ -205,34 +206,13 @@ class TraceArrays:
 
 
 #: Unconsumed raw words kept ahead of the replay cursor.  One trace
-#: iteration draws at most ~14 words plus (vanishingly improbable)
-#: rejection-loop extras, so this margin is never outrun in practice.
-_WORD_MARGIN = 4096
+#: iteration draws 8 words plus five ``randrange`` draws, each accepted
+#: with probability at least one half per word, so no iteration
+#: outruns this margin short of a 2**-200 event.
+_WORD_MARGIN = 256
 
-
-def _mt_raw_stream(rng: random.Random):
-    """Clone ``rng``'s Mersenne-Twister state into a numpy generator.
-
-    ``random.Random`` and :class:`numpy.random.MT19937` implement the
-    same MT19937 core, so loading the CPython state (624 key words plus
-    the cursor) into numpy yields a generator whose ``random_raw``
-    output is exactly the 32-bit word stream ``rng.getrandbits(32)``
-    would produce -- the property the pipeline backend's bulk trace
-    replay is built on (verified by ``tests/unit/test_perfsim_trace``
-    and the golden corpus).
-    """
-    import numpy as np
-
-    state = rng.getstate()[1]
-    mt = np.random.MT19937()
-    mt.state = {
-        "bit_generator": "MT19937",
-        "state": {
-            "key": np.array(state[:-1], dtype=np.uint32),
-            "pos": state[-1],
-        },
-    }
-    return mt
+#: Words pulled at a time once the trace's own estimate is used up.
+_REFILL_WORDS = 16384
 
 
 def _draw_bound(n: int) -> int:
@@ -286,10 +266,10 @@ def _parse(
     if mean_gap == float("inf"):
         return _Parse([], [], np.empty((0, 4), dtype=np.uint32))
     name_salt = zlib.crc32(w.name.encode()) & 0xFFFF
-    mt = _mt_raw_stream(random.Random((seed << 16) ^ (core * 7919) ^ name_salt))
+    rng = random.Random((seed << 16) ^ (core * 7919) ^ name_salt)
     est_words = int(instructions / (1.0 + mean_gap)) * 16 + 256
-    words: List[int] = mt.random_raw(max(_WORD_MARGIN * 2, est_words)).tolist()
-    limit = len(words) - _WORD_MARGIN
+    words = pull_words(rng, est_words + _WORD_MARGIN)
+    limit = est_words
     idx = 0
     # random.random() reconstructed from two raw words (CPython's
     # genrand_res53); the multiply by an exact power of two equals
@@ -330,7 +310,8 @@ def _parse(
     # -- the exact CPython consumption order.
     while True:
         if idx > limit:
-            words.extend(mt.random_raw(16384).tolist())
+            words = words[idx:] + pull_words(rng, _REFILL_WORDS)
+            idx = 0
             limit = len(words) - _WORD_MARGIN
         u = ((words[idx] >> 5) * 67108864.0 + (words[idx + 1] >> 6)) * inv53
         idx += 2
@@ -400,7 +381,7 @@ def build_trace_arrays(
 
     Bit-identical to iterating :class:`SyntheticTrace` with the same
     parameters: the Mersenne-Twister word stream is pulled in bulk
-    through numpy (:func:`_mt_raw_stream`) and the CPython consumption
+    (:func:`repro.mtwords.pull_words`) and the CPython consumption
     pattern -- ``expovariate``'s two words, ``random``'s two words and
     ``randrange``'s reject loop -- is replayed exactly, so every scheme
     config (and both engine backends) sees the same instruction stream.

@@ -28,7 +28,9 @@ through this package's execution layer --
   transfers, requeue/quarantine, drain + resume) and its worker loop,
   behind ``repro coordinate`` / ``repro work``.
 
-See ``docs/robustness.md`` for the checkpoint format, resume
+The last two load asyncio, which a local run never needs, so this
+package does not re-export them: import their names from their own
+modules.  See ``docs/robustness.md`` for the checkpoint format, resume
 semantics, the lease lifecycle, and the CLI's exit-code contract.
 """
 
@@ -55,17 +57,6 @@ from repro.runtime.checkpoint import (
     config_digest,
     load_checkpoint,
 )
-from repro.runtime.distributed import (
-    Coordinator,
-    HandshakeError,
-    WorkerSummary,
-    run_worker,
-)
-from repro.runtime.protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    encode_frame,
-)
 from repro.runtime.executor import (
     RunInterrupted,
     RunOutcome,
@@ -80,7 +71,6 @@ from repro.runtime.spec import SCHEMES, ExperimentSpec, SpecError
 __all__ = [
     "CHECKPOINT_VERSION",
     "CRASH_EXIT_CODE",
-    "PROTOCOL_VERSION",
     "SCHEMES",
     "ChaosCrash",
     "ChaosFault",
@@ -91,11 +81,8 @@ __all__ = [
     "CheckpointLoad",
     "CheckpointMismatch",
     "CheckpointStore",
-    "Coordinator",
     "ExperimentSpec",
-    "HandshakeError",
     "LeaseBook",
-    "ProtocolError",
     "RunFingerprint",
     "RunInterrupted",
     "RunOutcome",
@@ -104,14 +91,11 @@ __all__ = [
     "ShardLease",
     "ShardRecord",
     "SpecError",
-    "WorkerSummary",
     "config_digest",
     "corrupt_checkpoint_tail",
     "current_policy",
-    "encode_frame",
     "load_checkpoint",
     "parse_chaos_spec",
     "run_resilient",
-    "run_worker",
     "use_policy",
 ]

@@ -50,16 +50,12 @@ import signal
 import threading
 import time
 from time import time as wall_time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.obs import OBS, TelemetryScope, events
 from repro.obs.tracing import TraceContext, current_context, shard_span
@@ -72,6 +68,9 @@ from repro.runtime.checkpoint import (
     ShardRecord,
     backoff_delay,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - loaded by pool runs only
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "RuntimePolicy",
@@ -757,6 +756,13 @@ class _ResilientRun:
             self.books.complete(index, result, metrics, trace)
 
     def _submit(self, lease: ShardLease) -> None:
+        # The pool machinery loads here, so an inline run never pays
+        # for it.
+        from concurrent.futures.process import (
+            BrokenProcessPool,
+            ProcessPoolExecutor,
+        )
+
         if self.pool is None:
             from repro.faultsim.parallel import pool_context
 
@@ -778,6 +784,8 @@ class _ResilientRun:
 
     def _collect(self) -> None:
         """Settle finished futures, then a crashed pool or missed deadline."""
+        from concurrent.futures.process import BrokenProcessPool
+
         next_deadline = min(lease.deadline for lease in self.inflight.values())
         wait_s = min(max(0.0, next_deadline - time.monotonic()), _POLL_S * 2)
         done, _ = wait(

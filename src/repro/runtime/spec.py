@@ -42,7 +42,9 @@ from repro.runtime.chaos import ChaosSpecError, parse_chaos_spec
 from repro.runtime.checkpoint import RunFingerprint, canonical_json, sha256_hex
 
 __all__ = [
+    "DEFAULT_SEED",
     "DEFAULT_SHARD_SIZE",
+    "DEFAULT_SYSTEMS",
     "SCHEMES",
     "SpecError",
     "ExperimentSpec",
@@ -58,6 +60,13 @@ __all__ = [
 #: 100,000.  The shard plan is part of a run's identity: changing this
 #: moves every default-plan sampled bit.
 DEFAULT_SHARD_SIZE = 50_000
+
+#: Default population and seed of a reliability run, owned here for the
+#: same reason: a spec and :class:`repro.faultsim.MonteCarloConfig`
+#: both read them, so ``repro reliability``, a service job and a bare
+#: ``simulate()`` run one default experiment.
+DEFAULT_SYSTEMS = 200_000
+DEFAULT_SEED = 2016
 
 #: Scheme key -> :mod:`repro.faultsim` class name: the vocabulary of
 #: ``--schemes``, of a service request and of the ``job`` frame.
@@ -94,11 +103,11 @@ class ExperimentSpec:
     """
 
     schemes: Tuple[str, ...]
-    systems: int = 200_000
+    systems: int = DEFAULT_SYSTEMS
     years: float = 7.0
     scaling_rate: float = 0.0
     scrub_hours: Optional[float] = None
-    seed: int = 2016
+    seed: int = DEFAULT_SEED
     shard_size: int = DEFAULT_SHARD_SIZE
     workers: int = 1
     chaos: Optional[str] = None

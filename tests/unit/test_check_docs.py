@@ -46,6 +46,10 @@ class TestFlagCollection:
         assert "--tolerance" in tool_flags
         assert "--include-wall" in tool_flags
 
+    def test_scrape_finds_the_benchmark_runner_flags(self, tool_flags):
+        # benchmarks/e2e/run.py is scraped beside tools/.
+        assert {"--workload", "--seconds", "--trace"} <= tool_flags
+
     def test_unknown_flag_not_collected(self, cli_flags, tool_flags):
         assert "--definitely-not-a-flag" not in cli_flags | tool_flags
 
@@ -120,6 +124,18 @@ class TestCheckFile:
     def test_markdown_rule_not_a_flag(self, tmp_path, cli_flags, tool_flags):
         # A horizontal rule / em-dash run must not parse as a flag.
         problems = self._lint(tmp_path, "---\ntext --- more\n", cli_flags, tool_flags)
+        assert problems == []
+
+    def test_benchmark_command_line_is_clean(
+        self, tmp_path, cli_flags, tool_flags
+    ):
+        problems = self._lint(
+            tmp_path,
+            "`python3 benchmarks/e2e/run.py --workload fig7_mc "
+            "--seconds 20`\n",
+            cli_flags,
+            tool_flags,
+        )
         assert problems == []
 
     def test_external_flags_allowlisted(self, tmp_path, cli_flags, tool_flags):

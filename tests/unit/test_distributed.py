@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from repro.cli import main
 from repro.faultsim.parallel import plan_shards, select_shard_args
 from repro.runtime import load_checkpoint, parse_chaos_spec
 from repro.runtime.checkpoint import (
@@ -467,6 +468,21 @@ class TestHandshakeEndsTheWorker:
         assert fake.connections == 1
         assert "worker w1" in str(error) and "go away" in str(error)
         assert f"coordinator 127.0.0.1:{fake.address[1]}" in str(error)
+
+    def test_repro_work_exits_2_on_a_refused_hello(self, capsys):
+        fake = _FakeCoordinator({"type": "error", "reason": "go away"})
+        try:
+            code = main([
+                "work", "--coordinator", f"127.0.0.1:{fake.address[1]}",
+                "--worker-id", "w1", "--connect-timeout", "5",
+            ])
+        finally:
+            fake.close()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: handshake of worker w1")
+        assert "go away" in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
     def test_http_server_is_one_connection(self, tmp_path):
         class CountingServer(CampaignServer):

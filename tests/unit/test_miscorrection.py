@@ -1,14 +1,84 @@
 """Unit tests for the SECDED miscorrection profiling."""
 
+import random
+
+import numpy as np
 import pytest
 
-from repro.ecc import CRC8ATMCode, HammingSECDED
+from repro import mtwords
+from repro.ecc import CRC8ATMCode, HammingSECDED, miscorrection
 from repro.ecc.miscorrection import (
     MiscorrectionProfile,
     hamming_chip_error_sdc_fraction,
+    lane_error_positions,
     measure_lane_error_profile,
 )
 from repro.faultsim.schemes import EccDimmScheme
+
+
+def _drawn_positions(code, lane, lane_bits, samples, seed):
+    """The rows the ``random.randint``/``random.sample`` calls draw."""
+    rng = random.Random(seed)
+    rng.getrandbits(code.k)
+    base = lane * lane_bits
+    positions = np.full((samples, lane_bits), code.n, dtype=np.int64)
+    for i in range(samples):
+        weight = rng.randint(2, lane_bits)
+        for j, bit in enumerate(rng.sample(range(lane_bits), weight)):
+            positions[i, j] = base + bit
+    return positions
+
+
+class TestWordReplay:
+    """The replay from pulled words against the calls it replaces."""
+
+    #: Every sample takes at least three words, so 2,000 samples take
+    #: more than one pull.
+    SAMPLES = 2000
+
+    @pytest.fixture()
+    def pulls(self, monkeypatch):
+        counts = []
+
+        def counted(rng, count):
+            counts.append(count)
+            return mtwords.pull_words(rng, count)
+
+        monkeypatch.setattr(miscorrection, "pull_words", counted)
+        return counts
+
+    @pytest.mark.parametrize("code", [HammingSECDED(), CRC8ATMCode()],
+                             ids=["hamming", "crc8"])
+    @pytest.mark.parametrize("seed", [1, 7, 2016])
+    @pytest.mark.parametrize("lane", [0, 3])
+    @pytest.mark.parametrize("lane_bits", [4, 8])
+    def test_positions_equal_the_drawn_ones(
+        self, pulls, code, seed, lane, lane_bits
+    ):
+        replayed = lane_error_positions(
+            code, lane, lane_bits, self.SAMPLES, seed
+        )
+        assert len(pulls) > 1
+        assert np.array_equal(
+            replayed,
+            _drawn_positions(code, lane, lane_bits, self.SAMPLES, seed),
+        )
+
+    @pytest.mark.parametrize("lane_bits", [2, 16, 21])
+    def test_every_width_of_the_pool_branch(self, lane_bits):
+        code = HammingSECDED()
+        assert np.array_equal(
+            lane_error_positions(code, 0, lane_bits, 500, 7),
+            _drawn_positions(code, 0, lane_bits, 500, 7),
+        )
+
+    @pytest.mark.parametrize("lane_bits", [1, 22])
+    def test_widths_beyond_the_pool_branch_are_refused(self, lane_bits):
+        with pytest.raises(ValueError, match="lane_bits"):
+            lane_error_positions(HammingSECDED(), lane_bits=lane_bits)
+
+    def test_pinned_hamming_sdc_fraction(self):
+        assert hamming_chip_error_sdc_fraction() == 0.44275000000000003
 
 
 class TestProfileMeasurement:

@@ -99,6 +99,38 @@ def test_main_prints_each_name_and_a_count(tmp_path, capsys):
     ]
 
 
+HOOKS = '''from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+
+class Handler(BaseHTTPRequestHandler):
+    def log_message(self, format, *args):
+        return None
+
+
+class Server(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        return None
+
+
+def handle_error():
+    return None
+
+
+SERVING = (Server, Handler)
+'''
+
+
+def test_standard_library_hooks_are_not_listed(tmp_path):
+    root = _checkout(tmp_path)
+    (root / "src" / "repro" / "server.py").write_text(HOOKS)
+    found = [
+        qualified for _, _, qualified in names_only_tests_use.report(root)
+    ]
+    # The base classes call both methods by name; a module-level
+    # function of a hook's name is no hook.
+    assert found == ["tested_only", "Box.spare", "handle_error"]
+
+
 def test_main_refuses_a_root_without_the_package(tmp_path, capsys):
     assert names_only_tests_use.main(["--root", str(tmp_path)]) == 2
     assert "src/repro" in capsys.readouterr().err

@@ -12,6 +12,8 @@ large) gives an empty trace on both engines.
 
 import pytest
 
+from repro import mtwords
+from repro.perfsim import trace
 from repro.perfsim.configs import SCHEME_CONFIGS
 from repro.perfsim.engine import simulate_system
 from repro.perfsim.requests import RequestType
@@ -83,6 +85,28 @@ class TestAgainstReference:
                  op.rank, op.bank, op.row)
                 for op, w, r in zip(ref, bulk.writes, global_ranks)
             ]
+
+    def test_a_trace_that_outruns_its_estimate_equals_the_reference(
+        self, parses, monkeypatch
+    ):
+        # Every op opens a row on a fresh bank, and each of its five
+        # power-of-two draws takes two words on average: about 18 words
+        # an op against the parse's estimate of 16, so it pulls again.
+        streaming = Workload("streaming", "X", 1000.0, 0.0, 0.5)
+        pulls = []
+
+        def counted(rng, count):
+            pulls.append(count)
+            return mtwords.pull_words(rng, count)
+
+        monkeypatch.setattr(trace, "pull_words", counted)
+        geometry = REGISTERED[2]
+        bulk = build_trace_arrays(streaming, INSTRUCTIONS, *geometry)
+        ref = SyntheticTrace(streaming, INSTRUCTIONS, *geometry).materialise()
+        assert len(pulls) > 1
+        assert bulk.positions == [op.position for op in ref]
+        assert bulk.rows == [op.row for op in ref]
+        assert bulk.banks == [op.bank for op in ref]
 
     def test_bank_indices_beyond_int64_are_rejected(self):
         with pytest.raises(ValueError, match="int64"):

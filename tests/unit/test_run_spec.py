@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import repro.faultsim.simulator as simulator
+import repro.runtime.spec as spec_module
 from repro.cli import _run_spec, build_parser, main
 from repro.runtime.distributed import Coordinator
 from repro.runtime.spec import ExperimentSpec, build_scheme
@@ -146,6 +147,21 @@ class TestPinnedIdentities:
         config = simulator.MonteCarloConfig(num_systems=built.systems)
         shard_size, _ = simulator._shard_plan(build_scheme("xed"), config)
         assert shard_size == built.shard_size
+
+    def test_default_population_and_seed_have_one_owner(self):
+        built = ExperimentSpec(schemes=("xed",))
+        parsed = ExperimentSpec.from_dict({"schemes": ["xed"]})
+        config = simulator.MonteCarloConfig()
+        assert built.systems == parsed.systems == config.num_systems == (
+            spec_module.DEFAULT_SYSTEMS
+        )
+        assert built.seed == parsed.seed == config.seed == (
+            spec_module.DEFAULT_SEED
+        )
+        (fingerprint,) = parsed.run_fingerprints()
+        assert (fingerprint.total, fingerprint.seed) == (
+            config.num_systems, config.seed,
+        )
 
     def test_coordinator_run_fingerprint(self):
         coordinator = Coordinator(ExperimentSpec.from_dict(self.SMALL))

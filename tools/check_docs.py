@@ -9,8 +9,10 @@ verifying each against the living code:
 
 * flags must be registered somewhere in the ``repro`` argparse tree
   (all subcommands, recursively), declared by a script under
-  ``tools/``, or belong to the small allowlist of third-party tools
-  the docs legitimately mention (pytest-benchmark, coverage, pip);
+  ``tools/`` or by the end-to-end benchmark's runner
+  (``benchmarks/e2e/run.py``), or belong to the small allowlist of
+  third-party tools the docs legitimately mention (pytest-benchmark,
+  coverage, pip);
 * in a ``repro <command>`` invocation -- an inline code span, or a
   line of a fenced code block with its ``\\`` continuations joined --
   every flag must be one that command (or ``repro obs <sub>``) takes,
@@ -45,8 +47,8 @@ DEFAULT_DOCS: Tuple[str, ...] = ("README.md", "docs/*.md")
 
 #: Flags owned by third-party tools the docs legitimately reference
 #: (pytest/pytest-benchmark/pytest-cov/pytest-timeout, pip).  Anything
-#: else must resolve against the repro argparse tree or a tools/
-#: script.
+#: else must resolve against the repro argparse tree, a tools/ script
+#: or one of :data:`EXTRA_SCRIPTS`.
 EXTERNAL_FLAGS: Set[str] = {
     "--benchmark-disable",
     "--benchmark-json",
@@ -58,6 +60,10 @@ EXTERNAL_FLAGS: Set[str] = {
     "--no-build-isolation",
     "--timeout",
 }
+
+#: Scripts outside ``tools/`` whose flags the docs quote, relative to
+#: the repo root: the end-to-end benchmark's runner.
+EXTRA_SCRIPTS: Tuple[str, ...] = ("benchmarks/e2e/run.py",)
 
 #: ``--flag`` tokens: a word boundary, two dashes, then a lowercase
 #: flag name.  The lookbehind keeps mid-word dashes (``a--b``) and
@@ -169,15 +175,19 @@ def misplaced_flags(
 
 
 def collect_tool_flags(tools_dir: Optional[Path] = None) -> Set[str]:
-    """Every ``--flag`` declared by ``add_argument`` in tools/ scripts.
+    """Every ``--flag`` declared by ``add_argument`` in the scripts.
 
-    A textual scrape rather than an import: the tools are standalone
-    scripts (some with side-effectful ``__main__`` blocks), and their
-    ``add_argument("--flag", ...)`` calls are all literal.
+    The scripts are those of ``tools_dir`` (``tools/`` by default) and
+    :data:`EXTRA_SCRIPTS`.  A textual scrape rather than an import:
+    the scripts are standalone (some with side-effectful ``__main__``
+    blocks), and their ``add_argument("--flag", ...)`` calls are all
+    literal.
     """
     tools_dir = tools_dir or (REPO_ROOT / "tools")
+    scripts = sorted(tools_dir.glob("*.py"))
+    scripts += [REPO_ROOT / name for name in EXTRA_SCRIPTS]
     flags: Set[str] = set()
-    for script in sorted(tools_dir.glob("*.py")):
+    for script in scripts:
         text = script.read_text(encoding="utf-8")
         flags.update(
             re.findall(r"add_argument\(\s*['\"](--[a-z0-9-]+)", text)
@@ -246,8 +256,8 @@ def check_file(
             if flag not in known_flags:
                 problems.append(
                     f"{rel}:{lineno}: unknown flag {flag} (not in the "
-                    "repro argparse tree, tools/ scripts, or the "
-                    "external-tool allowlist)"
+                    "repro argparse tree, tools/ scripts, the benchmark "
+                    "runner, or the external-tool allowlist)"
                 )
         for match in DOTTED_RE.finditer(line):
             path = match.group(0)

@@ -12,9 +12,10 @@ a docstring.  A name written in a code span or code block of
 Dunder methods are called by the interpreter and never listed.  Names
 are matched bare, so a method shares its uses with every other
 definition of the same name: the report can miss a candidate, but
-lists no name that a non-test file uses elsewhere.  A hook that a base
-class calls by name (``log_message`` of an HTTP handler) is listed and
-must be judged by hand.
+lists no name that a non-test file uses elsewhere.  Nor does it list
+a method named in :data:`STDLIB_HOOKS`, which a standard-library base
+class calls by name (an HTTP handler's ``log_message``, a server's
+``handle_error``): overriding one is its use.
 
 Usage::
 
@@ -40,6 +41,11 @@ USER_DIRS = ("src", "tools", "benchmarks", "examples")
 PACKAGE = Path("src") / "repro"
 #: The file whose code spans list the public API.
 API_DOC = Path("docs") / "api.md"
+
+#: Methods a standard-library base class calls by name on a subclass:
+#: ``http.server.BaseHTTPRequestHandler.log_message`` and
+#: ``socketserver.BaseServer.handle_error``.
+STDLIB_HOOKS = frozenset({"log_message", "handle_error"})
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _CODE = re.compile(r"```.*?```|`[^`\n]+`", re.DOTALL)
@@ -148,7 +154,8 @@ def report(root: Path) -> List[Definition]:
     for path, line, qualified in defined:
         name = qualified.rsplit(".", 1)[-1]
         dunder = name.startswith("__") and name.endswith("__")
-        if not dunder and name not in used:
+        hook = name in STDLIB_HOOKS and "." in qualified
+        if not dunder and not hook and name not in used:
             found.append((path, line, qualified))
     return found
 
