@@ -16,6 +16,7 @@ from typing import Dict, List, Optional
 
 from repro.analysis.experiments import ExperimentReport
 from repro.ecc.detection import DetectionReport
+from repro.faultsim.markov import MarkovResult
 from repro.faultsim.simulator import ReliabilityResult
 
 
@@ -83,7 +84,8 @@ def _export_svg(report: ExperimentReport, outdir: Path) -> List[Path]:
 
 def _export_value(exp_id: str, key: str, value, outdir: Path) -> List[Path]:
     if isinstance(value, dict) and value and all(
-        isinstance(v, ReliabilityResult) for v in value.values()
+        isinstance(v, (ReliabilityResult, MarkovResult))
+        for v in value.values()
     ):
         return [_export_reliability(exp_id, key, value, outdir)]
     if isinstance(value, DetectionReport):
@@ -98,7 +100,10 @@ def _export_value(exp_id: str, key: str, value, outdir: Path) -> List[Path]:
 
 
 def _export_reliability(
-    exp_id: str, key: str, results: Dict[str, ReliabilityResult], outdir: Path
+    exp_id: str,
+    key: str,
+    results: "Dict[str, ReliabilityResult | MarkovResult]",
+    outdir: Path,
 ) -> Path:
     path = outdir / f"{exp_id}_{key}.csv"
     with path.open("w", newline="") as fh:

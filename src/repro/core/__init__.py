@@ -17,7 +17,7 @@
 """
 
 from repro.core.types import ReadStatus, XedReadResult
-from repro.core.parity import reconstruct_word, verify_parity, xor_parity
+from repro.core.parity import reconstruct_word, xor_parity
 from repro.core.catch_word import CatchWordRegister, CollisionModel
 from repro.core.diagnosis import (
     DiagnosisResult,
@@ -38,7 +38,6 @@ __all__ = [
     "ReadStatus",
     "XedReadResult",
     "xor_parity",
-    "verify_parity",
     "reconstruct_word",
     "CatchWordRegister",
     "CollisionModel",

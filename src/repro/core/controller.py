@@ -40,7 +40,7 @@ from repro.core.diagnosis import (
     inter_line_diagnosis,
     intra_line_diagnosis,
 )
-from repro.core.parity import parity_residue, reconstruct_line, xor_parity
+from repro.core.parity import parity_residue, reconstruct_line
 from repro.core.types import ReadStatus, XedReadResult
 from repro.dram.dimm import XedDimm
 from repro.obs import OBS, events, get_logger
@@ -389,8 +389,3 @@ class XedController(CatchWordProtocol):
         if result.ok:
             self.write_line(bank, row, column, result.words)
         return result
-
-    def verify_line(self, bank: int, row: int, column: int) -> bool:
-        """Parity-only consistency check (no correction attempted)."""
-        transfers = [chip.read(bank, row, column) for chip in self.dimm.chips]
-        return xor_parity(transfers) == 0

@@ -15,11 +15,6 @@ from typing import List, Sequence
 from repro.dram.dimm import xor_parity
 
 
-def verify_parity(data_words: Sequence[int], parity: int) -> bool:
-    """True when Equation 1 is satisfied: parity xor D0..D7 == 0."""
-    return xor_parity(data_words) == parity
-
-
 def parity_residue(transfers: Sequence[int]) -> int:
     """XOR over *all* transfers (data chips + parity chip).
 

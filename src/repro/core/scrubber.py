@@ -12,7 +12,7 @@ diagnosis results it encounters (feeding the FCT as a side effect).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 from repro.core.controller import XedController
 from repro.core.types import ReadStatus
@@ -74,7 +74,6 @@ class PatrolScrubber:
         self.columns = (
             columns if columns is not None else geometry.columns_per_row
         )
-        self._cursor: Tuple[int, int] = (0, 0)  # (bank, row)
 
     def scrub_region(
         self,
@@ -95,23 +94,6 @@ class PatrolScrubber:
             result = self.controller.scrub_line(bank, row, column)
             report.record(result.status)
 
-    def step(self) -> ScrubReport:
-        """Scrub the next row in patrol order (one scrub interval tick).
-
-        Real controllers spread a full patrol over the scrub interval;
-        each ``step`` advances one row and wraps around the region.
-        """
-        bank, row = self._cursor
-        report = ScrubReport()
-        self._scrub_row(bank, row, report)
-        row += 1
-        if row >= self.rows:
-            row = 0
-            bank = (bank + 1) % self.banks
-        self._cursor = (bank, row)
-        self._emit_pass(report)
-        return report
-
     def _emit_pass(self, report: ScrubReport) -> None:
         if OBS.enabled:
             OBS.registry.counter("scrub.passes").inc()
@@ -124,8 +106,3 @@ class PatrolScrubber:
                     report.uncorrectable,
                 )
             )
-
-    @property
-    def rows_per_full_patrol(self) -> int:
-        """Rows visited by one complete patrol of the DIMM."""
-        return self.banks * self.rows

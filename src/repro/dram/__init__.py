@@ -15,15 +15,13 @@ Models the memory hardware of Section II of the paper:
   lockstep arrangements used by Chipkill and Double-Chipkill.
 """
 
-from repro.dram.geometry import ChipGeometry, DimmGeometry, LineAddress
+from repro.dram.geometry import ChipGeometry
 from repro.dram.mode_registers import ModeRegisters
 from repro.dram.chip import DramChip, FaultGranularity, InjectedFault
 from repro.dram.dimm import EccDimm, XedDimm
 
 __all__ = [
     "ChipGeometry",
-    "DimmGeometry",
-    "LineAddress",
     "ModeRegisters",
     "DramChip",
     "FaultGranularity",

@@ -28,7 +28,7 @@ a configurable bit-error rate, never more than one per 64-bit word
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.dram.geometry import ChipGeometry
@@ -267,10 +267,6 @@ class DramChip:
             fault = replace(fault, injected_version=self._write_version)
         self.faults.append(fault)
         return fault
-
-    def clear_faults(self) -> None:
-        """Remove all injected faults (fresh-chip state)."""
-        self.faults.clear()
 
     # -- the read path ---------------------------------------------------------
 

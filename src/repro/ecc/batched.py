@@ -1,4 +1,4 @@
-"""Batched bit-matrix ECC kernels: whole-array encode/decode/classify.
+"""Batched bit-matrix ECC kernels: whole-array encode and decode.
 
 The scalar codecs in :mod:`repro.ecc.hamming` and :mod:`repro.ecc.crc8`
 process one 72-bit Python integer at a time -- perfect for the
@@ -59,17 +59,13 @@ def _observe_batch(num_words: int) -> None:
 class BatchOutcome(enum.IntEnum):
     """Per-word outcome codes of the batched kernels.
 
-    The first three values mirror :class:`repro.ecc.secded.DecodeOutcome`
-    (what the decoder alone can know); ``MISCORRECTED`` additionally
-    requires ground truth and is only produced by
-    :meth:`BatchedCode.classify`, which compares the decode result
-    against the data actually stored.
+    The values mirror :class:`repro.ecc.secded.DecodeOutcome`: what the
+    decoder alone can know.
     """
 
     NO_ERROR = 0
     CORRECTED = 1
     DETECTED_UNCORRECTABLE = 2
-    MISCORRECTED = 3
 
 
 #: Scalar decode outcome -> batched outcome code.
@@ -401,30 +397,6 @@ class BatchedCode:
                 np.int16
             ),
         )
-
-    def classify(
-        self, word_bits: np.ndarray, true_data_bits: np.ndarray
-    ) -> np.ndarray:
-        """Classify received words against the data actually stored.
-
-        Returns a ``(N,)`` int8 array of :class:`BatchOutcome` codes
-        covering all four cases: ``MISCORRECTED`` marks every word the
-        decoder *accepted* (clean or "corrected") whose decoded data
-        differs from ``true_data_bits`` -- both the wrong-bit-flip alias
-        and the silent valid-codeword case, i.e. the SDC population.
-        """
-        truth = self._as_batch(true_data_bits, self.k)
-        with span("ecc.batched.classify_s", words=truth.shape[0]):
-            result = self.decode(word_bits)
-            if truth.shape[0] != result.data.shape[0]:
-                raise ValueError(
-                    "truth batch does not match word batch length"
-                )
-            wrong = (result.data != truth).any(axis=1)
-            outcome = result.outcome.copy()
-            accepted = outcome != BatchOutcome.DETECTED_UNCORRECTABLE
-            outcome[accepted & wrong] = BatchOutcome.MISCORRECTED
-            return outcome
 
 
 # ---------------------------------------------------------------------------

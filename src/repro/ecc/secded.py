@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
 
 
 class DecodeOutcome(enum.Enum):
@@ -151,32 +150,6 @@ class SECDEDCode:
         """True when ``word`` has a zero syndrome."""
         return self.decode(word).outcome is DecodeOutcome.CLEAN
 
-    def detects(self, error_pattern: int) -> bool:
-        """Would this nonzero error pattern be flagged as invalid?
-
-        An error pattern is *undetected* exactly when it is itself a valid
-        codeword (the syndrome of ``codeword XOR pattern`` equals the
-        syndrome of ``pattern``).  This is the quantity Table II of the
-        paper tabulates.
-        """
-        if error_pattern == 0:
-            raise ValueError("the zero pattern is not an error")
-        return not self.is_codeword(error_pattern)
-
-    def check_roundtrip(self, data: int) -> bool:
-        """Sanity helper: encode then decode must return ``data`` cleanly."""
-        result = self.decode(self.encode(data))
-        return result.outcome is DecodeOutcome.CLEAN and result.data == data
-
-
-def iter_bits(word: int, width: int) -> Iterator[int]:
-    """Yield the indices of set bits of ``word`` below ``width``."""
-    i = 0
-    while word and i < width:
-        if word & 1:
-            yield i
-        word >>= 1
-        i += 1
 
 
 def popcount(word: int) -> int:

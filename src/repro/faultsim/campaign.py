@@ -132,14 +132,6 @@ class CampaignResult:
         """Trials that ended in silent data corruption."""
         return self.counts[Outcome.SDC]
 
-    @property
-    def corrected_fraction(self) -> float:
-        """Fraction of trials fully corrected."""
-        if not self.scenarios:
-            return 0.0
-        counts = self.counts
-        return (counts[Outcome.CLEAN] + counts[Outcome.CORRECTED]) / self.total
-
     def counts_by_granularity(self) -> Dict[str, Dict[Outcome, int]]:
         """Outcome tallies per injected fault granularity.
 

@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -54,6 +53,7 @@ from repro.faultsim.simulator import (
     _simulate_shard,
     evaluate_shard,
     simulate,
+    wilson_interval,
 )
 from repro.obs import OBS
 
@@ -267,22 +267,6 @@ def replay_simulation(
     )
 
 
-def _wilson(successes: int, n: int, z: float = 1.96) -> Tuple[float, float]:
-    """Wilson score interval for ``successes`` out of ``n`` trials.
-
-    The same construction :meth:`ReliabilityResult.confidence_interval`
-    uses for the total failure probability, exposed here so the
-    DUE/SDC *components* get their own intervals too.
-    """
-    if n <= 0:
-        raise ValueError("Wilson interval needs a positive population")
-    p = successes / n
-    denom = 1.0 + z * z / n
-    centre = (p + z * z / (2 * n)) / denom
-    half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, centre - half), min(1.0, centre + half)
-
-
 @dataclass(frozen=True)
 class WilsonCheck:
     """One analytical-vs-Monte-Carlo Wilson-interval comparison.
@@ -355,7 +339,7 @@ def cross_validate_analytical(
         ("due", mc.due_count, an.due_probability),
         ("sdc", mc.sdc_count, an.sdc_probability),
     ):
-        lo, hi = _wilson(count, n, z)
+        lo, hi = wilson_interval(count, n, z)
         checks.append(
             WilsonCheck(
                 scheme_name=scheme.name,

@@ -24,7 +24,7 @@ matters because a DRAM *column* failure breaks one device-width lane.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Sequence
 
 from repro.dram.geometry import ChipGeometry
 from repro.faultsim.fault_models import FailureMode
@@ -110,11 +110,6 @@ class FaultSpace:
         return self.field_mask(self.row_shift, self.row_bits)
 
     @property
-    def bank_mask(self) -> int:
-        """Mask of the bank field."""
-        return self.field_mask(self.bank_shift, self.bank_bits)
-
-    @property
     def full_mask(self) -> int:
         """Mask covering every address bit (whole chip)."""
         return (1 << self.total_bits) - 1
@@ -152,19 +147,6 @@ class AddressRange:
         """True when some address lies in both ranges."""
         return (self.value ^ other.value) & ~self.wildcard & ~other.wildcard == 0
 
-    @staticmethod
-    def all_intersect(ranges: Sequence["AddressRange"]) -> bool:
-        """True when one address lies in every range.
-
-        Each range fixes or frees whole bits, so pairwise compatibility
-        is equivalent to joint compatibility.
-        """
-        for i in range(len(ranges)):
-            for j in range(i + 1, len(ranges)):
-                if not ranges[i].intersects(ranges[j]):
-                    return False
-        return True
-
 
 @dataclass(frozen=True)
 class ChipFault:
@@ -198,10 +180,6 @@ class ChipFault:
     addr: AddressRange
     on_die_correctable: bool
     end_hours: float = float("inf")
-
-    def alive_at(self, t: float) -> bool:
-        """True while the fault is active at time ``t`` (hours)."""
-        return self.time_hours <= t <= self.end_hours
 
     def overlaps_in_time(self, other: "ChipFault") -> bool:
         """True when both faults' active intervals intersect."""

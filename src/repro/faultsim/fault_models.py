@@ -9,7 +9,7 @@ transient/permanent behaviour.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 HOURS_PER_YEAR = 24 * 365
@@ -95,10 +95,6 @@ class FitTable:
             if not mode.on_die_correctable
         )
 
-    def faults_per_chip(self, hours: float) -> float:
-        """Expected fault count per chip over ``hours``."""
-        return self.total_fit * 1e-9 * hours
-
     def mode_weights(self) -> List[Tuple[FailureMode, bool, float]]:
         """(mode, permanent, probability) triples for categorical sampling."""
         total = self.total_fit
@@ -118,12 +114,6 @@ class FitTable:
                 for mode, rate in self.rates.items()
             }
         )
-
-    def with_mode(self, mode: FailureMode, rate: ModeRate) -> "FitTable":
-        """Return a copy with one mode's rates replaced (for ablations)."""
-        rates = dict(self.rates)
-        rates[mode] = rate
-        return FitTable(rates)
 
     def rate_of(self, mode: FailureMode, permanent: bool | None = None) -> float:
         """FIT rate of one mode (optionally one persistence class)."""

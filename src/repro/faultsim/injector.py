@@ -77,15 +77,13 @@ class FaultSampler:
         scaling_rate: float = 0.0,
         scrub_hours: Optional[float] = None,
         device_width: int = 8,
-        chip_geometry: Optional[ChipGeometry] = None,
     ) -> None:
         self.scheme = scheme
         self.fit = fit
         self.hours = hours
         self.scrub_hours = scrub_hours
-        geometry = chip_geometry or ChipGeometry(device_width=device_width)
-        self.space = FaultSpace.for_chip(geometry)
-        self.geometry = geometry
+        self.geometry = ChipGeometry(device_width=device_width)
+        self.space = FaultSpace.for_chip(self.geometry)
         self.scaling = ScalingFaultModel(bit_error_rate=scaling_rate)
         self.promotion_p = (
             self.scaling.promotion_probability if scaling_rate > 0 else 0.0
@@ -109,22 +107,6 @@ class FaultSampler:
         )
         self._row_correctable = np.array(
             [mode.on_die_correctable for mode, _ in self._modes], dtype=bool
-        )
-
-    def secded_lane_profile(self, samples: int = 20000, seed: int = 2016):
-        """Decode-outcome profile of chip-lane errors at the DIMM code.
-
-        Measures how multi-bit errors confined to this sampler's device
-        lane width fare through the (72,64) Hamming SECDED decoder.
-        """
-        from repro.ecc.hamming import HammingSECDED
-        from repro.ecc.miscorrection import measure_lane_error_profile
-
-        return measure_lane_error_profile(
-            HammingSECDED(),
-            lane_bits=self.geometry.device_width,
-            samples=samples,
-            seed=seed,
         )
 
     @property

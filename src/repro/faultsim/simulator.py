@@ -86,6 +86,24 @@ class MonteCarloConfig:
         return self.years * HOURS_PER_YEAR
 
 
+def wilson_interval(
+    successes: int, n: int, z: float = 1.96
+) -> Tuple[float, float]:
+    """Wilson score interval for ``successes`` out of ``n`` trials.
+
+    The interval of a failure probability (a result's total, or its
+    DUE/SDC components in cross-validation).  Raises ``ValueError``
+    when ``n`` is not positive.
+    """
+    if n <= 0:
+        raise ValueError("Wilson interval needs a positive population")
+    p = successes / n
+    denom = 1.0 + z * z / n
+    centre = (p + z * z / (2 * n)) / denom
+    half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n)) / denom
+    return (max(0.0, centre - half), min(1.0, centre + half))
+
+
 @dataclass
 class ReliabilityResult:
     """Outcome of one Monte-Carlo reliability experiment."""
@@ -164,19 +182,13 @@ class ReliabilityResult:
         ]
 
     def confidence_interval(self, z: float = 1.96) -> tuple:
-        """Wilson score interval on the failure probability."""
-        n = self.num_systems
-        if n == 0:
+        """Wilson score interval on the failure probability.
+
+        An empty result knows nothing: its interval is ``(0.0, 1.0)``.
+        """
+        if self.num_systems == 0:
             return (0.0, 1.0)
-        p = self.probability_of_failure
-        denom = 1.0 + z * z / n
-        centre = (p + z * z / (2 * n)) / denom
-        half = (
-            z
-            * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n))
-            / denom
-        )
-        return (max(0.0, centre - half), min(1.0, centre + half))
+        return wilson_interval(self.failures, self.num_systems, z)
 
     def mean_time_to_failure_years(self) -> float:
         """MTTF conditioned on failing within the simulated lifetime.
@@ -192,22 +204,6 @@ class ReliabilityResult:
             self.failure_times_hours
         )
         return mean_hours / HOURS_PER_YEAR
-
-    def years_to_failure_probability(self, target: float) -> float:
-        """Smallest simulated age at which P(fail) reaches ``target``.
-
-        Returns ``inf`` when the population never accumulates that much
-        failure mass within the lifetime -- the "years of service until
-        x% of the fleet has failed" planning number.
-        """
-        if not 0.0 < target <= 1.0:
-            raise ValueError("target must be in (0, 1]")
-        needed = target * self.num_systems
-        times = sorted(self.failure_times_hours)
-        if len(times) < needed:
-            return math.inf
-        index = max(0, math.ceil(needed) - 1)
-        return times[index] / HOURS_PER_YEAR
 
     def improvement_over(self, other: "ReliabilityResult") -> float:
         """How many times more reliable this scheme is than ``other``.
@@ -444,7 +440,8 @@ def reliability_fingerprint(
         "sampler": SHARD_SAMPLER,
         "stream": SYSTEM_STREAM,
         "scheme": scheme.name,
-        "years": config.years,
+        # A float, so the integer default and the spec's 7.0 are one run.
+        "years": float(config.years),
         "scaling_rate": config.scaling_rate,
         "scrub_hours": config.scrub_hours,
         "device_width": config.device_width,

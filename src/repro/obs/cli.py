@@ -275,10 +275,10 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
     try:
         loaded = load_checkpoint(args.checkpoint)
-        fingerprint, records, discarded = loaded
     except CheckpointError as exc:
         print(f"repro obs: {exc}", file=sys.stderr)
         return 2
+    fingerprint, records = loaded.fingerprint, loaded.records
     print(f"checkpoint: {args.checkpoint}")
     for field in (
         "kind", "seed", "total", "shard_size", "config_hash", "code_version"
@@ -292,12 +292,14 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     completeness = len(done) / planned if planned else 1.0
     print(
         f"  shards       = {len(done)}/{planned} complete "
-        f"({completeness:.1%}), {discarded} corrupt record(s) discarded"
+        f"({completeness:.1%}), {loaded.discarded} corrupt record(s) discarded"
     )
     if loaded.duplicates or loaded.conflicts:
-        # Duplicate shard lines happen when a resumed/merged run re-wrote
-        # an index; conflicting ones (same index, different digest) mean
-        # two runs disagreed -- the loader kept the first valid record.
+        # A run writes each index once and a resume rewrites away any
+        # repeats, so repeated shard lines mean the file was pieced
+        # together outside a run (say, two checkpoints concatenated).
+        # Conflicting ones (same index, different digest) mean their
+        # sources disagreed -- the loader kept the first valid record.
         print(
             f"  duplicates   = {loaded.duplicates} identical, "
             f"{loaded.conflicts} conflicting (first valid record kept)"

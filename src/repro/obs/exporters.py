@@ -19,7 +19,7 @@ post-process traces from other runs, machines or processes.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.obs.fsio import atomic_write_text
 
@@ -40,23 +40,17 @@ def _thread_label(record: Dict[str, object]) -> int:
     return int(record.get("pid", 0) or 0)
 
 
-def to_chrome_trace(
-    records: Iterable[Dict[str, object]],
-    trace_id: Optional[str] = None,
-) -> Dict[str, object]:
+def to_chrome_trace(records: Iterable[Dict[str, object]]) -> Dict[str, object]:
     """Convert event records into one Chrome trace-event document.
 
     Every span becomes a complete event: ``ts``/``dur`` in microseconds
     (the format's unit), ``pid`` from the process that ran the span,
     and the span's ``attrs`` plus identity fields under ``args`` so the
     trace viewer's selection panel shows shard index, attempt and the
-    dotted span ID.  ``trace_id`` restricts the export to one tree when
-    a file happens to contain several (e.g. back-to-back CLI runs).
+    dotted span ID.
     """
     events: List[Dict[str, object]] = []
     for record in span_records(records):
-        if trace_id is not None and record.get("trace_id") != trace_id:
-            continue
         args: Dict[str, object] = dict(record.get("attrs") or {})
         args["span_id"] = record.get("span_id")
         args["parent_id"] = record.get("parent_id")
@@ -82,9 +76,7 @@ def to_chrome_trace(
 
 
 def write_chrome_trace(
-    path: str,
-    records: Iterable[Dict[str, object]],
-    trace_id: Optional[str] = None,
+    path: str, records: Iterable[Dict[str, object]]
 ) -> int:
     """Atomically write the Chrome-trace document; returns span count.
 
@@ -92,6 +84,6 @@ def write_chrome_trace(
     resulting file straight into ``chrome://tracing`` or
     ``ui.perfetto.dev`` (see docs/observability.md for the workflow).
     """
-    document = to_chrome_trace(records, trace_id=trace_id)
+    document = to_chrome_trace(records)
     atomic_write_text(path, json.dumps(document, sort_keys=True) + "\n")
     return len(document["traceEvents"])  # type: ignore[arg-type]

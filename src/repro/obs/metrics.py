@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.obs.fsio import atomic_write_text
 
@@ -45,11 +45,10 @@ DEFAULT_TIME_BUCKETS_S: Tuple[float, ...] = (
 class Counter:
     """A monotonically increasing integer (events seen, bytes moved)."""
 
-    __slots__ = ("name", "help", "value")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
         self.value = 0
 
     def inc(self, amount: int = 1) -> None:
@@ -69,11 +68,10 @@ class Counter:
 class Gauge:
     """A value that can move both ways (queue depth, rate, ratio)."""
 
-    __slots__ = ("name", "help", "value")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
         self.value = 0.0
 
     def set(self, value: float) -> None:
@@ -101,21 +99,14 @@ class Histogram:
     """
 
     __slots__ = (
-        "name", "help", "buckets", "bucket_counts", "count", "total",
-        "min", "max",
+        "name", "buckets", "bucket_counts", "count", "total", "min", "max",
     )
 
-    def __init__(
-        self,
-        name: str,
-        buckets: Sequence[float],
-        help: str = "",
-    ) -> None:
+    def __init__(self, name: str, buckets: Sequence[float]) -> None:
         bounds = tuple(sorted(float(b) for b in buckets))
         if not bounds:
             raise ValueError("histogram needs at least one bucket bound")
         self.name = name
-        self.help = help
         self.buckets = bounds
         self.bucket_counts = [0] * (len(bounds) + 1)  # +1 overflow
         self.count = 0
@@ -231,12 +222,9 @@ class Timer(Histogram):
     """A histogram of durations in seconds (fed by ``span``/``@timed``)."""
 
     def __init__(
-        self,
-        name: str,
-        buckets: Sequence[float] = DEFAULT_TIME_BUCKETS_S,
-        help: str = "",
+        self, name: str, buckets: Sequence[float] = DEFAULT_TIME_BUCKETS_S
     ) -> None:
-        super().__init__(name, buckets, help=help)
+        super().__init__(name, buckets)
 
 
 class MetricsRegistry:
@@ -268,46 +256,38 @@ class MetricsRegistry:
                     f"metric {name!r} already registered as a {kind}"
                 )
 
-    def counter(self, name: str, help: str = "") -> Counter:
+    def counter(self, name: str) -> Counter:
         """Get or create the counter named ``name``."""
         metric = self._counters.get(name)
         if metric is None:
             self._check_free(name, self._counters)
-            metric = self._counters[name] = Counter(name, help)
+            metric = self._counters[name] = Counter(name)
         return metric
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
+    def gauge(self, name: str) -> Gauge:
         """Get or create the gauge named ``name``."""
         metric = self._gauges.get(name)
         if metric is None:
             self._check_free(name, self._gauges)
-            metric = self._gauges[name] = Gauge(name, help)
+            metric = self._gauges[name] = Gauge(name)
         return metric
 
-    def histogram(
-        self,
-        name: str,
-        buckets: Sequence[float],
-        help: str = "",
-    ) -> Histogram:
+    def histogram(self, name: str, buckets: Sequence[float]) -> Histogram:
         """Get or create a histogram with the given bucket bounds."""
         metric = self._histograms.get(name)
         if metric is None:
             self._check_free(name, self._histograms)
-            metric = self._histograms[name] = Histogram(name, buckets, help)
+            metric = self._histograms[name] = Histogram(name, buckets)
         return metric
 
     def timer(
-        self,
-        name: str,
-        buckets: Sequence[float] = DEFAULT_TIME_BUCKETS_S,
-        help: str = "",
+        self, name: str, buckets: Sequence[float] = DEFAULT_TIME_BUCKETS_S
     ) -> Timer:
         """Get or create a duration histogram (seconds)."""
         metric = self._timers.get(name)
         if metric is None:
             self._check_free(name, self._timers)
-            metric = self._timers[name] = Timer(name, buckets, help)
+            metric = self._timers[name] = Timer(name, buckets)
         return metric
 
     # -- export -------------------------------------------------------------
@@ -356,32 +336,31 @@ class MetricsRegistry:
         for name, timer_state in state.get("timers", {}).items():
             self.timer(name, timer_state["buckets"]).merge_state(timer_state)
 
-    def timer_quantiles(
-        self, qs: Sequence[float] = (0.5, 0.95, 0.99)
-    ) -> Dict[str, Dict[str, float]]:
+    def timer_quantiles(self) -> Dict[str, Dict[str, float]]:
         """Estimated quantiles for every non-empty timer.
 
-        Returns ``{timer_name: {"p50": ..., "p95": ..., "p99": ...}}``
-        (keys derived from ``qs``); the time-series sampler embeds this
-        in every sample so shard-latency percentiles are trackable over
-        the course of a run, not just at the end.
+        Returns ``{timer_name: {"p50": ..., "p95": ..., "p99": ...}}``;
+        the time-series sampler embeds this in every sample so
+        shard-latency percentiles are trackable over the course of a
+        run, not just at the end.
         """
         out: Dict[str, Dict[str, float]] = {}
         for name, timer in sorted(self._timers.items()):
             if timer.count == 0:
                 continue
             out[name] = {
-                f"p{round(q * 100):d}": timer.quantile(q) for q in qs
+                f"p{round(q * 100):d}": timer.quantile(q)
+                for q in (0.5, 0.95, 0.99)
             }
         return out
 
-    def dump_json(self, path: str, indent: int = 2) -> None:
+    def dump_json(self, path: str) -> None:
         """Write the snapshot as one JSON document (``--metrics-out``).
 
         The write is atomic (temp file + rename) so an export cut short
         by SIGTERM never leaves a truncated document behind.
         """
-        text = json.dumps(self.snapshot(), indent=indent, sort_keys=True)
+        text = json.dumps(self.snapshot(), indent=2, sort_keys=True)
         atomic_write_text(path, text + "\n")
 
     def reset(self) -> None:

@@ -31,7 +31,7 @@ import logging
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
-from repro.obs.events import DEFAULT_CAPACITY, EventTrace, TraceEvent
+from repro.obs.events import EventTrace, TraceEvent
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import span
 
@@ -60,10 +60,8 @@ class Observability:
         #: ``--timeseries-out``; the executor calls ``maybe_sample`` on it).
         self.sampler: Optional["TelemetrySampler"] = None
 
-    def enable(self, trace_capacity: Optional[int] = None) -> None:
-        """Turn instrumentation on (optionally resizing the trace)."""
-        if trace_capacity is not None and trace_capacity != self.trace.capacity:
-            self.trace = EventTrace(capacity=trace_capacity)
+    def enable(self) -> None:
+        """Turn instrumentation on."""
         self.enabled = True
 
     def disable(self) -> None:
@@ -99,7 +97,6 @@ def configure(
     log_level: Optional[str] = None,
     metrics: bool = False,
     trace: bool = False,
-    trace_capacity: Optional[int] = None,
     progress: Optional[bool] = None,
     timeseries: bool = False,
 ) -> bool:
@@ -123,7 +120,7 @@ def configure(
             logger.addHandler(handler)
     if wants:
         OBS.reset()
-        OBS.enable(trace_capacity=trace_capacity)
+        OBS.enable()
     if progress is not None:
         OBS.progress_enabled = progress
     return wants

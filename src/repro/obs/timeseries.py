@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from repro.obs.fsio import atomic_write_text
 from repro.obs.metrics import MetricsRegistry
@@ -85,7 +85,6 @@ class TelemetrySampler:
         clock: Optional[Callable[[], float]] = None,
         wall: Optional[Callable[[], float]] = None,
         rss_fn: Optional[Callable[[], Optional[int]]] = None,
-        quantile_qs: Sequence[float] = (0.5, 0.95, 0.99),
     ) -> None:
         if interval_s < 0:
             raise ValueError("interval_s must be >= 0")
@@ -94,7 +93,6 @@ class TelemetrySampler:
         self._clock = clock if clock is not None else time.monotonic
         self._wall = wall if wall is not None else time.time
         self._rss_fn = rss_fn if rss_fn is not None else peak_rss_kb
-        self._qs = tuple(quantile_qs)
         self.samples: List[Dict[str, object]] = []
         self.dropped = 0
         self._started = self._clock()
@@ -156,7 +154,7 @@ class TelemetrySampler:
             "counters": counters,
             "gauges": dict(state["gauges"]),  # type: ignore[arg-type]
             "rates": rates,
-            "quantiles": registry.timer_quantiles(self._qs),
+            "quantiles": registry.timer_quantiles(),
             "rss_kb": self._rss_fn(),
         }
         self._last_sample_t = now

@@ -217,8 +217,6 @@ def shard_span(
     ctx: Optional[TraceContext],
     index: int,
     attempt: int = 1,
-    name: str = "shard_s",
-    **attrs: object,
 ) -> Iterator[Optional[TraceContext]]:
     """The span wrapping one shard execution (in-process or worker).
 
@@ -236,6 +234,6 @@ def shard_span(
     suffix = f"s{index}" if attempt <= 1 else f"s{index}a{attempt}"
     sid = ctx.child_id(suffix) if ctx is not None else None
     with span(
-        name, ctx=ctx, span_id=sid, shard=index, attempt=attempt, **attrs
+        "shard_s", ctx=ctx, span_id=sid, shard=index, attempt=attempt
     ) as span_ctx:
         yield span_ctx

@@ -89,23 +89,6 @@ class SchemeConfig:
         """Data-bus occupancy of one demand access."""
         return self.burst_cycles * self.overfetch
 
-    def describe(self) -> str:
-        """One-line human-readable description of the configuration."""
-        parts = [f"{self.chips_per_access} chips"]
-        if self.lockstep_ranks > 1:
-            parts.append(f"{self.lockstep_ranks}-rank lockstep")
-        if self.lockstep_channels > 1:
-            parts.append(f"{self.lockstep_channels}-channel lockstep")
-        if self.overfetch > 1:
-            parts.append(f"{100 * (self.overfetch - 1)}% overfetch")
-        if self.burst_cycles != 4:
-            parts.append(f"burst {self.burst_cycles} bus-cycles")
-        if self.extra_read_fraction:
-            parts.append(f"+{self.extra_read_fraction:.0%} reads")
-        if self.extra_write_fraction:
-            parts.append(f"+{self.extra_write_fraction:.0%} writes")
-        return f"{self.name} ({', '.join(parts)})"
-
 
 #: The baseline every figure normalises to: a SECDED ECC-DIMM.
 ECC_DIMM = SchemeConfig(key="ecc_dimm", name="ECC-DIMM (SECDED)")

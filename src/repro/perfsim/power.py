@@ -56,14 +56,6 @@ class PowerBreakdown:
         """Total power across all components, in milliwatts."""
         return self.background + self.activate + self.read_write + self.refresh
 
-    def format_row(self) -> str:
-        """Render the breakdown as one aligned table row."""
-        return (
-            f"bg {self.background:6.2f} W | act {self.activate:6.2f} W | "
-            f"rd/wr {self.read_write:6.2f} W | ref {self.refresh:6.2f} W | "
-            f"total {self.total:6.2f} W"
-        )
-
 
 class PowerModel:
     """Converts simulation activity into DRAM power.

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -37,15 +37,3 @@ class MemoryRequest:
     companion: bool = False
     issue_time: Optional[float] = None
     completion_time: Optional[float] = None
-
-    @property
-    def served(self) -> bool:
-        """True once the request has completed."""
-        return self.completion_time is not None
-
-    @property
-    def queue_latency(self) -> Optional[float]:
-        """Time spent queued before issue, or None if still waiting."""
-        if self.issue_time is None:
-            return None
-        return self.issue_time - self.arrival

@@ -96,7 +96,6 @@ def run_benchmark(
     system: Optional[SystemTiming] = None,
     instructions_per_core: int = 200_000,
     seed: int = 2016,
-    power_model: Optional[PowerModel] = None,
     backend: str = "pipeline",
 ) -> BenchmarkRun:
     """Simulate one (workload, scheme) pair and compute its power.
@@ -113,8 +112,7 @@ def run_benchmark(
             workload, config, system, instructions_per_core, seed,
             backend=backend,
         )
-        model = power_model or PowerModel(timing=system.ddr)
-        power = model.compute(result, config)
+        power = PowerModel(timing=system.ddr).compute(result, config)
     return BenchmarkRun(workload.name, config.key, result, power)
 
 
@@ -291,10 +289,9 @@ def run_suite(
 def normalized_metric(
     grid: Dict[str, Dict[str, BenchmarkRun]],
     scheme_key: str,
-    baseline_key: str = "ecc_dimm",
     metric: str = "time",
 ) -> Dict[str, float]:
-    """Per-workload metric normalised to the baseline scheme.
+    """Per-workload metric normalised to the ECC-DIMM baseline.
 
     ``metric`` is ``"time"`` (Figure 11/13/14) or ``"power"``
     (Figure 12/13).  A workload whose row lacks the scheme's cell or
@@ -304,7 +301,7 @@ def normalized_metric(
         raise ValueError(f"unknown metric {metric!r}")
     out: Dict[str, float] = {}
     for name, row in grid.items():
-        base = row.get(baseline_key)
+        base = row.get("ecc_dimm")
         run = row.get(scheme_key)
         if base is None or run is None:
             continue
@@ -327,7 +324,6 @@ def format_figure_table(
     grid: Dict[str, Dict[str, BenchmarkRun]],
     scheme_keys: Sequence[str],
     metric: str = "time",
-    baseline_key: str = "ecc_dimm",
     title: str = "Normalized Execution Time",
 ) -> str:
     """Render a Figure-11/12-style table: workloads x schemes + Gmean.
@@ -336,11 +332,11 @@ def format_figure_table(
     is taken over the cells present in its column.
     """
     per_scheme: Dict[str, Dict[str, float]] = {
-        key: normalized_metric(grid, key, baseline_key, metric)
+        key: normalized_metric(grid, key, metric=metric)
         for key in scheme_keys
     }
     names = list(grid.keys())
-    header = f"{title} (baseline: {SCHEME_CONFIGS[baseline_key].name})"
+    header = f"{title} (baseline: {SCHEME_CONFIGS['ecc_dimm'].name})"
     col_heads = " | ".join(f"{SCHEME_CONFIGS[k].name[:26]:>26}" for k in scheme_keys)
     lines = [header, f"{'benchmark':>12} | {col_heads}"]
     for name in names:

@@ -119,11 +119,3 @@ class SystemTiming:
     def cpu_cycles_per_bus_cycle(self) -> float:
         """CPU clock cycles per DRAM bus cycle."""
         return self.cpu_clock_ghz * 1000.0 / self.bus_clock_mhz
-
-    def to_cpu_cycles(self, bus_cycles: float) -> float:
-        """Convert bus cycles to CPU cycles."""
-        return bus_cycles * self.cpu_cycles_per_bus_cycle
-
-    def to_bus_cycles(self, cpu_cycles: float) -> float:
-        """Convert CPU cycles to bus cycles."""
-        return cpu_cycles / self.cpu_cycles_per_bus_cycle

@@ -35,7 +35,7 @@ import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from math import log
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Tuple
 
 from repro.mtwords import pull_words
 from repro.perfsim.requests import RequestType
@@ -158,15 +158,6 @@ class SyntheticTrace:
                 else RequestType.READ
             )
             yield TraceOp(position, req_type, channel, rank, bank, row, column)
-
-    def materialise(self, limit: Optional[int] = None) -> List[TraceOp]:
-        """Expand the trace into a list (tests and inspection)."""
-        ops = []
-        for i, op in enumerate(self):
-            if limit is not None and i >= limit:
-                break
-            ops.append(op)
-        return ops
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 __all__ = [
@@ -132,16 +132,6 @@ class ChaosPolicy:
         """True when the worker must sever the connection *before*
         running this shard, simulating a network partition mid-lease."""
         return self._triggers(self.partition_shards, index, attempt)
-
-    @property
-    def has_network_verbs(self) -> bool:
-        """True when any protocol-layer verb is configured."""
-        return bool(
-            self.drop_shards
-            or self.delay_shards
-            or self.duplicate_shards
-            or self.partition_shards
-        )
 
     def apply_in_worker(self, index: int, attempt: int) -> None:
         """Inject for real inside a pool worker process.

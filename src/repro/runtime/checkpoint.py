@@ -235,54 +235,35 @@ def _parse_shard_line(record: Dict[str, object]) -> Optional[ShardRecord]:
     )
 
 
-class CheckpointLoad(tuple):
-    """Result of :func:`load_checkpoint`.
+@dataclass(frozen=True)
+class CheckpointLoad:
+    """What :func:`load_checkpoint` read from one checkpoint file.
 
-    Unpacks as the historical 3-tuple ``(fingerprint, records,
-    discarded)`` so every existing call site keeps working, while also
-    exposing how duplicate shard indices were resolved:
+    ``fingerprint`` is the digest-verified header fingerprint dict,
+    ``records`` the valid shard records by index (first occurrence
+    wins) and ``discarded`` the count of records dropped from the
+    corrupt or truncated tail.  A file is outside input, so the loader
+    also counts how repeated shard indices were resolved:
 
     * ``duplicates`` -- records whose index was already present with
-      the *same* digest (idempotent re-delivery: benign, dropped);
+      the *same* digest (a byte-identical repeat: benign, dropped);
     * ``conflicts`` -- records whose index was already present with a
       *different* digest.  Resolution is deterministic: the first valid
       record wins, the conflicting later record is dropped, and the
-      event is counted here so callers (``repro obs inspect``, the
-      distributed coordinator) can surface it rather than silently
-      merging whichever record happened to be written last.
+      event is counted here so ``repro obs inspect`` can surface it
+      rather than silently merging whichever record happened to be
+      written last.
     """
 
-    def __new__(
-        cls,
-        fingerprint: Dict[str, object],
-        records: Dict[int, ShardRecord],
-        discarded: int,
-        duplicates: int = 0,
-        conflicts: int = 0,
-    ) -> "CheckpointLoad":
-        self = super().__new__(cls, (fingerprint, records, discarded))
-        self.duplicates = duplicates
-        self.conflicts = conflicts
-        return self
-
-    @property
-    def fingerprint(self) -> Dict[str, object]:
-        """The digest-verified header fingerprint dict."""
-        return self[0]
-
-    @property
-    def records(self) -> Dict[int, ShardRecord]:
-        """Valid shard records by index (first occurrence wins)."""
-        return self[1]
-
-    @property
-    def discarded(self) -> int:
-        """Records dropped from the corrupt/truncated tail."""
-        return self[2]
+    fingerprint: Dict[str, object]
+    records: Dict[int, ShardRecord]
+    discarded: int
+    duplicates: int = 0
+    conflicts: int = 0
 
 
 def load_checkpoint(path: "str | os.PathLike[str]") -> CheckpointLoad:
-    """Read a checkpoint: ``(fingerprint, records_by_index, discarded)``.
+    """Read a checkpoint's fingerprint, shard records and discards.
 
     The header must be intact (digest-verified) or the whole file is
     rejected with :class:`CheckpointError` -- without a trustworthy
@@ -291,7 +272,7 @@ def load_checkpoint(path: "str | os.PathLike[str]") -> CheckpointLoad:
     record and everything after it are discarded (the count is
     returned) and the valid prefix is kept.  A shard index recorded
     twice keeps its first valid occurrence deterministically; the
-    returned :class:`CheckpointLoad` counts byte-identical re-deliveries
+    returned :class:`CheckpointLoad` counts byte-identical repeats
     (``duplicates``) separately from digest conflicts (``conflicts``).
     """
     path = Path(path)
@@ -369,7 +350,8 @@ class CheckpointStore:
     cleanup of corrupt/duplicate lines.  Use
     :meth:`CheckpointStore.create` for a fresh run and
     :meth:`CheckpointStore.resume` to adopt (and keep extending) an
-    existing file.
+    existing file; both leave the file equal to :attr:`records`, ready
+    for appends.
     """
 
     def __init__(
@@ -384,10 +366,6 @@ class CheckpointStore:
         self.discarded = 0
         self.duplicates = 0
         self.conflicts = 0
-        #: Whether the on-disk file is known to equal our in-memory
-        #: state, making a bare append of the next record sufficient.
-        #: Cleared until the first full flush establishes that.
-        self._appendable = False
 
     # -- constructors -------------------------------------------------------
 
@@ -428,21 +406,12 @@ class CheckpointStore:
         store.conflicts = loaded.conflicts
         if loaded.discarded or loaded.duplicates or loaded.conflicts:
             # Rewrite immediately so the corrupt tail / duplicate lines
-            # are gone on disk.
+            # are gone on disk.  Otherwise the file already equals the
+            # loaded records verbatim (they were read in file order).
             store.flush()
-        else:
-            # The file already equals our in-memory state verbatim
-            # (records were loaded in file order), so future adds may
-            # append directly.
-            store._appendable = True
         return store
 
     # -- persistence --------------------------------------------------------
-
-    @property
-    def completed(self) -> Dict[int, ShardRecord]:
-        """Shard records currently held (index -> record)."""
-        return self.records
 
     def add(
         self,
@@ -451,28 +420,16 @@ class CheckpointStore:
         metrics: Optional[Dict[str, object]] = None,
         trace: Optional[List[Dict[str, object]]] = None,
     ) -> None:
-        """Record one completed shard and persist it durably.
+        """Record one completed shard and append it durably.
 
-        The common case appends one fsynced line to the existing file
-        (O(1) per shard); a re-add of an index already held falls back
-        to a full atomic rewrite so the file never accumulates stale
-        duplicate lines.
+        Appends one fsynced line to the file (O(1) per shard).  Each
+        index is added once: the run's :class:`LeaseBook`, seeded with
+        every resumed record, accepts each shard's completion once.
         """
         record = ShardRecord(
             index=index, payload=payload, metrics=metrics, trace=trace
         )
-        held = self.records.get(index)
-        if held is not None and held.to_line() == record.to_line():
-            return  # idempotent re-delivery; the file already has it
-        rewrite = held is not None or not self._appendable
-        if held is not None:
-            # Re-insert at the end of the order, so file order stays
-            # completion order: the replacement is the newest record.
-            del self.records[index]
         self.records[index] = record
-        if rewrite:
-            self.flush()
-            return
         try:
             with self.path.open("a", encoding="utf-8") as fh:
                 fh.write(record.to_line() + "\n")
@@ -506,7 +463,6 @@ class CheckpointStore:
         lines = [self._header_line()]
         lines.extend(record.to_line() for record in self.records.values())
         atomic_write_text(str(self.path), "\n".join(lines) + "\n")
-        self._appendable = True
 
 
 @dataclass(frozen=True)
@@ -598,11 +554,6 @@ class LeaseBook:
     def pending_count(self) -> int:
         """Shards waiting (or backing off) for a lease."""
         return len(self._pending)
-
-    @property
-    def active_leases(self) -> List[ShardLease]:
-        """Currently outstanding leases."""
-        return list(self._active.values())
 
     @property
     def done(self) -> bool:
@@ -717,14 +668,14 @@ class LeaseBook:
         heapq.heappush(self._backoff, (ready_at, index))
         return "retry"
 
-    def expire(self, now: Optional[float] = None) -> List[Tuple[ShardLease, Tuple[int, ...]]]:
+    def expire(self) -> List[Tuple[ShardLease, Tuple[int, ...]]]:
         """Pop leases whose deadline has passed.
 
         Returns ``(lease, outstanding_indices)`` pairs; the caller
         decides each outstanding shard's fate via :meth:`fail` (so it
         can emit events and honour the abort contract).
         """
-        now = self.clock() if now is None else now
+        now = self.clock()
         expired = [
             lease
             for lease in self._active.values()
@@ -761,7 +712,7 @@ class LeaseBook:
             heapq.heappush(self._ready, index)
         return indices
 
-    def next_ready_in(self, now: Optional[float] = None) -> Optional[float]:
+    def next_ready_in(self) -> Optional[float]:
         """Seconds until the earliest backoff window opens (0 if ready).
 
         ``None`` when nothing is pending at all -- the caller should
@@ -769,7 +720,7 @@ class LeaseBook:
         """
         if not self._pending:
             return None
-        now = self.clock() if now is None else now
+        now = self.clock()
         if self._ready_top(now) is not None:
             return 0.0
         while self._backoff:

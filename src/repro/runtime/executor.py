@@ -432,8 +432,8 @@ class _RunBooks:
                 self.store = CheckpointStore.resume(path, fingerprint)
                 outcome.discarded_records = self.store.discarded
                 records = {
-                    index: self.store.completed[index]
-                    for index in sorted(self.store.completed)
+                    index: self.store.records[index]
+                    for index in sorted(self.store.records)
                     if 0 <= index < outcome.total_shards
                 }
                 if OBS.enabled:
@@ -603,7 +603,7 @@ class _RunBooks:
         if OBS.enabled and self.store is not None:
             OBS.trace.record(
                 events.CheckpointWritten(
-                    str(self.store.path), len(self.store.completed)
+                    str(self.store.path), len(self.store.records)
                 )
             )
         self.policy.outcomes.append(outcome)

@@ -209,16 +209,6 @@ class JobStore:
         with self._lock:
             return self._jobs.get(job_id)
 
-    def wait_for_terminal(
-        self, job: Job, timeout: Optional[float] = None
-    ) -> bool:
-        """Block until the job is done/failed; ``True`` if it is."""
-        with self._cond:
-            self._cond.wait_for(
-                lambda: job.state in ("done", "failed"), timeout=timeout
-            )
-            return job.state in ("done", "failed")
-
     def counts(self) -> Dict[str, int]:
         """Jobs per state (the ``/v1/stats`` jobs block)."""
         with self._lock:

@@ -30,7 +30,8 @@ class TestXedCampaign:
         result = run_xed_campaign(trials=40, faulty_chips=1, seed=5)
         assert result.sdc_count == 0
         assert result.counts[Outcome.DUE] == 0
-        assert result.corrected_fraction == 1.0
+        corrected = result.counts[Outcome.CLEAN] + result.counts[Outcome.CORRECTED]
+        assert corrected == result.total
 
     def test_single_chip_with_paper_scaling_rate(self):
         result = run_xed_campaign(
@@ -69,7 +70,8 @@ class TestChipkillCampaign:
         result = run_chipkill_campaign(trials=30, faulty_chips=2, seed=9)
         assert result.sdc_count == 0
         assert result.counts[Outcome.DUE] <= 2
-        assert result.corrected_fraction >= 0.9
+        corrected = result.counts[Outcome.CLEAN] + result.counts[Outcome.CORRECTED]
+        assert corrected >= 0.9 * result.total
 
     def test_three_chip_failures_flagged(self):
         result = run_chipkill_campaign(trials=20, faulty_chips=3, seed=10)

@@ -17,7 +17,7 @@ from repro.faultsim import (
     analytical,
     simulate,
 )
-from repro.faultsim.fault_models import HOURS_PER_YEAR, FailureMode
+from repro.faultsim.fault_models import FailureMode
 
 
 class TestEccDimmAgainstClosedForm:
@@ -84,7 +84,7 @@ class TestPairSchemesAgainstClosedForm:
         for mode in (FailureMode.SINGLE_COLUMN, FailureMode.SINGLE_ROW,
                      FailureMode.SINGLE_BANK, FailureMode.MULTI_BANK,
                      FailureMode.MULTI_RANK):
-            gutted = gutted.with_mode(mode, ModeRate(0.0, 0.0))
+            gutted.rates[mode] = ModeRate(0.0, 0.0)
         cfg_full = MonteCarloConfig(num_systems=2_000_000, seed=15)
         cfg_gut = MonteCarloConfig(num_systems=2_000_000, seed=15, fit=gutted)
         full = simulate(XedScheme(), cfg_full).probability_of_failure

@@ -44,11 +44,11 @@ class TestCampaignResult:
         assert counts[Outcome.CORRECTED] == 2
         assert result.total == 4
         assert result.sdc_count == 0
-        assert result.corrected_fraction == pytest.approx(0.75)
+        assert counts[Outcome.CLEAN] + counts[Outcome.CORRECTED] == 3
 
     def test_empty(self):
         result = CampaignResult()
-        assert result.corrected_fraction == 0.0
+        assert sum(result.counts.values()) == 0
         assert result.total == 0
 
     def test_append_maintains_counts_incrementally(self):

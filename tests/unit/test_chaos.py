@@ -68,7 +68,7 @@ class TestPoolCrashRecovery:
                 simulate(
                     XedScheme(), CFG, workers=WORKERS, shard_size=SHARD_SIZE
                 )
-        _, records, _ = load_checkpoint(exc.value.checkpoint_path)
+        records = load_checkpoint(exc.value.checkpoint_path).records
         assert 2 not in records
 
         resumed_policy = RuntimePolicy(resume_dir=str(tmp_path))

@@ -1,9 +1,8 @@
 """The append-only write path of :class:`CheckpointStore`.
 
 One ``add`` grows the file by one line and never touches earlier
-bytes, which is what bounds per-shard persistence at O(1); re-adds and
-resumes keep the file equal to what a fresh :func:`load_checkpoint`
-reports.
+bytes, which is what bounds per-shard persistence at O(1); resumes keep
+the file equal to what a fresh :func:`load_checkpoint` reports.
 """
 
 import json
@@ -40,14 +39,6 @@ class TestAppendOnlyWrites:
             assert appended.count(b"\n") == 1
             previous = current
 
-    def test_idempotent_readd_leaves_file_untouched(self, tmp_path):
-        path = tmp_path / "idem.ckpt"
-        store = CheckpointStore.create(path, _fingerprint())
-        store.add(0, {"sum": 1})
-        before = path.read_bytes()
-        store.add(0, {"sum": 1})  # byte-identical re-delivery
-        assert path.read_bytes() == before
-
     def test_resume_without_damage_keeps_appending(self, tmp_path):
         path = tmp_path / "resume.ckpt"
         store = CheckpointStore.create(path, _fingerprint())
@@ -67,17 +58,3 @@ class TestAppendOnlyWrites:
         lines = path.read_text(encoding="utf-8").splitlines()
         indices = [json.loads(line)["index"] for line in lines[1:]]
         assert indices == [2, 0, 1]
-
-    def test_conflicting_readd_replaces_the_record(self, tmp_path):
-        path = tmp_path / "conflict.ckpt"
-        store = CheckpointStore.create(path, _fingerprint())
-        store.add(0, {"sum": 1})
-        store.add(1, {"sum": 2})
-        # Re-adding an index with different content forces a rewrite
-        # that leaves no stale copy and moves the record to the end.
-        store.add(0, {"sum": 999})
-        loaded = load_checkpoint(path)
-        assert loaded.records[0].payload == {"sum": 999}
-        assert loaded.duplicates == 0 and loaded.conflicts == 0
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line)["index"] for line in lines[1:]] == [1, 0]

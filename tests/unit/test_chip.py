@@ -162,13 +162,6 @@ class TestRuntimeFaults:
         chip.write(2, 41, 0, 9)
         assert chip.read(2, 41, 0) == 9
 
-    def test_clear_faults(self):
-        chip = DramChip()
-        chip.inject(InjectedFault(FaultGranularity.CHIP, True))
-        chip.clear_faults()
-        chip.write(0, 0, 0, 1)
-        assert chip.read(0, 0, 0) == 1
-
 
 class TestXedBehaviour:
     def test_catch_word_sent_on_detection(self):

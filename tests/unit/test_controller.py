@@ -223,8 +223,3 @@ class TestDiagnosisPath:
         # Transient damage gone after the scrub's rewrite.
         follow_up = ctrl.read_line(0, 0, 9)
         assert follow_up.status is ReadStatus.CLEAN
-
-    def test_verify_line(self):
-        dimm, ctrl = system(19)
-        ctrl.write_line(0, 0, 0, LINE)
-        assert ctrl.verify_line(0, 0, 0)

@@ -78,7 +78,6 @@ class TestLeaseGranting:
         for index in lease.shards:
             assert book.complete(index)
         assert book.done
-        assert book.active_leases == []
 
     def test_duplicate_complete_is_rejected(self):
         book, _ = make_book(total=2, lease_shards=2)
@@ -153,7 +152,7 @@ class TestRetryAndExpiry:
         lease = book.grant("w")
         book.complete(0)
         assert book.release(lease.lease_id) == (1, 2, 3)
-        assert book.active_leases == []
+        assert book.release(lease.lease_id) == ()  # the lease is gone
 
     def test_requeue_returns_unfinished_shards_uncharged(self):
         book, _ = make_book(total=3, lease_shards=2)
@@ -266,13 +265,11 @@ class TestCheckpointDuplicateHardening:
         # First valid record wins deterministically.
         assert loaded.records[0].payload == {"value": "first"}
 
-    def test_unpacks_as_legacy_three_tuple(self, tmp_path):
-        fingerprint, records, discarded = load_checkpoint(
-            self._write(tmp_path, [])
-        )
-        assert isinstance(fingerprint, dict)
-        assert sorted(records) == [0, 1]
-        assert discarded == 0
+    def test_reads_fingerprint_records_and_discards(self, tmp_path):
+        loaded = load_checkpoint(self._write(tmp_path, []))
+        assert isinstance(loaded.fingerprint, dict)
+        assert sorted(loaded.records) == [0, 1]
+        assert loaded.discarded == 0
 
     def test_corrupt_tail_still_discarded_after_duplicates(self, tmp_path):
         dup = ShardRecord(index=1, payload={"value": "other"}).to_line()
@@ -362,7 +359,6 @@ class TestNetworkChaosVerbs:
         assert policy.duplicate_shards == (3,)
         assert policy.partition_shards == (4,)
         assert policy.delay_s == 0.5
-        assert policy.has_network_verbs
 
     def test_verbs_trigger_on_first_attempt_only_by_default(self):
         policy = parse_chaos_spec("drop=1;partition=2")
@@ -371,9 +367,6 @@ class TestNetworkChaosVerbs:
         assert policy.should_partition(2, 1)
         assert not policy.should_partition(2, 2)
         assert not policy.should_drop(0, 1)
-
-    def test_crash_only_spec_has_no_network_verbs(self):
-        assert not parse_chaos_spec("crash=1").has_network_verbs
 
 
 class _FakeCoordinator:

@@ -13,13 +13,12 @@ import pytest
 
 from repro.ecc.batched import (
     BatchOutcome,
-    BatchedCode,
     BatchedRSSyndromes,
     bits_to_words,
     int_to_bits,
     words_to_bits,
 )
-from repro.ecc.secded import DecodeOutcome, SECDEDCode
+from repro.ecc.secded import SECDEDCode
 
 
 class TestBitConversions:
@@ -140,36 +139,6 @@ class TestBatchedKernels:
         assert outcomes[0] == BatchOutcome.CORRECTED
         assert outcomes[1] == BatchOutcome.NO_ERROR
 
-    def test_classify_marks_miscorrections(self, secded_code):
-        """MISCORRECTED = accepted-but-wrong, the SDC population."""
-        batched = secded_code.batched()
-        rng = random.Random(31)
-        data = rng.getrandbits(64)
-        clean = secded_code.encode(data)
-        # Find an even-weight pattern the decoder accepts wrongly.
-        sdc_pattern = None
-        while sdc_pattern is None:
-            bits = rng.sample(range(72), 4)
-            pattern = sum(1 << b for b in bits)
-            result = secded_code.decode(clean ^ pattern)
-            if result.outcome is not DecodeOutcome.DETECTED_UNCORRECTABLE:
-                sdc_pattern = pattern
-        words = [clean, clean ^ 1, clean ^ sdc_pattern]
-        outcomes = batched.classify(
-            words_to_bits(words, 72), words_to_bits([data] * 3, 64)
-        )
-        assert outcomes[0] == BatchOutcome.NO_ERROR
-        assert outcomes[1] == BatchOutcome.CORRECTED
-        assert outcomes[2] == BatchOutcome.MISCORRECTED
-
-    def test_classify_length_mismatch(self, secded_code):
-        batched = secded_code.batched()
-        with pytest.raises(ValueError):
-            batched.classify(
-                np.zeros((2, 72), dtype=np.uint8),
-                np.zeros((3, 64), dtype=np.uint8),
-            )
-
 
 class TestBatchedRSSyndromes:
     @pytest.fixture(params=["rs_chipkill", "rs_double_chipkill"])
@@ -242,15 +211,6 @@ class TestInstrumentation:
         assert snap["histograms"]["ecc.batched.batch_words"]["count"] == 2
         assert snap["timers"]["ecc.batched.encode_s"]["count"] == 1
         assert snap["timers"]["ecc.batched.decode_s"]["count"] == 1
-
-    def test_classify_span_wraps_decode(self, _obs, batched):
-        rng = np.random.default_rng(4)
-        data = rng.integers(0, 2, size=(8, batched.k), dtype=np.uint8)
-        words = batched.encode(data)
-        batched.classify(words, data)
-        timers = _obs.registry.snapshot()["timers"]
-        assert timers["ecc.batched.classify_s"]["count"] == 1
-        assert timers["ecc.batched.decode_s"]["count"] == 1
 
     def test_disabled_records_nothing(self, _obs, batched):
         _obs.disable()

@@ -166,11 +166,6 @@ class TestPowerModel:
         with pytest.raises(ValueError):
             PowerModel().compute(broken, SCHEME_CONFIGS["ecc_dimm"])
 
-    def test_format_row(self):
-        r = sim()
-        text = PowerModel().compute(r, SCHEME_CONFIGS["ecc_dimm"]).format_row()
-        assert "total" in text and "W" in text
-
 
 class TestRunner:
     @pytest.fixture(scope="class")

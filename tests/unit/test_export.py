@@ -42,6 +42,25 @@ class TestExportReport:
         for row in rows:
             assert 0.0 <= float(row["probability_of_failure"]) <= 1.0
 
+    def test_analytical_reliability_curves_csv(self, tmp_path):
+        report = run_experiment(
+            "fig7", scale="quick", faultsim_backend="analytical"
+        )
+        export_report(report, tmp_path)
+        path = tmp_path / "fig7_results.csv"
+        assert path.exists()
+        with path.open() as fh:
+            rows = list(csv.DictReader(fh))
+        results = report.data["results"]
+        assert len(rows) == sum(len(r.curve()) for r in results.values())
+        for name, result in results.items():
+            got = [
+                (int(row["year"]), float(row["probability_of_failure"]))
+                for row in rows if row["scheme"] == name
+            ]
+            want = [(year, float(f"{p:.6e}")) for year, p in result.curve()]
+            assert got == want
+
     def test_detection_table_csv(self, tmp_path):
         report = run_experiment("table2", scale="quick")
         export_report(report, tmp_path)

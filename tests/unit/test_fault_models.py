@@ -51,11 +51,6 @@ class TestFitTable:
         exposure = rate * 1e-9 * 9 * LIFETIME_HOURS
         assert exposure == pytest.approx(7.7e-4, rel=0.02)
 
-    def test_faults_per_chip(self):
-        fit = FitTable()
-        expected = 66.1e-9 * LIFETIME_HOURS
-        assert fit.faults_per_chip(LIFETIME_HOURS) == pytest.approx(expected)
-
     def test_mode_weights_sum_to_one(self):
         weights = FitTable().mode_weights()
         assert sum(w for _, _, w in weights) == pytest.approx(1.0)
@@ -64,13 +59,6 @@ class TestFitTable:
     def test_scaled(self):
         doubled = FitTable().scaled(2.0)
         assert doubled.total_fit == pytest.approx(2 * 66.1)
-
-    def test_with_mode_replaces_one_entry(self):
-        fit = FitTable().with_mode(FailureMode.SINGLE_BIT, ModeRate(0.0, 0.0))
-        assert fit.rate_of(FailureMode.SINGLE_BIT) == 0.0
-        assert fit.rate_of(FailureMode.SINGLE_ROW) == pytest.approx(8.4)
-        # Original untouched (value semantics).
-        assert FitTable().rate_of(FailureMode.SINGLE_BIT) == pytest.approx(32.8)
 
     def test_rate_of_permanence_split(self):
         fit = FitTable()

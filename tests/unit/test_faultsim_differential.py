@@ -37,7 +37,6 @@ from repro.faultsim.differential import (
     DifferentialMismatch,
     DifferentialReport,
     WilsonCheck,
-    _wilson,
     assert_identical,
     cross_validate_analytical,
     cross_validate_grid,
@@ -46,7 +45,7 @@ from repro.faultsim.differential import (
     replay_simulation,
 )
 from repro.faultsim.schemes import SystemFailure
-from repro.faultsim.simulator import ReliabilityResult
+from repro.faultsim.simulator import ReliabilityResult, wilson_interval
 from repro.faultsim.vectorized import (
     UnsupportedSchemeError,
     adjudicate_shard,
@@ -283,22 +282,22 @@ class TestWilsonInterval:
             failure_times_hours=[1.0] * 37,
             kinds=[FailureKind.DUE] * 37,
         )
-        assert _wilson(37, 5_000) == pytest.approx(
+        assert wilson_interval(37, 5_000) == pytest.approx(
             result.confidence_interval(), rel=1e-12
         )
 
     def test_zero_successes_contains_zero(self):
-        low, high = _wilson(0, 10_000)
+        low, high = wilson_interval(0, 10_000)
         assert low == 0.0 and 0.0 < high < 1e-3
 
     def test_interval_narrows_with_population(self):
-        low_n = _wilson(10, 1_000)
-        high_n = _wilson(100, 10_000)
+        low_n = wilson_interval(10, 1_000)
+        high_n = wilson_interval(100, 10_000)
         assert (high_n[1] - high_n[0]) < (low_n[1] - low_n[0])
 
     def test_rejects_empty_population(self):
         with pytest.raises(ValueError):
-            _wilson(0, 0)
+            wilson_interval(0, 0)
 
     def test_check_inside_and_str(self):
         inside = WilsonCheck(

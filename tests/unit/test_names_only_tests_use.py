@@ -1,8 +1,9 @@
-"""Unit tests for the report of names only tests use.
+"""Unit tests for the gate on names only tests use.
 
 ``tools/names_only_tests_use.py`` lists the functions, methods and
 classes of ``src/repro`` that no Python file outside ``tests/`` names;
-a name in a code span of ``docs/api.md`` counts as used.
+a name in a code span of ``docs/api.md`` counts as used.  It exits 1
+when it lists anything, so CI fails on code only tests reach.
 """
 
 import importlib.util
@@ -90,12 +91,46 @@ def test_lists_a_name_only_a_test_uses_and_not_one_src_uses(tmp_path):
 
 def test_main_prints_each_name_and_a_count(tmp_path, capsys):
     root = _checkout(tmp_path)
-    assert names_only_tests_use.main(["--root", str(root)]) == 0
+    assert names_only_tests_use.main(["--root", str(root)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out == [
         "src/repro/mod.py:6  tested_only",
         "src/repro/mod.py:30  Box.spare",
         "2 definitions named by nothing outside tests/",
+    ]
+
+
+def test_main_exits_1_on_a_test_only_definition(tmp_path, capsys):
+    root = _checkout(tmp_path)
+    (root / "src" / "repro" / "mod.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def tested_only():\n    return used()\n"
+    )
+    (root / "src" / "repro" / "__init__.py").write_text(
+        "from repro.mod import used\n\nused()\n"
+    )
+    (root / "src" / "repro" / "user.py").write_text("")
+    (root / "docs" / "api.md").write_text("")
+    assert names_only_tests_use.main(["--root", str(root)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "src/repro/mod.py:5  tested_only",
+        "1 definitions named by nothing outside tests/",
+    ]
+
+
+def test_main_exits_0_on_a_clean_tree(tmp_path, capsys):
+    root = _checkout(tmp_path)
+    (root / "src" / "repro" / "mod.py").write_text(
+        "def used():\n    return 1\n"
+    )
+    (root / "src" / "repro" / "__init__.py").write_text(
+        "from repro.mod import used\n\nused()\n"
+    )
+    (root / "src" / "repro" / "user.py").write_text("")
+    (root / "docs" / "api.md").write_text("")
+    assert names_only_tests_use.main(["--root", str(root)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0 definitions named by nothing outside tests/",
     ]
 
 

@@ -218,10 +218,6 @@ class TestRuntime:
         assert OBS.registry.snapshot()["counters"]["stale"] == 0
         assert configure() is False
 
-    def test_enable_with_capacity_swaps_trace(self):
-        OBS.enable(trace_capacity=7)
-        assert OBS.trace.capacity == 7
-
 
 class TestProgressReporter:
     def test_disabled_writes_nothing(self):

@@ -1,5 +1,7 @@
 """Unit tests for perfsim building blocks: timing, configs, traces, CPU."""
 
+import itertools
+
 import pytest
 
 from repro.perfsim.configs import (
@@ -30,10 +32,6 @@ from repro.perfsim.workloads import (
 class TestTiming:
     def test_clock_ratio_is_4(self):
         assert SystemTiming().cpu_cycles_per_bus_cycle == pytest.approx(4.0)
-
-    def test_conversions_roundtrip(self):
-        s = SystemTiming()
-        assert s.to_bus_cycles(s.to_cpu_cycles(123.0)) == pytest.approx(123.0)
 
     def test_jedec_orderings(self):
         t = DDR3Timing()
@@ -92,9 +90,6 @@ class TestSchemeConfigs:
     def test_xed_scaling_serial_rate_matches_table_iii(self):
         assert XED_SCALING.serial_mode_rate == pytest.approx(2e-5)
 
-    def test_describe_mentions_lockstep(self):
-        assert "lockstep" in CHIPKILL.describe()
-
 
 class TestWorkloads:
     def test_roster_has_31_benchmarks(self):
@@ -133,27 +128,27 @@ class TestSyntheticTrace:
         )
 
     def test_deterministic(self):
-        a = self.make().materialise()
-        b = self.make().materialise()
+        a = list(self.make())
+        b = list(self.make())
         assert a == b
 
     def test_cores_decorrelated(self):
-        a = self.make(core=0).materialise(100)
-        b = self.make(core=1).materialise(100)
+        a = list(itertools.islice(self.make(core=0), 100))
+        b = list(itertools.islice(self.make(core=1), 100))
         assert a != b
 
     def test_mpki_approximately_respected(self):
-        ops = self.make("mcf", n=200_000).materialise()
+        ops = list(self.make("mcf", n=200_000))
         mpki = len(ops) / 200.0
         assert mpki == pytest.approx(workload_by_name("mcf").mpki, rel=0.15)
 
     def test_write_fraction_respected(self):
-        ops = self.make("lbm", n=200_000).materialise()
+        ops = list(self.make("lbm", n=200_000))
         writes = sum(op.req_type is RequestType.WRITE for op in ops)
         assert writes / len(ops) == pytest.approx(0.45, abs=0.05)
 
     def test_positions_strictly_increasing(self):
-        ops = self.make(n=50_000).materialise()
+        ops = list(self.make(n=50_000))
         positions = [op.position for op in ops]
         assert positions == sorted(positions)
         assert len(set(positions)) == len(positions)
@@ -168,7 +163,7 @@ class TestSyntheticTrace:
 
     def test_row_locality_knob(self):
         def sequential_share(name):
-            ops = self.make(name, n=300_000).materialise()
+            ops = list(self.make(name, n=300_000))
             seq = sum(
                 1 for a, b in zip(ops, ops[1:])
                 if b.row == a.row and b.bank == a.bank and b.column == a.column + 1

@@ -67,8 +67,8 @@ class TestAgainstReference:
     def test_bulk_trace_equals_the_reference(self, geometry, workload):
         channels, ranks, banks, rows, columns = geometry
         for core, seed in ((0, 2016), (5, 2016), (3, 7)):
-            ref = SyntheticTrace(workload, INSTRUCTIONS, *geometry,
-                                 core=core, seed=seed).materialise()
+            ref = list(SyntheticTrace(workload, INSTRUCTIONS, *geometry,
+                                      core=core, seed=seed))
             bulk = build_trace_arrays(workload, INSTRUCTIONS, *geometry,
                                       core=core, seed=seed)
             assert ref, "an empty trace would prove nothing"
@@ -102,7 +102,7 @@ class TestAgainstReference:
         monkeypatch.setattr(trace, "pull_words", counted)
         geometry = REGISTERED[2]
         bulk = build_trace_arrays(streaming, INSTRUCTIONS, *geometry)
-        ref = SyntheticTrace(streaming, INSTRUCTIONS, *geometry).materialise()
+        ref = list(SyntheticTrace(streaming, INSTRUCTIONS, *geometry))
         assert len(pulls) > 1
         assert bulk.positions == [op.position for op in ref]
         assert bulk.rows == [op.row for op in ref]
@@ -137,8 +137,8 @@ class TestParseSharing:
         # randrange(3) and randrange(6) both accept words below 3 << 30.
         workload = WORKLOADS[0]
         for channels in (3, 6):
-            ref = SyntheticTrace(workload, INSTRUCTIONS, channels, 2, 8,
-                                 32768, 128).materialise()
+            ref = list(SyntheticTrace(workload, INSTRUCTIONS, channels, 2, 8,
+                                      32768, 128))
             bulk = build_trace_arrays(workload, INSTRUCTIONS, channels, 2,
                                       8, 32768, 128)
             assert bulk.channels == [op.channel for op in ref]
@@ -186,8 +186,8 @@ class TestIdleWorkload:
     )
     def test_no_misses_give_an_empty_trace(self, workload, seed):
         geometry = REGISTERED[2]
-        assert SyntheticTrace(workload, INSTRUCTIONS, *geometry,
-                              seed=seed).materialise() == []
+        assert list(SyntheticTrace(workload, INSTRUCTIONS, *geometry,
+                                   seed=seed)) == []
         bulk = build_trace_arrays(workload, INSTRUCTIONS, *geometry, seed=seed)
         assert len(bulk) == 0 and bulk.ops == []
 

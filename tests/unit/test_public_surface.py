@@ -1,10 +1,7 @@
-"""Tests for small public surfaces: result types, requests, packaging."""
-
-import pytest
+"""Tests for small public surfaces: result types and packaging."""
 
 import repro
 from repro.core.types import ReadStatus, XedReadResult
-from repro.perfsim.requests import MemoryRequest, RequestType
 
 
 class TestXedReadResult:
@@ -24,23 +21,6 @@ class TestXedReadResult:
         assert result.catch_word_chips == []
         assert result.reconstructed_chip is None
         assert not result.collision and not result.serial_mode
-
-
-class TestMemoryRequest:
-    def make(self):
-        return MemoryRequest(
-            req_type=RequestType.READ, core=1, channel=0, rank=0, bank=2,
-            row=10, column=3, arrival=5.0,
-        )
-
-    def test_served_and_latency(self):
-        req = self.make()
-        assert not req.served
-        assert req.queue_latency is None
-        req.issue_time = 9.0
-        req.completion_time = 24.0
-        assert req.served
-        assert req.queue_latency == pytest.approx(4.0)
 
 
 class TestPackaging:

@@ -27,6 +27,7 @@ import pytest
 import repro.faultsim.simulator as simulator
 import repro.runtime.spec as spec_module
 from repro.cli import _run_spec, build_parser, main
+from repro.runtime import RuntimePolicy, load_checkpoint
 from repro.runtime.distributed import Coordinator
 from repro.runtime.spec import ExperimentSpec, build_scheme
 from repro.service import CampaignService, create_server
@@ -162,6 +163,20 @@ class TestPinnedIdentities:
         assert (fingerprint.total, fingerprint.seed) == (
             config.num_systems, config.seed,
         )
+
+    def test_default_simulate_and_spec_share_one_fingerprint(self, tmp_path):
+        """A bare ``simulate()`` runs the spec's default experiment.
+
+        ``MonteCarloConfig`` defaults the lifetime to the integer 7 and
+        the spec to 7.0; the fingerprint hashes it as a float, so both
+        name one run and can resume each other's checkpoints."""
+        policy = RuntimePolicy(checkpoint_dir=str(tmp_path))
+        simulator.simulate(build_scheme("xed"), runtime=policy)
+        written = load_checkpoint(policy.outcomes[0].checkpoint_path)
+        (expected,) = ExperimentSpec.from_dict(
+            {"schemes": ["xed"]}
+        ).run_fingerprints()
+        assert written.fingerprint == expected.to_dict()
 
     def test_coordinator_run_fingerprint(self):
         coordinator = Coordinator(ExperimentSpec.from_dict(self.SMALL))

@@ -147,8 +147,9 @@ class TestCheckpointFile:
         store = CheckpointStore.create(tmp_path / "run.ckpt", fp)
         store.add(0, {"sum": 1}, metrics={"counters": {"c": 1}})
         store.add(2, {"sum": 3})
-        loaded_fp, records, discarded = load_checkpoint(tmp_path / "run.ckpt")
-        assert loaded_fp == fp.to_dict()
+        loaded = load_checkpoint(tmp_path / "run.ckpt")
+        records, discarded = loaded.records, loaded.discarded
+        assert loaded.fingerprint == fp.to_dict()
         assert sorted(records) == [0, 2]
         assert records[0].payload == {"sum": 1}
         assert records[0].metrics == {"counters": {"c": 1}}
@@ -159,7 +160,7 @@ class TestCheckpointFile:
         path = tmp_path / "run.ckpt"
         CheckpointStore.create(path, _fingerprint())
         assert path.exists()
-        _, records, _ = load_checkpoint(path)
+        records = load_checkpoint(path).records
         assert records == {}
 
     def test_no_temp_files_left_behind(self, tmp_path):
@@ -184,7 +185,8 @@ class TestCheckpointFile:
         for i in range(3):
             store.add(i, {"sum": i})
         assert corrupt_checkpoint_tail(path, nbytes=8, seed=3) > 0
-        _, records, discarded = load_checkpoint(path)
+        loaded = load_checkpoint(path)
+        records, discarded = loaded.records, loaded.discarded
         assert sorted(records) == [0, 1]
         assert discarded == 1
 
@@ -206,7 +208,8 @@ class TestCheckpointFile:
         store.add(1, {"sum": 2})
         raw = path.read_text()
         path.write_text(raw[: len(raw) - 20])  # tear the last record
-        _, records, discarded = load_checkpoint(path)
+        loaded = load_checkpoint(path)
+        records, discarded = loaded.records, loaded.discarded
         assert sorted(records) == [0]
         assert discarded == 1
 
@@ -219,9 +222,10 @@ class TestCheckpointFile:
         corrupt_checkpoint_tail(path, seed=1)
         resumed = CheckpointStore.resume(path, fp)
         assert resumed.discarded == 1
-        assert sorted(resumed.completed) == [0]
+        assert sorted(resumed.records) == [0]
         # the rewritten file is clean again
-        _, records, discarded = load_checkpoint(path)
+        loaded = load_checkpoint(path)
+        records, discarded = loaded.records, loaded.discarded
         assert sorted(records) == [0] and discarded == 0
 
     def test_fingerprint_mismatch_refused_with_field_diff(self, tmp_path):
@@ -253,7 +257,7 @@ class TestCheckpointFile:
         store.add(0, {"sum": 1})
         with path.open("a") as fh:
             fh.write(ShardRecord(0, {"sum": 999}).to_line() + "\n")
-        _, records, _ = load_checkpoint(path)
+        records = load_checkpoint(path).records
         assert records[0].payload == {"sum": 1}
 
     @pytest.mark.parametrize(
@@ -409,7 +413,7 @@ class TestResilientExecutor:
             self._run(policy)
         assert exc.value.shard_index == 1
         # the checkpoint still holds every shard that completed
-        _, records, _ = load_checkpoint(exc.value.checkpoint_path)
+        records = load_checkpoint(exc.value.checkpoint_path).records
         assert 0 in records and 1 not in records
 
     def test_keep_going_quarantines_and_reports_completeness(self):
@@ -454,7 +458,7 @@ class TestResilientExecutor:
             self._run(policy, on_shard_done=interrupt_after_first)
         assert exc.value.signal_name == "SIGINT"
         assert policy.outcomes[0].interrupted
-        _, records, _ = load_checkpoint(exc.value.checkpoint_path)
+        records = load_checkpoint(exc.value.checkpoint_path).records
         assert 0 in records and len(records) < 3
         # the previous SIGINT handler is restored after the run
         assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
@@ -613,7 +617,7 @@ class TestFailureTelemetry:
         assert counters.get("faultsim.failure.sdc", 0) == result.sdc_count
         assert "trial_completed" not in scope.trace.counts_by_kind()
 
-        _, records, _ = load_checkpoint(policy.outcomes[0].checkpoint_path)
+        records = load_checkpoint(policy.outcomes[0].checkpoint_path).records
         assert sorted(records) == [0, 1, 2]
         for record in records.values():
             assert len(record.trace) < 10

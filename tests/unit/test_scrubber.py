@@ -1,7 +1,5 @@
 """Unit tests for the patrol scrubber."""
 
-import pytest
-
 from repro.core import XedController
 from repro.core.scrubber import PatrolScrubber, ScrubReport
 from repro.core.types import ReadStatus
@@ -71,21 +69,6 @@ class TestPatrolScrubber:
         # correct the same row.
         assert first.corrected >= 16
         assert second.corrected >= 16
-
-    def test_step_walks_rows_and_wraps(self):
-        _, ctrl, scrubber = small_system(4)
-        seen = []
-        for _ in range(scrubber.rows_per_full_patrol + 1):
-            seen.append(scrubber._cursor)
-            scrubber.step()
-        assert seen[0] == (0, 0)
-        assert len(set(seen[:-1])) == scrubber.rows_per_full_patrol
-        assert scrubber._cursor == seen[1]  # wrapped around
-
-    def test_step_report_covers_one_row(self):
-        _, ctrl, scrubber = small_system(5)
-        report = scrubber.step()
-        assert report.lines_scrubbed == 16
 
     def test_scaling_faults_do_not_block_patrol(self):
         _, ctrl, scrubber = small_system(6, scaling=1e-3)

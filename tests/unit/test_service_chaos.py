@@ -15,6 +15,7 @@ exposes:
 """
 
 import json
+import time
 
 import pytest
 
@@ -37,12 +38,22 @@ CLEAN_SPEC = {
 }
 
 
+def _poll_terminal(service, job_id, timeout=120.0):
+    """Poll the job's status document until it is done or failed."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        _, status = service.job_status(job_id)
+        if status["state"] in ("done", "failed"):
+            return status
+        time.sleep(0.05)
+    raise AssertionError(f"job {job_id} never finished")
+
+
 def _run_to_done(service, spec):
     status, submitted = service.submit(spec)
     assert status == 202
     job = service.store.get(submitted["job_id"])
-    assert service.store.wait_for_terminal(job, timeout=120.0)
-    assert job.state == "done", job.error
+    assert _poll_terminal(service, job.job_id)["state"] == "done", job.error
     entry = service.cache.get(submitted["fingerprint"])
     assert entry is not None
     return job, json.loads(entry)["body"]
@@ -111,8 +122,7 @@ class TestCacheCorruption:
         status, again = service.submit(CLEAN_SPEC)
         assert again["job_id"] == job.job_id
         assert again["disposition"] == "requeued"
-        assert service.store.wait_for_terminal(job, timeout=120.0)
-        assert job.state == "done"
+        assert _poll_terminal(service, job.job_id)["state"] == "done"
         second_body = json.loads(service.cache.get(job.fingerprint))["body"]
         assert second_body["result_digest"] == first_body["result_digest"]
         assert second_body["table"] == first_body["table"]

@@ -25,6 +25,8 @@ class _BlockingRunner:
     def __init__(self) -> None:
         self.gate = threading.Event()
         self.started = threading.Event()
+        #: Released once per finished execution.
+        self.finished = threading.Semaphore(0)
         self.lock = threading.Lock()
         self.executions = []
 
@@ -35,6 +37,7 @@ class _BlockingRunner:
         assert self.gate.wait(timeout=30.0), "test forgot to open the gate"
         service.cache.put(job.fingerprint, {"stub": job.fingerprint})
         service.store.finish(job)
+        self.finished.release()
 
 
 @pytest.fixture()
@@ -77,7 +80,7 @@ class TestSingleFlight:
         # Release the (single) execution and let it finish.
         runner.gate.set()
         job = service.store.get(job_ids.pop())
-        assert service.store.wait_for_terminal(job, timeout=30.0)
+        assert runner.finished.acquire(timeout=30.0)
         assert job.state == "done"
         assert len(runner.executions) == 1, "exactly one execution ran"
         # 7 of the 8 submissions were coalesced onto the first.
@@ -101,10 +104,10 @@ class TestSingleFlight:
         assert a["job_id"] != b["job_id"]
         assert a["fingerprint"] != b["fingerprint"]
         runner.gate.set()
+        for _ in (a, b):
+            assert runner.finished.acquire(timeout=30.0)
         for body in (a, b):
-            job = service.store.get(body["job_id"])
-            assert service.store.wait_for_terminal(job, timeout=30.0)
-            assert job.state == "done"
+            assert service.store.get(body["job_id"]).state == "done"
         assert sorted(runner.executions) == sorted(
             [a["fingerprint"], b["fingerprint"]]
         )
@@ -113,7 +116,7 @@ class TestSingleFlight:
         runner.gate.set()
         _, first = service.submit(SPEC)
         job = service.store.get(first["job_id"])
-        assert service.store.wait_for_terminal(job, timeout=30.0)
+        assert runner.finished.acquire(timeout=30.0)
         _, again = service.submit(SPEC)
         assert again["job_id"] == first["job_id"]
         assert again["disposition"] == "cached"
@@ -123,7 +126,7 @@ class TestSingleFlight:
         runner.gate.set()
         _, first = service.submit(SPEC)
         job = service.store.get(first["job_id"])
-        assert service.store.wait_for_terminal(job, timeout=30.0)
+        assert runner.finished.acquire(timeout=30.0)
         # Corrupt the stored entry; resubmission must recompute under
         # the same job identity.
         path = service.cache.path_for(first["fingerprint"])
@@ -131,7 +134,7 @@ class TestSingleFlight:
         _, again = service.submit(SPEC)
         assert again["job_id"] == first["job_id"]
         assert again["disposition"] == "requeued"
-        assert service.store.wait_for_terminal(job, timeout=30.0)
+        assert runner.finished.acquire(timeout=30.0)
         assert len(runner.executions) == 2
         assert service.cache.get(first["fingerprint"]) is not None
 

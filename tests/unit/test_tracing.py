@@ -227,17 +227,6 @@ class TestChromeExport:
         ]
         assert shard and shard[0]["args"]["parent_id"] == "0"
 
-    def test_trace_id_filter(self):
-        OBS.enable()
-        with span("first_s"):
-            pass
-        with span("second_s"):
-            pass
-        records = OBS.trace.to_records()
-        wanted = span_records(records)[0]["trace_id"]
-        doc = to_chrome_trace(records, trace_id=wanted)
-        assert [e["name"] for e in doc["traceEvents"]] == ["first_s"]
-
     def test_write_is_valid_json_and_roundtrips(self, tmp_path):
         OBS.enable()
         with span("run_s") as ctx:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Report the functions, methods and classes that only tests name.
+"""Gate on the functions, methods and classes that only tests name.
 
 A definition in the package counts as used when any Python file
 outside ``tests/`` names it: as a bare name, as an attribute, or as a
@@ -23,7 +23,10 @@ Usage::
     python tools/names_only_tests_use.py --root path/to/checkout
 
 Prints one ``path:line  qualified.name`` per listed definition, then a
-count.  It exits 0 whatever it finds: the report gates nothing.
+count.  It exits 1 when it lists any definition and 0 when it lists
+none, so CI fails on code that only tests reach: delete it, or list it
+in ``docs/api.md`` when it is public API that no caller in the package
+happens to use.  It exits 2 when the root holds no ``src/repro``.
 """
 
 from __future__ import annotations
@@ -161,7 +164,7 @@ def report(root: Path) -> List[Definition]:
 
 
 def main(argv: Sequence[str]) -> int:
-    """Print the report for a checkout; returns the exit code."""
+    """Print the report for a checkout; 1 when it lists anything."""
     parser = argparse.ArgumentParser(
         prog="names_only_tests_use.py",
         description="List definitions in src/repro that only tests name.",
@@ -179,7 +182,7 @@ def main(argv: Sequence[str]) -> int:
     for path, line, qualified in unused:
         print(f"{path}:{line}  {qualified}")
     print(f"{len(unused)} definitions named by nothing outside tests/")
-    return 0
+    return 1 if unused else 0
 
 
 if __name__ == "__main__":
