@@ -671,17 +671,18 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from time import perf_counter
 
-    from repro import faultsim
+    from repro.faultsim import MonteCarloConfig
+    from repro.faultsim.markov import sweep
     from repro.runtime.spec import build_scheme
 
-    config = faultsim.MonteCarloConfig(
+    config = MonteCarloConfig(
         years=args.years,
         scaling_rate=args.scaling_rate,
         faultsim_backend="analytical",
     )
     schemes = [build_scheme(key) for key in args.schemes]
     started = perf_counter()
-    cells = faultsim.sweep(
+    cells = sweep(
         schemes,
         config,
         fit_scales=args.fit_scales,

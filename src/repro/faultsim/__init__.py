@@ -27,10 +27,12 @@ methodology:
   (``faultsim_backend="analytical"``), cross-validated against
   Monte-Carlo within Wilson intervals; see docs/theory.md.
 
-The package does not import :mod:`repro.faultsim.analytical` or
+The package does not import :mod:`repro.faultsim.analytical`,
 :mod:`repro.faultsim.campaign` (the behavioural campaigns of ``repro
-campaign``), which a Monte-Carlo run never uses; import them by name,
-as in ``from repro.faultsim import analytical``.
+campaign``), :mod:`repro.faultsim.markov` or
+:mod:`repro.faultsim.differential`, which a Monte-Carlo run never
+uses; import them by name, as in ``from repro.faultsim import
+analytical`` or ``from repro.faultsim.markov import solve``.
 """
 
 from repro.faultsim.fault_models import (
@@ -65,15 +67,6 @@ from repro.faultsim.vectorized import (
     adjudicate_shard,
     validate_faultsim_backend,
 )
-from repro.faultsim.markov import (
-    MarkovResult,
-    SweepCell,
-    solve,
-    solve_many,
-    sweep,
-)
-from repro.faultsim import differential
-from repro.faultsim import markov
 from repro.faultsim import parallel
 from repro.faultsim import vectorized
 
@@ -104,13 +97,6 @@ __all__ = [
     "validate_faultsim_backend",
     "simulate",
     "simulate_many",
-    "MarkovResult",
-    "SweepCell",
-    "solve",
-    "solve_many",
-    "sweep",
-    "differential",
-    "markov",
     "parallel",
     "vectorized",
 ]

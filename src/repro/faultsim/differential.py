@@ -42,7 +42,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.faultsim.markov import solve
 from repro.faultsim.schemes import ProtectionScheme
 from repro.faultsim.simulator import (
     MonteCarloConfig,
@@ -90,6 +89,11 @@ def _canonical_payload(result: ReliabilityResult) -> str:
     return json.dumps(result.to_payload(), sort_keys=True)
 
 
+def _first_difference(a: np.ndarray, b: np.ndarray) -> int:
+    """The first position where two equal-length arrays differ."""
+    return int(np.flatnonzero(a != b)[0])
+
+
 def assert_identical(
     scalar: ReliabilityResult,
     vectorized: ReliabilityResult,
@@ -113,30 +117,21 @@ def assert_identical(
             f"{scalar.failures} != {vectorized.failures}"
         )
     if scalar.kinds != vectorized.kinds:
-        first = next(
-            i
-            for i, (a, b) in enumerate(zip(scalar.kinds, vectorized.kinds))
-            if a is not b
-        )
+        first = _first_difference(scalar.kinds.codes, vectorized.kinds.codes)
         raise DifferentialMismatch(
             f"{context}: failure kind mismatch at position {first}: "
             f"{scalar.kinds[first].value} != {vectorized.kinds[first].value}"
         )
-    if scalar.failure_times_hours != vectorized.failure_times_hours:
-        first = next(
-            i
-            for i, (a, b) in enumerate(
-                zip(
-                    scalar.failure_times_hours,
-                    vectorized.failure_times_hours,
-                )
-            )
-            if a != b
+    if not np.array_equal(
+        scalar.failure_times_hours, vectorized.failure_times_hours
+    ):
+        first = _first_difference(
+            scalar.failure_times_hours, vectorized.failure_times_hours
         )
         raise DifferentialMismatch(
             f"{context}: failure time mismatch at position {first}: "
-            f"{scalar.failure_times_hours[first]!r} != "
-            f"{vectorized.failure_times_hours[first]!r}"
+            f"{float(scalar.failure_times_hours[first])!r} != "
+            f"{float(vectorized.failure_times_hours[first])!r}"
         )
     if _canonical_payload(scalar) != _canonical_payload(vectorized):
         raise DifferentialMismatch(
@@ -326,6 +321,8 @@ def cross_validate_analytical(
     see docs/theory.md for the populations at which this contract is
     meaningful per scheme.
     """
+    from repro.faultsim.markov import solve
+
     config = config or MonteCarloConfig()
     mc = simulate(
         scheme, dataclasses.replace(config, faultsim_backend="vectorized"),

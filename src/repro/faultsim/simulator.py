@@ -5,7 +5,8 @@ system lifetimes and reports the probability of system failure -- the
 fraction of systems that hit an uncorrectable, mis-corrected or silent
 error at any point -- exactly the figure of merit of Figures 1 and
 7-10.  Failure *times* are retained so the year-by-year curves the
-figures plot can be regenerated.
+figures plot can be regenerated; they stay packed, one float64 time
+and one int8 kind code per failed system.
 
 The population is executed as deterministic *shards* (see
 :mod:`repro.faultsim.parallel`): ``num_systems`` is split into
@@ -20,10 +21,10 @@ in-process (``workers=1``) or on a process pool.
 from __future__ import annotations
 
 import math
+from collections import abc
 from dataclasses import dataclass, field
-from itertools import chain
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +33,8 @@ from repro.faultsim.injector import SHARD_SAMPLER, FaultSampler
 from repro.faultsim.parallel import plan_shards, resolve_shard_size
 from repro.faultsim.schemes import FailureKind, ProtectionScheme
 from repro.faultsim.vectorized import (
+    CODE_OF_KIND,
+    KIND_OF_CODE,
     SYSTEM_STREAM,
     FaultShard,
     ShardAdjudication,
@@ -104,25 +107,96 @@ def wilson_interval(
     return (max(0.0, centre - half), min(1.0, centre + half))
 
 
-@dataclass
+#: The kind code of each ``FailureKind`` value, and back, for payloads.
+_CODE_OF_VALUE = {kind.value: code for kind, code in CODE_OF_KIND.items()}
+_VALUE_OF_CODE = {code: value for value, code in _CODE_OF_VALUE.items()}
+#: Kind codes a ``FailureKinds`` iterator converts to Python at a time.
+_ITER_CHUNK = 4096
+
+
+class FailureKinds(abc.Sequence):
+    """The failure kinds of a result, packed one int8 code per failure.
+
+    A read-only sequence of :class:`FailureKind` members over the int8
+    codes the batch kernels emit (see
+    :data:`repro.faultsim.vectorized.KIND_OF_CODE`).  It supports
+    ``len``, indexing, iteration and ``count(kind)``, and equals another
+    ``FailureKinds``, list or tuple that holds the same kinds in the
+    same order.
+    """
+
+    __slots__ = ("codes",)
+
+    def __init__(self, codes: np.ndarray) -> None:
+        self.codes = codes
+
+    @classmethod
+    def pack(
+        cls, kinds: "Iterable[FailureKind] | np.ndarray"
+    ) -> "FailureKinds":
+        """``kinds`` as a ``FailureKinds``: int8 codes are kept, and
+        ``FailureKind`` members are packed into codes."""
+        if isinstance(kinds, FailureKinds):
+            return kinds
+        if isinstance(kinds, np.ndarray):
+            return cls(kinds.astype(np.int8, copy=False))
+        return cls(np.fromiter(map(CODE_OF_KIND.__getitem__, kinds), np.int8))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index: int) -> FailureKind:
+        return KIND_OF_CODE[self.codes[index]]
+
+    def __iter__(self) -> Iterator[FailureKind]:
+        # In chunks, so iterating never holds a list as long as the codes.
+        for start in range(0, len(self.codes), _ITER_CHUNK):
+            yield from map(
+                KIND_OF_CODE.__getitem__,
+                self.codes[start:start + _ITER_CHUNK].tolist(),
+            )
+
+    def count(self, kind: object) -> int:
+        """How many failures are of ``kind``."""
+        code = CODE_OF_KIND.get(kind)
+        if code is None:
+            return 0
+        return int(np.count_nonzero(self.codes == code))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, FailureKinds):
+            return bool(np.array_equal(self.codes, other.codes))
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(
+                a is b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"FailureKinds({self.codes!r})"
+
+
+@dataclass(eq=False)
 class ReliabilityResult:
-    """Outcome of one Monte-Carlo reliability experiment."""
+    """Outcome of one Monte-Carlo reliability experiment.
+
+    ``failure_times_hours`` holds each failed system's first-failure
+    time (a float64 array) and ``kinds`` its DUE/SDC kind (a
+    :class:`FailureKinds`), in global-system-index order.  The
+    constructor packs lists of times and of ``FailureKind`` members and
+    keeps float64 time and int8 kind-code arrays as they are.  Two
+    results are equal when their scheme, population, lifetime, failure
+    times (exactly) and kinds are.
+    """
 
     scheme_name: str
     num_systems: int
     years: float
-    failure_times_hours: List[float]
-    kinds: List[FailureKind]
-    #: Cached (len(kinds), due, sdc) triple; invalidated by length, the
-    #: same staleness rule CampaignResult uses, so appending kinds (as
-    #: tests building results incrementally do) recounts lazily instead
-    #: of walking the list on every property access.
-    _kind_counts: Optional[tuple] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    failure_times_hours: np.ndarray
+    kinds: FailureKinds
 
     def __post_init__(self) -> None:
-        """Normalise ``years`` to float at construction.
+        """Pack the failure records and normalise ``years`` to float.
 
         ``LIFETIME_YEARS`` is the integer 7, while ``from_payload``
         coerces to float; without this, a checkpoint-resumed result
@@ -132,6 +206,23 @@ class ReliabilityResult:
         corpus rely on.
         """
         self.years = float(self.years)
+        self.failure_times_hours = np.asarray(
+            self.failure_times_hours, dtype=np.float64
+        )
+        self.kinds = FailureKinds.pack(self.kinds)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ReliabilityResult):
+            return NotImplemented
+        return (
+            self.scheme_name == other.scheme_name
+            and self.num_systems == other.num_systems
+            and self.years == other.years
+            and bool(np.array_equal(
+                self.failure_times_hours, other.failure_times_hours
+            ))
+            and self.kinds == other.kinds
+        )
 
     @property
     def failures(self) -> int:
@@ -143,28 +234,15 @@ class ReliabilityResult:
         """Point estimate of P(system failure) over the lifetime."""
         return self.failures / self.num_systems
 
-    def _counts(self) -> tuple:
-        """(population, due, sdc) with O(1) amortised access."""
-        cached = self._kind_counts
-        kinds = self.kinds
-        if cached is None or cached[0] != len(kinds):
-            cached = (
-                len(kinds),
-                kinds.count(FailureKind.DUE),
-                kinds.count(FailureKind.SDC),
-            )
-            self._kind_counts = cached
-        return cached
-
     @property
     def due_count(self) -> int:
         """Failed systems classified as detected-uncorrectable."""
-        return self._counts()[1]
+        return self.kinds.count(FailureKind.DUE)
 
     @property
     def sdc_count(self) -> int:
         """Failed systems classified as silent data corruption."""
-        return self._counts()[2]
+        return self.kinds.count(FailureKind.SDC)
 
     def probability_by_year(self, year: float) -> float:
         """P(failed at or before ``year``) -- one point of the curves."""
@@ -174,7 +252,7 @@ class ReliabilityResult:
         """(year, P(failure by year)) series for Figures 1 and 7-10."""
         if years is None:
             years = range(1, int(self.years) + 1)
-        times = np.asarray(self.failure_times_hours, dtype=np.float64)
+        times = self.failure_times_hours
         return [
             (y, int(np.count_nonzero(times <= y * HOURS_PER_YEAR))
              / self.num_systems)
@@ -198,11 +276,9 @@ class ReliabilityResult:
         mean of observed failure times is the comparable quantity and
         is what reliability reports usually quote alongside P(fail).
         """
-        if not self.failure_times_hours:
+        if not self.failures:
             return math.inf
-        mean_hours = sum(self.failure_times_hours) / len(
-            self.failure_times_hours
-        )
+        mean_hours = sum(self.failure_times_hours.tolist()) / self.failures
         return mean_hours / HOURS_PER_YEAR
 
     def improvement_over(self, other: "ReliabilityResult") -> float:
@@ -239,21 +315,32 @@ class ReliabilityResult:
             "scheme_name": self.scheme_name,
             "num_systems": self.num_systems,
             "years": self.years,
-            "failure_times_hours": list(self.failure_times_hours),
-            "kinds": [k.value for k in self.kinds],
+            "failure_times_hours": self.failure_times_hours.tolist(),
+            "kinds": list(
+                map(_VALUE_OF_CODE.__getitem__, self.kinds.codes.tolist())
+            ),
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "ReliabilityResult":
-        """Rebuild a shard result from its checkpoint payload."""
+        """Rebuild a shard result from its checkpoint payload.
+
+        Each time goes through ``float`` and each kind through its
+        value's code, so a malformed entry (a ``null`` time, an unknown
+        kind) raises instead of being packed.
+        """
+        times = payload["failure_times_hours"]
+        kinds = payload["kinds"]
         return cls(
             scheme_name=str(payload["scheme_name"]),
             num_systems=int(payload["num_systems"]),
             years=float(payload["years"]),
-            failure_times_hours=[
-                float(t) for t in payload["failure_times_hours"]
-            ],
-            kinds=[FailureKind(k) for k in payload["kinds"]],
+            failure_times_hours=np.fromiter(
+                map(float, times), np.float64, len(times)
+            ),
+            kinds=np.fromiter(
+                map(_CODE_OF_VALUE.__getitem__, kinds), np.int8, len(kinds)
+            ),
         )
 
     @classmethod
@@ -285,10 +372,10 @@ class ReliabilityResult:
             scheme_name=first.scheme_name,
             num_systems=sum(s.num_systems for s in shards),
             years=first.years,
-            failure_times_hours=list(
-                chain.from_iterable(s.failure_times_hours for s in shards)
+            failure_times_hours=np.concatenate(
+                [s.failure_times_hours for s in shards]
             ),
-            kinds=list(chain.from_iterable(s.kinds for s in shards)),
+            kinds=np.concatenate([s.kinds.codes for s in shards]),
         )
 
 
@@ -330,15 +417,17 @@ def evaluate_shard(
     sampled shard itself, so the draw stream is shared verbatim.
     """
     times: List[float] = []
-    kinds: List[FailureKind] = []
+    kinds: List[int] = []
     for system in sampler.materialise_shard(shard):
         outcome = scheme.evaluate(
             system.faults, system_rng(experiment_seed, system.index)
         )
         if outcome is not None:
             times.append(outcome.time_hours)
-            kinds.append(outcome.kind)
-    return ShardAdjudication(times, kinds)
+            kinds.append(CODE_OF_KIND[outcome.kind])
+    return ShardAdjudication(
+        np.array(times, dtype=np.float64), np.array(kinds, dtype=np.int8)
+    )
 
 
 def _simulate_shard(
@@ -363,25 +452,25 @@ def _simulate_shard(
         adjudication = adjudicate_shard(scheme, shard, config.seed)
     else:
         adjudication = evaluate_shard(scheme, sampler, shard, config.seed)
-    kinds = adjudication.kinds
-    if OBS.enabled and kinds:
-        # Totals only: the result already records every failure's time
-        # and kind, so a per-failure event would just be captured,
-        # checkpointed and folded back once per failed system.
-        OBS.registry.counter("faultsim.failures").inc(len(kinds))
-        for kind in FailureKind:
-            count = kinds.count(kind)
-            if count:
-                OBS.registry.counter(f"faultsim.failure.{kind.value}").inc(
-                    count
-                )
-    return ReliabilityResult(
+    result = ReliabilityResult(
         scheme_name=scheme.name,
         num_systems=num_systems,
         years=config.years,
         failure_times_hours=adjudication.failure_times,
         kinds=adjudication.kinds,
     )
+    if OBS.enabled and result.failures:
+        # Totals only: the result already records every failure's time
+        # and kind, so a per-failure event would just be captured,
+        # checkpointed and folded back once per failed system.
+        OBS.registry.counter("faultsim.failures").inc(result.failures)
+        for kind in FailureKind:
+            count = result.kinds.count(kind)
+            if count:
+                OBS.registry.counter(f"faultsim.failure.{kind.value}").inc(
+                    count
+                )
+    return result
 
 
 def _shard_plan(
@@ -440,10 +529,13 @@ def reliability_fingerprint(
         "sampler": SHARD_SAMPLER,
         "stream": SYSTEM_STREAM,
         "scheme": scheme.name,
-        # A float, so the integer default and the spec's 7.0 are one run.
+        # Floats, so an integer and the float the spec, the CLI and the
+        # service build (7 and 7.0, 24 and 24.0) are one run.
         "years": float(config.years),
-        "scaling_rate": config.scaling_rate,
-        "scrub_hours": config.scrub_hours,
+        "scaling_rate": float(config.scaling_rate),
+        "scrub_hours": (
+            None if config.scrub_hours is None else float(config.scrub_hours)
+        ),
         "device_width": config.device_width,
         "fit": [
             [mode.value, rate.transient, rate.permanent]

@@ -73,10 +73,10 @@ _BANK = MODE_CODES[FailureMode.SINGLE_BANK]
 _KIND_NONE = 0
 _KIND_DUE = 1
 _KIND_SDC = 2
-#: The failure kind of each kind code, for one gather per shard.
-_KIND_OF_CODE = np.array(
-    [None, FailureKind.DUE, FailureKind.SDC], dtype=object
-)
+#: The failure kind of each int8 kind code the kernels emit.
+KIND_OF_CODE = (None, FailureKind.DUE, FailureKind.SDC)
+#: The kind code of each failure kind.
+CODE_OF_KIND = {FailureKind.DUE: _KIND_DUE, FailureKind.SDC: _KIND_SDC}
 
 #: Tag of the per-system draw stream.  ``reliability_fingerprint``
 #: hashes it, so checkpoints and cached results drawn from another
@@ -432,10 +432,15 @@ class FaultShard:
 
 @dataclass(frozen=True)
 class ShardAdjudication:
-    """Failed systems of one shard, in global-system-index order."""
+    """Failed systems of one shard, in global-system-index order.
 
-    failure_times: List[float]
-    kinds: List[FailureKind]
+    ``failure_times`` holds each failed system's first-failure time in
+    hours (float64) and ``kinds`` its kind code (int8, see
+    :data:`KIND_OF_CODE`).
+    """
+
+    failure_times: np.ndarray
+    kinds: np.ndarray
 
 
 # -- shared collision machinery ---------------------------------------------
@@ -755,8 +760,8 @@ def adjudicate_shard(
 ) -> ShardAdjudication:
     """Classify every system of ``shard`` under ``scheme`` in batch.
 
-    Returns the failed systems' first-failure times and DUE/SDC kinds
-    in global-system-index order, bit-identical to running
+    Returns the failed systems' first-failure times and DUE/SDC kind
+    codes in global-system-index order, bit-identical to running
     ``scheme.evaluate`` over the materialisation of the same shard.
     Raises :class:`UnsupportedSchemeError` for scheme types without a
     registered kernel (see :func:`has_kernel`).
@@ -785,7 +790,4 @@ def adjudicate_shard(
     ):
         kinds, times = kernel(scheme, shard, vis, experiment_seed)
     failed = np.nonzero(kinds != _KIND_NONE)[0]
-    return ShardAdjudication(
-        failure_times=times[failed].tolist(),
-        kinds=_KIND_OF_CODE[kinds[failed]].tolist(),
-    )
+    return ShardAdjudication(failure_times=times[failed], kinds=kinds[failed])

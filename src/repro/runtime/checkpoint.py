@@ -364,8 +364,6 @@ class CheckpointStore:
         self.fingerprint = fingerprint
         self.records: Dict[int, ShardRecord] = dict(records or {})
         self.discarded = 0
-        self.duplicates = 0
-        self.conflicts = 0
 
     # -- constructors -------------------------------------------------------
 
@@ -402,8 +400,6 @@ class CheckpointStore:
             )
         store = cls(path, fingerprint, loaded.records)
         store.discarded = loaded.discarded
-        store.duplicates = loaded.duplicates
-        store.conflicts = loaded.conflicts
         if loaded.discarded or loaded.duplicates or loaded.conflicts:
             # Rewrite immediately so the corrupt tail / duplicate lines
             # are gone on disk.  Otherwise the file already equals the

@@ -9,6 +9,7 @@ undisturbed reference run.  These are the multiprocessing
 interpreters) and are additionally exercised as a dedicated CI step.
 """
 
+from numpy.testing import assert_array_equal
 import pytest
 
 from repro.faultsim.campaign import run_xed_campaign
@@ -36,7 +37,9 @@ def reference():
 
 
 def _assert_identical(result, reference):
-    assert result.failure_times_hours == reference.failure_times_hours
+    assert_array_equal(
+        result.failure_times_hours, reference.failure_times_hours
+    )
     assert result.kinds == reference.kinds
     assert result.num_systems == reference.num_systems
 

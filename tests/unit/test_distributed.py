@@ -286,9 +286,9 @@ class TestCheckpointDuplicateHardening:
         )
         conflict = ShardRecord(index=0, payload={"value": "evil"}).to_line()
         path = self._write(tmp_path, [conflict])
-        store = CheckpointStore.resume(path, fingerprint)
-        assert store.conflicts == 1
-        assert store.duplicates == 0
+        loaded = load_checkpoint(path)
+        assert (loaded.conflicts, loaded.duplicates) == (1, 0)
+        CheckpointStore.resume(path, fingerprint)
         # The rewritten file is clean: one record per index.
         reloaded = load_checkpoint(path)
         assert reloaded.conflicts == 0

@@ -1,8 +1,12 @@
 """Unit tests for the Monte-Carlo sampler and driver."""
 
+import gc
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
+from numpy.testing import assert_array_equal
 import pytest
 
 from repro.ecc import HammingSECDED
@@ -16,9 +20,12 @@ from repro.faultsim.schemes import EccDimmScheme, XedScheme
 from repro.faultsim.simulator import (
     MonteCarloConfig,
     ReliabilityResult,
+    _sample_shard,
+    _shard_plan,
     simulate,
     simulate_many,
 )
+from repro.faultsim.vectorized import adjudicate_shard
 from repro.faultsim.schemes import FailureKind
 
 HOURS = 7 * 24 * 365
@@ -296,12 +303,14 @@ class TestSimulate:
         cfg = MonteCarloConfig(num_systems=20_000, seed=5)
         a = simulate(EccDimmScheme(), cfg)
         b = simulate(EccDimmScheme(), cfg)
-        assert a.failure_times_hours == b.failure_times_hours
+        assert_array_equal(a.failure_times_hours, b.failure_times_hours)
 
     def test_different_seeds_differ(self):
         a = simulate(EccDimmScheme(), MonteCarloConfig(num_systems=20_000, seed=1))
         b = simulate(EccDimmScheme(), MonteCarloConfig(num_systems=20_000, seed=2))
-        assert a.failures != b.failures or a.failure_times_hours != b.failure_times_hours
+        assert a.failures != b.failures or not np.array_equal(
+            a.failure_times_hours, b.failure_times_hours
+        )
 
     def test_batching_statistically_equivalent(self):
         # Batching reshapes the RNG stream, so results differ in detail
@@ -366,7 +375,7 @@ class TestKindCountCaching:
         )
         assert result.due_count == 2
         assert result.sdc_count == 1
-        # Second access hits the cache and must agree.
+        # A second access must agree.
         assert (result.due_count, result.sdc_count) == (2, 1)
 
     def test_counts_after_merge(self):
@@ -376,26 +385,92 @@ class TestKindCountCaching:
         b = ReliabilityResult(
             "x", 100, 7, [3.0], [FailureKind.DUE]
         )
-        # Prime both caches before merging.
         assert (a.due_count, b.due_count) == (1, 1)
         merged = ReliabilityResult.merge([a, b])
         assert merged.due_count == 2
         assert merged.sdc_count == 1
         assert merged.failures == 3
 
-    def test_counts_refresh_after_append(self):
-        result = ReliabilityResult("x", 100, 7, [1.0], [FailureKind.DUE])
-        assert result.due_count == 1
-        result.failure_times_hours.append(2.0)
-        result.kinds.append(FailureKind.SDC)
-        assert result.due_count == 1
-        assert result.sdc_count == 1
-
     def test_cache_does_not_affect_equality(self):
         a = ReliabilityResult("x", 100, 7, [1.0], [FailureKind.DUE])
         b = ReliabilityResult("x", 100, 7, [1.0], [FailureKind.DUE])
-        assert a.due_count == 1  # prime only one cache
+        assert a.due_count == 1  # reading a count leaves the result equal
         assert a == b
+
+
+class TestPackedRecords:
+    """A result keeps one float64 time and one int8 kind per failure."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return simulate(EccDimmScheme(), MonteCarloConfig(num_systems=50_000))
+
+    def test_retains_at_most_12_bytes_per_failed_system(self):
+        scheme = EccDimmScheme()
+        simulate(scheme, MonteCarloConfig(num_systems=1_000))  # warm caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = simulate(scheme, MonteCarloConfig(num_systems=200_000))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert result.failures > 20_000
+        assert retained / result.failures <= 12
+
+    def test_reading_contract(self, result):
+        # What the end-to-end benchmark's digest reads, without a copy.
+        assert result.failure_times_hours.dtype == np.float64
+        assert result.kinds.codes.dtype == np.int8
+        assert np.asarray(
+            result.failure_times_hours, dtype=np.float64
+        ) is result.failure_times_hours
+        kinds = list(result.kinds)
+        assert all(isinstance(k, FailureKind) for k in kinds)
+        assert [k.value for k in kinds] == result.to_payload()["kinds"]
+        # Counts are Python ints: canonical JSON rejects numpy integers.
+        for count in (result.failures, result.due_count, result.sdc_count):
+            assert type(count) is int
+        assert result.due_count + result.sdc_count == result.failures
+
+    def test_adjudication_length_counts_failures(self, result):
+        config = MonteCarloConfig(num_systems=50_000)
+        (args,) = _shard_plan(EccDimmScheme(), config)[1]
+        _, shard = _sample_shard(*args)
+        adjudication = adjudicate_shard(EccDimmScheme(), shard, config.seed)
+        assert len(adjudication.failure_times) == result.failures
+        assert len(adjudication.kinds) == result.failures
+
+    def test_kinds_sequence(self):
+        due, sdc = FailureKind.DUE, FailureKind.SDC
+        result = ReliabilityResult("x", 10, 7, [1.0, 2.0, 3.0], [due, sdc, due])
+        kinds = result.kinds
+        assert len(kinds) == 3
+        assert (kinds[0], kinds[1], kinds[-1]) == (due, sdc, due)
+        assert list(kinds) == [due, sdc, due]
+        assert (kinds.count(due), kinds.count(sdc), kinds.count("due")) == (
+            2, 1, 0
+        )
+        assert kinds == (due, sdc, due)
+        assert kinds != [due, sdc]
+        assert kinds != [due, due, due]
+        assert pickle.loads(pickle.dumps(kinds)) == kinds
+        with pytest.raises(IndexError):
+            kinds[3]
+
+    def test_result_equality_is_exact(self):
+        def make(times, kinds):
+            return ReliabilityResult("x", 10, 7, times, kinds)
+
+        due, sdc = FailureKind.DUE, FailureKind.SDC
+        base = make([1.0, 2.0], [due, sdc])
+        assert base == make(np.array([1.0, 2.0]), [due, sdc])
+        assert base != make([1.0, 2.0 + 1e-12], [due, sdc])
+        assert base != make([1.0, 2.0], [due, due])
+        assert base != make([1.0], [due])
+        assert pickle.loads(pickle.dumps(base)) == base
 
 
 class TestCountsAndCurveMatchLoops:
@@ -475,7 +550,9 @@ class TestEccBackendConfig:
         config = MonteCarloConfig(num_systems=30000)
         engine = simulate(EccDimmScheme(), config)
         reference = reference_simulate(EccDimmScheme(), config)
-        assert engine.failure_times_hours == reference.failure_times_hours
+        assert_array_equal(
+            engine.failure_times_hours, reference.failure_times_hours
+        )
         assert engine.kinds == reference.kinds
 
     def test_simulate_rejects_unknown_backend(self):

@@ -30,17 +30,14 @@ from repro.faultsim import (
     ChipkillScheme,
     DoubleChipkillScheme,
     EccDimmScheme,
-    MarkovResult,
     MonteCarloConfig,
     NonEccScheme,
     XedChipkillScheme,
     XedScheme,
     markov,
     simulate,
-    solve,
-    solve_many,
-    sweep,
 )
+from repro.faultsim.markov import MarkovResult, solve, solve_many, sweep
 from repro.faultsim.fault import FaultSpace
 from repro.faultsim.schemes import ProtectionScheme
 from repro.faultsim.vectorized import UnsupportedSchemeError

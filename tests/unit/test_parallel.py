@@ -1,5 +1,6 @@
 """Unit tests for sharded parallel execution and result merging."""
 
+from numpy.testing import assert_array_equal
 import pytest
 
 from repro.faultsim import (
@@ -90,7 +91,7 @@ class TestReliabilityMerge:
         )
         merged = ReliabilityResult.merge([r])
         assert merged.num_systems == 10
-        assert merged.failure_times_hours == [1.0, 2.0]
+        assert_array_equal(merged.failure_times_hours, [1.0, 2.0])
         assert merged.kinds == [FailureKind.DUE, FailureKind.SDC]
 
     def test_uneven_shards_concatenate_in_order(self):
@@ -99,7 +100,7 @@ class TestReliabilityMerge:
         c = ReliabilityResult("XED", 2, 7.0, [2.0, 3.0], [FailureKind.SDC, FailureKind.DUE])
         merged = ReliabilityResult.merge([a, b, c])
         assert merged.num_systems == 10
-        assert merged.failure_times_hours == [1.0, 2.0, 3.0]
+        assert_array_equal(merged.failure_times_hours, [1.0, 2.0, 3.0])
         assert merged.kinds == [FailureKind.DUE, FailureKind.SDC, FailureKind.DUE]
         assert merged.failures == 3 and merged.sdc_count == 1
 
@@ -171,7 +172,9 @@ class TestDeterminism:
             other = simulate(
                 XedScheme(), self.CFG, workers=workers, shard_size=10_000
             )
-            assert other.failure_times_hours == base.failure_times_hours
+            assert_array_equal(
+                other.failure_times_hours, base.failure_times_hours
+            )
             assert other.kinds == base.kinds
             assert other.num_systems == base.num_systems
 
@@ -179,7 +182,7 @@ class TestDeterminism:
         # more workers than shards must not change the plan or result
         base = simulate(XedScheme(), self.CFG, workers=1, shard_size=30_000)
         wide = simulate(XedScheme(), self.CFG, workers=8, shard_size=30_000)
-        assert wide.failure_times_hours == base.failure_times_hours
+        assert_array_equal(wide.failure_times_hours, base.failure_times_hours)
 
     def test_xed_campaign_identical_across_worker_counts(self):
         base = run_xed_campaign(trials=8, seed=5, workers=1, shard_size=3)

@@ -178,6 +178,23 @@ class TestPinnedIdentities:
         ).run_fingerprints()
         assert written.fingerprint == expected.to_dict()
 
+    @pytest.mark.parametrize("knob, value", [
+        pytest.param("scrub_hours", 24, id="scrub-hours-24"),
+        pytest.param("scaling_rate", 0, id="scaling-rate-0"),
+    ])
+    def test_integer_knob_shares_the_float_fingerprint(self, knob, value):
+        """An API caller's integer scrub interval or scaling rate names
+        the run the float of ``--scrub-hours 24``, a service job or a
+        coordinator names."""
+        scheme = build_scheme("xed")
+        as_int, as_float = (
+            simulator.reliability_fingerprint(
+                scheme, simulator.MonteCarloConfig(**{knob: v}), 50_000
+            )
+            for v in (value, float(value))
+        )
+        assert as_int.config_hash == as_float.config_hash
+
     def test_coordinator_run_fingerprint(self):
         coordinator = Coordinator(ExperimentSpec.from_dict(self.SMALL))
         coordinator._sock.close()

@@ -21,6 +21,7 @@ import signal
 import time
 import warnings
 
+from numpy.testing import assert_array_equal
 import pytest
 
 from repro.faultsim.schemes import EccDimmScheme, XedScheme
@@ -481,7 +482,9 @@ class TestRunsWithoutPolicy:
         )
         reference = simulate(XedScheme(), config, workers=1, shard_size=1_000)
         assert marker.exists()
-        assert result.failure_times_hours == reference.failure_times_hours
+        assert_array_equal(
+            result.failure_times_hours, reference.failure_times_hours
+        )
         assert result.kinds == reference.kinds
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -505,7 +508,9 @@ class TestResilientSimulate:
         )
         with use_policy(policy):
             recovered = simulate(XedScheme(), CFG, shard_size=SHARD_SIZE)
-        assert recovered.failure_times_hours == reference.failure_times_hours
+        assert_array_equal(
+            recovered.failure_times_hours, reference.failure_times_hours
+        )
         assert recovered.kinds == reference.kinds
         assert policy.outcomes[0].crashes == 1
         assert policy.outcomes[0].checkpoint_path
@@ -515,7 +520,9 @@ class TestResilientSimulate:
         clone = ReliabilityResult.from_payload(
             json.loads(json.dumps(result.to_payload()))
         )
-        assert clone.failure_times_hours == result.failure_times_hours
+        assert_array_equal(
+            clone.failure_times_hours, result.failure_times_hours
+        )
         assert clone.kinds == result.kinds
         assert clone.num_systems == result.num_systems
 
@@ -559,7 +566,9 @@ class TestResilientSimulate:
         assert _engine_counters(OBS.registry.state()) == ref_counters
         assert _engine_events(OBS.trace) == ref_events
         reference = simulate(XedScheme(), CFG, shard_size=SHARD_SIZE)
-        assert resumed.failure_times_hours == reference.failure_times_hours
+        assert_array_equal(
+            resumed.failure_times_hours, reference.failure_times_hours
+        )
 
     def test_runtime_metrics_flow_through_obs(self, obs_enabled):
         policy = RuntimePolicy(

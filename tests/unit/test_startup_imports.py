@@ -4,7 +4,9 @@ Every ``repro`` process pays for the modules it imports before its
 first shard.  asyncio, the coordinator and its wire protocol serve
 ``repro coordinate`` and ``repro work`` only, and the process-pool
 machinery serves runs with more than one worker only, so each entry
-point below must leave them unloaded.  Each probe runs in a fresh
+point below must leave them unloaded.  Likewise a Monte-Carlo run
+needs neither the closed-form Markov solver nor the
+engine-versus-reference harness.  Each probe runs in a fresh
 interpreter, because this test process has long since imported them.
 """
 
@@ -27,13 +29,16 @@ UNUSED = (
     "repro.runtime.protocol",
 )
 
+#: Modules only the analytical backend and the differential harness need.
+ANALYTICAL = ("repro.faultsim.markov", "repro.faultsim.differential")
 
-def _loaded_after(code: str) -> list:
-    """The :data:`UNUSED` modules a fresh interpreter holds after ``code``."""
+
+def _loaded_after(code: str, modules: tuple = UNUSED) -> list:
+    """The ``modules`` a fresh interpreter holds after ``code``."""
     probe = (
         f"{code}\n"
         "import json, sys\n"
-        f"print('loaded:', json.dumps([m for m in {UNUSED!r}"
+        f"print('loaded:', json.dumps([m for m in {modules!r}"
         " if m in sys.modules]))\n"
     )
     done = subprocess.run(
@@ -61,3 +66,13 @@ def test_the_probe_sees_a_loaded_module():
     assert _loaded_after("import repro.runtime.distributed") == [
         "asyncio", "repro.runtime.distributed", "repro.runtime.protocol",
     ]
+
+
+def test_faultsim_leaves_the_markov_solver_and_the_harness_unloaded():
+    assert _loaded_after("import repro.faultsim", ANALYTICAL) == []
+
+
+def test_the_harness_loads_the_markov_solver_only_to_cross_validate():
+    assert _loaded_after(
+        "import repro.faultsim.differential", ANALYTICAL
+    ) == ["repro.faultsim.differential"]

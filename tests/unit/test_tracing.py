@@ -11,6 +11,8 @@ trace-event export.
 
 import json
 
+from numpy.testing import assert_array_equal
+
 from repro.obs import (
     OBS,
     EventTrace,
@@ -189,7 +191,9 @@ class TestCrossProcessTree:
     def test_tree_identical_for_one_and_four_workers(self):
         result_1, records_1 = _simulate_trace(workers=1)
         result_4, records_4 = _simulate_trace(workers=4)
-        assert result_1.failure_times_hours == result_4.failure_times_hours
+        assert_array_equal(
+            result_1.failure_times_hours, result_4.failure_times_hours
+        )
         tree_1, tree_4 = _normalise(records_1), _normalise(records_4)
         assert tree_1 == tree_4
         shard_ids = [
