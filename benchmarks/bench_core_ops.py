@@ -265,7 +265,7 @@ def test_perfsim_backend_speedup(benchmark):
     instructions = 50_000
 
     # Warm the trace cache so the rounds time the event loop, not the
-    # one-off numpy trace replay (a grid shares traces the same way).
+    # one-off numpy trace generation (a grid shares traces the same way).
     simulate_system(workload, config, system, instructions,
                     backend="pipeline")
     pipeline_result = benchmark.pedantic(

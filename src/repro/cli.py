@@ -782,15 +782,19 @@ def _provenance(args: argparse.Namespace) -> dict:
 
 def _cmd_all(args: argparse.Namespace) -> int:
     from repro.analysis import reproduce_all
-    from repro.analysis.export import export_report
 
     reports = reproduce_all(
         scale=args.scale, seed=args.seed,
         faultsim_backend=args.faultsim_backend,
     )
-    # reproduce_all has finished every run by now, so one provenance
-    # block describes them all.
-    provenance = _provenance(args) if args.out else None
+    if args.out:
+        # The exporter imports the Markov solver, which a run that
+        # exports nothing never loads.
+        from repro.analysis.export import export_report
+
+        # reproduce_all has finished every run by now, so one
+        # provenance block describes them all.
+        provenance = _provenance(args)
     for report in reports.values():
         print(report.text)
         print()

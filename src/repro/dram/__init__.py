@@ -15,17 +15,21 @@ Models the memory hardware of Section II of the paper:
   lockstep arrangements used by Chipkill and Double-Chipkill.
 """
 
-from repro.dram.geometry import ChipGeometry
-from repro.dram.mode_registers import ModeRegisters
-from repro.dram.chip import DramChip, FaultGranularity, InjectedFault
-from repro.dram.dimm import EccDimm, XedDimm
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "ChipGeometry",
-    "ModeRegisters",
-    "DramChip",
-    "FaultGranularity",
-    "InjectedFault",
-    "EccDimm",
-    "XedDimm",
-]
+#: Each exported name and the module that defines it.  A name imports
+#: its module on first access, so ``repro.dram.geometry`` (which the
+#: Monte-Carlo fault model needs) loads neither the chips nor the DIMMs
+#: and their codes.
+_EXPORTS = {
+    "ChipGeometry": "geometry",
+    "ModeRegisters": "mode_registers",
+    "DramChip": "chip",
+    "FaultGranularity": "chip",
+    "InjectedFault": "chip",
+    "EccDimm": "dimm",
+    "XedDimm": "dimm",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -20,65 +20,43 @@ This package implements, from scratch, every code the paper relies on:
   batched kernels bit-identical to the scalar codecs.
 """
 
-from repro.ecc.secded import DecodeOutcome, DecodeResult, SECDEDCode
-from repro.ecc.hamming import HammingSECDED
-from repro.ecc.crc8 import CRC8ATMCode, CRC8_ATM_POLY
-from repro.ecc.gf import GF2m, GF256
-from repro.ecc.reed_solomon import ReedSolomonCode, RSDecodeFailure
-from repro.ecc.detection import (
-    DetectionReport,
-    aligned_burst_patterns,
-    contiguous_burst_patterns,
-    detection_rate_burst,
-    detection_rate_random,
-    detection_table,
-)
-from repro.ecc.batched import (
-    BatchDecodeResult,
-    BatchOutcome,
-    BatchedCode,
-    BatchedRSSyndromes,
-    CodeMatrices,
-    bits_to_words,
-    build_matrices,
-    words_to_bits,
-)
-from repro.ecc.differential import (
-    DifferentialMismatch,
-    DifferentialReport,
-    replay_decode,
-    replay_encode,
-    replay_roundtrip,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "DecodeOutcome",
-    "DecodeResult",
-    "SECDEDCode",
-    "HammingSECDED",
-    "CRC8ATMCode",
-    "CRC8_ATM_POLY",
-    "GF2m",
-    "GF256",
-    "ReedSolomonCode",
-    "RSDecodeFailure",
-    "DetectionReport",
-    "aligned_burst_patterns",
-    "contiguous_burst_patterns",
-    "detection_rate_burst",
-    "detection_rate_random",
-    "detection_table",
-    "BatchDecodeResult",
-    "BatchOutcome",
-    "BatchedCode",
-    "BatchedRSSyndromes",
-    "CodeMatrices",
-    "bits_to_words",
-    "build_matrices",
-    "words_to_bits",
-    "DifferentialMismatch",
-    "DifferentialReport",
-    "replay_decode",
-    "replay_encode",
-    "replay_roundtrip",
-]
+#: Each exported name and the module that defines it.  A name imports
+#: its module on first access, so a caller of one codec or of
+#: ``repro.ecc.miscorrection`` loads neither the other codecs nor the
+#: detection tables and the differential harness.
+_EXPORTS = {
+    "DecodeOutcome": "secded",
+    "DecodeResult": "secded",
+    "SECDEDCode": "secded",
+    "HammingSECDED": "hamming",
+    "CRC8ATMCode": "crc8",
+    "CRC8_ATM_POLY": "crc8",
+    "GF2m": "gf",
+    "GF256": "gf",
+    "ReedSolomonCode": "reed_solomon",
+    "RSDecodeFailure": "reed_solomon",
+    "DetectionReport": "detection",
+    "aligned_burst_patterns": "detection",
+    "contiguous_burst_patterns": "detection",
+    "detection_rate_burst": "detection",
+    "detection_rate_random": "detection",
+    "detection_table": "detection",
+    "BatchDecodeResult": "batched",
+    "BatchOutcome": "batched",
+    "BatchedCode": "batched",
+    "BatchedRSSyndromes": "batched",
+    "CodeMatrices": "batched",
+    "bits_to_words": "batched",
+    "build_matrices": "batched",
+    "words_to_bits": "batched",
+    "DifferentialMismatch": "differential",
+    "DifferentialReport": "differential",
+    "replay_decode": "differential",
+    "replay_encode": "differential",
+    "replay_roundtrip": "differential",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

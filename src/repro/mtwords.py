@@ -7,8 +7,10 @@ and ``randrange``/``randint``/``sample`` draw through ``_randbelow(n)``,
 which repeats ``getrandbits(n.bit_length())`` until the value is below
 ``n``.  A hot loop that replays that consumption over words pulled here
 produces the very values the calls would, without a method call per
-draw.  The perfsim trace parse (:mod:`repro.perfsim.trace`) and the
-SECDED lane profile (:mod:`repro.ecc.miscorrection`) replay this way.
+draw.  The SECDED lane profile (:mod:`repro.ecc.miscorrection`)
+replays this way.  The perfsim traces (:mod:`repro.perfsim.trace`)
+replay no calls: each op takes a fixed 13 words of the stream, so
+their bulk path reads the words straight into numpy.
 """
 
 from __future__ import annotations

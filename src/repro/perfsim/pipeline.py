@@ -19,13 +19,13 @@ float operation order -- but with every per-object indirection removed:
   handlers are inlined into the event loop itself, so the entire hot
   path runs on local-variable access with no per-event function calls.
 * **Bulk traces.**  Per-core instruction streams come from
-  :func:`~repro.perfsim.trace.build_trace_arrays`, which replays the
-  Mersenne-Twister word stream through numpy.  The replay (a parse) is
-  LRU-cached per (workload, core) and draw class, and each call derives
-  a fresh trace for the cell's logical geometry from it, so a scheme
-  grid parses each (workload, core) stream once for all its lockstep
-  shapes.  Derived traces share the parse's ``positions`` and
-  ``writes`` lists, which stay read-only.
+  :func:`~repro.perfsim.trace.build_trace_arrays`, which builds a whole
+  trace with numpy from the fixed 13-words-per-op layout of its
+  Mersenne-Twister stream.  The generation is LRU-cached per
+  (workload, core), and each call maps it onto the cell's logical
+  geometry, so a scheme grid generates each (workload, core) trace
+  once for every geometry.  Derived traces share the generation's
+  ``positions`` and ``writes`` lists, which stay read-only.
 
 The backend is certified bit-identical to the scalar engine by
 :mod:`repro.perfsim.differential` (cycle counts, per-channel command

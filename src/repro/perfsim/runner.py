@@ -34,6 +34,7 @@ from repro.perfsim.engine import (
 )
 from repro.perfsim.power import PowerBreakdown, PowerModel
 from repro.perfsim.timing import SystemTiming
+from repro.perfsim.trace import TRACE_LAYOUT
 from repro.perfsim.workloads import WORKLOADS, Workload, workload_by_name
 from repro.runtime.checkpoint import RunFingerprint, config_digest
 from repro.runtime.executor import RuntimePolicy, run_resilient
@@ -170,16 +171,19 @@ def suite_fingerprint(
 
     Everything that can change a cell's contents goes into the config
     hash -- the scheme list, every workload's behaviour parameters, the
-    instruction budget and the full machine timing -- and so does the
+    instruction budget, the full machine timing and the trace word
+    layout (:data:`repro.perfsim.trace.TRACE_LAYOUT`) -- and so does the
     shard plan: the schemes grouped by traffic key, one shard per
     (workload, group).  A checkpoint written under another plan, such
-    as one cell per record, therefore never matches.  The engine and
-    worker count are deliberately *excluded*: cells are bit-identical
-    across both (enforced by :mod:`repro.perfsim.differential`), so a
-    grid checkpointed under one engine resumes under the other.
+    as one cell per record, or from traces of another layout therefore
+    never matches.  The engine and worker count are deliberately
+    *excluded*: cells are bit-identical across both (enforced by
+    :mod:`repro.perfsim.differential`), so a grid checkpointed under
+    one engine resumes under the other.
     """
     groups = _scheme_groups(scheme_keys)
     description = {
+        "trace": TRACE_LAYOUT,
         "schemes": list(scheme_keys),
         "groups": [list(group) for group in groups],
         "workloads": [

@@ -5,12 +5,15 @@ operations separated by counts of non-memory instructions.  The
 generator turns a :class:`repro.perfsim.workloads.Workload` behaviour
 model into a concrete per-core stream:
 
-* gaps between misses are geometric with mean ``1000 / mpki``; a
-  workload with ``mpki == 0`` (or so small that the mean gap overflows
-  to infinity) never misses, so its trace is empty;
+* gaps between misses are geometric, the ``int`` of an exponential
+  with mean ``1000 / mpki`` (so each instruction is a miss with
+  probability ``1 - exp(-mpki / 1000)``); a workload with ``mpki ==
+  0`` (or so small that the mean gap overflows to infinity) never
+  misses, so its trace is empty;
 * with probability ``row_buffer_hit_rate`` the next access continues
   sequentially within the currently open row (a row hit under an
-  open-page policy); otherwise it jumps to a fresh row;
+  open-page policy) while ``column + 1 < columns``; otherwise it jumps
+  to a fresh row;
 * jumps pick a new bank uniformly, except that ``bank_locality`` of
   them stay on the current bank (pointer-chasing bank pressure);
 * ``write_fraction`` of operations are write-backs.
@@ -19,13 +22,27 @@ Traces are deterministic in (workload, core, seed), so every scheme
 config replays *exactly* the same instruction stream -- the comparisons
 in Figures 11-14 are paired.
 
-:class:`SyntheticTrace` is the reference generator the scalar engine
-iterates.  :func:`build_trace_arrays` gives the pipeline engine the same
-trace in bulk.  It caches one *parse* of the Mersenne-Twister word
-stream per (workload, instructions, columns, core, seed, draw classes)
-and derives a fresh trace for the requested geometry from it on every
-call, so all lockstep geometries of a scheme grid share one parse per
-(workload, core).
+**The word layout.**  A trace reads one Mersenne-Twister stream per
+(workload, core), ``random.Random((seed << 16) ^ (core * 7919) ^
+name_salt)``, as 32-bit words in a fixed layout.  Five words give the
+starting channel, rank, bank, row and column.  Then every operation
+takes exactly 13 words, whichever way it goes:
+
+* words 0-7 are four ``genrand_res53`` pairs, CPython's ``random()``:
+  the gap, the row hit, the bank locality and the write;
+* words 8-12 are the channel, rank, bank, row and column a jump takes.
+
+A word maps onto ``[0, n)`` as ``(word * n) >> 32``, its top bits when
+``n`` is a power of two.  No draw is rejected and no branch decides
+which word comes next, so numpy can build a whole trace at once, and
+the words are the same for every geometry.
+
+:class:`SyntheticTrace` is the scalar spec of that layout, and the
+scalar engine iterates it.  :func:`build_trace_arrays` gives the
+pipeline engine the same trace in bulk.  It caches one *generation*
+per (workload, instructions, columns, core, seed) and maps it onto the
+requested geometry on every call, so every geometry of a scheme grid
+shares one generation per (workload, core).
 """
 
 from __future__ import annotations
@@ -34,15 +51,24 @@ import random
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from math import log
-from typing import TYPE_CHECKING, Iterator, List, Tuple
+from math import expm1, log, sqrt
+from typing import TYPE_CHECKING, Iterator, List
 
-from repro.mtwords import pull_words
 from repro.perfsim.requests import RequestType
 from repro.perfsim.workloads import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - numpy loads lazily; typing only
     import numpy as np
+
+#: Words before the first op: the starting channel, rank, bank, row
+#: and column.
+_START_WORDS = 5
+#: Words every op takes (see the module docstring).
+_OP_WORDS = 13
+#: The word layout's tag in the perf-grid checkpoint fingerprint
+#: (:func:`repro.perfsim.runner.suite_fingerprint`): a grid checkpointed
+#: under another layout drew other traces and is never resumed.
+TRACE_LAYOUT = "mt32-words-5+13"
 
 
 @dataclass(frozen=True)
@@ -79,8 +105,27 @@ def _mean_gap(mpki: float, instructions: int) -> float:
     return min(gap, max(instructions, 1) * 2.0**54)
 
 
+def _stream(workload: Workload, core: int, seed: int) -> random.Random:
+    """The Mersenne-Twister stream of one (workload, core) trace."""
+    # zlib.crc32 (not hash()) keeps traces identical across
+    # processes regardless of PYTHONHASHSEED.
+    name_salt = zlib.crc32(workload.name.encode()) & 0xFFFF
+    return random.Random((seed << 16) ^ (core * 7919) ^ name_salt)
+
+
+def _check_moduli(*moduli: int) -> None:
+    """Reject a geometry that a 32-bit word cannot map onto."""
+    for n in moduli:
+        if not 1 <= n <= 2**32:
+            raise ValueError(f"trace geometry {n} outside 1..2**32")
+
+
 class SyntheticTrace:
     """Deterministic synthetic trace for one (workload, core) pair.
+
+    The scalar spec of the word layout (see the module docstring): one
+    ``random()`` call per ``genrand_res53`` pair and one
+    ``getrandbits(32)`` per location word, 13 words per op.
 
     Parameters
     ----------
@@ -91,7 +136,7 @@ class SyntheticTrace:
     channels, ranks, banks, rows, columns:
         Geometry the addresses are drawn over (logical values -- the
         engine passes post-lockstep counts so traffic spreads over the
-        resources the scheme actually exposes).
+        resources the scheme actually exposes), each in ``1..2**32``.
     core, seed:
         Determinism knobs; different cores get decorrelated streams.
     """
@@ -108,6 +153,7 @@ class SyntheticTrace:
         core: int = 0,
         seed: int = 2016,
     ) -> None:
+        _check_moduli(channels, ranks, banks, rows, columns)
         self.workload = workload
         self.instructions = instructions
         self.channels = channels
@@ -120,41 +166,39 @@ class SyntheticTrace:
 
     def __iter__(self) -> Iterator[TraceOp]:
         w = self.workload
-        # zlib.crc32 (not hash()) keeps traces identical across
-        # processes regardless of PYTHONHASHSEED.
-        name_salt = zlib.crc32(w.name.encode()) & 0xFFFF
-        rng = random.Random((self.seed << 16) ^ (self.core * 7919) ^ name_salt)
         mean_gap = _mean_gap(w.mpki, self.instructions)
         if mean_gap == float("inf"):
             return  # no misses ever: an empty trace
+        rng = _stream(w, self.core, self.seed)
+        uniform = rng.random
+        word = rng.getrandbits
+        moduli = (self.channels, self.ranks, self.banks, self.rows,
+                  self.columns)
+        channel, rank, bank, row, column = [
+            (word(32) * n) >> 32 for n in moduli
+        ]
 
         position = 0
-        channel = rng.randrange(self.channels)
-        rank = rng.randrange(self.ranks)
-        bank = rng.randrange(self.banks)
-        row = rng.randrange(self.rows)
-        column = rng.randrange(self.columns)
-
-        while position < self.instructions:
+        while True:
+            gap_u, hit_u, local_u, write_u = (
+                uniform(), uniform(), uniform(), uniform()
+            )
+            jump = [(word(32) * n) >> 32 for n in moduli]
             # Geometric gap to the next memory operation.
-            gap = int(rng.expovariate(1.0) * mean_gap) if mean_gap > 0 else 0
-            position += gap + 1
+            position += int(-log(1.0 - gap_u) * mean_gap) + 1
             if position >= self.instructions:
                 return
-            if rng.random() < w.row_buffer_hit_rate and column + 1 < self.columns:
+            if hit_u < w.row_buffer_hit_rate and column + 1 < self.columns:
                 # Sequential advance within the open row: a row hit.
                 column += 1
             else:
                 # Fresh row; possibly a fresh bank/rank/channel.
-                if rng.random() >= w.bank_locality:
-                    channel = rng.randrange(self.channels)
-                    rank = rng.randrange(self.ranks)
-                    bank = rng.randrange(self.banks)
-                row = rng.randrange(self.rows)
-                column = rng.randrange(self.columns)
+                if local_u >= w.bank_locality:
+                    channel, rank, bank = jump[:3]
+                row, column = jump[3:]
             req_type = (
                 RequestType.WRITE
-                if rng.random() < w.write_fraction
+                if write_u < w.write_fraction
                 else RequestType.READ
             )
             yield TraceOp(position, req_type, channel, rank, bank, row, column)
@@ -166,29 +210,25 @@ class SyntheticTrace:
 
 @dataclass(frozen=True, eq=False)
 class TraceArrays:
-    """A whole (workload, core) trace as parallel column arrays.
+    """A whole (workload, core) trace in the form the pipeline consumes.
 
-    The struct-of-arrays form the pipeline backend consumes: entry ``i``
-    of every list describes the ``i``-th memory operation.  ``writes``
-    holds 0/1 ints (1 = write-back).  ``ops`` carries the same trace as
-    per-op row tuples ``(position, write, channel, global_rank,
-    global_bank, rank, bank, row)`` with the flattened indices the
-    event loop consumes precomputed (``global_rank = channel * ranks +
-    rank``; ``global_bank = global_rank * banks + bank``), so issuing
-    one request costs a single list index instead of six.
+    Entry ``i`` of every list describes the ``i``-th memory operation.
+    ``writes`` holds 0/1 ints (1 = write-back).  ``ops`` carries the
+    whole trace as per-op row tuples ``(position, write, channel,
+    global_rank, global_bank, rank, bank, row)`` with the flattened
+    indices the event loop consumes precomputed (``global_rank =
+    channel * ranks + rank``; ``global_bank = global_rank * banks +
+    bank``), so issuing one request costs a single list index instead
+    of six.
 
     :func:`build_trace_arrays` derives a new instance on every call,
-    but ``positions`` and ``writes`` are the cached parse's own lists,
-    shared by every geometry derived from that parse: callers must
+    but ``positions`` and ``writes`` are the cached generation's own
+    lists, shared by every geometry derived from it: callers must
     treat them as read-only.
     """
 
     positions: List[int]
     writes: List[int]
-    channels: List[int]
-    ranks: List[int]
-    banks: List[int]
-    rows: List[int]
     ops: List[tuple]
 
     def __len__(self) -> int:
@@ -196,38 +236,13 @@ class TraceArrays:
         return len(self.positions)
 
 
-#: Unconsumed raw words kept ahead of the replay cursor.  One trace
-#: iteration draws 8 words plus five ``randrange`` draws, each accepted
-#: with probability at least one half per word, so no iteration
-#: outruns this margin short of a 2**-200 event.
-_WORD_MARGIN = 256
-
-#: Words pulled at a time once the trace's own estimate is used up.
-_REFILL_WORDS = 16384
-
-
-def _draw_bound(n: int) -> int:
-    """The draw class of ``randrange(n)``: it accepts words below this.
-
-    CPython's ``randrange(n)`` takes ``getrandbits(n.bit_length())``,
-    the top bits of one 32-bit word, until the value is below ``n``,
-    that is until the word itself is below ``n << (32 -
-    n.bit_length())``.  Moduli with one bound accept the same words in
-    the same order and differ only in how many top bits they keep.
-    Every power of two has the bound ``2**31`` (the word's top bit is
-    clear); another modulus shares its bound only with its power-of-two
-    multiples, such as 3 and 6.
-    """
-    return n << (32 - n.bit_length())
-
-
 @dataclass(frozen=True, eq=False)
-class _Parse:
-    """One walk of a (workload, core) word stream, before any geometry.
+class _Generation:
+    """One (workload, core) trace before any geometry.
 
     ``positions`` and ``writes`` are a trace's first two columns.  Row
-    ``i`` of ``words`` (``uint32``, shape ``(ops, 4)``) holds the
-    accepted words behind op ``i``'s channel, rank, bank and row.
+    ``i`` of ``words`` (``uint32``, shape ``(ops, 4)``) holds the words
+    op ``i``'s channel, rank, bank and row map from.
     """
 
     positions: List[int]
@@ -235,125 +250,124 @@ class _Parse:
     words: "np.ndarray"
 
 
+def _pull(rng: random.Random, count: int) -> "np.ndarray":
+    """The next ``count`` words of ``rng``'s stream as ``uint32``, in order.
+
+    One ``getrandbits`` call, read back little-endian, as
+    :func:`repro.mtwords.pull_words` explains; ``rng`` ends where
+    ``count`` calls of ``getrandbits(32)`` would leave it.
+    """
+    import numpy as np
+
+    return np.frombuffer(
+        rng.getrandbits(32 * count).to_bytes(4 * count, "little"),
+        dtype="<u4",
+    )
+
+
+def _ops_estimate(mean_gap: float, instructions: int) -> int:
+    """Ops to pull words for at first: the expected count plus 6 sd.
+
+    Gaps are ``int`` of an exponential, so each instruction after the
+    first is an op independently with probability ``p = 1 -
+    exp(-1 / mean_gap)``, and the op count is binomial.  A trace that
+    outruns the estimate pulls more words from the same stream.
+    """
+    trials = max(instructions - 1, 0)
+    p = -expm1(-1.0 / mean_gap) if mean_gap > 0 else 1.0
+    mean = trials * p
+    return int(mean + 6.0 * sqrt(mean * (1.0 - p))) + 16
+
+
+def _uniforms(ops: "np.ndarray", first: int) -> "np.ndarray":
+    """``random()`` of every op's words ``first`` and ``first + 1``.
+
+    CPython's ``genrand_res53``; every step is exact in float64.
+    """
+    return (
+        (ops[:, first] >> 5) * 67108864.0 + (ops[:, first + 1] >> 6)
+    ) * (1.0 / 9007199254740992.0)
+
+
 @lru_cache(maxsize=512)
-def _parse(
+def _generate(
     workload: Workload,
     instructions: int,
     columns: int,
     core: int,
     seed: int,
-    bounds: Tuple[int, int, int, int],
-) -> _Parse:
-    """Walk the word stream under the channel/rank/bank/row ``bounds``.
+) -> _Generation:
+    """Build one (workload, core) trace, for every geometry, in bulk.
 
-    Control flow reads only the random floats, the column and
-    ``columns``, so the walk is the same for every geometry whose
-    moduli share ``bounds`` (see :func:`_draw_bound`).
+    The walk of :class:`SyntheticTrace` as array passes.  The column
+    rule is the one step that depends on geometry, through ``columns``
+    alone: the channel, rank, bank and row stay words here.
     """
     import numpy as np
 
     w = workload
     mean_gap = _mean_gap(w.mpki, instructions)
     if mean_gap == float("inf"):
-        return _Parse([], [], np.empty((0, 4), dtype=np.uint32))
-    name_salt = zlib.crc32(w.name.encode()) & 0xFFFF
-    rng = random.Random((seed << 16) ^ (core * 7919) ^ name_salt)
-    est_words = int(instructions / (1.0 + mean_gap)) * 16 + 256
-    words = pull_words(rng, est_words + _WORD_MARGIN)
-    limit = est_words
-    idx = 0
-    # random.random() reconstructed from two raw words (CPython's
-    # genrand_res53); the multiply by an exact power of two equals
-    # CPython's division by 2**53 bit for bit.
-    inv53 = 1.0 / 9007199254740992.0
-    b_ch, b_rk, b_bk, b_row = bounds
-    b_col = _draw_bound(columns)
-    sh_col = 32 - columns.bit_length()
+        return _Generation([], [], np.empty((0, 4), dtype=np.uint32))
+    rng = _stream(w, core, seed)
+    estimate = _ops_estimate(mean_gap, instructions)
+    words = _pull(rng, _START_WORDS + _OP_WORDS * estimate)
+    start = words[:_START_WORDS]
+    chunks = [words[_START_WORDS:].reshape(-1, _OP_WORDS)]
 
-    def draw(bound: int) -> int:
-        nonlocal idx
-        word = words[idx]
-        idx += 1
-        while word >= bound:
-            word = words[idx]
-            idx += 1
-        return word
-
-    position = 0
-    ch = draw(b_ch)
-    rk = draw(b_rk)
-    bk = draw(b_bk)
-    loc = (ch, rk, bk, draw(b_row))
-    column = draw(b_col) >> sh_col
-
-    rbhr = w.row_buffer_hit_rate
-    locality = w.bank_locality
-    wf = w.write_fraction
-    out_pos: List[int] = []
-    out_wr: List[int] = []
-    out_loc: List[Tuple[int, int, int, int]] = []
-    pos_append = out_pos.append
-    wr_append = out_wr.append
-    loc_append = out_loc.append
-
-    # The hot loop replays the draws inline (no helper calls): each
-    # random() is two raw words, each randrange one word per attempt
-    # -- the exact CPython consumption order.
+    # Positions.  math.log, not np.log, so each gap equals the spec's;
+    # a gap clipped at ``instructions`` still ends the trace, and the
+    # clip keeps the int64 cast exact.
+    steps = []
+    end = 0
     while True:
-        if idx > limit:
-            words = words[idx:] + pull_words(rng, _REFILL_WORDS)
-            idx = 0
-            limit = len(words) - _WORD_MARGIN
-        u = ((words[idx] >> 5) * 67108864.0 + (words[idx + 1] >> 6)) * inv53
-        idx += 2
-        position += int(-log(1.0 - u) * mean_gap) + 1
-        if position >= instructions:
+        rest = 1.0 - _uniforms(chunks[-1], 0)
+        gaps = -np.fromiter(map(log, rest.tolist()), float, len(rest))
+        step = np.minimum(gaps * mean_gap, instructions).astype(np.int64) + 1
+        steps.append(step)
+        end += int(step.sum())
+        if end >= instructions:
             break
-        u = ((words[idx] >> 5) * 67108864.0 + (words[idx + 1] >> 6)) * inv53
-        idx += 2
-        if u < rbhr and column + 1 < columns:
-            column += 1
-        else:
-            u = ((words[idx] >> 5) * 67108864.0
-                 + (words[idx + 1] >> 6)) * inv53
-            idx += 2
-            if u >= locality:
-                ch = words[idx]
-                idx += 1
-                while ch >= b_ch:
-                    ch = words[idx]
-                    idx += 1
-                rk = words[idx]
-                idx += 1
-                while rk >= b_rk:
-                    rk = words[idx]
-                    idx += 1
-                bk = words[idx]
-                idx += 1
-                while bk >= b_bk:
-                    bk = words[idx]
-                    idx += 1
-            r = words[idx]
-            idx += 1
-            while r >= b_row:
-                r = words[idx]
-                idx += 1
-            loc = (ch, rk, bk, r)
-            r = words[idx]
-            idx += 1
-            while r >= b_col:
-                r = words[idx]
-                idx += 1
-            column = r >> sh_col
-        u = ((words[idx] >> 5) * 67108864.0 + (words[idx + 1] >> 6)) * inv53
-        idx += 2
-        pos_append(position)
-        wr_append(1 if u < wf else 0)
-        loc_append(loc)
+        chunks.append(_pull(rng, _OP_WORDS * estimate).reshape(-1, _OP_WORDS))
+    positions = np.cumsum(np.concatenate(steps))
+    n = int(np.searchsorted(positions, instructions))
+    ops = np.concatenate(chunks)[:n]
 
-    return _Parse(
-        out_pos, out_wr,
-        np.array(out_loc, dtype=np.uint32).reshape(-1, 4),
+    # The column rule.  A run of row hits opened at column c by a jump
+    # (or the start) steps past the last column on its (columns - c)th
+    # op, which jumps instead and opens a new run.  Each pass turns the
+    # first such hit of every open run into a jump.
+    jump = _uniforms(ops, 2) >= w.row_buffer_hit_rate
+    # Widened first: a uint32 product would wrap under numpy 1.x's
+    # value-based casting.
+    jump_column = (
+        (ops[:, 12].astype(np.uint64) * columns) >> 32
+    ).astype(np.int64)
+    at = np.flatnonzero(jump)
+    cursor = np.concatenate(([-1], at))
+    column = np.concatenate((
+        [(int(start[4]) * columns) >> 32], jump_column[at]
+    ))
+    run_end = np.concatenate((at, [n]))
+    while cursor.size:
+        cursor = cursor + columns - column
+        open_runs = cursor < run_end
+        cursor, run_end = cursor[open_runs], run_end[open_runs]
+        jump[cursor] = True
+        column = jump_column[cursor]
+
+    # Each op keeps the channel, rank and bank words of the last
+    # new-bank jump and the row word of the last jump (row 0: the start).
+    new_bank = jump & (_uniforms(ops, 4) >= w.bank_locality)
+    location = np.concatenate((start[None, :4], ops[:, 8:12]))
+    index = np.arange(1, n + 1)
+    bank_from = np.maximum.accumulate(np.where(new_bank, index, 0))
+    row_from = np.maximum.accumulate(np.where(jump, index, 0))
+    out = location[bank_from]
+    out[:, 3] = location[row_from, 3]
+    writes = _uniforms(ops, 6) < w.write_fraction
+    return _Generation(
+        positions[:n].tolist(), writes.astype(np.int64).tolist(), out
     )
 
 
@@ -370,54 +384,41 @@ def build_trace_arrays(
 ) -> TraceArrays:
     """Generate one (workload, core) trace as :class:`TraceArrays`.
 
-    Bit-identical to iterating :class:`SyntheticTrace` with the same
-    parameters: the Mersenne-Twister word stream is pulled in bulk
-    (:func:`repro.mtwords.pull_words`) and the CPython consumption
-    pattern -- ``expovariate``'s two words, ``random``'s two words and
-    ``randrange``'s reject loop -- is replayed exactly, so every scheme
-    config (and both engine backends) sees the same instruction stream.
-
-    The replay is a *parse*, LRU-cached on (workload, instructions,
-    columns, core, seed) and the draw class of each of channels, ranks,
-    banks and rows.  It keeps positions, write flags and the raw
-    accepted word behind every channel/rank/bank/row draw.  Each call
-    derives its geometry from a parse by keeping each word's top
-    ``n.bit_length()`` bits, as ``randrange(n)`` does, and returns a
-    new :class:`TraceArrays`.  All power-of-two moduli share one
-    class, so the lockstep geometries of a scheme grid (4x2, 4x1 and
-    2x1 channels x ranks) share one parse per (workload, core).
+    Equal, field for field, to iterating :class:`SyntheticTrace` with
+    the same parameters, so both engines see the same instruction
+    stream.  The generation pulls all its words with one
+    ``getrandbits`` call and builds the trace with array passes (see
+    :func:`_generate`); it is LRU-cached on (workload, instructions,
+    columns, core, seed) and keeps positions, write flags and each
+    op's channel, rank, bank and row *words*.  Each call maps those
+    words onto its geometry, ``(word * n) >> 32``, and returns a new
+    :class:`TraceArrays`, so one generation per (workload, core)
+    serves every geometry of a grid, whatever its moduli.
     ``build_trace_arrays.cache_info()`` and ``cache_clear()`` describe
-    and empty that parse cache: its misses count parses.
+    and empty that cache: its misses count generations.
     """
     import numpy as np
 
+    _check_moduli(channels, ranks, banks, rows, columns)
     if channels * ranks * banks > 2**63:
         raise ValueError(
             f"{channels * ranks * banks} banks overflow int64 bank indices"
         )
-    moduli = (channels, ranks, banks, rows)
-    parse = _parse(workload, instructions, columns, core, seed,
-                   tuple(_draw_bound(n) for n in moduli))
-    shifts = np.array([32 - n.bit_length() for n in moduli], dtype=np.uint32)
-    ch, rk, bk, row = (parse.words >> shifts).T
-    global_rank = ch.astype(np.int64) * ranks + rk
+    generation = _generate(workload, instructions, columns, core, seed)
+    moduli = np.array([channels, ranks, banks, rows], dtype=np.uint64)
+    ch, rk, bk, row = (
+        ((generation.words * moduli) >> 32).astype(np.int64).T
+    )
+    global_rank = ch * ranks + rk
     global_bank = global_rank * banks + bk
-    out_ch = ch.tolist()
-    out_rk = rk.tolist()
-    out_bk = bk.tolist()
-    out_row = row.tolist()
     return TraceArrays(
-        positions=parse.positions,
-        writes=parse.writes,
-        channels=out_ch,
-        ranks=out_rk,
-        banks=out_bk,
-        rows=out_row,
-        ops=list(zip(parse.positions, parse.writes, out_ch,
+        positions=generation.positions,
+        writes=generation.writes,
+        ops=list(zip(generation.positions, generation.writes, ch.tolist(),
                      global_rank.tolist(), global_bank.tolist(),
-                     out_rk, out_bk, out_row)),
+                     rk.tolist(), bk.tolist(), row.tolist())),
     )
 
 
-build_trace_arrays.cache_info = _parse.cache_info  # type: ignore[attr-defined]
-build_trace_arrays.cache_clear = _parse.cache_clear  # type: ignore[attr-defined]
+build_trace_arrays.cache_info = _generate.cache_info  # type: ignore[attr-defined]
+build_trace_arrays.cache_clear = _generate.cache_clear  # type: ignore[attr-defined]

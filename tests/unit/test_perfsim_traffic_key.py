@@ -258,3 +258,66 @@ class TestGridCheckpoints:
                 for w, row in resumed.items()} == {
             w: {k: r.to_payload() for k, r in row.items()}
             for w, row in fresh.items()}
+
+    def test_a_checkpoint_of_the_former_trace_layout_is_refused(
+        self, tmp_path
+    ):
+        """Cells drawn under the former trace layout never mix in.
+
+        Before the 13-word layout, ``suite_fingerprint`` hashed the same
+        description without its ``trace`` tag.  Under its own name such
+        a checkpoint is never opened (the hash is in the file name); at
+        the name this run resumes from, it is refused.
+        """
+        from repro.perfsim.trace import TRACE_LAYOUT
+        from repro.runtime import RuntimePolicy
+        from repro.runtime.checkpoint import (
+            CheckpointMismatch, CheckpointStore, config_digest,
+            load_checkpoint,
+        )
+
+        keys = ("ecc_dimm", "xed")
+        system = SystemTiming()
+        run_suite(keys, WORKLOADS, instructions_per_core=INSTRUCTIONS,
+                  runtime=RuntimePolicy(checkpoint_dir=str(tmp_path)))
+        current = suite_fingerprint(keys, WORKLOADS, INSTRUCTIONS, 2016,
+                                    system)
+        path = RuntimePolicy(resume_dir=str(tmp_path)).checkpoint_path_for(
+            current)
+        written = load_checkpoint(path)
+        assert len(written.records) == len(WORKLOADS)
+
+        description = {
+            "trace": TRACE_LAYOUT,
+            "schemes": list(keys),
+            "groups": [list(keys)],
+            "workloads": [
+                [w.name, w.mpki, w.row_buffer_hit_rate, w.write_fraction,
+                 w.bank_locality, w.footprint_lines]
+                for w in WORKLOADS
+            ],
+            "instructions_per_core": INSTRUCTIONS,
+            "system": dataclasses.asdict(system),
+        }
+        assert config_digest(description) == current.config_hash
+        del description["trace"]
+        former = dataclasses.replace(
+            current, config_hash=config_digest(description)
+        )
+        assert former.slug() != current.slug()
+
+        # Under its own name: never opened.
+        policy = RuntimePolicy(resume_dir=str(tmp_path))
+        path.rename(policy.checkpoint_path_for(former))
+        run_suite(keys, WORKLOADS, instructions_per_core=INSTRUCTIONS,
+                  runtime=policy)
+        (outcome,) = policy.outcomes
+        assert outcome.resumed_shards == 0
+
+        # At the name this run resumes from: refused.
+        store = CheckpointStore.create(path, former)
+        for index, record in sorted(written.records.items()):
+            store.add(index, record.payload)
+        with pytest.raises(CheckpointMismatch, match="config_hash"):
+            run_suite(keys, WORKLOADS, instructions_per_core=INSTRUCTIONS,
+                      runtime=RuntimePolicy(resume_dir=str(tmp_path)))

@@ -41,6 +41,12 @@ class TestPackaging:
         for name in core.__all__:
             assert hasattr(core, name), name
 
+    def test_dram_public_names(self):
+        import repro.dram as dram
+
+        for name in dram.__all__:
+            assert hasattr(dram, name), name
+
     def test_ecc_public_names(self):
         import repro.ecc as ecc
 

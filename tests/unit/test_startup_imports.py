@@ -6,8 +6,11 @@ first shard.  asyncio, the coordinator and its wire protocol serve
 machinery serves runs with more than one worker only, so each entry
 point below must leave them unloaded.  Likewise a Monte-Carlo run
 needs neither the closed-form Markov solver nor the
-engine-versus-reference harness.  Each probe runs in a fresh
-interpreter, because this test process has long since imported them.
+engine-versus-reference harness, nor the behavioural chips and DIMMs
+and their codes; ``repro all`` needs the Markov solver only to export;
+and a perf grid never needs ``numpy.random``.  Each probe runs in a
+fresh interpreter, because this test process has long since imported
+them.
 """
 
 import json
@@ -31,6 +34,33 @@ UNUSED = (
 
 #: Modules only the analytical backend and the differential harness need.
 ANALYTICAL = ("repro.faultsim.markov", "repro.faultsim.differential")
+
+#: The behavioural chips and DIMMs, and the codes a Monte-Carlo run
+#: never decodes with.
+CHIPS_AND_CODES = (
+    "repro.dram.chip",
+    "repro.dram.dimm",
+    "repro.ecc.gf",
+    "repro.ecc.reed_solomon",
+    "repro.ecc.crc8",
+    "repro.ecc.detection",
+    "repro.ecc.differential",
+)
+
+#: ``repro all`` without ``--out``, with the experiments stubbed out.
+ALL_WITHOUT_OUT = (
+    "import repro.analysis\n"
+    "repro.analysis.reproduce_all = lambda **kwargs: {}\n"
+    "import repro.cli\n"
+    "repro.cli.main(['all'])"
+)
+
+#: One cell of a perf grid, trace generation included.
+ONE_GRID_CELL = (
+    "from repro.perfsim.runner import run_suite\n"
+    "from repro.perfsim.workloads import WORKLOADS\n"
+    "run_suite(('ecc_dimm',), WORKLOADS[:1], instructions_per_core=1000)"
+)
 
 
 def _loaded_after(code: str, modules: tuple = UNUSED) -> list:
@@ -76,3 +106,14 @@ def test_the_harness_loads_the_markov_solver_only_to_cross_validate():
     assert _loaded_after(
         "import repro.faultsim.differential", ANALYTICAL
     ) == ["repro.faultsim.differential"]
+
+
+@pytest.mark.parametrize("code, modules", [
+    pytest.param("import repro.faultsim", CHIPS_AND_CODES,
+                 id="faultsim-chips-and-codes"),
+    pytest.param(ALL_WITHOUT_OUT, ("repro.faultsim.markov",),
+                 id="all-without-out"),
+    pytest.param(ONE_GRID_CELL, ("numpy.random",), id="perf-grid-cell"),
+])
+def test_entry_point_leaves_what_it_never_uses_unloaded(code, modules):
+    assert _loaded_after(code, modules) == []
